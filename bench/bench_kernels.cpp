@@ -168,8 +168,8 @@ BENCHMARK(BM_EngineScheduleRun);
 //
 // Wall-clock events/sec of the simulation kernel itself; items_per_second in
 // the benchmark JSON is the CI perf-trajectory line.  Three shapes:
-// empty-callback churn (queue mechanics only), mixed horizons (ring +
-// overflow + re-bucketing), and an E1-shaped replay (closed-loop chains with
+// empty-callback churn (queue mechanics only), mixed horizons (delays
+// spanning six decades), and an E1-shaped replay (closed-loop chains with
 // realistic capture sizes).
 
 void BM_EngineEventsPerSec_Churn(benchmark::State& state) {
@@ -189,9 +189,8 @@ void BM_EngineEventsPerSec_Churn(benchmark::State& state) {
 BENCHMARK(BM_EngineEventsPerSec_Churn);
 
 void BM_EngineEventsPerSec_MixedHorizon(benchmark::State& state) {
-  // 256 self-rescheduling chains whose delays cycle through four decades
-  // (50 ns .. 100 ms), so the queue constantly spans near-horizon buckets
-  // and far-future overflow and must re-bucket as the clock advances.
+  // 256 self-rescheduling chains whose delays cycle through 50 ns, 1 us,
+  // 1 ms and 100 ms, so the queue always holds near and far-future events.
   constexpr int kChains = 256;
   constexpr std::uint64_t kEvents = 256 * 1024;
   constexpr sim::Tick kDelays[4] = {50, 1'000, 1'000'000, 100'000'000};

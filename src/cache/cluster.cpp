@@ -69,19 +69,6 @@ void CacheCluster::Msg(ControllerId from, ControllerId to, std::uint64_t bytes,
                std::move(delivered), std::move(on_drop), ctx);
 }
 
-net::Fabric::Outbound CacheCluster::Out(ControllerId from, ControllerId to,
-                                        std::uint64_t bytes,
-                                        std::function<void()> delivered,
-                                        Failure on_drop,
-                                        obs::TraceContext ctx) {
-  return net::Fabric::Outbound{.src = ctrls_[from]->node,
-                               .dst = ctrls_[to]->node,
-                               .bytes = bytes,
-                               .on_delivered = std::move(delivered),
-                               .on_dropped = std::move(on_drop),
-                               .ctx = ctx};
-}
-
 // --- Directory entry serialization ------------------------------------------
 
 void CacheCluster::AcquireEntry(ControllerId home, const PageKey& key,
@@ -419,13 +406,10 @@ void CacheCluster::FlushRun(ControllerId ctrl, std::vector<PageKey> run,
                            "bump (page %llu)",
                            static_cast<unsigned long long>(key.page));
             f->dirty = false;
-            // Release the N-way replicas now that the data is on disk —
-            // one batched fabric send for the whole replica set.
-            std::vector<net::Fabric::Outbound> releases;
+            // Release the N-way replicas now that the data is on disk.
             for (const ControllerId site : ex.replica_sites) {
               if (!ctrls_[site]->alive) continue;
-              releases.push_back(Out(
-                  ctrl, site, config_.ctrl_msg_bytes,
+              Msg(ctrl, site, config_.ctrl_msg_bytes,
                   [this, site, key, ctrl] {
                     CacheNode::Frame* rf = ctrls_[site]->cache.Find(key);
                     if (rf != nullptr && rf->is_replica &&
@@ -433,9 +417,9 @@ void CacheCluster::FlushRun(ControllerId ctrl, std::vector<PageKey> run,
                       ctrls_[site]->cache.Erase(key);
                       EraseExtra(site, key);
                     }
-                  }));
+                  },
+                  nullptr);
             }
-            if (!releases.empty()) fabric_.SendBatch(std::move(releases));
             ex.replica_sites.clear();
           } else if (f->dirty) {
             still_dirty = true;  // re-written during the flush, or I/O error
@@ -445,7 +429,7 @@ void CacheCluster::FlushRun(ControllerId ctrl, std::vector<PageKey> run,
         ex.flushing = false;
         auto waiters = std::move(ex.flush_waiters);
         ex.flush_waiters.clear();
-        engine_.ScheduleBatch(0, waiters);
+        for (auto& w : waiters) engine_.Schedule(0, std::move(w));
         if (still_dirty) redo.push_back(key);
       }
       if (flush_ctx.sampled()) {
@@ -736,11 +720,8 @@ void CacheCluster::ReplicateDirty(ControllerId owner_ctrl, PageKey key,
   auto join = std::make_shared<Join>(
       static_cast<int>(targets.size()),
       [done = std::move(done)](bool) { done(); });
-  std::vector<net::Fabric::Outbound> copies;
-  copies.reserve(targets.size());
   for (const ControllerId t : targets) {
-    copies.push_back(Out(
-        owner_ctrl, t, config_.page_bytes,
+    Msg(owner_ctrl, t, config_.page_bytes,
         [this, t, key, owner_ctrl, data, join, ctx] {
           CacheNode::Frame& rf = InstallFrame(t, key, *data);
           rf.is_replica = true;
@@ -750,9 +731,8 @@ void CacheCluster::ReplicateDirty(ControllerId owner_ctrl, PageKey key,
               [join] { join->Arrive(true); },
               [join] { join->Arrive(true); }, ctx);
         },
-        [join] { join->Arrive(false); }, ctx));
+        [join] { join->Arrive(false); }, ctx);
   }
-  fabric_.SendBatch(std::move(copies));
 }
 
 // --- GETS / GETX --------------------------------------------------------------

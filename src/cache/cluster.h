@@ -222,15 +222,6 @@ class CacheCluster {
            std::function<void()> delivered, Failure on_drop,
            obs::TraceContext ctx = {});
 
-  /// Build one element of a Fabric::SendBatch group (controller ids mapped
-  /// to fabric nodes).  Used by the replica fan-outs so a whole group of
-  /// controller messages enters the event queue in one batched insertion.
-  net::Fabric::Outbound Out(ControllerId from, ControllerId to,
-                            std::uint64_t bytes,
-                            std::function<void()> delivered,
-                            Failure on_drop = nullptr,
-                            obs::TraceContext ctx = {});
-
   /// Serialize per-page operations through the home directory entry.
   void AcquireEntry(ControllerId home, const PageKey& key,
                     std::function<void()> fn);

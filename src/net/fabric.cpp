@@ -141,30 +141,10 @@ std::size_t Fabric::HopCount(NodeId src, NodeId dst) {
 void Fabric::Send(NodeId src, NodeId dst, std::uint64_t bytes,
                   sim::Engine::Callback on_delivered,
                   sim::Engine::Callback on_dropped, obs::TraceContext ctx) {
-  SendImpl(src, dst, bytes, std::move(on_delivered), std::move(on_dropped),
-           ctx, nullptr);
-}
-
-void Fabric::SendBatch(std::vector<Outbound> msgs) {
-  sim::Engine::Batch batch(engine_);
-  for (Outbound& m : msgs) {
-    SendImpl(m.src, m.dst, m.bytes, std::move(m.on_delivered),
-             std::move(m.on_dropped), m.ctx, &batch);
-  }
-}
-
-void Fabric::SendImpl(NodeId src, NodeId dst, std::uint64_t bytes,
-                      sim::Engine::Callback on_delivered,
-                      sim::Engine::Callback on_dropped, obs::TraceContext ctx,
-                      sim::Engine::Batch* batch) {
   assert(src < nodes_.size() && dst < nodes_.size());
   if (src == dst) {
     // Loopback: no fabric cost beyond a scheduling point.
-    if (batch != nullptr) {
-      batch->Add(0, std::move(on_delivered));
-    } else {
-      engine_.Schedule(0, std::move(on_delivered));
-    }
+    engine_.Schedule(0, std::move(on_delivered));
     return;
   }
   if (ctx.sampled()) {
@@ -194,9 +174,7 @@ void Fabric::SendImpl(NodeId src, NodeId dst, std::uint64_t bytes,
     sim::Engine::Callback delivered;
     sim::Engine::Callback dropped;
 
-    // `batch` is only non-null for the first hop (SendBatch staging); later
-    // hops run from inside events and push directly.
-    void Hop(NodeId cur, sim::Engine::Batch* batch = nullptr) {
+    void Hop(NodeId cur) {
       Fabric& f = *fabric;
       auto fail = [this] {
         ++fabric->dropped_;
@@ -229,22 +207,18 @@ void Fabric::SendImpl(NodeId src, NodeId dst, std::uint64_t bytes,
       const NodeId next = l.to;
       // Copy the Transit by value into the event so it survives this frame.
       Transit self = std::move(*this);
-      auto deliver = [self = std::move(self), next]() mutable {
-        if (next == self.dst) {
-          self.delivered();
-        } else {
-          self.Hop(next);
-        }
-      };
-      if (batch != nullptr) {
-        batch->AddAt(arrival, std::move(deliver));
-      } else {
-        f.engine_.ScheduleAt(arrival, std::move(deliver));
-      }
+      f.engine_.ScheduleAt(arrival,
+                           [self = std::move(self), next]() mutable {
+                             if (next == self.dst) {
+                               self.delivered();
+                             } else {
+                               self.Hop(next);
+                             }
+                           });
     }
   };
   Transit t{this, dst, bytes, std::move(on_delivered), std::move(on_dropped)};
-  t.Hop(src, batch);
+  t.Hop(src);
 }
 
 LinkStats Fabric::StatsFor(NodeId a, NodeId b) const {

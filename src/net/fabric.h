@@ -66,23 +66,6 @@ class Fabric {
             sim::Engine::Callback on_dropped = nullptr,
             obs::TraceContext ctx = {});
 
-  /// One message of a batched fan-out (see SendBatch).
-  struct Outbound {
-    NodeId src = kInvalidNode;
-    NodeId dst = kInvalidNode;
-    std::uint64_t bytes = 0;
-    sim::Engine::Callback on_delivered;
-    sim::Engine::Callback on_dropped;
-    obs::TraceContext ctx;
-  };
-
-  /// Send a group of messages.  Observably identical to calling Send once
-  /// per element in order — link accounting and event sequence numbers are
-  /// assigned message-by-message — but the first-hop (and loopback) events
-  /// enter the queue through one Engine::Batch insertion, which is what the
-  /// replica/flush fan-outs want.  The vector's callbacks are consumed.
-  void SendBatch(std::vector<Outbound> msgs);
-
   /// Mark a node up/down.  Down nodes route nothing.
   void SetNodeUp(NodeId n, bool up);
   bool IsNodeUp(NodeId n) const { return nodes_[n].up; }
@@ -135,12 +118,6 @@ class Fabric {
   /// BFS next-hop table computation (invalidated by topology changes).
   void EnsureRoutes();
   std::size_t FindLinkIndex(NodeId a, NodeId b) const;
-  /// Shared body of Send/SendBatch; `batch` (when non-null) stages the
-  /// first-hop event instead of pushing it immediately.
-  void SendImpl(NodeId src, NodeId dst, std::uint64_t bytes,
-                sim::Engine::Callback on_delivered,
-                sim::Engine::Callback on_dropped, obs::TraceContext ctx,
-                sim::Engine::Batch* batch);
 
   sim::Engine& engine_;
   std::vector<Node> nodes_;

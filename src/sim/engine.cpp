@@ -1,5 +1,6 @@
 #include "sim/engine.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <utility>
@@ -62,7 +63,12 @@ void Engine::AttachRaceDetector(check::RaceDetector* d) {
 #endif
 }
 
-Event* Engine::MakeEvent(Tick when, Callback cb) {
+bool Engine::RunsLater(const Ref& a, const Ref& b) {
+  if (a.when != b.when) return a.when > b.when;
+  return a.pri > b.pri;
+}
+
+void Engine::ScheduleAt(Tick when, Callback cb) {
   NLSS_INVARIANT(kSim, when >= now_,
                  "scheduling into the past: when=%llu now=%llu",
                  static_cast<unsigned long long>(when),
@@ -77,15 +83,24 @@ Event* Engine::MakeEvent(Tick when, Callback cb) {
   e->id = seq + 1;  // 1-based: 0 is the external (non-event) context
   e->parent = current_event_;
 #endif
-  return e;
+  heap_.push_back(Ref{when, e->pri, e});
+  std::push_heap(heap_.begin(), heap_.end(), RunsLater);
 }
 
-void Engine::Execute(Event* e, Tick when) {
-  NLSS_INVARIANT(kSim, when >= now_ && when == e->when,
+Engine::Ref Engine::PopMin() {
+  std::pop_heap(heap_.begin(), heap_.end(), RunsLater);
+  const Ref r = heap_.back();
+  heap_.pop_back();
+  return r;
+}
+
+void Engine::Execute(const Ref& r) {
+  Event* e = r.e;
+  NLSS_INVARIANT(kSim, r.when >= now_ && r.when == e->when,
                  "event pop went backwards: when=%llu now=%llu",
-                 static_cast<unsigned long long>(when),
+                 static_cast<unsigned long long>(r.when),
                  static_cast<unsigned long long>(now_));
-  now_ = when;
+  now_ = r.when;
   ++executed_;
   // Free the node before running the callback: children it schedules reuse
   // the still-hot slot, and a drain/refill cycle never grows the arena.
@@ -114,24 +129,14 @@ void Engine::Execute(Event* e, Tick when) {
 
 void Engine::Run() {
   stopped_ = false;
-  while (!stopped_) {
-    Tick when = 0;
-    Event* e = queue_.PopMin(&when);
-    if (e == nullptr) break;
-    Execute(e, when);
-  }
+  while (!stopped_ && !heap_.empty()) Execute(PopMin());
 }
 
 std::size_t Engine::RunUntil(Tick t) {
   stopped_ = false;
   std::size_t n = 0;
-  while (!stopped_) {
-    // PeekMinWhen reads the queue's own key record; an empty queue reports
-    // Tick max, which only passes the bound when a real event sits there.
-    if (queue_.Empty() || queue_.PeekMinWhen() > t) break;
-    Tick when = 0;
-    Event* e = queue_.PopMin(&when);
-    Execute(e, when);
+  while (!stopped_ && !heap_.empty() && heap_.front().when <= t) {
+    Execute(PopMin());
     ++n;
   }
   if (!stopped_ && now_ < t) now_ = t;
@@ -141,11 +146,8 @@ std::size_t Engine::RunUntil(Tick t) {
 std::size_t Engine::Step(std::size_t max_events) {
   stopped_ = false;
   std::size_t n = 0;
-  while (n < max_events && !stopped_) {
-    Tick when = 0;
-    Event* e = queue_.PopMin(&when);
-    if (e == nullptr) break;
-    Execute(e, when);
+  while (n < max_events && !stopped_ && !heap_.empty()) {
+    Execute(PopMin());
     ++n;
   }
   return n;

@@ -5,13 +5,12 @@
 // the same tick execute in scheduling order (FIFO), which makes every run
 // bit-reproducible from the workload seed.
 //
-// Hot path (the kernel rewrite): events live in a slab-allocated arena
-// (sim/event_pool.h) and are ordered by a two-tier ladder/calendar queue
-// (sim/ladder_queue.h) instead of a binary heap, with callbacks held in a
-// 48-byte small-buffer Callback (sim/callback.h) so common captures never
-// heap-allocate.  None of this changes observable semantics: the queue
-// preserves the exact (when, pri, seq) total order, so digests are
-// bit-identical to the heap kernel under FIFO and any perturbation seed.
+// Hot path: events live in a per-engine slab arena (sim/event_pool.h) with
+// callbacks held in a 48-byte small-buffer Callback (sim/callback.h), so
+// common captures never heap-allocate.  The queue is a binary heap of
+// 24-byte {when, pri, Event*} records.  Event order is the total order
+// (when, pri) with pri a bijection of the sequence number, so any correct
+// priority queue yields the same execution order and the same digests.
 //
 // Two determinism-checking hooks (ISSUE 9):
 //
@@ -44,7 +43,6 @@
 #include "check/invariant.h"
 #include "sim/callback.h"
 #include "sim/event_pool.h"
-#include "sim/ladder_queue.h"
 
 namespace nlss::check {
 class RaceDetector;
@@ -67,46 +65,7 @@ class Engine {
   void Schedule(Tick delay, Callback cb) { ScheduleAt(now_ + delay, std::move(cb)); }
 
   /// Schedule `cb` at an absolute tick (must be >= now).
-  void ScheduleAt(Tick when, Callback cb) { queue_.Push(MakeEvent(when, std::move(cb))); }
-
-  /// Batched insertion for high-fan-out producers (fabric fan-outs, flush
-  /// waiter wakeups, demote pipelines).  Each Add assigns the event's FIFO
-  /// sequence number immediately — so a Batch is observably identical to
-  /// the equivalent loop of Schedule calls — but queue insertion is
-  /// deferred to Commit (or the destructor), which pushes the whole group
-  /// in one pass.
-  class Batch {
-   public:
-    explicit Batch(Engine& engine) : engine_(engine) {}
-    Batch(const Batch&) = delete;
-    Batch& operator=(const Batch&) = delete;
-    ~Batch() { Commit(); }
-
-    void Add(Tick delay, Callback cb) {
-      AddAt(engine_.now_ + delay, std::move(cb));
-    }
-    void AddAt(Tick when, Callback cb) {
-      staged_.push_back(engine_.MakeEvent(when, std::move(cb)));
-    }
-    void Commit() {
-      for (Event* e : staged_) engine_.queue_.Push(e);
-      staged_.clear();
-    }
-    std::size_t staged() const { return staged_.size(); }
-
-   private:
-    Engine& engine_;
-    std::vector<Event*> staged_;
-  };
-
-  /// Schedule every element of `cbs` (anything convertible to Callback)
-  /// `delay` ns from now, preserving container order.  The container's
-  /// callbacks are consumed.
-  template <typename Container>
-  void ScheduleBatch(Tick delay, Container&& cbs) {
-    Batch batch(*this);
-    for (auto& cb : cbs) batch.Add(delay, std::move(cb));
-  }
+  void ScheduleAt(Tick when, Callback cb);
 
   /// Run until the event queue drains (or Stop() is called).
   void Run();
@@ -126,8 +85,8 @@ class Engine {
   /// Ask Run()/RunUntil()/Step() to return after the current event.
   void Stop() { stopped_ = true; }
 
-  bool Empty() const { return queue_.Empty(); }
-  std::size_t PendingEvents() const { return queue_.Size(); }
+  bool Empty() const { return heap_.empty(); }
+  std::size_t PendingEvents() const { return heap_.size(); }
   std::uint64_t executed_events() const { return executed_; }
 
   /// Event arena occupancy, for tests and allocation audits: slab count
@@ -155,13 +114,26 @@ class Engine {
   check::RaceDetector* race_detector() const { return race_; }
 
  private:
-  Event* MakeEvent(Tick when, Callback cb);
-  // `when` is the queue's copy of the event's timestamp (LadderQueue::Ref),
-  // passed in so dispatch never reads the event's second cache line.
-  void Execute(Event* e, Tick when);
+  /// Heap record: the event's ordering key copied next to its node, so
+  /// sifts compare contiguous 24-byte records and never touch the arena.
+  /// seq is absent because pri is a bijection of it.
+  struct Ref {
+    Tick when;
+    std::uint64_t pri;
+    Event* e;
+  };
+  /// Heap order: true when `a` runs after `b`, so the earliest record sits
+  /// at the front of std::push_heap's max-heap.
+  static bool RunsLater(const Ref& a, const Ref& b);
+
+  /// Remove and return the earliest record; the heap must not be empty.
+  Ref PopMin();
+  // Takes the heap record so dispatch reads `when` from it, not from the
+  // event's second cache line.
+  void Execute(const Ref& r);
 
   EventPool pool_;
-  LadderQueue queue_;
+  std::vector<Ref> heap_;  // std::push_heap order: earliest at front()
   Tick now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;

@@ -16,7 +16,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "check/invariant.h"
@@ -29,10 +28,10 @@ using Tick = std::uint64_t;
 
 /// One scheduled event, cache-line aligned with the dispatch-hot fields
 /// first: `cb` (56 bytes) plus the free-list link `next` fill the first 64
-/// bytes exactly, so Execute/Free touch one line — the one PopMin's
-/// prefetch warmed.  The ordering keys live in the second line; the queue
-/// carries its own copy of them (LadderQueue::Ref) and never reads back,
-/// so after MakeEvent they are only looked at by tests and invariants.
+/// bytes exactly, so Execute/Free touch one line.  The ordering keys live in
+/// the second line; the engine's heap carries its own copy of them
+/// (Engine::Ref) and never reads back, so after scheduling they are only
+/// looked at by tests and invariants.
 struct alignas(64) Event {
   Callback cb;
   Event* next = nullptr;  // intrusive free-list link while unallocated
@@ -47,47 +46,6 @@ struct alignas(64) Event {
 static_assert(alignof(Event) == 64 && sizeof(Event) == 128,
               "dispatch-hot fields must fill the first cache line");
 
-/// Process-wide parking lot for retired slabs.  Engines are built and torn
-/// down in loops (per-scenario tests, benchmark iterations); handing each
-/// pool's slabs back to the allocator lets glibc trim the heap top, and the
-/// next engine then soft-faults the whole arena back in page by page — that
-/// round trip costs more than the events themselves.  Retired slabs are
-/// parked here (callbacks cleared, nodes still constructed) and handed to
-/// the next pool that grows, capped so a one-off giant run cannot pin
-/// memory forever.
-class SlabCache {
- public:
-  static constexpr std::size_t kMaxSlabs = 256;  // 256 * 128 KiB = 32 MiB
-
-  static std::unique_ptr<Event[]> Get() {
-    SlabCache& c = Instance();
-    std::lock_guard<std::mutex> lock(c.mu_);
-    if (c.slabs_.empty()) return nullptr;
-    std::unique_ptr<Event[]> s = std::move(c.slabs_.back());
-    c.slabs_.pop_back();
-    return s;
-  }
-
-  static void Put(std::unique_ptr<Event[]> slab, std::size_t events) {
-    // Release captured state (continuations, buffers) now — a parked slab
-    // must not keep the dead engine's world alive until reuse.
-    for (std::size_t i = 0; i < events; ++i) slab[i].cb = nullptr;
-    SlabCache& c = Instance();
-    std::lock_guard<std::mutex> lock(c.mu_);
-    if (c.slabs_.size() >= kMaxSlabs) return;  // cache full: let it free
-    c.slabs_.push_back(std::move(slab));
-  }
-
- private:
-  static SlabCache& Instance() {
-    static SlabCache c;
-    return c;
-  }
-
-  std::mutex mu_;
-  std::vector<std::unique_ptr<Event[]>> slabs_;
-};
-
 class EventPool {
  public:
   static constexpr std::size_t kSlabEvents = 1024;
@@ -95,10 +53,6 @@ class EventPool {
   EventPool() = default;
   EventPool(const EventPool&) = delete;
   EventPool& operator=(const EventPool&) = delete;
-
-  ~EventPool() {
-    for (auto& s : slabs_) SlabCache::Put(std::move(s), kSlabEvents);
-  }
 
   Event* Alloc() {
     if (free_ == nullptr) Grow();
@@ -121,9 +75,7 @@ class EventPool {
 
  private:
   void Grow() {
-    std::unique_ptr<Event[]> s = SlabCache::Get();
-    if (s == nullptr) s = std::make_unique<Event[]>(kSlabEvents);
-    slabs_.push_back(std::move(s));
+    slabs_.push_back(std::make_unique<Event[]>(kSlabEvents));
     Event* slab = slabs_.back().get();
     // Push in reverse so allocation walks the slab front-to-back.
     for (std::size_t i = kSlabEvents; i-- > 0;) {

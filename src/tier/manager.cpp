@@ -87,14 +87,10 @@ void TierManager::EraseEntry(cache::ControllerId holder,
   Entry& e = eit->second;
   // Joined readers must not be dropped with the entry: serve them with the
   // data that was current when the entry went away.
-  if (!e.waiters.empty()) {
-    sim::Engine::Batch wake(engine_);
-    for (auto& w : e.waiters) {
-      wake.Add(0, [w = std::move(w), data = e.data]() mutable {
-        w(true, std::move(data));
-      });
-    }
-    e.waiters.clear();
+  for (auto& w : e.waiters) {
+    engine_.Schedule(0, [w = std::move(w), data = e.data]() mutable {
+      w(true, std::move(data));
+    });
   }
   SetDirty(lane, e, false);
   lane.flash.erase(eit);
@@ -280,8 +276,6 @@ bool TierManager::TierWriteBack(cache::ControllerId ctrl,
   engine_.ScheduleAt(done, [this, ctrl, absorbed = std::move(absorbed), span,
                             cb = std::move(cb)] {
     Lane& l = LaneOf(ctrl);
-    // One batched insertion wakes every waiter across the absorbed run.
-    sim::Engine::Batch wake(engine_);
     for (const auto& [key, seq] : absorbed) {
       const auto eit = l.flash.find(key);
       if (eit == l.flash.end()) continue;  // moved/erased while in flight
@@ -292,14 +286,13 @@ bool TierManager::TierWriteBack(cache::ControllerId ctrl,
       if (e.state == EntryState::kStaging) {
         e.state = EntryState::kReady;
         for (auto& w : e.waiters) {
-          wake.Add(0, [w = std::move(w), data = e.data]() mutable {
+          engine_.Schedule(0, [w = std::move(w), data = e.data]() mutable {
             w(true, std::move(data));
           });
         }
         e.waiters.clear();
       }
     }
-    wake.Commit();
     obs::EndSpan(span);
     cb(true);  // durable in flash: the flush settles now
     MaybeDemote(ctrl, /*force=*/false);
@@ -383,8 +376,6 @@ void TierManager::FlushStaging(cache::ControllerId ctrl) {
                              config_.flash_ns_per_byte));
   engine_.ScheduleAt(done, [this, ctrl, batch = std::move(batch)] {
     Lane& l = LaneOf(ctrl);
-    // As in the absorb path: stage every waiter wakeup, push once.
-    sim::Engine::Batch wake(engine_);
     for (const cache::PageKey& key : batch) {
       const auto eit = l.flash.find(key);
       if (eit == l.flash.end()) continue;
@@ -393,13 +384,12 @@ void TierManager::FlushStaging(cache::ControllerId ctrl) {
       NLSS_ACCESS(kTier, RaceKey(key), kWrite);
       e.state = EntryState::kReady;
       for (auto& w : e.waiters) {
-        wake.Add(0, [w = std::move(w), data = e.data]() mutable {
+        engine_.Schedule(0, [w = std::move(w), data = e.data]() mutable {
           w(true, std::move(data));
         });
       }
       e.waiters.clear();
     }
-    wake.Commit();
     MaybeDemote(ctrl, /*force=*/false);
     EndOp();
   });
