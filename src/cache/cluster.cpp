@@ -772,6 +772,15 @@ void CacheCluster::HandleGetS(ControllerId via, PageKey key,
       obs::Annotate(ctx, "miss");
     }
   }
+  // A write through `via` can win the entry while this read queues behind
+  // it.  Then via's frame is the only current copy, and FetchCurrent (which
+  // never sources from `via`) would install stale bytes over it.
+  if (dir_[home][key].owner == via) {
+    if (const CacheNode::Frame* own = ctrls_[via]->cache.Find(key)) {
+      finish(true, own->data);
+      return;
+    }
+  }
   FetchCurrent(via, key, std::move(finish), ctx);
 }
 

@@ -387,6 +387,55 @@ TEST_F(ClusterTest, ConcurrentMixedOpsEventuallyConsistent) {
   }
 }
 
+TEST_F(ClusterTest, ReadMissRacingOwnWriteKeepsTheWrite) {
+  // A write and a read of one page enter blade 0 in the same tick, so the
+  // read misses locally and queues at the home behind the write.  When the
+  // read is served, blade 0 owns the only current copy; fetching from the
+  // backing store instead would install stale bytes over the dirty frame
+  // and lose the acknowledged write.  Which request the directory serves
+  // first may decide what the read returns, never whether the write
+  // survives, so the input is deliberately racy: pin a non-reporting
+  // detector.  Pages cover both homes.
+  const std::uint32_t page = 64 * 1024;
+  for (const sim::Tick delay :
+       {sim::Tick{0}, util::kNsPerMs, 20 * util::kNsPerMs,
+        200 * util::kNsPerMs}) {
+    for (std::uint64_t p = 0; p < 8; ++p) {
+      SCOPED_TRACE(testing::Message() << "page " << p << " flush delay "
+                                      << delay);
+      CacheCluster::Config config;
+      config.flush_delay_ns = delay;
+      Build(2, config);
+      check::RaceDetector det;
+      det.set_report_violations(false);
+      engine_.AttachRaceDetector(&det);
+      const util::Bytes data = Pattern(page, 500 + p);
+      bool acked = false;
+      bool read_ok = false;
+      util::Bytes seen;
+      cluster_->Write(0, kVol, p * page, data, [&](bool ok) { acked = ok; });
+      cluster_->Read(0, kVol, p * page, page, [&](bool ok, util::Bytes d) {
+        read_ok = ok;
+        seen = std::move(d);
+      });
+      engine_.Run();
+      engine_.AttachRaceDetector(nullptr);
+      ASSERT_TRUE(acked);
+      ASSERT_TRUE(read_ok);
+      EXPECT_TRUE(seen == data || seen == util::Bytes(page, 0));
+      for (ControllerId c = 0; c < 2; ++c) {
+        auto [ok, got] = Read(c, p * page, page);
+        ASSERT_TRUE(ok);
+        EXPECT_EQ(got, data) << "acknowledged write lost, read via " << c;
+      }
+      ASSERT_TRUE(FlushAll());
+      EXPECT_TRUE(std::equal(
+          data.begin(), data.end(),
+          backing_->raw().begin() + static_cast<std::ptrdiff_t>(p * page)));
+    }
+  }
+}
+
 TEST_F(ClusterTest, ReplicationClampsToLiveControllers) {
   CacheCluster::Config config;
   config.replication = 8;  // more than the cluster size
