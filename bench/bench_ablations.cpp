@@ -40,13 +40,14 @@ std::pair<double, double> RunMixed(
         if (rng.Chance(0.7)) {
           bed.system->Read(bed.hosts[h], vol, off, op_bytes,
                            [done = std::move(done), op_bytes](bool ok,
-                                                              util::Bytes) {
+                                                              util::Payload) {
                              done(ok, op_bytes);
                            });
         } else {
-          util::Bytes data(op_bytes);
-          util::FillPattern(data, off);
-          bed.system->Write(bed.hosts[h], vol, off, data,
+          util::Payload data(op_bytes, [&](std::span<std::uint8_t> out) {
+            util::FillPattern(out, off);
+          });
+          bed.system->Write(bed.hosts[h], vol, off, std::move(data),
                             [done = std::move(done), op_bytes](bool ok) {
                               done(ok, op_bytes);
                             });
@@ -73,7 +74,7 @@ double RunSequential(std::uint32_t readahead) {
   for (std::uint64_t off = 0; off < 64 * util::MiB; off += util::MiB) {
     bool ok = false;
     bed.system->Read(bed.hosts[0], vol, off, util::MiB,
-                     [&](bool r, util::Bytes) { ok = r; });
+                     [&](bool r, util::Payload) { ok = r; });
     bed.engine.Run();
     if (ok) done_bytes += util::MiB;
   }

@@ -121,14 +121,15 @@ int main() {
     std::uint64_t moved = 0;
     for (int i = 0; i < 64; ++i) {
       bool ok = false;
-      store.WriteBlocks(static_cast<std::uint64_t>(i) * blocks, data,
+      store.WriteBlocks(static_cast<std::uint64_t>(i) * blocks,
+                        util::Payload::Copy(data),
                         [&](bool r) { ok = r; });
       engine.Run();
       if (ok) moved += data.size();
     }
     for (int i = 0; i < 64; ++i) {
       store.ReadBlocks(static_cast<std::uint64_t>(i) * blocks, blocks,
-                       [&](bool, util::Bytes) {});
+                       [&](bool, util::Payload) {});
       engine.Run();
       moved += data.size();
     }

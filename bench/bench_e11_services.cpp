@@ -39,7 +39,7 @@ int main() {
       *backup = [&, vol, snap, backup](std::uint64_t off) {
         if (off >= dataset) return;
         bed.system->volume(vol).ReadSnapshotBlocks(
-            snap, off / 4096, 512, [backup, off](bool, util::Bytes) {
+            snap, off / 4096, 512, [backup, off](bool, util::Payload) {
               (*backup)(off + 512 * 4096);
             });
       };
@@ -49,11 +49,12 @@ int main() {
     auto [bytes, latency] = ClosedLoop::Run(
         bed.engine, 4, bed.engine.now() + util::kNsPerSec,
         [&](std::size_t h, std::function<void(bool, std::uint64_t)> done) {
-          util::Bytes data(64 * util::KiB);
-          util::FillPattern(data, rng.Next());
+          util::Payload data(64 * util::KiB, [&](std::span<std::uint8_t> out) {
+            util::FillPattern(out, rng.Next());
+          });
           const std::uint64_t off =
               rng.Below(dataset / (64 * util::KiB)) * 64 * util::KiB;
-          bed.system->Write(bed.hosts[h], vol, off, data,
+          bed.system->Write(bed.hosts[h], vol, off, std::move(data),
                             [done = std::move(done)](bool ok) {
                               done(ok, 64 * util::KiB);
                             });

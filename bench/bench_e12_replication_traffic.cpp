@@ -120,7 +120,8 @@ int main() {
         const std::uint64_t block =
             (static_cast<std::uint64_t>(f) * 4 + round) * 64;
         bool ok2 = false;
-        repl.WriteBlocks(block, delta, [&](bool r) { ok2 = r; });
+        repl.WriteBlocks(block, util::Payload::Copy(delta),
+                         [&](bool r) { ok2 = r; });
         eng2.Run();
         if (!ok2) std::abort();
       }

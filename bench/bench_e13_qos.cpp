@@ -106,7 +106,7 @@ ContendedResult RunContended(bool with_scan, bool with_qos,
               rng.Below(kGoldData / kGoldOp) * kGoldOp;
           bed.system->Read(bed.hosts[s], gold_vol, off, kGoldOp,
                            [&, done = std::move(done), issued](bool ok,
-                                                               util::Bytes) {
+                                                               util::Payload) {
                              if (ok) {
                                gold_bytes += kGoldOp;
                                ++gold_ops;
@@ -120,7 +120,7 @@ ContendedResult RunContended(bool with_scan, bool with_qos,
           scan_pos[i] = (off + kScanOp) % kScanData;
           bed.system->Read(bed.hosts[s], scan_vol, off, kScanOp,
                            [&, done = std::move(done), issued](bool ok,
-                                                               util::Bytes) {
+                                                               util::Payload) {
                              if (ok) {
                                scan_bytes += kScanOp;
                                ++scan_ops;
@@ -203,7 +203,7 @@ std::pair<double, double> RunWeightPair(std::uint32_t weight) {
         bed.system->BladeRead(
             static_cast<std::uint32_t>(s) % blades, is_a ? vol_a : vol_b, off,
             kOp, /*priority=*/0, is_a ? tenant_a : tenant_b,
-            [&, is_a, done = std::move(done)](bool ok, util::Bytes) {
+            [&, is_a, done = std::move(done)](bool ok, util::Payload) {
               const sim::Tick now = bed.engine.now();
               if (ok && now >= measure_from && now < until) {
                 (is_a ? bytes_a : bytes_b) += kOp;

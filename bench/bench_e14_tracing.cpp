@@ -38,7 +38,8 @@ void PreloadAndDrop(sim::Engine& engine, controller::StorageSystem& system,
   for (std::uint64_t off = 0; off < bytes; off += buf.size()) {
     util::FillPattern(buf, off);
     bool ok = false;
-    system.Write(host, vol, off, buf, [&](bool r) { ok = r; });
+    system.Write(host, vol, off, util::Payload::Copy(buf),
+                 [&](bool r) { ok = r; });
     engine.Run();
     if (!ok) std::abort();
   }
@@ -54,7 +55,7 @@ void WarmHotSet(sim::Engine& engine, controller::StorageSystem& system,
                 net::NodeId host, controller::VolumeId vol,
                 std::uint64_t base, std::uint64_t bytes) {
   for (std::uint64_t off = 0; off < bytes; off += util::MiB) {
-    system.Read(host, vol, base + off, util::MiB, [](bool, util::Bytes) {});
+    system.Read(host, vol, base + off, util::MiB, [](bool, util::Payload) {});
     engine.Run();
   }
 }
@@ -98,7 +99,7 @@ Result RunPooled(std::uint64_t seed, double sample_rate) {
       [&](std::size_t h, std::function<void(bool, std::uint64_t)> done) {
         const std::uint64_t off = zipf.Next(rng) * kOpBytes;
         system.Read(hosts[h], vol, off, kOpBytes,
-                    [done = std::move(done)](bool ok, util::Bytes) {
+                    [done = std::move(done)](bool ok, util::Payload) {
                       done(ok, kOpBytes);
                     });
       });
@@ -173,7 +174,7 @@ Result RunPartitioned(std::uint64_t seed, double sample_rate) {
         shard.system->Read(
             shard.hosts[h % shard.hosts.size()], shard.vol,
             global % per_shard, kOpBytes,
-            [&, s, done = std::move(done)](bool ok, util::Bytes) {
+            [&, s, done = std::move(done)](bool ok, util::Payload) {
               if (ok) shard_bytes[s] += kOpBytes;
               done(ok, kOpBytes);
             });

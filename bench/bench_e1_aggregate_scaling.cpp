@@ -42,13 +42,14 @@ double RunCluster(std::uint32_t blades) {
         const std::uint64_t off = rng.Below(ops_space) * kOpBytes;
         if (rng.Chance(0.9)) {
           bed.system->Read(bed.hosts[h], vol, off, kOpBytes,
-                           [done = std::move(done)](bool ok, util::Bytes) {
+                           [done = std::move(done)](bool ok, util::Payload) {
                              done(ok, kOpBytes);
                            });
         } else {
-          util::Bytes data(kOpBytes);
-          util::FillPattern(data, off);
-          bed.system->Write(bed.hosts[h], vol, off, data,
+          util::Payload data(kOpBytes, [&](std::span<std::uint8_t> out) {
+            util::FillPattern(out, off);
+          });
+          bed.system->Write(bed.hosts[h], vol, off, std::move(data),
                             [done = std::move(done)](bool ok) {
                               done(ok, kOpBytes);
                             });
@@ -94,7 +95,7 @@ double RunBaseline(std::uint32_t controllers) {
     const std::uint32_t lun = static_cast<std::uint32_t>(off / per_lun) %
                               static_cast<std::uint32_t>(luns.size());
     array.Read(hosts[(off / util::MiB) % g_hosts], luns[lun], off % per_lun,
-               util::MiB, [](bool, util::Bytes) {});
+               util::MiB, [](bool, util::Payload) {});
     engine.Run();
   }
   util::Rng rng(1);
@@ -109,13 +110,14 @@ double RunBaseline(std::uint32_t controllers) {
         const std::uint64_t off = global % per_lun;
         if (rng.Chance(0.9)) {
           array.Read(hosts[h], luns[lun], off, kOpBytes,
-                     [done = std::move(done)](bool ok, util::Bytes) {
+                     [done = std::move(done)](bool ok, util::Payload) {
                        done(ok, kOpBytes);
                      });
         } else {
-          util::Bytes data(kOpBytes);
-          util::FillPattern(data, off);
-          array.Write(hosts[h], luns[lun], off, data,
+          util::Payload data(kOpBytes, [&](std::span<std::uint8_t> out) {
+            util::FillPattern(out, off);
+          });
+          array.Write(hosts[h], luns[lun], off, std::move(data),
                       [done = std::move(done)](bool ok) {
                         done(ok, kOpBytes);
                       });

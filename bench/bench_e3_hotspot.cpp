@@ -48,7 +48,7 @@ Result RunPooled(double theta, std::uint64_t seed) {
       [&](std::size_t h, std::function<void(bool, std::uint64_t)> done) {
         const std::uint64_t off = zipf.Next(rng) * kOpBytes;
         bed.system->Read(bed.hosts[h], vol, off, kOpBytes,
-                         [done = std::move(done)](bool ok, util::Bytes) {
+                         [done = std::move(done)](bool ok, util::Payload) {
                            done(ok, kOpBytes);
                          });
       });
@@ -96,7 +96,7 @@ Result RunBaseline(double theta, std::uint64_t seed) {
   for (std::uint64_t off = 0; off < kDataset; off += util::MiB) {
     const auto lun = static_cast<std::uint32_t>(off / per_lun);
     array.Read(hosts[(off / util::MiB) % kHosts], luns[lun], off % per_lun,
-               util::MiB, [](bool, util::Bytes) {});
+               util::MiB, [](bool, util::Payload) {});
     engine.Run();
   }
 
@@ -109,7 +109,7 @@ Result RunBaseline(double theta, std::uint64_t seed) {
         const std::uint64_t global = zipf.Next(rng) * kOpBytes;
         const auto lun = static_cast<std::uint32_t>(global / per_lun);
         array.Read(hosts[h], luns[lun], global % per_lun, kOpBytes,
-                   [done = std::move(done)](bool ok, util::Bytes) {
+                   [done = std::move(done)](bool ok, util::Payload) {
                      done(ok, kOpBytes);
                    });
       });

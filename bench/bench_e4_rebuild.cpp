@@ -33,7 +33,8 @@ struct Setup {
       util::Bytes data(groups[g]->DataCapacityBlocks() * 4096ull);
       util::FillPattern(data, g);
       bool ok = false;
-      groups[g]->WriteBlocks(0, data, [&](bool r) { ok = r; });
+      groups[g]->WriteBlocks(0, util::Payload::Copy(data),
+                             [&](bool r) { ok = r; });
       engine.Run();
       if (!ok) std::abort();
     }
@@ -104,7 +105,7 @@ std::pair<double, double> ForegroundImpact() {
         [&](std::size_t s, std::function<void(bool, std::uint64_t)> done) {
           auto& group = *setup.groups[1 + s % 3];
           group.ReadBlocks(rng.Below(span), 16,
-                           [done = std::move(done)](bool ok, util::Bytes) {
+                           [done = std::move(done)](bool ok, util::Payload) {
                              done(ok, 16 * 4096);
                            });
         });

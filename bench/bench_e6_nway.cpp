@@ -34,7 +34,8 @@ LatencyResult WriteLatency(std::uint32_t replication) {
     const sim::Tick start = bed.engine.now();
     bool ok = false;
     sim::Tick acked = 0;
-    bed.system->Write(bed.hosts[i % 4], vol, off, data, [&](bool r) {
+    bed.system->Write(bed.hosts[i % 4], vol, off, util::Payload::Copy(data),
+                      [&](bool r) {
       ok = r;
       acked = bed.engine.now();
     });
@@ -60,11 +61,13 @@ bool SurvivesFailures(std::uint32_t replication, std::uint32_t kills) {
   // 32 acknowledged writes spread over pages (so different owners).
   std::vector<std::pair<std::uint64_t, std::uint64_t>> written;  // off, seed
   for (int i = 0; i < 32; ++i) {
-    util::Bytes data(kOpBytes);
-    util::FillPattern(data, 1000 + i);
+    util::Payload data(kOpBytes, [&](std::span<std::uint8_t> out) {
+      util::FillPattern(out, 1000 + i);
+    });
     const std::uint64_t off = static_cast<std::uint64_t>(i) * kOpBytes;
     bool ok = false;
-    bed.system->Write(bed.hosts[0], vol, off, data, [&](bool r) { ok = r; });
+    bed.system->Write(bed.hosts[0], vol, off, std::move(data),
+                      [&](bool r) { ok = r; });
     bed.engine.RunFor(5 * util::kNsPerMs);
     if (!ok) return false;
     written.emplace_back(off, 1000 + i);
@@ -83,9 +86,9 @@ bool SurvivesFailures(std::uint32_t replication, std::uint32_t kills) {
     bool ok = false;
     util::Bytes got;
     bed.system->Read(bed.hosts[0], vol, off, kOpBytes,
-                     [&](bool r, util::Bytes d) {
+                     [&](bool r, util::Payload d) {
                        ok = r;
-                       got = std::move(d);
+                       got = d.ToBytes();
                      });
     bed.engine.Run();
     if (!ok || !util::CheckPattern(got, seed)) return false;

@@ -142,11 +142,14 @@ struct TestBed {
 /// Write `bytes` of patterned data to a volume and flush it to disk.
 inline void Preload(TestBed& bed, controller::VolumeId vol,
                     std::uint64_t bytes, std::uint64_t chunk = 8 * util::MiB) {
-  util::Bytes buf(std::min<std::uint64_t>(bytes, chunk));
-  for (std::uint64_t off = 0; off < bytes; off += buf.size()) {
-    util::FillPattern(buf, off);
+  const std::size_t n = std::min<std::uint64_t>(bytes, chunk);
+  for (std::uint64_t off = 0; off < bytes; off += n) {
+    util::Payload buf(n, [&](std::span<std::uint8_t> out) {
+      util::FillPattern(out, off);
+    });
     bool ok = false;
-    bed.system->Write(bed.hosts[0], vol, off, buf, [&](bool r) { ok = r; });
+    bed.system->Write(bed.hosts[0], vol, off, std::move(buf),
+                      [&](bool r) { ok = r; });
     bed.engine.Run();
     if (!ok) {
       std::fprintf(stderr, "preload write failed at %llu\n",
@@ -174,7 +177,7 @@ inline void WarmRead(TestBed& bed, controller::VolumeId vol,
                      std::uint64_t bytes, std::uint32_t chunk = util::MiB) {
   for (std::uint64_t off = 0; off < bytes; off += chunk) {
     bed.system->Read(bed.hosts[(off / chunk) % bed.hosts.size()], vol, off,
-                     chunk, [](bool, util::Bytes) {});
+                     chunk, [](bool, util::Payload) {});
     bed.engine.Run();
   }
 }

@@ -39,7 +39,8 @@ int main() {
   bool ok = true;
   for (std::uint64_t off = 0; off < object_bytes; off += chunk.size()) {
     util::FillPattern(chunk, off);
-    system.Write(host, vol, off, chunk, [&](bool r) { ok = ok && r; });
+    system.Write(host, vol, off, util::Payload::Copy(chunk),
+                 [&](bool r) { ok = ok && r; });
     engine.Run();
   }
   bool flushed = false;

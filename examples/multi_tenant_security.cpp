@@ -88,9 +88,9 @@ int main() {
   // platters hold ciphertext under genomics' key.
   bool ok = false;
   util::Bytes raw;
-  system.volume(genomics_vol).ReadBlocks(0, 16, [&](bool r, util::Bytes d) {
+  system.volume(genomics_vol).ReadBlocks(0, 16, [&](bool r, util::Payload d) {
     ok = r;
-    raw = std::move(d);
+    raw = d.ToBytes();
   });
   engine.Run();
   std::printf("raw medium bytes == plaintext? %s (XTS at rest)\n",

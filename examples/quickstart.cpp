@@ -39,7 +39,8 @@ int main() {
   util::Bytes data(16 * util::MiB);
   util::FillPattern(data, 2026);
   bool ok = false;
-  system.Write(host, vol, 0, data, [&](bool r) { ok = r; });
+  system.Write(host, vol, 0, util::Payload::Copy(data),
+               [&](bool r) { ok = r; });
   engine.Run();
   std::printf("wrote 16 MiB: %s (simulated time %.2f ms)\n",
               ok ? "ok" : "FAILED", engine.now() / 1e6);
@@ -47,9 +48,9 @@ int main() {
   // Read it back through a different code path (cache hits).
   util::Bytes back;
   system.Read(host, vol, 0, static_cast<std::uint32_t>(data.size()),
-              [&](bool r, util::Bytes d) {
+              [&](bool r, util::Payload d) {
                 ok = r;
-                back = std::move(d);
+                back = d.ToBytes();
               });
   engine.Run();
   std::printf("read back 16 MiB: %s, content %s\n", ok ? "ok" : "FAILED",
@@ -64,7 +65,7 @@ int main() {
   std::printf("\nfailing controller 2...\n");
   system.FailController(2);
   system.RecoverCluster();
-  system.Read(host, vol, 0, 1 * util::MiB, [&](bool r, util::Bytes) {
+  system.Read(host, vol, 0, 1 * util::MiB, [&](bool r, util::Payload) {
     ok = r;
   });
   engine.Run();

@@ -102,9 +102,8 @@ void TraditionalArray::FlushKey(std::uint32_t c, std::uint32_t lun,
   const std::uint32_t bs = luns_[lun]->block_size();
   const std::uint64_t block =
       page * (config_.page_bytes / bs);
-  util::Bytes snapshot = it->second.data;
   luns_[lun]->WriteBlocks(
-      block, snapshot,
+      block, it->second.data,
       [this, c, lun, page, key, cb = std::move(cb)](bool ok) mutable {
         Controller& ctrl = *ctrls_[c];
         auto it = ctrl.cache.find(key);
@@ -125,8 +124,7 @@ void TraditionalArray::FlushKey(std::uint32_t c, std::uint32_t lun,
 }
 
 void TraditionalArray::ReadPage(std::uint32_t c, std::uint32_t lun,
-                                std::uint64_t page,
-                                std::function<void(bool, util::Bytes)> cb) {
+                                std::uint64_t page, ReadCallback cb) {
   Controller& ctrl = *ctrls_[c];
   const std::uint64_t key = Key(lun, page);
   auto it = ctrl.cache.find(key);
@@ -134,12 +132,11 @@ void TraditionalArray::ReadPage(std::uint32_t c, std::uint32_t lun,
     ++hits_;
     ctrl.bytes_served += config_.page_bytes;
     Touch(ctrl, key);
-    util::Bytes copy = it->second.data;
     const sim::Tick done = ctrl.compute.AcquireBytes(
         config_.page_bytes, config_.serve_ns_per_byte);
     engine_.ScheduleAt(std::max(done, engine_.now() + config_.local_access_ns),
-                       [cb = std::move(cb), copy = std::move(copy)]() mutable {
-                         cb(true, std::move(copy));
+                       [cb = std::move(cb), data = it->second.data]() mutable {
+                         cb(true, std::move(data));
                        });
     return;
   }
@@ -149,7 +146,7 @@ void TraditionalArray::ReadPage(std::uint32_t c, std::uint32_t lun,
   const std::uint64_t block = page * pb;
   if (block >= luns_[lun]->CapacityBlocks()) {
     engine_.Schedule(0, [this, cb = std::move(cb)]() mutable {
-      cb(true, util::Bytes(config_.page_bytes, 0));
+      cb(true, util::Payload::Zeros(config_.page_bytes));
     });
     return;
   }
@@ -157,14 +154,19 @@ void TraditionalArray::ReadPage(std::uint32_t c, std::uint32_t lun,
       pb, luns_[lun]->CapacityBlocks() - block));
   luns_[lun]->ReadBlocks(
       block, count,
-      [this, c, lun, page, key, cb = std::move(cb)](bool ok,
-                                                    util::Bytes data) mutable {
+      [this, c, lun, page, key, cb = std::move(cb)](
+          bool ok, util::Payload data) mutable {
         if (!ok) {
           cb(false, {});
           return;
         }
         if (data.size() < config_.page_bytes) {
-          data.resize(config_.page_bytes, 0);
+          data = util::Payload(
+              config_.page_bytes, [&](std::span<std::uint8_t> out) {
+                std::memcpy(out.data(), data.data(), data.size());
+                std::memset(out.data() + data.size(), 0,
+                            out.size() - data.size());
+              });
         }
         Controller& ctrl = *ctrls_[c];
         ctrl.bytes_served += config_.page_bytes;
@@ -184,20 +186,28 @@ void TraditionalArray::ReadPage(std::uint32_t c, std::uint32_t lun,
 
 void TraditionalArray::WritePage(std::uint32_t c, std::uint32_t lun,
                                  std::uint64_t page, std::uint32_t off,
-                                 util::Bytes data, WriteCallback cb) {
+                                 util::Payload data, WriteCallback cb) {
   Controller& ctrl = *ctrls_[c];
   const std::uint64_t key = Key(lun, page);
   // Evaluate before `data` is moved into the continuation.
   const bool full = off == 0 && data.size() == config_.page_bytes;
+  // `base` is the page's current content, empty for a full-page write.
   auto apply = [this, c, lun, page, key, off,
                 data = std::move(data),
-                cb = std::move(cb)](bool ok, util::Bytes base) mutable {
+                cb = std::move(cb)](bool ok, util::Payload base) mutable {
     if (!ok) {
       cb(false);
       return;
     }
     Controller& ctrl = *ctrls_[c];
-    std::memcpy(base.data() + off, data.data(), data.size());
+    if (base.empty()) {
+      base = data;
+    } else {
+      base = util::Payload(base.size(), [&](std::span<std::uint8_t> out) {
+        std::memcpy(out.data(), base.data(), base.size());
+        std::memcpy(out.data() + off, data.data(), data.size());
+      });
+    }
     ctrl.cache[key] = Page{base, true};
     Touch(ctrl, key);
     EvictIfNeeded(c);
@@ -214,10 +224,10 @@ void TraditionalArray::WritePage(std::uint32_t c, std::uint32_t lun,
         FlushKey(c, lun, page, [](bool) {});
         return;
       }
-      auto shared = std::make_shared<util::Bytes>(std::move(base));
       fabric_.Send(ctrls_[c]->node, ctrls_[p]->node, config_.page_bytes,
-                   [this, c, p, key, lun, page, shared, shared_cb] {
-                     ctrls_[p]->partner_mirror[key] = std::move(*shared);
+                   [this, c, p, key, lun, page, base = std::move(base),
+                    shared_cb] {
+                     ctrls_[p]->partner_mirror[key] = base;
                      (*shared_cb)(true);
                      FlushKey(c, lun, page, [](bool) {});
                    },
@@ -226,13 +236,13 @@ void TraditionalArray::WritePage(std::uint32_t c, std::uint32_t lun,
   };
 
   auto it = ctrl.cache.find(key);
-  if (it != ctrl.cache.end()) {
+  if (full) {
+    apply(true, {});
+  } else if (it != ctrl.cache.end()) {
     apply(true, it->second.data);
-  } else if (full) {
-    apply(true, util::Bytes(config_.page_bytes, 0));
   } else {
     ReadPage(c, lun, page, [apply = std::move(apply)](
-                               bool ok, util::Bytes base) mutable {
+                               bool ok, util::Payload base) mutable {
       apply(ok, std::move(base));
     });
   }
@@ -247,49 +257,44 @@ void TraditionalArray::Read(net::NodeId host, std::uint32_t lun,
     return;
   }
   const std::uint32_t pb = config_.page_bytes;
-  auto result = std::make_shared<util::Bytes>(length, 0);
   struct Piece {
     std::uint64_t page;
     std::uint32_t in_page;
     std::uint32_t len;
-    std::size_t out;
   };
   std::vector<Piece> pieces;
   std::uint64_t cur = offset;
   std::uint32_t left = length;
-  std::size_t out = 0;
   while (left > 0) {
     const std::uint64_t page = cur / pb;
     const std::uint32_t in_page = static_cast<std::uint32_t>(cur % pb);
     const std::uint32_t n = std::min(left, pb - in_page);
-    pieces.push_back({page, in_page, n, out});
+    pieces.push_back({page, in_page, n});
     cur += n;
     left -= n;
-    out += n;
   }
   auto shared_cb = std::make_shared<ReadCallback>(std::move(cb));
-  fabric_.Send(host, ctrls_[c]->node, 128, [this, c, lun, host, pieces, result,
+  fabric_.Send(host, ctrls_[c]->node, 128, [this, c, lun, host, pieces,
                                             shared_cb, length] {
+    auto parts = std::make_shared<std::vector<util::Payload>>(pieces.size());
     auto join = std::make_shared<Join>(
         static_cast<int>(pieces.size()),
-        [this, c, host, result, shared_cb, length](bool ok) {
+        [this, c, host, parts, shared_cb, length](bool ok) {
           if (!ok) {
             (*shared_cb)(false, {});
             return;
           }
           fabric_.Send(ctrls_[c]->node, host, length,
-                       [result, shared_cb] {
-                         (*shared_cb)(true, std::move(*result));
+                       [data = util::Payload::Concat(*parts), shared_cb] {
+                         (*shared_cb)(true, data);
                        },
                        [shared_cb] { (*shared_cb)(false, {}); });
         });
-    for (const Piece& p : pieces) {
+    for (std::size_t i = 0; i < pieces.size(); ++i) {
+      const Piece p = pieces[i];
       ReadPage(c, lun, p.page,
-               [p, result, join](bool ok, util::Bytes page_data) {
-                 if (ok) {
-                   std::memcpy(result->data() + p.out,
-                               page_data.data() + p.in_page, p.len);
-                 }
+               [p, i, parts, join](bool ok, util::Payload page_data) {
+                 if (ok) (*parts)[i] = page_data.Slice(p.in_page, p.len);
                  join->Arrive(ok);
                });
     }
@@ -297,8 +302,7 @@ void TraditionalArray::Read(net::NodeId host, std::uint32_t lun,
 }
 
 void TraditionalArray::Write(net::NodeId host, std::uint32_t lun,
-                             std::uint64_t offset,
-                             std::span<const std::uint8_t> data,
+                             std::uint64_t offset, util::Payload data,
                              WriteCallback cb) {
   const std::uint32_t c = owner_[lun];
   if (!ctrls_[c]->alive) {
@@ -306,10 +310,11 @@ void TraditionalArray::Write(net::NodeId host, std::uint32_t lun,
     return;
   }
   const std::uint32_t pb = config_.page_bytes;
-  auto src = std::make_shared<util::Bytes>(data.begin(), data.end());
   auto shared_cb = std::make_shared<WriteCallback>(std::move(cb));
-  fabric_.Send(host, ctrls_[c]->node, src->size(), [this, c, lun, offset, src,
-                                                    pb, shared_cb] {
+  const std::size_t bytes = data.size();
+  fabric_.Send(host, ctrls_[c]->node, bytes, [this, c, lun, offset,
+                                              src = std::move(data), pb,
+                                              shared_cb] {
     struct Piece {
       std::uint64_t page;
       std::uint32_t in_page;
@@ -319,7 +324,7 @@ void TraditionalArray::Write(net::NodeId host, std::uint32_t lun,
     std::vector<Piece> pieces;
     std::uint64_t cur = offset;
     std::size_t soff = 0;
-    std::size_t left = src->size();
+    std::size_t left = src.size();
     while (left > 0) {
       const std::uint64_t page = cur / pb;
       const std::uint32_t in_page = static_cast<std::uint32_t>(cur % pb);
@@ -334,10 +339,7 @@ void TraditionalArray::Write(net::NodeId host, std::uint32_t lun,
         static_cast<int>(pieces.size()),
         [shared_cb](bool ok) { (*shared_cb)(ok); });
     for (const Piece& p : pieces) {
-      util::Bytes chunk(src->begin() + static_cast<std::ptrdiff_t>(p.off),
-                        src->begin() +
-                            static_cast<std::ptrdiff_t>(p.off + p.len));
-      WritePage(c, lun, p.page, p.in_page, std::move(chunk),
+      WritePage(c, lun, p.page, p.in_page, src.Slice(p.off, p.len),
                 [join](bool ok) { join->Arrive(ok); });
     }
   }, [shared_cb] { (*shared_cb)(false); });

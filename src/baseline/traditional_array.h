@@ -35,7 +35,7 @@ class TraditionalArray {
     net::LinkProfile host_link = net::LinkProfile::FibreChannel2G();
   };
 
-  using ReadCallback = std::function<void(bool, util::Bytes)>;
+  using ReadCallback = std::function<void(bool, util::Payload)>;
   using WriteCallback = std::function<void(bool)>;
 
   TraditionalArray(sim::Engine& engine, net::Fabric& fabric, Config config);
@@ -48,7 +48,7 @@ class TraditionalArray {
   void Read(net::NodeId host, std::uint32_t lun, std::uint64_t offset,
             std::uint32_t length, ReadCallback cb);
   void Write(net::NodeId host, std::uint32_t lun, std::uint64_t offset,
-             std::span<const std::uint8_t> data, WriteCallback cb);
+             util::Payload data, WriteCallback cb);
 
   /// Active-passive failover: the partner takes over the dead controller's
   /// LUNs with a cold cache (only mirrored dirty pages survive).
@@ -64,7 +64,7 @@ class TraditionalArray {
 
  private:
   struct Page {
-    util::Bytes data;
+    util::Payload data;
     bool dirty = false;
   };
   struct Controller {
@@ -78,7 +78,7 @@ class TraditionalArray {
     std::unordered_map<std::uint64_t, std::list<std::uint64_t>::iterator>
         lru_pos;
     // Mirrored dirty pages held for the partner (active-passive safety).
-    std::unordered_map<std::uint64_t, util::Bytes> partner_mirror;
+    std::unordered_map<std::uint64_t, util::Payload> partner_mirror;
 
     Controller(net::NodeId n, sim::Engine& e) : node(n), compute(e) {}
   };
@@ -93,9 +93,9 @@ class TraditionalArray {
   void Touch(Controller& ctrl, std::uint64_t key);
   void EvictIfNeeded(std::uint32_t c);
   void ReadPage(std::uint32_t c, std::uint32_t lun, std::uint64_t page,
-                std::function<void(bool, util::Bytes)> cb);
+                ReadCallback cb);
   void WritePage(std::uint32_t c, std::uint32_t lun, std::uint64_t page,
-                 std::uint32_t off, util::Bytes data, WriteCallback cb);
+                 std::uint32_t off, util::Payload data, WriteCallback cb);
   void FlushKey(std::uint32_t c, std::uint32_t lun, std::uint64_t page,
                 WriteCallback cb);
 

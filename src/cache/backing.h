@@ -3,6 +3,7 @@
 // groups); tests use the in-memory and RAID-direct adapters below.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -10,20 +11,22 @@
 #include "obs/trace.h"
 #include "raid/group.h"
 #include "util/bytes.h"
+#include "util/payload.h"
 
 namespace nlss::cache {
 
 class BackingStore {
  public:
-  using ReadCallback = std::function<void(bool ok, util::Bytes data)>;
+  using ReadCallback = std::function<void(bool ok, util::Payload data)>;
   using WriteCallback = std::function<void(bool ok)>;
 
   virtual ~BackingStore() = default;
 
   virtual void ReadBlocks(std::uint64_t block, std::uint32_t count,
                           ReadCallback cb, obs::TraceContext ctx = {}) = 0;
-  virtual void WriteBlocks(std::uint64_t block,
-                           std::span<const std::uint8_t> data,
+  /// `data` is immutable: an implementation may keep it (or views of it)
+  /// for as long as it likes without copying.
+  virtual void WriteBlocks(std::uint64_t block, util::Payload data,
                            WriteCallback cb, obs::TraceContext ctx = {}) = 0;
   virtual std::uint64_t CapacityBlocks() const = 0;
   virtual std::uint32_t block_size() const = 0;
@@ -42,8 +45,8 @@ class RaidBacking final : public BackingStore {
                   obs::TraceContext ctx = {}) override {
     group_.ReadBlocks(block, count, std::move(cb), ctx);
   }
-  void WriteBlocks(std::uint64_t block, std::span<const std::uint8_t> data,
-                   WriteCallback cb, obs::TraceContext ctx = {}) override {
+  void WriteBlocks(std::uint64_t block, util::Payload data, WriteCallback cb,
+                   obs::TraceContext ctx = {}) override {
     group_.WriteBlocks(block, data, std::move(cb), ctx);
   }
   std::uint64_t CapacityBlocks() const override {
@@ -73,20 +76,17 @@ class MemBacking final : public BackingStore {
     engine_.Schedule(latency_ns_, [this, block, count,
                                    cb = std::move(cb)]() mutable {
       ++reads_;
-      util::Bytes out(
-          data_.begin() + static_cast<std::ptrdiff_t>(block * block_size_),
-          data_.begin() +
-              static_cast<std::ptrdiff_t>((block + count) * block_size_));
-      cb(true, std::move(out));
+      cb(true, util::Payload::Copy(std::span<const std::uint8_t>(
+                   data_.data() + block * block_size_,
+                   static_cast<std::size_t>(count) * block_size_)));
     });
   }
-  void WriteBlocks(std::uint64_t block, std::span<const std::uint8_t> data,
-                   WriteCallback cb, obs::TraceContext = {}) override {
-    util::Bytes copy(data.begin(), data.end());
-    engine_.Schedule(latency_ns_, [this, block, copy = std::move(copy),
+  void WriteBlocks(std::uint64_t block, util::Payload data, WriteCallback cb,
+                   obs::TraceContext = {}) override {
+    engine_.Schedule(latency_ns_, [this, block, data = std::move(data),
                                    cb = std::move(cb)]() mutable {
       ++writes_;
-      std::copy(copy.begin(), copy.end(),
+      std::copy(data.begin(), data.end(),
                 data_.begin() + static_cast<std::ptrdiff_t>(block * block_size_));
       cb(true);
     });

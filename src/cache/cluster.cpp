@@ -156,7 +156,7 @@ void CacheCluster::EnsureRoom(ControllerId ctrl) {
 
 CacheNode::Frame& CacheCluster::InstallFrame(ControllerId ctrl,
                                              const PageKey& key,
-                                             util::Bytes data) {
+                                             util::Payload data) {
   CacheNode& cache = ctrls_[ctrl]->cache;
   CacheNode::Frame* f = cache.Find(key);
   if (f == nullptr) {
@@ -182,7 +182,7 @@ void CacheCluster::ReadFromBacking(ControllerId ctrl, PageKey key,
   const std::uint64_t block = key.page * pb;
   if (block >= vol->CapacityBlocks()) {
     engine_.Schedule(0, [cb = std::move(cb), this] {
-      cb(true, util::Bytes(config_.page_bytes, 0));
+      cb(true, util::Payload::Zeros(config_.page_bytes));
     });
     return;
   }
@@ -190,9 +190,15 @@ void CacheCluster::ReadFromBacking(ControllerId ctrl, PageKey key,
       std::min<std::uint64_t>(pb, vol->CapacityBlocks() - block));
   vol->ReadBlocks(block, count,
                   [this, ctrl, key, cb = std::move(cb)](
-                      bool ok, util::Bytes data) mutable {
+                      bool ok, util::Payload data) mutable {
                     if (ok && data.size() < config_.page_bytes) {
-                      data.resize(config_.page_bytes, 0);
+                      // Page tail past the volume's end reads as zeros.
+                      data = util::Payload(
+                          config_.page_bytes, [&](std::span<std::uint8_t> out) {
+                            std::memcpy(out.data(), data.data(), data.size());
+                            std::memset(out.data() + data.size(), 0,
+                                        out.size() - data.size());
+                          });
                     }
                     // Promotion-on-reheat decision point: the tier may
                     // admit a hot disk-read page into flash.
@@ -215,7 +221,7 @@ void CacheCluster::ReadFromBacking(ControllerId ctrl, PageKey key,
 }
 
 void CacheCluster::WriteToBacking(ControllerId ctrl, PageKey key,
-                                  const util::Bytes& data,
+                                  const util::Payload& data,
                                   BackingStore::WriteCallback cb,
                                   obs::TraceContext ctx) {
   BackingStore* vol = volumes_.at(key.volume);
@@ -231,13 +237,10 @@ void CacheCluster::WriteToBacking(ControllerId ctrl, PageKey key,
       std::min<std::uint64_t>(data_blocks, vol->CapacityBlocks() - block));
   ++ctrls_[ctrl]->stats.backing_writes;
   auto issue = [vol, block, count, ctx,
-                snapshot = util::Bytes(
-                    data.begin(),
-                    data.begin() + static_cast<std::ptrdiff_t>(
-                                       static_cast<std::size_t>(count) *
-                                       vol->block_size())),
+                data = data.Slice(0, static_cast<std::size_t>(count) *
+                                         vol->block_size()),
                 cb = std::move(cb)]() mutable {
-    vol->WriteBlocks(block, snapshot, std::move(cb), ctx);
+    vol->WriteBlocks(block, std::move(data), std::move(cb), ctx);
   };
   if (config_.fc_ns_per_byte <= 0.0) {
     issue();
@@ -306,8 +309,8 @@ void CacheCluster::FlushRun(ControllerId ctrl, std::vector<PageKey> run,
     WriteId wid;  // representative (writer, seq) flushed for this page
   };
   auto snaps = std::make_shared<std::vector<PageSnap>>();
-  util::Bytes data;
-  data.reserve(run.size() * config_.page_bytes);
+  std::vector<util::Payload> pages;
+  pages.reserve(run.size());
   for (std::size_t i = 0; i < run.size(); ++i) {
     const PageKey& k = run[i];
     NLSS_INVARIANT(kCache,
@@ -336,8 +339,11 @@ void CacheCluster::FlushRun(ControllerId ctrl, std::vector<PageKey> run,
     Extra(ctrl, k).flushing = true;
     f->busy = true;
     snaps->push_back(PageSnap{k, f->dirty_epoch, f->last_write});
-    data.insert(data.end(), f->data.begin(), f->data.end());
+    pages.push_back(f->data);
   }
+  // Frames are immutable payloads, so a single-page run writes back the
+  // frame's own buffer; a later rewrite installs a new one.
+  util::Payload data = util::Payload::Concat(pages);
   if (run.size() > 1) {
     ++c.stats.coalesced_runs;
     c.stats.coalesced_pages += run.size();
@@ -497,8 +503,7 @@ void CacheCluster::FlushAll(WriteCallback cb) {
 // --- Fetch / invalidate / replicate ------------------------------------------
 
 void CacheCluster::FetchCurrent(ControllerId via, PageKey key,
-                                std::function<void(bool, util::Bytes)> cb,
-                                obs::TraceContext ctx) {
+                                ReadCallback cb, obs::TraceContext ctx) {
   const ControllerId home = HomeOf(key);
   DirEntry& e = dir_[home][key];
   ControllerId source = kNoController;
@@ -513,14 +518,13 @@ void CacheCluster::FetchCurrent(ControllerId via, PageKey key,
     }
   }
 
-  auto shared_cb = std::make_shared<std::function<void(bool, util::Bytes)>>(
-      std::move(cb));
+  auto shared_cb = std::make_shared<ReadCallback>(std::move(cb));
 
   auto backing_path = [this, via, home, key, shared_cb, ctx]() mutable {
     ReadFromBacking(
         home, key,
         [this, via, home, shared_cb, ctx](bool ok,
-                                          util::Bytes data) mutable {
+                                          util::Payload data) mutable {
           if (!ok) {
             (*shared_cb)(false, {});
             return;
@@ -534,10 +538,9 @@ void CacheCluster::FetchCurrent(ControllerId via, PageKey key,
               (*shared_cb)(true, std::move(data));
               return;
             }
-            auto shared_data = std::make_shared<util::Bytes>(std::move(data));
             Msg(home, via, config_.page_bytes,
-                [shared_data, shared_cb] {
-                  (*shared_cb)(true, std::move(*shared_data));
+                [data = std::move(data), shared_cb] {
+                  (*shared_cb)(true, data);
                 },
                 [shared_cb] { (*shared_cb)(false, {}); }, ctx);
           });
@@ -566,12 +569,12 @@ void CacheCluster::FetchCurrent(ControllerId via, PageKey key,
         const sim::Tick done = ctrls_[source]->compute.AcquireBytes(
             config_.page_bytes, config_.serve_ns_per_byte);
         ctrls_[source]->stats.bytes_served += config_.page_bytes;
-        auto data = std::make_shared<util::Bytes>(f->data);
-        engine_.ScheduleAt(done, [this, source, via, data, shared_cb, fwd] {
+        engine_.ScheduleAt(done, [this, source, via, data = f->data, shared_cb,
+                                  fwd] {
           Msg(source, via, config_.page_bytes,
               [data, shared_cb, fwd] {
                 obs::EndSpan(fwd);
-                (*shared_cb)(true, std::move(*data));
+                (*shared_cb)(true, data);
               },
               [shared_cb, fwd] {
                 obs::EndSpan(fwd);
@@ -716,14 +719,14 @@ void CacheCluster::ReplicateDirty(ControllerId owner_ctrl, PageKey key,
   }
   CacheNode::Frame* f = ctrls_[owner_ctrl]->cache.Find(key);
   assert(f != nullptr);
-  auto data = std::make_shared<util::Bytes>(f->data);
+  const util::Payload data = f->data;  // replicas share the owner's buffer
   auto join = std::make_shared<Join>(
       static_cast<int>(targets.size()),
       [done = std::move(done)](bool) { done(); });
   for (const ControllerId t : targets) {
     Msg(owner_ctrl, t, config_.page_bytes,
         [this, t, key, owner_ctrl, data, join, ctx] {
-          CacheNode::Frame& rf = InstallFrame(t, key, *data);
+          CacheNode::Frame& rf = InstallFrame(t, key, data);
           rf.is_replica = true;
           rf.replica_owner = owner_ctrl;
           rf.dirty = false;
@@ -738,12 +741,11 @@ void CacheCluster::ReplicateDirty(ControllerId owner_ctrl, PageKey key,
 // --- GETS / GETX --------------------------------------------------------------
 
 void CacheCluster::HandleGetS(ControllerId via, PageKey key,
-                              std::uint8_t priority,
-                              std::function<void(bool, util::Bytes)> cb,
+                              std::uint8_t priority, ReadCallback cb,
                               obs::TraceContext ctx) {
   const ControllerId home = HomeOf(key);
   auto finish = [this, via, home, key, priority, cb = std::move(cb)](
-                    bool ok, util::Bytes data) mutable {
+                    bool ok, util::Payload data) mutable {
     if (ok) {
       CacheNode::Frame& f = InstallFrame(via, key, std::move(data));
       f.priority = std::max(f.priority, priority);
@@ -785,29 +787,40 @@ void CacheCluster::HandleGetS(ControllerId via, PageKey key,
 }
 
 void CacheCluster::HandleGetX(ControllerId via, PageKey key,
-                              std::uint32_t offset, util::Bytes data,
+                              std::uint32_t offset, util::Payload data,
                               std::uint32_t replication, std::uint8_t priority,
                               WriteCallback cb, obs::TraceContext ctx,
                               WriteId wid) {
   const ControllerId home = HomeOf(key);
   const bool full_page =
       offset == 0 && data.size() == config_.page_bytes;
+  const std::size_t len = data.size();
 
   auto fail = [this, home, key, cb](const char*) {
     ReleaseEntry(home, key);
     cb(false);
   };
 
-  // Step 3 onwards, once we know the page's base content.
-  auto apply = [this, via, home, key, offset, data = std::move(data),
+  // Step 3 onwards, once we know the page's base content (empty for a
+  // full-page write, which needs none).
+  auto apply = [this, via, home, key, offset, len, data = std::move(data),
                 replication, priority, cb, ctx, wid,
-                fail](util::Bytes base) mutable {
+                fail](util::Payload base) mutable {
     InvalidateHolders(
         via, key,
-        [this, via, home, key, offset, data = std::move(data), replication,
-         priority, cb, ctx, wid, base = std::move(base)]() mutable {
-          CacheNode::Frame& f = InstallFrame(via, key, std::move(base));
-          std::memcpy(f.data.data() + offset, data.data(), data.size());
+        [this, via, home, key, offset, len, data = std::move(data),
+         replication, priority, cb, ctx, wid,
+         base = std::move(base)]() mutable {
+          // A full-page write installs the payload itself; a partial one
+          // merges it into a fresh copy of the current page.
+          if (!base.empty()) {
+            assert(offset + len <= base.size());
+            data = util::Payload(base.size(), [&](std::span<std::uint8_t> out) {
+              std::memcpy(out.data(), base.data(), base.size());
+              std::memcpy(out.data() + offset, data.data(), len);
+            });
+          }
+          CacheNode::Frame& f = InstallFrame(via, key, std::move(data));
           f.priority = std::max(f.priority, priority);
           f.dirty = true;
           f.is_replica = false;
@@ -832,9 +845,9 @@ void CacheCluster::HandleGetX(ControllerId via, PageKey key,
           e.owner = via;
           e.owner_since = engine_.now();
           e.sharers.clear();
-          ctrls_[via]->stats.bytes_served += data.size();
+          ctrls_[via]->stats.bytes_served += len;
           const sim::Tick done = ctrls_[via]->compute.AcquireBytes(
-              data.size(), config_.serve_ns_per_byte);
+              len, config_.serve_ns_per_byte);
           engine_.ScheduleAt(done, [this, via, home, key, replication, cb,
                                     ctx] {
             ReplicateDirty(
@@ -859,6 +872,10 @@ void CacheCluster::HandleGetX(ControllerId via, PageKey key,
         ctx);
   };
 
+  if (full_page) {
+    apply({});
+    return;
+  }
   CacheNode::Frame* f_via = ctrls_[via]->cache.Find(key);
   if (f_via != nullptr) {
     // Current content already present locally (shared, owned, or replica —
@@ -866,13 +883,9 @@ void CacheCluster::HandleGetX(ControllerId via, PageKey key,
     apply(f_via->data);
     return;
   }
-  if (full_page) {
-    apply(util::Bytes(config_.page_bytes, 0));
-    return;
-  }
   FetchCurrent(
       via, key,
-      [apply = std::move(apply), fail](bool ok, util::Bytes base) mutable {
+      [apply = std::move(apply), fail](bool ok, util::Payload base) mutable {
         if (!ok) {
           fail("fetch");
           return;
@@ -896,15 +909,14 @@ void CacheCluster::MaybeReadahead(ControllerId via, PageKey key) {
     if (readahead_inflight_.count(next) > 0) continue;
     readahead_inflight_[next] = true;
     ReadPage(via, next,
-             [this, next](bool, util::Bytes) {
+             [this, next](bool, util::Payload) {
                readahead_inflight_.erase(next);
              },
              /*demand=*/false);
   }
 }
 
-void CacheCluster::ReadPage(ControllerId via, PageKey key,
-                            std::function<void(bool, util::Bytes)> cb,
+void CacheCluster::ReadPage(ControllerId via, PageKey key, ReadCallback cb,
                             bool demand, std::uint8_t priority,
                             obs::TraceContext ctx) {
   Controller& c = *ctrls_[via];
@@ -928,22 +940,21 @@ void CacheCluster::ReadPage(ControllerId via, PageKey key,
     c.stats.bytes_served += config_.page_bytes;
     c.cache.Touch(key);
     f->priority = std::max(f->priority, priority);
-    util::Bytes copy = f->data;
     const sim::Tick compute_done =
         c.compute.AcquireBytes(config_.page_bytes, config_.serve_ns_per_byte);
     const sim::Tick when =
         std::max(compute_done, engine_.now() + config_.local_access_ns);
     engine_.ScheduleAt(when, [cb = std::move(cb), span,
-                              copy = std::move(copy)]() mutable {
+                              data = f->data]() mutable {
       obs::EndSpan(span);
-      cb(true, std::move(copy));
+      cb(true, std::move(data));
     });
     return;
   }
   if (demand) MaybeReadahead(via, key);
   const ControllerId home = HomeOf(key);
-  auto shared_cb = std::make_shared<std::function<void(bool, util::Bytes)>>(
-      [span, cb = std::move(cb)](bool ok, util::Bytes data) mutable {
+  auto shared_cb = std::make_shared<ReadCallback>(
+      [span, cb = std::move(cb)](bool ok, util::Payload data) mutable {
         obs::EndSpan(span);
         cb(ok, std::move(data));
       });
@@ -954,7 +965,7 @@ void CacheCluster::ReadPage(ControllerId via, PageKey key,
         NLSS_ACCESS(kCache, RaceKey(key), kRead);
         AcquireEntry(home, key, [this, via, key, priority, shared_cb, span] {
           HandleGetS(via, key, priority,
-                     [shared_cb](bool ok, util::Bytes data) {
+                     [shared_cb](bool ok, util::Payload data) {
                        (*shared_cb)(ok, std::move(data));
                      },
                      span);
@@ -964,7 +975,7 @@ void CacheCluster::ReadPage(ControllerId via, PageKey key,
 }
 
 void CacheCluster::WritePage(ControllerId via, PageKey key,
-                             std::uint32_t offset, util::Bytes data,
+                             std::uint32_t offset, util::Payload data,
                              std::uint32_t replication, std::uint8_t priority,
                              WriteCallback cb, obs::TraceContext ctx,
                              WriteId wid) {
@@ -984,19 +995,17 @@ void CacheCluster::WritePage(ControllerId via, PageKey key,
         obs::EndSpan(span);
         cb(ok);
       });
-  auto shared_data = std::make_shared<util::Bytes>(std::move(data));
   Msg(via, home, config_.ctrl_msg_bytes,
       [this, via, home, key, offset, replication, priority, shared_cb,
-       shared_data, span, wid] {
+       data = std::move(data), span, wid] {
         // GetX arrival: a same-tick unrelated read or write of this page
         // would see before- or after-image depending on queue order.
         NLSS_ACCESS(kCache, RaceKey(key), kWrite);
         AcquireEntry(home, key,
                      [this, via, key, offset, replication, priority,
-                      shared_cb, shared_data, span, wid] {
-          HandleGetX(via, key, offset, std::move(*shared_data), replication,
-                     priority, [shared_cb](bool ok) { (*shared_cb)(ok); },
-                     span, wid);
+                      shared_cb, data, span, wid] {
+          HandleGetX(via, key, offset, data, replication, priority,
+                     [shared_cb](bool ok) { (*shared_cb)(ok); }, span, wid);
         });
       },
       [shared_cb] { (*shared_cb)(false); }, span);
@@ -1012,40 +1021,36 @@ void CacheCluster::Read(ControllerId via, std::uint32_t volume,
   const obs::TraceContext span =
       obs::StartSpan(ctx, obs::Layer::kCache, "cache.read");
   const std::uint32_t pb = config_.page_bytes;
-  auto result = std::make_shared<util::Bytes>(length, 0);
   struct Piece {
     PageKey key;
     std::uint32_t in_page;
     std::uint32_t len;
-    std::size_t out;
   };
   std::vector<Piece> pieces;
   std::uint64_t cur = offset;
   std::uint32_t left = length;
-  std::size_t out = 0;
   while (left > 0) {
     const std::uint64_t page = cur / pb;
     const std::uint32_t in_page = static_cast<std::uint32_t>(cur % pb);
     const std::uint32_t n = std::min(left, pb - in_page);
-    pieces.push_back(Piece{PageKey{volume, page}, in_page, n, out});
+    pieces.push_back(Piece{PageKey{volume, page}, in_page, n});
     cur += n;
     left -= n;
-    out += n;
   }
+  // Views of the pages, joined into one payload only when there are several.
+  auto parts = std::make_shared<std::vector<util::Payload>>(pieces.size());
   auto join = std::make_shared<Join>(
       static_cast<int>(pieces.size()),
-      [result, span, cb = std::move(cb)](bool ok) {
+      [parts, span, cb = std::move(cb)](bool ok) {
         obs::EndSpan(span);
-        cb(ok, ok ? std::move(*result) : util::Bytes{});
+        cb(ok, ok ? util::Payload::Concat(*parts) : util::Payload());
       });
-  for (const Piece& p : pieces) {
+  for (std::size_t i = 0; i < pieces.size(); ++i) {
+    const Piece p = pieces[i];
     ReadPage(
         via, p.key,
-        [p, result, join](bool ok, util::Bytes page) {
-          if (ok) {
-            std::memcpy(result->data() + p.out, page.data() + p.in_page,
-                        p.len);
-          }
+        [p, i, parts, join](bool ok, util::Payload page) {
+          if (ok) (*parts)[i] = page.Slice(p.in_page, p.len);
           join->Arrive(ok);
         },
         /*demand=*/true, priority, span);
@@ -1053,17 +1058,16 @@ void CacheCluster::Read(ControllerId via, std::uint32_t volume,
 }
 
 void CacheCluster::Write(ControllerId via, std::uint32_t volume,
-                         std::uint64_t offset,
-                         std::span<const std::uint8_t> data, WriteCallback cb,
-                         std::uint8_t priority, obs::TraceContext ctx,
-                         WriteId wid) {
+                         std::uint64_t offset, const util::Payload& data,
+                         WriteCallback cb, std::uint8_t priority,
+                         obs::TraceContext ctx, WriteId wid) {
   WriteWithReplication(via, volume, offset, data, config_.replication,
                        std::move(cb), priority, ctx, wid);
 }
 
 void CacheCluster::WriteWithReplication(ControllerId via, std::uint32_t volume,
                                         std::uint64_t offset,
-                                        std::span<const std::uint8_t> data,
+                                        const util::Payload& data,
                                         std::uint32_t replication,
                                         WriteCallback cb,
                                         std::uint8_t priority,
@@ -1099,24 +1103,22 @@ void CacheCluster::WriteWithReplication(ControllerId via, std::uint32_t volume,
         cb(ok);
       });
   for (const Piece& p : pieces) {
-    util::Bytes chunk(data.begin() + static_cast<std::ptrdiff_t>(p.src),
-                      data.begin() + static_cast<std::ptrdiff_t>(p.src + p.len));
-    WritePage(via, p.key, p.in_page, std::move(chunk), replication, priority,
-              [join](bool ok) { join->Arrive(ok); }, span, wid);
+    WritePage(via, p.key, p.in_page, data.Slice(p.src, p.len), replication,
+              priority, [join](bool ok) { join->Arrive(ok); }, span, wid);
   }
 }
 
 // --- Tier support -------------------------------------------------------------
 
 void CacheCluster::TierBackingWrite(ControllerId ctrl, const PageKey& key,
-                                    const util::Bytes& data,
+                                    const util::Payload& data,
                                     BackingStore::WriteCallback cb,
                                     obs::TraceContext ctx) {
   WriteToBacking(ctrl, key, data, std::move(cb), ctx);
 }
 
 bool CacheCluster::StealCleanFrame(ControllerId ctrl, const PageKey& key,
-                                   util::Bytes* out) {
+                                   util::Payload* out) {
   Controller& c = *ctrls_[ctrl];
   if (!c.alive) return false;
   CacheNode::Frame* f = c.cache.Find(key);

@@ -86,7 +86,7 @@ class CacheCluster {
     std::uint64_t coalesced_pages = 0;  // pages that rode a multi-page run
   };
 
-  using ReadCallback = std::function<void(bool ok, util::Bytes data)>;
+  using ReadCallback = std::function<void(bool ok, util::Payload data)>;
   using WriteCallback = std::function<void(bool ok)>;
 
   /// `controller_nodes` are fabric nodes of the controller blades (already
@@ -107,15 +107,14 @@ class CacheCluster {
   /// (writer, seq) the flush coalescer reports for the pages of a merged
   /// back-end write; invalid = legacy unattributed traffic.
   void Write(ControllerId via, std::uint32_t volume, std::uint64_t offset,
-             std::span<const std::uint8_t> data, WriteCallback cb,
+             const util::Payload& data, WriteCallback cb,
              std::uint8_t priority = 0, obs::TraceContext ctx = {},
              WriteId wid = {});
 
   /// Override the replication factor for a single write (per-file policy
   /// support, paper §4): 1 = no peer copies.
   void WriteWithReplication(ControllerId via, std::uint32_t volume,
-                            std::uint64_t offset,
-                            std::span<const std::uint8_t> data,
+                            std::uint64_t offset, const util::Payload& data,
                             std::uint32_t replication, WriteCallback cb,
                             std::uint8_t priority = 0,
                             obs::TraceContext ctx = {}, WriteId wid = {});
@@ -158,13 +157,14 @@ class CacheCluster {
   /// charges the blade's FC feed and counts a backing write, but touches
   /// no cache state and is never re-offered to the tier.
   void TierBackingWrite(ControllerId ctrl, const PageKey& key,
-                        const util::Bytes& data, BackingStore::WriteCallback cb,
+                        const util::Payload& data,
+                        BackingStore::WriteCallback cb,
                         obs::TraceContext ctx = {});
   /// Cooling-phase eviction: if `key` at `ctrl` is a clean, idle, primary
   /// frame, move its data into `*out`, erase the frame, and count an
   /// eviction.  Returns false (no state change) otherwise.
   bool StealCleanFrame(ControllerId ctrl, const PageKey& key,
-                       util::Bytes* out);
+                       util::Payload* out);
 
   /// Return a failed controller to service with an empty cache (replaced
   /// or upgraded blade).  Call Recover() afterwards to rebalance homes.
@@ -229,21 +229,19 @@ class CacheCluster {
 
   /// Make room and insert/overwrite a frame with `data`.
   CacheNode::Frame& InstallFrame(ControllerId ctrl, const PageKey& key,
-                                 util::Bytes data);
+                                 util::Payload data);
   void EnsureRoom(ControllerId ctrl);
 
   // Protocol steps (home side).
   void HandleGetS(ControllerId via, PageKey key, std::uint8_t priority,
-                  std::function<void(bool, util::Bytes)> cb,
-                  obs::TraceContext ctx = {});
+                  ReadCallback cb, obs::TraceContext ctx = {});
   void HandleGetX(ControllerId via, PageKey key, std::uint32_t offset,
-                  util::Bytes data, std::uint32_t replication,
+                  util::Payload data, std::uint32_t replication,
                   std::uint8_t priority, WriteCallback cb,
                   obs::TraceContext ctx = {}, WriteId wid = {});
   /// Deliver current page content to `via` from owner/sharer/backing.
   /// Does NOT register `via` anywhere.  cb(false) on unrecoverable miss.
-  void FetchCurrent(ControllerId via, PageKey key,
-                    std::function<void(bool, util::Bytes)> cb,
+  void FetchCurrent(ControllerId via, PageKey key, ReadCallback cb,
                     obs::TraceContext ctx = {});
   void InvalidateHolders(ControllerId except, PageKey key,
                          std::function<void()> done,
@@ -258,7 +256,7 @@ class CacheCluster {
   void ReadFromBacking(ControllerId ctrl, PageKey key,
                        BackingStore::ReadCallback cb,
                        obs::TraceContext ctx = {});
-  void WriteToBacking(ControllerId ctrl, PageKey key, const util::Bytes& data,
+  void WriteToBacking(ControllerId ctrl, PageKey key, const util::Payload& data,
                       BackingStore::WriteCallback cb,
                       obs::TraceContext ctx = {});
 
@@ -277,14 +275,13 @@ class CacheCluster {
                 std::function<void(bool)> cb);
 
   /// Page-granular entry points used by Read/Write.
-  void ReadPage(ControllerId via, PageKey key,
-                std::function<void(bool, util::Bytes)> cb,
+  void ReadPage(ControllerId via, PageKey key, ReadCallback cb,
                 bool demand = true, std::uint8_t priority = 0,
                 obs::TraceContext ctx = {});
   /// Kick sequential readahead after a demand miss on `key`.
   void MaybeReadahead(ControllerId via, PageKey key);
   void WritePage(ControllerId via, PageKey key, std::uint32_t offset,
-                 util::Bytes data, std::uint32_t replication,
+                 util::Payload data, std::uint32_t replication,
                  std::uint8_t priority, WriteCallback cb,
                  obs::TraceContext ctx = {}, WriteId wid = {});
 

@@ -10,14 +10,14 @@
 
 #include "cache/dedup.h"
 #include "cache/types.h"
-#include "util/bytes.h"
+#include "util/payload.h"
 
 namespace nlss::cache {
 
 class CacheNode {
  public:
   struct Frame {
-    util::Bytes data;
+    util::Payload data;
     bool dirty = false;
     bool busy = false;      // operation (fill/flush) in progress: not evictable
     bool is_replica = false;  // N-way replication copy held for a peer

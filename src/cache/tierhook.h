@@ -16,7 +16,7 @@
 #include "cache/node.h"
 #include "cache/types.h"
 #include "obs/trace.h"
-#include "util/bytes.h"
+#include "util/payload.h"
 
 namespace nlss::cache {
 
@@ -48,19 +48,19 @@ class TierHook {
   /// writes to the disk backing store itself.
   virtual bool TierWriteBack(ControllerId ctrl,
                              const std::vector<TierPageSnap>& pages,
-                             const util::Bytes& data,
+                             const util::Payload& data,
                              BackingStore::WriteCallback cb,
                              obs::TraceContext ctx) = 0;
 
   /// A clean primary frame is being evicted from DRAM; the tier may spill
   /// the data to flash (warm page) or let it fall through to disk (cold).
   virtual void OnCleanEvict(ControllerId ctrl, const PageKey& key,
-                            const util::Bytes& data) = 0;
+                            const util::Payload& data) = 0;
 
   /// A disk read completed for a page the tier did not hold: admission /
   /// promotion decision point (heat-gated copy into flash).
   virtual void OnDiskRead(ControllerId ctrl, const PageKey& key,
-                          const util::Bytes& data) = 0;
+                          const util::Payload& data) = 0;
 
   /// Every page-granular cache access (hit or miss) — feeds the heat
   /// tracker and paces the cooling scans.

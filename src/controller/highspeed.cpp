@@ -89,7 +89,7 @@ void HighSpeedPort::IssueSegment(const std::shared_ptr<StreamState>& s,
   // compute + FC feed), then ships it to the shared port.
   system_.cache().Read(
       blade, s->vol, seg_off, bytes,
-      [this, s, seq, blade, bytes, retry](bool ok, util::Bytes) {
+      [this, s, seq, blade, bytes, retry](bool ok, util::Payload) {
         if (!ok) {
           retry(blade);
           return;

@@ -309,10 +309,12 @@ void StorageSystem::Read(net::NodeId host, VolumeId vol, std::uint64_t offset,
   bool root = false;
   ctx = StartOp(ctx, "controller.read", vol, &root);
   const sim::Tick t0 = engine_.now();
-  // Host-driver multipathing: re-issue via another blade on failure.
+  // Host-driver multipathing: re-issue via another blade on failure.  The
+  // loop holds itself weakly; the attempt in flight holds it strongly, so
+  // it (and the caller's callback) are freed once the op completes.
   auto attempt = std::make_shared<std::function<void(std::uint32_t)>>();
   auto shared_cb = std::make_shared<ReadCallback>(
-      [this, t0, ctx, root, cb = std::move(cb)](bool ok, util::Bytes data) {
+      [this, t0, ctx, root, cb = std::move(cb)](bool ok, util::Payload data) {
         if (read_latency_ns_ != nullptr) {
           read_latency_ns_->Record(engine_.now() - t0);
           if (!ok) io_failures_total_->Increment();
@@ -325,10 +327,10 @@ void StorageSystem::Read(net::NodeId host, VolumeId vol, std::uint64_t offset,
         cb(ok, std::move(data));
       });
   *attempt = [this, host, vol, offset, length, priority, tenant, shared_cb,
-              attempt, ctx](std::uint32_t retries_left) {
+              self = std::weak_ptr(attempt), ctx](std::uint32_t retries_left) {
     ReadOnce(host, PickController(vol), vol, offset, length, priority, tenant,
-             [this, shared_cb, attempt, retries_left](bool ok,
-                                                      util::Bytes data) {
+             [this, shared_cb, attempt = self.lock(), retries_left](
+                 bool ok, util::Payload data) {
                if (ok || retries_left == 0) {
                  (*shared_cb)(ok, std::move(data));
                  return;
@@ -354,7 +356,7 @@ void StorageSystem::ReadVia(net::NodeId host, cache::ControllerId via,
   const sim::Tick t0 = engine_.now();
   ReadOnce(host, via, vol, offset, length, priority, tenant,
            [this, t0, ctx, root, cb = std::move(cb)](bool ok,
-                                                     util::Bytes data) {
+                                                     util::Payload data) {
              if (read_latency_ns_ != nullptr) {
                read_latency_ns_->Record(engine_.now() - t0);
                if (!ok) io_failures_total_->Increment();
@@ -371,8 +373,8 @@ void StorageSystem::ReadVia(net::NodeId host, cache::ControllerId via,
 
 void StorageSystem::WriteVia(net::NodeId host, cache::ControllerId via,
                              VolumeId vol, std::uint64_t offset,
-                             std::span<const std::uint8_t> data,
-                             cache::WriteId wid, WriteCallback cb,
+                             util::Payload data, cache::WriteId wid,
+                             WriteCallback cb,
                              std::uint8_t priority, qos::TenantId tenant,
                              obs::TraceContext ctx) {
   // The host initiator re-drives and hedges through this entry: every
@@ -384,8 +386,7 @@ void StorageSystem::WriteVia(net::NodeId host, cache::ControllerId via,
   bool root = false;
   ctx = StartOp(ctx, "controller.write", vol, &root);
   const sim::Tick t0 = engine_.now();
-  auto payload = std::make_shared<util::Bytes>(data.begin(), data.end());
-  WriteOnce(host, via, vol, offset, std::move(payload),
+  WriteOnce(host, via, vol, offset, std::move(data),
             config_.cache.replication, priority, tenant, wid,
             [this, t0, ctx, root, cb = std::move(cb)](bool ok) {
               if (write_latency_ns_ != nullptr) {
@@ -421,19 +422,19 @@ void StorageSystem::ReadOnce(net::NodeId host, cache::ControllerId ctrl,
           cache_->Read(
               ctrl, vol, offset, length,
               [this, host, ctrl, shared_cb, done, ctx](bool ok,
-                                                       util::Bytes data) {
+                                                       util::Payload data) {
                 --outstanding_[ctrl];
                 if (!ok) {
                   done(false);
                   (*shared_cb)(false, {});
                   return;
                 }
-                auto payload = std::make_shared<util::Bytes>(std::move(data));
+                const std::size_t bytes = data.size();
                 fabric_.Send(
-                    controller_nodes_[ctrl], host, payload->size(),
-                    [shared_cb, payload, done] {
+                    controller_nodes_[ctrl], host, bytes,
+                    [shared_cb, data = std::move(data), done] {
                       done(true);
-                      (*shared_cb)(true, std::move(*payload));
+                      (*shared_cb)(true, data);
                     },
                     [shared_cb, done] {
                       done(false);
@@ -463,15 +464,14 @@ void StorageSystem::ReadOnce(net::NodeId host, cache::ControllerId ctrl,
 }
 
 void StorageSystem::Write(net::NodeId host, VolumeId vol, std::uint64_t offset,
-                          std::span<const std::uint8_t> data, WriteCallback cb,
+                          util::Payload data, WriteCallback cb,
                           qos::TenantId tenant, obs::TraceContext ctx) {
-  WriteReplicated(host, vol, offset, data, config_.cache.replication,
-                  std::move(cb), 0, tenant, ctx);
+  WriteReplicated(host, vol, offset, std::move(data),
+                  config_.cache.replication, std::move(cb), 0, tenant, ctx);
 }
 
 void StorageSystem::WriteReplicated(net::NodeId host, VolumeId vol,
-                                    std::uint64_t offset,
-                                    std::span<const std::uint8_t> data,
+                                    std::uint64_t offset, util::Payload data,
                                     std::uint32_t replication,
                                     WriteCallback cb, std::uint8_t priority,
                                     qos::TenantId tenant,
@@ -480,7 +480,7 @@ void StorageSystem::WriteReplicated(net::NodeId host, VolumeId vol,
   bool root = false;
   ctx = StartOp(ctx, "controller.write", vol, &root);
   const sim::Tick t0 = engine_.now();
-  auto payload = std::make_shared<util::Bytes>(data.begin(), data.end());
+  // Same self-reference rule as Read's retry loop.
   auto attempt = std::make_shared<std::function<void(std::uint32_t)>>();
   auto outer_cb = std::make_shared<WriteCallback>(
       [this, t0, ctx, root, cb = std::move(cb)](bool ok) {
@@ -495,14 +495,15 @@ void StorageSystem::WriteReplicated(net::NodeId host, VolumeId vol,
         }
         cb(ok);
       });
-  *attempt = [this, host, vol, offset, payload, replication, priority, tenant,
-              outer_cb, attempt, ctx](std::uint32_t retries_left) {
+  *attempt = [this, host, vol, offset, data = std::move(data), replication,
+              priority, tenant, outer_cb, self = std::weak_ptr(attempt),
+              ctx](std::uint32_t retries_left) {
     // Legacy driver loop: unattributed ({} write id, no dedup).  Safe by
     // construction — each retry rewrites the identical payload at the
     // identical offset and the loop never overlaps attempts.
-    WriteOnce(host, PickController(vol), vol, offset, payload, replication,
+    WriteOnce(host, PickController(vol), vol, offset, data, replication,
               priority, tenant, cache::WriteId{},
-              [this, outer_cb, attempt, retries_left](bool ok) {
+              [this, outer_cb, attempt = self.lock(), retries_left](bool ok) {
                 if (ok || retries_left == 0) {
                   (*outer_cb)(ok);
                   return;
@@ -519,17 +520,19 @@ void StorageSystem::WriteReplicated(net::NodeId host, VolumeId vol,
 
 void StorageSystem::WriteOnce(net::NodeId host, cache::ControllerId ctrl,
                               VolumeId vol, std::uint64_t offset,
-                              std::shared_ptr<util::Bytes> payload,
+                              util::Payload payload,
                               std::uint32_t replication, std::uint8_t priority,
                               qos::TenantId tenant, cache::WriteId wid,
                               WriteCallback cb, obs::TraceContext ctx) {
   auto shared_cb = std::make_shared<WriteCallback>(std::move(cb));
-  auto issue = [this, host, ctrl, vol, offset, replication, priority, payload,
-                wid, shared_cb, ctx](std::function<void(bool)> done) {
+  const std::size_t bytes = payload.size();
+  auto issue = [this, host, ctrl, vol, offset, replication, priority,
+                payload = std::move(payload), wid, shared_cb,
+                ctx](std::function<void(bool)> done) {
     ++outstanding_[ctrl];
     // Data travels host -> blade, then the ack returns blade -> host.
     fabric_.Send(
-        host, controller_nodes_[ctrl], payload->size(),
+        host, controller_nodes_[ctrl], payload.size(),
         [this, host, ctrl, vol, offset, replication, priority, payload, wid,
          shared_cb, done, ctx] {
           // Shared continuation: duplicates absorbed by the dedup index
@@ -558,7 +561,7 @@ void StorageSystem::WriteOnce(net::NodeId host, cache::ControllerId ctrl,
           // idempotency index before touching the data image.
           if (!dedup_.Begin(wid, outcome)) return;
           cache_->WriteWithReplication(
-              ctrl, vol, offset, *payload, replication,
+              ctrl, vol, offset, payload, replication,
               [this, wid, outcome](bool ok) {
                 dedup_.Complete(wid, ok);
                 outcome(ok);
@@ -573,7 +576,7 @@ void StorageSystem::WriteOnce(net::NodeId host, cache::ControllerId ctrl,
         ctx);
   };
   if (qos_ != nullptr) {
-    if (!qos_->Submit(ctrl, ResolveTenant(vol, tenant), payload->size(),
+    if (!qos_->Submit(ctrl, ResolveTenant(vol, tenant), bytes,
                       std::move(issue), ctx)) {
       engine_.Schedule(0, [shared_cb] { (*shared_cb)(false); });
     }
@@ -591,7 +594,7 @@ void StorageSystem::BladeRead(cache::ControllerId via, VolumeId vol,
   ctx = StartOp(ctx, "controller.read", vol, &root);
   const sim::Tick t0 = engine_.now();
   auto shared_cb = std::make_shared<ReadCallback>(
-      [this, t0, ctx, root, cb = std::move(cb)](bool ok, util::Bytes data) {
+      [this, t0, ctx, root, cb = std::move(cb)](bool ok, util::Payload data) {
         if (read_latency_ns_ != nullptr) {
           read_latency_ns_->Record(engine_.now() - t0);
           if (!ok) io_failures_total_->Increment();
@@ -607,7 +610,7 @@ void StorageSystem::BladeRead(cache::ControllerId via, VolumeId vol,
                 ctx](std::function<void(bool)> done) {
     cache_->Read(
         via, vol, offset, length,
-        [shared_cb, done](bool ok, util::Bytes data) {
+        [shared_cb, done](bool ok, util::Payload data) {
           done(ok);
           (*shared_cb)(ok, std::move(data));
         },
@@ -624,8 +627,7 @@ void StorageSystem::BladeRead(cache::ControllerId via, VolumeId vol,
 }
 
 void StorageSystem::BladeWrite(cache::ControllerId via, VolumeId vol,
-                               std::uint64_t offset,
-                               std::span<const std::uint8_t> data,
+                               std::uint64_t offset, util::Payload data,
                                std::uint32_t replication,
                                std::uint8_t priority, qos::TenantId tenant,
                                cache::WriteId wid, WriteCallback cb,
@@ -640,8 +642,7 @@ void StorageSystem::BladeWrite(cache::ControllerId via, VolumeId vol,
   bool root = false;
   ctx = StartOp(ctx, "controller.write", vol, &root);
   const sim::Tick t0 = engine_.now();
-  // Own the payload: dispatch may be deferred past the caller's buffer.
-  auto payload = std::make_shared<util::Bytes>(data.begin(), data.end());
+  const std::size_t bytes = data.size();
   auto shared_cb = std::make_shared<WriteCallback>(
       [this, t0, ctx, root, cb = std::move(cb)](bool ok) {
         if (write_latency_ns_ != nullptr) {
@@ -655,15 +656,16 @@ void StorageSystem::BladeWrite(cache::ControllerId via, VolumeId vol,
         }
         cb(ok);
       });
-  auto issue = [this, via, vol, offset, replication, priority, payload, wid,
-                shared_cb, ctx](std::function<void(bool)> done) {
+  auto issue = [this, via, vol, offset, replication, priority,
+                data = std::move(data), wid, shared_cb,
+                ctx](std::function<void(bool)> done) {
     auto outcome = [shared_cb, done](bool ok) {
       done(ok);
       (*shared_cb)(ok);
     };
     if (!dedup_.Begin(wid, outcome)) return;
     cache_->WriteWithReplication(
-        via, vol, offset, *payload, replication,
+        via, vol, offset, data, replication,
         [this, wid, outcome](bool ok) {
           dedup_.Complete(wid, ok);
           outcome(ok);
@@ -671,7 +673,7 @@ void StorageSystem::BladeWrite(cache::ControllerId via, VolumeId vol,
         priority, ctx, wid);
   };
   if (qos_ != nullptr) {
-    if (!qos_->Submit(via, ResolveTenant(vol, tenant), payload->size(),
+    if (!qos_->Submit(via, ResolveTenant(vol, tenant), bytes,
                       std::move(issue), ctx)) {
       engine_.Schedule(0, [shared_cb] { (*shared_cb)(false); });
     }

@@ -107,16 +107,15 @@ class StorageSystem {
             qos::TenantId tenant = qos::kAutoTenant,
             obs::TraceContext ctx = {});
   void Write(net::NodeId host, VolumeId vol, std::uint64_t offset,
-             std::span<const std::uint8_t> data, WriteCallback cb,
+             util::Payload data, WriteCallback cb,
              qos::TenantId tenant = qos::kAutoTenant,
              obs::TraceContext ctx = {});
 
   /// Same, with per-request replication/priority overrides (per-file
   /// policies).
   void WriteReplicated(net::NodeId host, VolumeId vol, std::uint64_t offset,
-                       std::span<const std::uint8_t> data,
-                       std::uint32_t replication, WriteCallback cb,
-                       std::uint8_t priority = 0,
+                       util::Payload data, std::uint32_t replication,
+                       WriteCallback cb, std::uint8_t priority = 0,
                        qos::TenantId tenant = qos::kAutoTenant,
                        obs::TraceContext ctx = {});
 
@@ -136,7 +135,7 @@ class StorageSystem {
   /// path-down re-drives, hedges, and late acks apply exactly once
   /// server-side.
   void WriteVia(net::NodeId host, cache::ControllerId via, VolumeId vol,
-                std::uint64_t offset, std::span<const std::uint8_t> data,
+                std::uint64_t offset, util::Payload data,
                 cache::WriteId wid, WriteCallback cb,
                 std::uint8_t priority = 0,
                 qos::TenantId tenant = qos::kAutoTenant,
@@ -150,8 +149,8 @@ class StorageSystem {
                  qos::TenantId tenant, ReadCallback cb,
                  obs::TraceContext ctx = {});
   void BladeWrite(cache::ControllerId via, VolumeId vol, std::uint64_t offset,
-                  std::span<const std::uint8_t> data,
-                  std::uint32_t replication, std::uint8_t priority,
+                  util::Payload data, std::uint32_t replication,
+                  std::uint8_t priority,
                   qos::TenantId tenant, cache::WriteId wid, WriteCallback cb,
                   obs::TraceContext ctx = {});
 
@@ -233,7 +232,7 @@ class StorageSystem {
                 std::uint8_t priority, qos::TenantId tenant, ReadCallback cb,
                 obs::TraceContext ctx = {});
   void WriteOnce(net::NodeId host, cache::ControllerId ctrl, VolumeId vol,
-                 std::uint64_t offset, std::shared_ptr<util::Bytes> payload,
+                 std::uint64_t offset, util::Payload payload,
                  std::uint32_t replication, std::uint8_t priority,
                  qos::TenantId tenant, cache::WriteId wid, WriteCallback cb,
                  obs::TraceContext ctx = {});

@@ -4,33 +4,79 @@
 #include <cassert>
 #include <cmath>
 #include <cstring>
+#include <iterator>
 
 namespace nlss::disk {
 
-util::Bytes BlockStore::Read(std::uint64_t lba, std::uint32_t count) const {
-  util::Bytes out(static_cast<std::size_t>(count) * block_size_, 0);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    auto it = blocks_.find(lba + i);
-    if (it != blocks_.end()) {
-      std::memcpy(out.data() + static_cast<std::size_t>(i) * block_size_,
-                  it->second.data(), block_size_);
+util::Payload BlockStore::Read(std::uint64_t lba, std::uint32_t count) const {
+  const std::uint64_t end = lba + count;
+  // The extent that starts at or before `lba` is the only one that can
+  // cover the whole range.
+  auto it = extents_.upper_bound(lba);
+  if (it != extents_.begin()) {
+    const auto prev = std::prev(it);
+    if (prev->first + BlocksOf(prev->second) >= end) {
+      return prev->second.Slice((lba - prev->first) * block_size_,
+                                static_cast<std::size_t>(count) * block_size_);
     }
+    it = prev;
   }
-  return out;
+  return util::Payload(
+      static_cast<std::size_t>(count) * block_size_,
+      [&](std::span<std::uint8_t> out) {
+        std::memset(out.data(), 0, out.size());
+        for (; it != extents_.end() && it->first < end; ++it) {
+          const std::uint64_t first = std::max(it->first, lba);
+          const std::uint64_t last =
+              std::min(it->first + BlocksOf(it->second), end);
+          if (first >= last) continue;
+          std::memcpy(out.data() + (first - lba) * block_size_,
+                      it->second.data() + (first - it->first) * block_size_,
+                      (last - first) * block_size_);
+        }
+      });
 }
 
-void BlockStore::Write(std::uint64_t lba, std::span<const std::uint8_t> data) {
-  assert(data.size() % block_size_ == 0);
-  const std::uint32_t count = static_cast<std::uint32_t>(data.size() / block_size_);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    auto& blk = blocks_[lba + i];
-    blk.assign(data.begin() + static_cast<std::ptrdiff_t>(i) * block_size_,
-               data.begin() + static_cast<std::ptrdiff_t>(i + 1) * block_size_);
+void BlockStore::Carve(std::uint64_t lba, std::uint64_t end) {
+  auto it = extents_.upper_bound(lba);
+  if (it != extents_.begin()) --it;
+  while (it != extents_.end() && it->first < end) {
+    const std::uint64_t first = it->first;
+    const std::uint64_t last = first + BlocksOf(it->second);
+    if (last <= lba) {
+      ++it;
+      continue;
+    }
+    const util::Payload whole = std::move(it->second);
+    it = extents_.erase(it);
+    allocated_blocks_ -= last - first;
+    if (first < lba) {
+      extents_.emplace(first, whole.Slice(0, (lba - first) * block_size_));
+      allocated_blocks_ += lba - first;
+    }
+    if (last > end) {
+      it = extents_.emplace(end, whole.Slice((end - first) * block_size_,
+                                             (last - end) * block_size_))
+               .first;
+      allocated_blocks_ += last - end;
+    }
   }
+}
+
+void BlockStore::Write(std::uint64_t lba, const util::Payload& data) {
+  assert(data.size() % block_size_ == 0);
+  if (data.empty()) return;
+  const std::uint64_t count = BlocksOf(data);
+  Carve(lba, lba + count);
+  // The store outlives every other holder: a unit sliced from a multi-MiB
+  // host write or from a volume's first-touch fill must not keep the whole
+  // buffer alive after the cache has let go of it.
+  extents_.emplace(lba, data.Compact());
+  allocated_blocks_ += count;
 }
 
 void BlockStore::Trim(std::uint64_t lba, std::uint32_t count) {
-  for (std::uint32_t i = 0; i < count; ++i) blocks_.erase(lba + i);
+  Carve(lba, lba + count);
 }
 
 Disk::Disk(sim::Engine& engine, DiskProfile profile, std::string name)
@@ -89,18 +135,19 @@ void Disk::Read(std::uint64_t lba, std::uint32_t count, ReadCallback cb,
   stats_.bytes_read += bytes;
   const obs::TraceContext span =
       obs::StartSpan(ctx, obs::Layer::kDisk, "disk.read");
-  engine_.ScheduleAt(done, [this, lba, count, span, cb = std::move(cb)] {
+  engine_.ScheduleAt(done, [this, lba, count, span, inc = incarnation_,
+                            cb = std::move(cb)] {
     obs::EndSpan(span);
-    if (failed_) {
-      cb(false, {});
-    } else {
+    if (Serves(inc)) {
       cb(true, store_.Read(lba, count));
+    } else {
+      cb(false, {});
     }
   });
 }
 
-void Disk::Write(std::uint64_t lba, std::span<const std::uint8_t> data,
-                 WriteCallback cb, obs::TraceContext ctx) {
+void Disk::Write(std::uint64_t lba, util::Payload data, WriteCallback cb,
+                 obs::TraceContext ctx) {
   assert(data.size() % profile_.block_size == 0);
   assert(lba + data.size() / profile_.block_size <= profile_.capacity_blocks);
   if (failed_) {
@@ -112,17 +159,16 @@ void Disk::Write(std::uint64_t lba, std::span<const std::uint8_t> data,
   stats_.bytes_written += data.size();
   const obs::TraceContext span =
       obs::StartSpan(ctx, obs::Layer::kDisk, "disk.write");
-  // Data is captured by value: the caller's buffer may be reused before the
-  // simulated write completes.
-  util::Bytes copy(data.begin(), data.end());
-  engine_.ScheduleAt(done, [this, lba, copy = std::move(copy), span,
-                            cb = std::move(cb)] {
+  // The payload is immutable, so holding it until the simulated completion
+  // is enough: nothing the caller does later can change these bytes.
+  engine_.ScheduleAt(done, [this, lba, data = std::move(data), span,
+                            inc = incarnation_, cb = std::move(cb)] {
     obs::EndSpan(span);
-    if (failed_) {
-      cb(false);
-    } else {
-      store_.Write(lba, copy);
+    if (Serves(inc)) {
+      store_.Write(lba, data);
       cb(true);
+    } else {
+      cb(false);
     }
   });
 }
@@ -134,6 +180,7 @@ void Disk::Trim(std::uint64_t lba, std::uint32_t count) {
 void Disk::Replace() {
   store_.Clear();
   failed_ = false;
+  ++incarnation_;
   busy_until_ = engine_.now();
   next_sequential_lba_ = 0;
 }

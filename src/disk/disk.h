@@ -1,22 +1,27 @@
 // Simulated disk drives: a mechanical service-time model (seek + rotation +
 // media transfer) over a sparse in-memory block store holding real bytes.
 // Requests are serviced FIFO, one at a time, like a single-actuator drive.
+// A write's payload is shared, not copied: it lands in the store at the
+// simulated completion time, and a read covered by one stored extent hands
+// back a view of it.
 //
 // Failure injection: Fail() makes every outstanding and subsequent request
 // complete unsuccessfully until Replace() installs a fresh (zeroed) drive,
 // which is how the RAID rebuild experiments (E4) kill and replace disks.
+// Requests issued to a drive that has since been replaced fail too: they
+// belong to the old incarnation, not the fresh one.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "obs/trace.h"
 #include "sim/engine.h"
-#include "util/bytes.h"
+#include "util/payload.h"
 #include "util/units.h"
 
 namespace nlss::disk {
@@ -38,28 +43,41 @@ struct DiskProfile {
   }
 };
 
-/// Sparse block store: unwritten blocks read back as zeros.
+/// Sparse block store: an ordered map of non-overlapping payload extents
+/// keyed by first LBA.  Unwritten blocks read back as zeros.
 class BlockStore {
  public:
   explicit BlockStore(std::uint32_t block_size) : block_size_(block_size) {}
 
-  /// Read `count` blocks starting at `lba` into a contiguous buffer.
-  util::Bytes Read(std::uint64_t lba, std::uint32_t count) const;
+  /// `count` blocks starting at `lba`.  A range inside one extent is a view
+  /// of it; any other range is assembled into a fresh buffer.
+  util::Payload Read(std::uint64_t lba, std::uint32_t count) const;
 
-  /// Write contiguous data (must be count*block_size bytes) at `lba`.
-  void Write(std::uint64_t lba, std::span<const std::uint8_t> data);
+  /// Store `data` (a whole number of blocks) at `lba`, trimming the extents
+  /// it overlaps to the views that remain outside it.
+  void Write(std::uint64_t lba, const util::Payload& data);
 
   /// Discard blocks (read back as zeros afterwards).
   void Trim(std::uint64_t lba, std::uint32_t count);
 
-  void Clear() { blocks_.clear(); }
+  void Clear() {
+    extents_.clear();
+    allocated_blocks_ = 0;
+  }
 
   std::uint32_t block_size() const { return block_size_; }
-  std::size_t allocated_blocks() const { return blocks_.size(); }
+  std::uint64_t allocated_blocks() const { return allocated_blocks_; }
 
  private:
+  std::uint64_t BlocksOf(const util::Payload& p) const {
+    return p.size() / block_size_;
+  }
+  /// Cut [lba, end) out of every extent overlapping it.
+  void Carve(std::uint64_t lba, std::uint64_t end);
+
   std::uint32_t block_size_;
-  std::unordered_map<std::uint64_t, util::Bytes> blocks_;
+  std::map<std::uint64_t, util::Payload> extents_;
+  std::uint64_t allocated_blocks_ = 0;
 };
 
 struct DiskStats {
@@ -72,7 +90,7 @@ struct DiskStats {
 
 class Disk {
  public:
-  using ReadCallback = std::function<void(bool ok, util::Bytes data)>;
+  using ReadCallback = std::function<void(bool ok, util::Payload data)>;
   using WriteCallback = std::function<void(bool ok)>;
 
   Disk(sim::Engine& engine, DiskProfile profile, std::string name);
@@ -83,9 +101,9 @@ class Disk {
   void Read(std::uint64_t lba, std::uint32_t count, ReadCallback cb,
             obs::TraceContext ctx = {});
 
-  /// Asynchronous block write.
-  void Write(std::uint64_t lba, std::span<const std::uint8_t> data,
-             WriteCallback cb, obs::TraceContext ctx = {});
+  /// Asynchronous block write; the store keeps `data` itself, not a copy.
+  void Write(std::uint64_t lba, util::Payload data, WriteCallback cb,
+             obs::TraceContext ctx = {});
 
   /// Discard blocks; immediate (metadata-only) in this model.
   void Trim(std::uint64_t lba, std::uint32_t count);
@@ -93,7 +111,8 @@ class Disk {
   /// Inject a total drive failure.
   void Fail() { failed_ = true; }
 
-  /// Swap in a fresh zeroed drive (keeps profile and identity).
+  /// Swap in a fresh zeroed drive (keeps profile and identity).  Requests
+  /// still in flight from the old drive complete unsuccessfully.
   void Replace();
 
   bool failed() const { return failed_; }
@@ -108,12 +127,17 @@ class Disk {
  private:
   /// Compute service time for an access and advance the FIFO horizon.
   sim::Tick ScheduleService(std::uint64_t lba, std::uint64_t bytes);
+  /// True when a request issued to `incarnation` may still complete.
+  bool Serves(std::uint64_t incarnation) const {
+    return !failed_ && incarnation == incarnation_;
+  }
 
   sim::Engine& engine_;
   DiskProfile profile_;
   std::string name_;
   BlockStore store_;
   bool failed_ = false;
+  std::uint64_t incarnation_ = 0;  // bumped by Replace()
   sim::Tick busy_until_ = 0;
   std::uint64_t next_sequential_lba_ = 0;  // heads position for seek model
   DiskStats stats_;

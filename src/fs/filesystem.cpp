@@ -274,12 +274,12 @@ void FileSystem::Write(const std::string& path, std::uint64_t offset,
       [cb = std::move(cb)](bool ok) {
         cb(ok ? Status::kOk : Status::kIoError);
       });
+  const util::Payload payload = util::Payload::Copy(data);
   for (const Piece& p : pieces) {
     const cache::ControllerId via = system_.PickController(volume_);
     const cache::WriteId wid = NextWriteId();
     system_.BladeWrite(
-        via, volume_, p.vol_offset,
-        std::span<const std::uint8_t>(data.data() + p.src, p.len), replication,
+        via, volume_, p.vol_offset, payload.Slice(p.src, p.len), replication,
         priority, tenant, wid,
         [this, join, wid](bool ok) {
           unsettled_writes_.erase(wid.seq);
@@ -325,42 +325,37 @@ void FileSystem::Read(const std::string& path, std::uint64_t offset,
   length = std::min(length, inode.size - offset);
 
   const std::uint32_t cb_bytes = config_.chunk_bytes;
-  auto result = std::make_shared<util::Bytes>(length, 0);
   struct Piece {
     std::uint64_t vol_offset;
-    std::size_t out;
     std::uint32_t len;
   };
   std::vector<Piece> pieces;
   std::uint64_t cur = offset;
-  std::size_t out = 0;
   std::uint64_t left = length;
   while (left > 0) {
     const std::uint64_t ci = cur / cb_bytes;
     const std::uint32_t in_chunk = static_cast<std::uint32_t>(cur % cb_bytes);
     const std::uint32_t n = static_cast<std::uint32_t>(
         std::min<std::uint64_t>(left, cb_bytes - in_chunk));
-    pieces.push_back(Piece{ChunkBase(inode.chunks[ci]) + in_chunk, out, n});
+    pieces.push_back(Piece{ChunkBase(inode.chunks[ci]) + in_chunk, n});
     cur += n;
-    out += n;
     left -= n;
   }
+  auto parts = std::make_shared<std::vector<util::Payload>>(pieces.size());
   auto join = std::make_shared<Join>(
       static_cast<int>(pieces.size()),
-      [result, cb = std::move(cb)](bool ok) {
+      [parts, cb = std::move(cb)](bool ok) {
         cb(ok ? Status::kOk : Status::kIoError,
-           ok ? std::move(*result) : util::Bytes{});
+           ok ? util::Payload::Concat(*parts).ToBytes() : util::Bytes{});
       });
-  for (const Piece& p : pieces) {
+  for (std::size_t i = 0; i < pieces.size(); ++i) {
+    const Piece& p = pieces[i];
     const cache::ControllerId via = system_.PickController(volume_);
     system_.BladeRead(
         via, volume_, p.vol_offset, p.len, inode.policy.cache_priority,
         inode.policy.qos_tenant,
-        [result, p, join](bool ok, util::Bytes data) {
-          if (ok) {
-            std::copy(data.begin(), data.end(),
-                      result->begin() + static_cast<std::ptrdiff_t>(p.out));
-          }
+        [parts, i, join](bool ok, util::Payload data) {
+          if (ok) (*parts)[i] = std::move(data);
           join->Arrive(ok);
         },
         ctx);

@@ -158,7 +158,7 @@ std::set<SiteId> GeoCluster::ReplicasOf(const std::string& path) const {
 
 void GeoCluster::ApplyRemoteWrite(SiteId target, const std::string& path,
                                   std::uint64_t offset,
-                                  const util::Bytes& data,
+                                  const util::Payload& data,
                                   std::function<void(bool)> cb) {
   if (!sites_[target]->alive()) {
     engine_.Schedule(0, [cb = std::move(cb)] { cb(false); });
@@ -171,27 +171,27 @@ void GeoCluster::ApplyRemoteWrite(SiteId target, const std::string& path,
 }
 
 void GeoCluster::HomeWriteAndReplicate(const std::string& path,
-                                       std::uint64_t offset, util::Bytes data,
+                                       std::uint64_t offset,
+                                       const util::Payload& data,
                                        WriteCallback cb) {
   GeoFile& f = files_.at(path);
   const SiteId home = f.home;
-  auto shared_data = std::make_shared<util::Bytes>(std::move(data));
 
   sites_[home]->filesystem().Write(
-      path, offset, *shared_data,
-      [this, path, offset, home, shared_data,
+      path, offset, data,
+      [this, path, offset, home, data,
        cb = std::move(cb)](fs::Status st) mutable {
         if (st != fs::Status::kOk) {
           cb(st);
           return;
         }
         GeoFile& f = files_.at(path);
-        f.size = std::max(f.size, offset + shared_data->size());
+        f.size = std::max(f.size, offset + data.size());
 
         // Invalidate stale migration caches at non-replica sites.
         const std::uint64_t c0 = offset / config_.migrate_chunk_bytes;
         const std::uint64_t c1 =
-            (offset + shared_data->size() - 1) / config_.migrate_chunk_bytes;
+            (offset + data.size() - 1) / config_.migrate_chunk_bytes;
         for (auto& [site, chunks] : f.cached_chunks) {
           if (f.replicas.count(site) > 0) continue;
           for (std::uint64_t c = c0; c <= c1; ++c) chunks.erase(c);
@@ -209,7 +209,7 @@ void GeoCluster::HomeWriteAndReplicate(const std::string& path,
           }
         }
         for (const SiteId t : async_targets) {
-          EnqueueAsync(home, t, AsyncUpdate{path, offset, *shared_data});
+          EnqueueAsync(home, t, AsyncUpdate{path, offset, data});
         }
         if (sync_targets.empty()) {
           cb(fs::Status::kOk);
@@ -221,10 +221,10 @@ void GeoCluster::HomeWriteAndReplicate(const std::string& path,
               cb(ok ? fs::Status::kOk : fs::Status::kIoError);
             });
         for (const SiteId t : sync_targets) {
-          Ship(home, t, shared_data->size(),
-               [this, t, path, offset, shared_data, home, join] {
+          Ship(home, t, data.size(),
+               [this, t, path, offset, data, home, join] {
                  ApplyRemoteWrite(
-                     t, path, offset, *shared_data, [this, t, home, join](bool ok) {
+                     t, path, offset, data, [this, t, home, join](bool ok) {
                        if (!ok) {
                          join->Arrive(false);
                          return;
@@ -249,19 +249,18 @@ void GeoCluster::Write(SiteId via, const std::string& path,
     return;
   }
   GeoFile& f = it->second;
-  util::Bytes copy(data.begin(), data.end());
+  util::Payload payload = util::Payload::Copy(data);
   if (via == f.home) {
-    HomeWriteAndReplicate(path, offset, std::move(copy), std::move(cb));
+    HomeWriteAndReplicate(path, offset, payload, std::move(cb));
     return;
   }
   // Forward to the home site over the WAN; ack returns the same way.
-  auto shared = std::make_shared<util::Bytes>(std::move(copy));
   auto shared_cb = std::make_shared<WriteCallback>(std::move(cb));
   const SiteId home = f.home;
-  Ship(via, home, shared->size(),
-       [this, via, home, path, offset, shared, shared_cb] {
+  Ship(via, home, payload.size(),
+       [this, via, home, path, offset, payload, shared_cb] {
          HomeWriteAndReplicate(
-             path, offset, std::move(*shared),
+             path, offset, payload,
              [this, via, home, shared_cb](fs::Status st) {
                Ship(home, via, config_.ctrl_msg_bytes,
                     [shared_cb, st] { (*shared_cb)(st); },
@@ -400,12 +399,12 @@ void GeoCluster::FetchChunks(SiteId via, const std::string& path,
                    join->Arrive(false);
                    return;
                  }
-                 auto payload = std::make_shared<util::Bytes>(std::move(data));
-                 Ship(home, via, payload->size(),
-                      [this, via, path, off, c, payload, join] {
+                 const std::uint64_t bytes = data.size();
+                 Ship(home, via, bytes,
+                      [this, via, path, off, c, data = std::move(data), join] {
                         // Land the chunk in the local FS copy.
                         sites_[via]->filesystem().Write(
-                            path, off, *payload,
+                            path, off, data,
                             [this, via, path, c, join](fs::Status st2) {
                               if (st2 == fs::Status::kOk) {
                                 files_.at(path).cached_chunks[via].insert(c);

@@ -159,7 +159,7 @@ class GeoCluster {
   struct AsyncUpdate {
     std::string path;
     std::uint64_t offset;
-    util::Bytes data;
+    util::Payload data;
   };
   struct AsyncQueue {
     std::deque<AsyncUpdate> q;
@@ -173,10 +173,10 @@ class GeoCluster {
 
   void ChooseReplicas(const std::string& path, GeoFile& f);
   void ApplyRemoteWrite(SiteId target, const std::string& path,
-                        std::uint64_t offset, const util::Bytes& data,
+                        std::uint64_t offset, const util::Payload& data,
                         std::function<void(bool)> cb);
   void HomeWriteAndReplicate(const std::string& path, std::uint64_t offset,
-                             util::Bytes data, WriteCallback cb);
+                             const util::Payload& data, WriteCallback cb);
   void EnqueueAsync(SiteId from, SiteId to, AsyncUpdate update);
   void PumpQueue(SiteId from, SiteId to);
   void CheckDrained();

@@ -24,8 +24,7 @@ void ReplicatedBacking::ReadBlocks(std::uint64_t block, std::uint32_t count,
   local_.ReadBlocks(block, count, std::move(cb), ctx);
 }
 
-void ReplicatedBacking::WriteBlocks(std::uint64_t block,
-                                    std::span<const std::uint8_t> data,
+void ReplicatedBacking::WriteBlocks(std::uint64_t block, util::Payload data,
                                     WriteCallback cb, obs::TraceContext ctx) {
   if (config_.synchronous) {
     // Local and remote writes in parallel; ack after both (one WAN round
@@ -45,12 +44,11 @@ void ReplicatedBacking::WriteBlocks(std::uint64_t block,
       obs::EndSpan(geo_span);
       arrive(ok);
     };
-    auto payload = std::make_shared<util::Bytes>(data.begin(), data.end());
     fabric_.Send(
-        local_gw_, remote_gw_, payload->size(),
-        [this, block, payload, remote_arrive, geo_span] {
+        local_gw_, remote_gw_, data.size(),
+        [this, block, data, remote_arrive, geo_span] {
           remote_.WriteBlocks(
-              block, *payload,
+              block, data,
               [this, remote_arrive, geo_span](bool ok) {
                 ++replicated_writes_;
                 // Remote ack crosses back.
@@ -67,9 +65,9 @@ void ReplicatedBacking::WriteBlocks(std::uint64_t block,
   // Asynchronous: ack after the local write; queue the remote copy (the
   // queue outlives the request, so the shipment gets its own root span in
   // Pump rather than riding on this request's trace).
-  queue_.push_back(Update{block, util::Bytes(data.begin(), data.end())});
+  queue_.push_back(Update{block, data});
   pending_bytes_ += data.size();
-  local_.WriteBlocks(block, data, std::move(cb), ctx);
+  local_.WriteBlocks(block, std::move(data), std::move(cb), ctx);
   if (!pumping_) {
     pumping_ = true;
     Pump();

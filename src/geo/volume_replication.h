@@ -40,8 +40,8 @@ class ReplicatedBacking final : public cache::BackingStore {
 
   void ReadBlocks(std::uint64_t block, std::uint32_t count, ReadCallback cb,
                   obs::TraceContext ctx = {}) override;
-  void WriteBlocks(std::uint64_t block, std::span<const std::uint8_t> data,
-                   WriteCallback cb, obs::TraceContext ctx = {}) override;
+  void WriteBlocks(std::uint64_t block, util::Payload data, WriteCallback cb,
+                   obs::TraceContext ctx = {}) override;
   std::uint64_t CapacityBlocks() const override {
     return local_.CapacityBlocks();
   }
@@ -67,7 +67,7 @@ class ReplicatedBacking final : public cache::BackingStore {
  private:
   struct Update {
     std::uint64_t block;
-    util::Bytes data;
+    util::Payload data;
   };
 
   void Pump();

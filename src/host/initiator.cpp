@@ -69,7 +69,7 @@ void Initiator::Write(controller::VolumeId vol, std::uint64_t offset,
   op->vol = vol;
   op->offset = offset;
   op->length = static_cast<std::uint32_t>(data.size());
-  op->payload = std::make_shared<util::Bytes>(data.begin(), data.end());
+  op->payload = util::Payload::Copy(data);  // host ingest: the one copy
   op->wid = cache::WriteId{writer_id_, next_write_seq_, 0};
   unsettled_writes_.insert(next_write_seq_);
   ++next_write_seq_;
@@ -177,11 +177,10 @@ void Initiator::IssueAttempt(const OpPtr& op, int path, bool is_hedge) {
     system_.ReadVia(
         node_, blade, op->vol, op->offset, op->length,
         [this, op, attempt, path, now, ctx, is_hedge](bool ok,
-                                                      util::Bytes data) {
+                                                      util::Payload data) {
           obs::EndSpan(ctx);
           ++op->resolved_attempts;
-          OnAttemptResult(op, attempt, path, now, ok, std::move(data),
-                          is_hedge);
+          OnAttemptResult(op, attempt, path, now, ok, data, is_hedge);
         },
         op->priority, op->tenant, ctx);
   } else {
@@ -190,8 +189,7 @@ void Initiator::IssueAttempt(const OpPtr& op, int path, bool is_hedge) {
     cache::WriteId wid = op->wid;
     wid.settled = SettledUpTo();
     system_.WriteVia(
-        node_, blade, op->vol, op->offset,
-        std::span<const std::uint8_t>(*op->payload), wid,
+        node_, blade, op->vol, op->offset, op->payload, wid,
         [this, op, attempt, path, now, ctx, is_hedge](bool ok) {
           obs::EndSpan(ctx);
           ++op->resolved_attempts;
@@ -245,7 +243,7 @@ void Initiator::ArmHedge(const OpPtr& op, int primary_path) {
 
 void Initiator::OnAttemptResult(const OpPtr& op, std::uint32_t attempt,
                                 int path, sim::Tick t0, bool ok,
-                                util::Bytes data, bool is_hedge) {
+                                const util::Payload& data, bool is_hedge) {
   const sim::Tick now = engine_.now();
   const auto it = op->inflight.find(attempt);
   const bool tracked = it != op->inflight.end();
@@ -275,7 +273,7 @@ void Initiator::OnAttemptResult(const OpPtr& op, std::uint32_t attempt,
       // Idempotency guard: complete the op from the late ack; the pending
       // backoff re-drive sees op->done and stands down, so the write is
       // applied exactly once.
-      FinishOp(op, true, std::move(data));
+      FinishOp(op, true, data);
       return;
     }
   }
@@ -283,7 +281,7 @@ void Initiator::OnAttemptResult(const OpPtr& op, std::uint32_t attempt,
   if (!tracked) return;  // stale failure: the timeout already re-drove it
   if (ok) {
     if (is_hedge) ++stats_.hedge_wins;
-    FinishOp(op, true, std::move(data));
+    FinishOp(op, true, data);
     return;
   }
   HandleFailure(op, path);
@@ -356,7 +354,8 @@ std::uint64_t Initiator::RaceKey(std::uint64_t op_id) const {
   return check::AccessKey(salt, op_id);
 }
 
-void Initiator::FinishOp(const OpPtr& op, bool ok, util::Bytes data) {
+void Initiator::FinishOp(const OpPtr& op, bool ok,
+                         const util::Payload& data) {
   if (op->done) return;
   NLSS_ACCESS(kHost, RaceKey(op->id), kWrite);
   NLSS_INVARIANT(kHost, !op->callback_fired,
@@ -387,7 +386,7 @@ void Initiator::FinishOp(const OpPtr& op, bool ok, util::Bytes data) {
   if (op->root.sampled()) op->root.tracer->EndTrace(op->root, ok);
   if (!op->is_read) MaybeSettleWrite(op);
   if (op->is_read) {
-    if (op->rcb) op->rcb(ok, std::move(data));
+    if (op->rcb) op->rcb(ok, data.ToBytes());
   } else {
     if (op->wcb) op->wcb(ok);
   }

@@ -117,7 +117,9 @@ struct InitiatorStats {
 
 class Initiator {
  public:
-  using ReadCallback = controller::StorageSystem::ReadCallback;
+  /// Reads hand the caller its own bytes: the host edge is where a payload
+  /// leaves the simulated system, and the one place a read copies it.
+  using ReadCallback = std::function<void(bool ok, util::Bytes data)>;
   using WriteCallback = controller::StorageSystem::WriteCallback;
 
   /// Attaches a host node named `name` to the system's fabric and opens a
@@ -174,7 +176,7 @@ class Initiator {
     controller::VolumeId vol = 0;
     std::uint64_t offset = 0;
     std::uint32_t length = 0;
-    std::shared_ptr<util::Bytes> payload;  // writes
+    util::Payload payload;                 // writes
     cache::WriteId wid;                    // writes: blade-side dedup token
     std::uint8_t priority = 0;
     qos::TenantId tenant = qos::kAutoTenant;
@@ -205,10 +207,11 @@ class Initiator {
   void IssueAttempt(const OpPtr& op, int path, bool is_hedge);
   void ArmHedge(const OpPtr& op, int primary_path);
   void OnAttemptResult(const OpPtr& op, std::uint32_t attempt, int path,
-                       sim::Tick t0, bool ok, util::Bytes data, bool is_hedge);
+                       sim::Tick t0, bool ok, const util::Payload& data,
+                       bool is_hedge);
   void OnAttemptTimeout(const OpPtr& op, std::uint32_t attempt);
   void HandleFailure(const OpPtr& op, int failed_path);
-  void FinishOp(const OpPtr& op, bool ok, util::Bytes data);
+  void FinishOp(const OpPtr& op, bool ok, const util::Payload& data);
   sim::Tick HedgeDelay(int path) const;
   /// Settled cursor: every write seq below this is done with all of its
   /// attempts resolved, so the blades may prune it from the dedup index.

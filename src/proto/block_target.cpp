@@ -109,14 +109,14 @@ void BlockTarget::Read(SessionId session, std::uint32_t volume,
   }
   system_.Read(
       s->host, volume, lba * bs, blocks * bs,
-      [ctx, cb = std::move(cb)](bool ok, util::Bytes data) {
+      [ctx, cb = std::move(cb)](bool ok, util::Payload data) {
         if (ctx.sampled()) ctx.tracer->EndTrace(ctx, ok);
         if (!ok) {
           cb(BlockStatus::kIoError, {}, 0);
           return;
         }
         const std::uint32_t crc = util::Crc32c(data);
-        cb(BlockStatus::kOk, std::move(data), crc);
+        cb(BlockStatus::kOk, data.ToBytes(), crc);
       },
       /*priority=*/0, s->tenant, ctx);
 }
@@ -152,7 +152,7 @@ void BlockTarget::Write(SessionId session, std::uint32_t volume,
     ctx = hub_->tracer().StartTrace(obs::Layer::kProto, "proto.block.write");
   }
   system_.Write(
-      s->host, volume, lba * bs, data,
+      s->host, volume, lba * bs, util::Payload::Copy(data),
       [ctx, cb = std::move(cb)](bool ok) {
         if (ctx.sampled()) ctx.tracer->EndTrace(ctx, ok);
         cb(ok ? BlockStatus::kOk : BlockStatus::kIoError);

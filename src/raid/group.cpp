@@ -113,27 +113,31 @@ void RaidGroup::Compute(std::uint64_t bytes, std::function<void()> next) {
 
 // --- Parity math -----------------------------------------------------------
 
-void RaidGroup::ComputeParity(const std::vector<util::Bytes>& data,
-                              util::Bytes& p, util::Bytes& q) const {
+void RaidGroup::ComputeParity(const std::vector<util::Payload>& data,
+                              util::Payload& p, util::Payload& q) const {
   const std::uint32_t ub = unit_bytes();
-  p.assign(ub, 0);
-  for (const auto& unit : data) XorInto(p, unit);
+  p = util::Payload(ub, [&](std::span<std::uint8_t> out) {
+    std::memcpy(out.data(), data[0].data(), ub);
+    for (std::size_t u = 1; u < data.size(); ++u) XorInto(out, data[u]);
+  });
   if (layout_.level() == RaidLevel::kRaid6) {
-    q.assign(ub, 0);
-    for (std::uint32_t u = 0; u < data.size(); ++u) {
-      GfMulInto(q, data[u], Gf256::Exp(u));
-    }
+    q = util::Payload(ub, [&](std::span<std::uint8_t> out) {
+      std::memset(out.data(), 0, ub);
+      for (std::uint32_t u = 0; u < data.size(); ++u) {
+        GfMulInto(out, data[u], Gf256::Exp(u));
+      }
+    });
   }
 }
 
 bool RaidGroup::Reconstruct(std::uint64_t stripe,
-                            std::vector<util::Bytes>& raw,
-                            std::vector<util::Bytes>& data_out) {
+                            std::vector<util::Payload>& raw,
+                            std::vector<util::Payload>& data_out) {
   const std::uint32_t du = layout_.DataUnitsPerStripe();
   const std::uint32_t ub = unit_bytes();
   data_out.assign(du, {});
-  util::Bytes* p = nullptr;
-  util::Bytes* q = nullptr;
+  const util::Payload* p = nullptr;
+  const util::Payload* q = nullptr;
   std::vector<std::uint32_t> missing;
 
   for (std::uint32_t d = 0; d < layout_.width(); ++d) {
@@ -153,35 +157,34 @@ bool RaidGroup::Reconstruct(std::uint64_t stripe,
 
   if (missing.empty()) return true;
 
-  // S = xor of surviving data; T = sum of g^u * surviving data.
-  auto xor_of_surviving = [&]() {
-    util::Bytes s(ub, 0);
-    for (std::uint32_t u = 0; u < du; ++u) {
-      if (!data_out[u].empty()) XorInto(s, data_out[u]);
-    }
-    return s;
+  // A fresh unit starting from `base`, with S (xor of surviving data) or
+  // T (sum of g^u * surviving data) folded in.
+  auto with_xor_of_surviving = [&](const util::Payload& base) {
+    return util::Payload(ub, [&](std::span<std::uint8_t> out) {
+      std::memcpy(out.data(), base.data(), ub);
+      for (std::uint32_t u = 0; u < du; ++u) {
+        if (!data_out[u].empty()) XorInto(out, data_out[u]);
+      }
+    });
   };
-  auto rs_of_surviving = [&]() {
-    util::Bytes t(ub, 0);
+  auto fold_rs_of_surviving = [&](std::span<std::uint8_t> out) {
     for (std::uint32_t u = 0; u < du; ++u) {
-      if (!data_out[u].empty()) GfMulInto(t, data_out[u], Gf256::Exp(u));
+      if (!data_out[u].empty()) GfMulInto(out, data_out[u], Gf256::Exp(u));
     }
-    return t;
   };
 
   if (missing.size() == 1) {
     const std::uint32_t u = missing[0];
     if (p != nullptr) {
-      util::Bytes d = *p;
-      XorInto(d, xor_of_surviving());
-      data_out[u] = std::move(d);
+      data_out[u] = with_xor_of_surviving(*p);
       return true;
     }
     if (q != nullptr && layout_.level() == RaidLevel::kRaid6) {
-      util::Bytes d = *q;
-      XorInto(d, rs_of_surviving());
-      GfScale(d, Gf256::Inv(Gf256::Exp(u)));
-      data_out[u] = std::move(d);
+      data_out[u] = util::Payload(ub, [&](std::span<std::uint8_t> out) {
+        std::memcpy(out.data(), q->data(), ub);
+        fold_rs_of_surviving(out);
+        GfScale(out, Gf256::Inv(Gf256::Exp(u)));
+      });
       return true;
     }
     return false;
@@ -191,18 +194,20 @@ bool RaidGroup::Reconstruct(std::uint64_t stripe,
       p != nullptr && q != nullptr) {
     const std::uint32_t u1 = missing[0];
     const std::uint32_t u2 = missing[1];
-    util::Bytes a = *p;  // A = P ^ S = D1 ^ D2
-    XorInto(a, xor_of_surviving());
-    util::Bytes b = *q;  // B = Q ^ T = g^u1 D1 ^ g^u2 D2
-    XorInto(b, rs_of_surviving());
-    // D1 = (g^u2 * A ^ B) / (g^u1 ^ g^u2)
-    util::Bytes d1 = b;
-    GfMulInto(d1, a, Gf256::Exp(u2));
+    const util::Payload a = with_xor_of_surviving(*p);  // A = P ^ S = D1 ^ D2
+    // D1 = (g^u2 * A ^ B) / (g^u1 ^ g^u2), with B = Q ^ T.
     const std::uint8_t denom =
         static_cast<std::uint8_t>(Gf256::Exp(u1) ^ Gf256::Exp(u2));
-    GfScale(d1, Gf256::Inv(denom));
-    util::Bytes d2 = a;
-    XorInto(d2, d1);
+    util::Payload d1(ub, [&](std::span<std::uint8_t> out) {
+      std::memcpy(out.data(), q->data(), ub);
+      fold_rs_of_surviving(out);
+      GfMulInto(out, a, Gf256::Exp(u2));
+      GfScale(out, Gf256::Inv(denom));
+    });
+    util::Payload d2(ub, [&](std::span<std::uint8_t> out) {
+      std::memcpy(out.data(), a.data(), ub);
+      XorInto(out, d1);
+    });
     data_out[u1] = std::move(d1);
     data_out[u2] = std::move(d2);
     return true;
@@ -228,7 +233,7 @@ void RaidGroup::FetchAllData(std::uint64_t stripe, FetchCallback cb,
       if (!Readable(m)) continue;
       disks_[m]->Read(
           lba, ublocks,
-          [cb = std::move(cb)](bool ok, util::Bytes data) {
+          [cb = std::move(cb)](bool ok, util::Payload data) {
             StripeData sd;
             sd.ok = ok;
             if (ok) sd.units.push_back(std::move(data));
@@ -256,7 +261,7 @@ void RaidGroup::FetchAllData(std::uint64_t stripe, FetchCallback cb,
   }
 
   struct FetchState {
-    std::vector<util::Bytes> raw;  // per disk; empty if not read/failed
+    std::vector<util::Payload> raw;  // per disk; empty if not read/failed
     FetchCallback cb;
   };
   auto state = std::make_shared<FetchState>();
@@ -280,7 +285,7 @@ void RaidGroup::FetchAllData(std::uint64_t stripe, FetchCallback cb,
     StripeData sd;
     // Even if some reads failed mid-flight, attempt reconstruction from
     // what arrived.
-    std::vector<util::Bytes> data;
+    std::vector<util::Payload> data;
     if (Reconstruct(stripe, state->raw, data)) {
       const std::uint64_t bytes =
           static_cast<std::uint64_t>(data.size()) * unit_bytes();
@@ -304,7 +309,7 @@ void RaidGroup::FetchAllData(std::uint64_t stripe, FetchCallback cb,
   for (const std::uint32_t d : targets) {
     disks_[d]->Read(
         lba, ublocks,
-        [state, join, d](bool ok, util::Bytes data) {
+        [state, join, d](bool ok, util::Payload data) {
           if (ok) state->raw[d] = std::move(data);
           join->Arrive(ok);
         },
@@ -315,37 +320,35 @@ void RaidGroup::FetchAllData(std::uint64_t stripe, FetchCallback cb,
 // --- Reads -----------------------------------------------------------------
 
 void RaidGroup::StripeRead(std::uint64_t stripe, std::uint32_t first_block,
-                           std::uint32_t block_count, std::uint8_t* out,
-                           std::function<void(bool)> done,
+                           std::uint32_t block_count, PartsCallback done,
                            obs::TraceContext ctx) {
   RefreshMemberStates();
   const std::uint32_t ublocks = layout_.unit_blocks();
-  const std::uint32_t bs = block_size_;
   const std::uint64_t lba0 = layout_.StripeLba(stripe);
 
   // Fallback path used when a member is unreadable (or a read fails
   // mid-flight): fetch all data, slice the requested range.
-  auto degraded_read = [this, stripe, first_block, block_count, out, ctx,
+  auto degraded_read = [this, stripe, first_block, block_count, ctx,
                         done](auto&&) mutable {
     FetchAllData(
         stripe,
-        [this, first_block, block_count, out,
+        [this, first_block, block_count,
          done = std::move(done)](StripeData sd) mutable {
           if (!sd.ok) {
-            done(false);
+            done(false, {});
             return;
           }
           const std::uint32_t ub = layout_.unit_blocks();
-          for (std::uint32_t i = 0; i < block_count; ++i) {
-            const std::uint32_t blk = first_block + i;
-            const std::uint32_t u = blk / ub;
-            const std::uint32_t off = blk % ub;
-            std::memcpy(out + static_cast<std::size_t>(i) * block_size_,
-                        sd.units[u].data() +
-                            static_cast<std::size_t>(off) * block_size_,
-                        block_size_);
+          const std::uint32_t end = first_block + block_count;
+          std::vector<util::Payload> parts;
+          for (std::uint32_t u = first_block / ub; u * ub < end; ++u) {
+            const std::uint32_t a = std::max(first_block, u * ub) - u * ub;
+            const std::uint32_t b = std::min(end, (u + 1) * ub) - u * ub;
+            parts.push_back(sd.units[u].Slice(
+                static_cast<std::size_t>(a) * block_size_,
+                static_cast<std::size_t>(b - a) * block_size_));
           }
-          done(true);
+          done(true, std::move(parts));
         },
         ctx);
   };
@@ -357,20 +360,20 @@ void RaidGroup::StripeRead(std::uint64_t stripe, std::uint32_t first_block,
       if (!Readable(m)) continue;
       disks_[m]->Read(
           lba0 + first_block, block_count,
-          [out, bs, block_count, done = std::move(done), degraded_read](
-              bool ok, util::Bytes data) mutable {
+          [done = std::move(done), degraded_read](
+              bool ok, util::Payload data) mutable {
             if (!ok) {
               degraded_read(0);
               return;
             }
-            std::memcpy(out, data.data(),
-                        static_cast<std::size_t>(block_count) * bs);
-            done(true);
+            std::vector<util::Payload> parts;
+            parts.push_back(std::move(data));
+            done(true, std::move(parts));
           },
           ctx);
       return;
     }
-    done(false);
+    done(false, {});
     return;
   }
 
@@ -392,11 +395,13 @@ void RaidGroup::StripeRead(std::uint64_t stripe, std::uint32_t first_block,
   // Healthy fast path: one disk read per touched unit sub-range.
   struct ReadState {
     bool any_failed = false;
+    std::vector<util::Payload> parts;  // one per touched unit, in order
   };
   auto state = std::make_shared<ReadState>();
+  state->parts.resize(u_last - u_first + 1);
   auto finish = [state, done = std::move(done), degraded_read](bool ok) mutable {
     if (ok && !state->any_failed) {
-      done(true);
+      done(true, std::move(state->parts));
     } else {
       // A member died mid-operation; retry once via reconstruction.
       degraded_read(0);
@@ -410,13 +415,11 @@ void RaidGroup::StripeRead(std::uint64_t stripe, std::uint32_t first_block,
     const std::uint32_t b =
         std::min(first_block + block_count, (u + 1) * ublocks) - u * ublocks;
     const std::uint32_t d = layout_.DiskForData(stripe, u);
-    std::uint8_t* dst =
-        out + (static_cast<std::size_t>(u) * ublocks + a - first_block) * bs;
     disks_[d]->Read(
         lba0 + a, b - a,
-        [state, join, dst, bs](bool ok, util::Bytes data) {
+        [state, join, slot = u - u_first](bool ok, util::Payload data) {
           if (ok) {
-            std::memcpy(dst, data.data(), data.size());
+            state->parts[slot] = std::move(data);
           } else {
             state->any_failed = true;
           }
@@ -433,42 +436,50 @@ void RaidGroup::ReadBlocks(std::uint64_t block, std::uint32_t count,
   assert(count > 0);
   assert(block + count <= DataCapacityBlocks());
   const std::uint32_t dbs = layout_.DataBlocksPerStripe();
-  auto buffer = std::make_shared<util::Bytes>(
-      static_cast<std::size_t>(count) * block_size_, 0);
 
   // Split into per-stripe sub-operations.
   struct Piece {
     std::uint64_t stripe;
     std::uint32_t first;  // data-block offset within stripe
     std::uint32_t count;
-    std::size_t out_offset;  // bytes into the result buffer
   };
   std::vector<Piece> pieces;
   std::uint64_t blk = block;
   std::uint32_t left = count;
-  std::size_t out_off = 0;
   while (left > 0) {
     const std::uint64_t stripe = blk / dbs;
     const std::uint32_t first = static_cast<std::uint32_t>(blk % dbs);
     const std::uint32_t n = std::min(left, dbs - first);
-    pieces.push_back(Piece{stripe, first, n, out_off});
+    pieces.push_back(Piece{stripe, first, n});
     blk += n;
     left -= n;
-    out_off += static_cast<std::size_t>(n) * block_size_;
   }
 
+  // Per-stripe views, joined into one payload only when there are several.
+  auto parts =
+      std::make_shared<std::vector<std::vector<util::Payload>>>(pieces.size());
   auto join = std::make_shared<Join>(
       static_cast<int>(pieces.size()),
-      [buffer, span, cb = std::move(cb)](bool ok) {
+      [parts, span, cb = std::move(cb)](bool ok) {
         obs::EndSpan(span);
-        cb(ok, ok ? std::move(*buffer) : util::Bytes{});
+        if (!ok) {
+          cb(false, {});
+          return;
+        }
+        std::vector<util::Payload> all;
+        for (auto& stripe_parts : *parts) {
+          for (auto& part : stripe_parts) all.push_back(std::move(part));
+        }
+        cb(true, util::Payload::Concat(all));
       });
-  for (const Piece& p : pieces) {
-    LockStripe(p.stripe, [this, p, buffer, join, span] {
+  for (std::size_t i = 0; i < pieces.size(); ++i) {
+    const Piece p = pieces[i];
+    LockStripe(p.stripe, [this, p, i, parts, join, span] {
       StripeRead(
-          p.stripe, p.first, p.count, buffer->data() + p.out_offset,
-          [this, p, join](bool ok) {
+          p.stripe, p.first, p.count,
+          [this, p, i, parts, join](bool ok, std::vector<util::Payload> got) {
             UnlockStripe(p.stripe);
+            (*parts)[i] = std::move(got);
             join->Arrive(ok);
           },
           span);
@@ -481,7 +492,7 @@ void RaidGroup::ReadBlocks(std::uint64_t block, std::uint32_t count,
 void RaidGroup::StripeWriteRaid01(std::uint64_t stripe,
                                   std::uint32_t first_block,
                                   std::uint32_t block_count,
-                                  const std::uint8_t* src,
+                                  const util::Payload& src,
                                   std::function<void(bool)> done,
                                   obs::TraceContext ctx) {
   const std::uint64_t lba0 = layout_.StripeLba(stripe);
@@ -503,11 +514,9 @@ void RaidGroup::StripeWriteRaid01(std::uint64_t stripe,
           // RAID-1 data survives while at least one mirror is writable.
           done(UnreadableCount() < layout_.width());
         });
-    const std::span<const std::uint8_t> data(
-        src, static_cast<std::size_t>(block_count) * bs);
     for (const std::uint32_t m : targets) {
       disks_[m]->Write(
-          lba0 + first_block, data, [join](bool ok) { join->Arrive(ok); },
+          lba0 + first_block, src, [join](bool ok) { join->Arrive(ok); },
           ctx);
     }
     return;
@@ -528,11 +537,11 @@ void RaidGroup::StripeWriteRaid01(std::uint64_t stripe,
       join->Arrive(false);
       continue;
     }
-    const std::uint8_t* p =
-        src + (static_cast<std::size_t>(u) * ublocks + a - first_block) * bs;
     disks_[d]->Write(
         lba0 + a,
-        std::span<const std::uint8_t>(p, static_cast<std::size_t>(b - a) * bs),
+        src.Slice((static_cast<std::size_t>(u) * ublocks + a - first_block) *
+                      bs,
+                  static_cast<std::size_t>(b - a) * bs),
         [join](bool ok) { join->Arrive(ok); }, ctx);
   }
 }
@@ -540,7 +549,7 @@ void RaidGroup::StripeWriteRaid01(std::uint64_t stripe,
 void RaidGroup::StripeWriteParity(std::uint64_t stripe,
                                   std::uint32_t first_block,
                                   std::uint32_t block_count,
-                                  const std::uint8_t* src,
+                                  util::Payload src,
                                   std::function<void(bool)> done,
                                   obs::TraceContext ctx) {
   const std::uint32_t du = layout_.DataUnitsPerStripe();
@@ -553,12 +562,12 @@ void RaidGroup::StripeWriteParity(std::uint64_t stripe,
   // The write-back phase common to the full-stripe and partial paths.
   auto write_phase = [this, stripe, first_block, block_count, lba0, du,
                       ublocks, ctx, done = std::move(done)](
-                         std::vector<util::Bytes> data) mutable {
+                         std::vector<util::Payload> data) mutable {
     if (data.empty()) {
       done(false);
       return;
     }
-    util::Bytes p, q;
+    util::Payload p, q;
     ComputeParity(data, p, q);
     const std::uint64_t parity_bytes =
         static_cast<std::uint64_t>(data.size()) * unit_bytes();
@@ -571,7 +580,7 @@ void RaidGroup::StripeWriteParity(std::uint64_t stripe,
 
       struct Target {
         std::uint32_t disk;
-        const util::Bytes* content;
+        const util::Payload* content;
       };
       std::vector<Target> targets;
       for (std::uint32_t u = u_first; u <= u_last && u < du; ++u) {
@@ -588,15 +597,13 @@ void RaidGroup::StripeWriteParity(std::uint64_t stripe,
         done(false);
         return;
       }
-      // Keep the buffers alive until all writes are issued+copied: the Disk
-      // copies data synchronously inside Write(), so moving them into the
-      // join closure is sufficient.
       auto join = std::make_shared<Join>(
           static_cast<int>(targets.size()),
-          [this, done = std::move(done), data = std::move(data)](bool) mutable {
+          [this, done = std::move(done)](bool) {
             RefreshMemberStates();
             done(Operational());
           });
+      // Each disk keeps the unit payload it is handed until the write lands.
       for (const Target& t : targets) {
         disks_[t.disk]->Write(
             lba0, *t.content, [join](bool ok) { join->Arrive(ok); }, ctx);
@@ -605,11 +612,11 @@ void RaidGroup::StripeWriteParity(std::uint64_t stripe,
   };
 
   if (first_block == 0 && block_count == dbs) {
-    // Full-stripe write: parity from new data, no reads.
-    std::vector<util::Bytes> data(du);
+    // Full-stripe write: parity from new data, no reads; each data unit is
+    // a view of the incoming payload.
+    std::vector<util::Payload> data(du);
     for (std::uint32_t u = 0; u < du; ++u) {
-      data[u].assign(src + static_cast<std::size_t>(u) * ub,
-                     src + static_cast<std::size_t>(u + 1) * ub);
+      data[u] = src.Slice(static_cast<std::size_t>(u) * ub, ub);
     }
     write_phase(std::move(data));
     return;
@@ -618,7 +625,7 @@ void RaidGroup::StripeWriteParity(std::uint64_t stripe,
   // Partial write: fetch-merge-recompute (reconstruct-write).
   FetchAllData(
       stripe,
-      [this, first_block, block_count, src, bs, ublocks,
+      [first_block, block_count, src = std::move(src), bs, ub, ublocks,
        write_phase = std::move(write_phase)](StripeData sd) mutable {
         if (!sd.ok) {
           // Cannot reconstruct the stripe's current contents: the group has
@@ -626,12 +633,28 @@ void RaidGroup::StripeWriteParity(std::uint64_t stripe,
           write_phase({});  // no targets -> reports failure
           return;
         }
-        for (std::uint32_t i = 0; i < block_count; ++i) {
-          const std::uint32_t blk = first_block + i;
-          const std::uint32_t u = blk / ublocks;
-          const std::uint32_t off = blk % ublocks;
-          std::memcpy(sd.units[u].data() + static_cast<std::size_t>(off) * bs,
-                      src + static_cast<std::size_t>(i) * bs, bs);
+        // A unit the write covers whole becomes a view of the payload; a
+        // partly covered one is merged into a fresh unit.
+        const std::uint32_t end = first_block + block_count;
+        for (std::uint32_t u = first_block / ublocks; u * ublocks < end;
+             ++u) {
+          const std::uint32_t a =
+              std::max(first_block, u * ublocks) - u * ublocks;
+          const std::uint32_t b =
+              std::min(end, (u + 1) * ublocks) - u * ublocks;
+          const util::Payload patch = src.Slice(
+              (static_cast<std::size_t>(u) * ublocks + a - first_block) * bs,
+              static_cast<std::size_t>(b - a) * bs);
+          if (b - a == ublocks) {
+            sd.units[u] = patch;
+            continue;
+          }
+          const util::Payload& old = sd.units[u];
+          sd.units[u] = util::Payload(ub, [&](std::span<std::uint8_t> out) {
+            std::memcpy(out.data(), old.data(), ub);
+            std::memcpy(out.data() + static_cast<std::size_t>(a) * bs,
+                        patch.data(), patch.size());
+          });
         }
         write_phase(std::move(sd.units));
       },
@@ -639,7 +662,7 @@ void RaidGroup::StripeWriteParity(std::uint64_t stripe,
 }
 
 void RaidGroup::StripeWrite(std::uint64_t stripe, std::uint32_t first_block,
-                            std::uint32_t block_count, const std::uint8_t* src,
+                            std::uint32_t block_count, util::Payload src,
                             std::function<void(bool)> done,
                             obs::TraceContext ctx) {
   RefreshMemberStates();
@@ -648,13 +671,12 @@ void RaidGroup::StripeWrite(std::uint64_t stripe, std::uint32_t first_block,
     StripeWriteRaid01(stripe, first_block, block_count, src, std::move(done),
                       ctx);
   } else {
-    StripeWriteParity(stripe, first_block, block_count, src, std::move(done),
-                      ctx);
+    StripeWriteParity(stripe, first_block, block_count, std::move(src),
+                      std::move(done), ctx);
   }
 }
 
-void RaidGroup::WriteBlocks(std::uint64_t block,
-                            std::span<const std::uint8_t> data,
+void RaidGroup::WriteBlocks(std::uint64_t block, const util::Payload& data,
                             WriteCallback cb, obs::TraceContext ctx) {
   const obs::TraceContext span =
       obs::StartSpan(ctx, obs::Layer::kRaid, "raid.write");
@@ -664,14 +686,11 @@ void RaidGroup::WriteBlocks(std::uint64_t block,
   assert(block + count <= DataCapacityBlocks());
   const std::uint32_t dbs = layout_.DataBlocksPerStripe();
 
-  // Copy once: the caller's buffer may not outlive the simulated I/O.
-  auto src = std::make_shared<util::Bytes>(data.begin(), data.end());
-
   struct Piece {
     std::uint64_t stripe;
     std::uint32_t first;
     std::uint32_t count;
-    std::size_t src_offset;
+    util::Payload src;  // this stripe's share of `data`
   };
   std::vector<Piece> pieces;
   std::uint64_t blk = block;
@@ -681,23 +700,26 @@ void RaidGroup::WriteBlocks(std::uint64_t block,
     const std::uint64_t stripe = blk / dbs;
     const std::uint32_t first = static_cast<std::uint32_t>(blk % dbs);
     const std::uint32_t n = std::min(left, dbs - first);
-    pieces.push_back(Piece{stripe, first, n, off});
+    const std::size_t len = static_cast<std::size_t>(n) * block_size_;
+    pieces.push_back(Piece{stripe, first, n, data.Slice(off, len)});
     blk += n;
     left -= n;
-    off += static_cast<std::size_t>(n) * block_size_;
+    off += len;
   }
 
   auto join = std::make_shared<Join>(
-      static_cast<int>(pieces.size()), [src, span, cb = std::move(cb)](bool ok) {
+      static_cast<int>(pieces.size()), [span, cb = std::move(cb)](bool ok) {
         obs::EndSpan(span);
         cb(ok);
       });
-  for (const Piece& p : pieces) {
-    LockStripe(p.stripe, [this, p, src, join, span] {
+  for (Piece& p : pieces) {
+    LockStripe(p.stripe, [this, stripe = p.stripe, first = p.first,
+                          n = p.count, src = std::move(p.src), join,
+                          span]() mutable {
       StripeWrite(
-          p.stripe, p.first, p.count, src->data() + p.src_offset,
-          [this, p, join](bool ok) {
-            UnlockStripe(p.stripe);
+          stripe, first, n, std::move(src),
+          [this, stripe, join](bool ok) {
+            UnlockStripe(stripe);
             join->Arrive(ok);
           },
           span);
@@ -719,36 +741,22 @@ void RaidGroup::RebuildStripe(std::uint64_t stripe, std::uint32_t disk_index,
         return;
       }
       const UnitRole role = layout_.RoleOf(stripe, disk_index);
-      util::Bytes content;
+      util::Payload content;
       std::uint64_t extra_compute = 0;
-      switch (role.kind) {
-        case UnitRole::kData:
-          content = std::move(sd.units[role.data_index]);
-          break;
-        case UnitRole::kParityP: {
-          util::Bytes q;
-          std::vector<util::Bytes> data = std::move(sd.units);
-          util::Bytes p;
-          ComputeParity(data, p, q);
-          content = std::move(p);
-          extra_compute = static_cast<std::uint64_t>(data.size()) * unit_bytes();
-          break;
-        }
-        case UnitRole::kParityQ: {
-          util::Bytes p;
-          std::vector<util::Bytes> data = std::move(sd.units);
-          util::Bytes q;
-          ComputeParity(data, p, q);
-          content = std::move(q);
-          extra_compute = static_cast<std::uint64_t>(data.size()) * unit_bytes();
-          break;
-        }
+      if (role.kind == UnitRole::kData) {
+        content = std::move(sd.units[role.data_index]);
+      } else {
+        util::Payload p, q;
+        ComputeParity(sd.units, p, q);
+        content = role.kind == UnitRole::kParityP ? std::move(p) : std::move(q);
+        extra_compute =
+            static_cast<std::uint64_t>(sd.units.size()) * unit_bytes();
       }
       Compute(extra_compute, [this, stripe, disk_index,
                               content = std::move(content),
                               cb = std::move(cb)]() mutable {
         disks_[disk_index]->Write(
-            layout_.StripeLba(stripe), content,
+            layout_.StripeLba(stripe), std::move(content),
             [this, stripe, cb = std::move(cb)](bool ok) {
               UnlockStripe(stripe);
               cb(ok);

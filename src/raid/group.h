@@ -19,7 +19,6 @@
 #include <deque>
 #include <functional>
 #include <map>
-#include <span>
 #include <vector>
 
 #include "disk/disk.h"
@@ -27,7 +26,7 @@
 #include "raid/layout.h"
 #include "sim/engine.h"
 #include "sim/resource.h"
-#include "util/bytes.h"
+#include "util/payload.h"
 
 namespace nlss::raid {
 
@@ -40,7 +39,7 @@ class RaidGroup {
     double parity_ns_per_byte = 0.5;         // ~2 GB/s XOR engine
   };
 
-  using ReadCallback = std::function<void(bool ok, util::Bytes data)>;
+  using ReadCallback = std::function<void(bool ok, util::Payload data)>;
   using WriteCallback = std::function<void(bool ok)>;
 
   RaidGroup(sim::Engine& engine, std::vector<disk::Disk*> disks,
@@ -53,7 +52,7 @@ class RaidGroup {
 
   void ReadBlocks(std::uint64_t block, std::uint32_t count, ReadCallback cb,
                   obs::TraceContext ctx = {});
-  void WriteBlocks(std::uint64_t block, std::span<const std::uint8_t> data,
+  void WriteBlocks(std::uint64_t block, const util::Payload& data,
                    WriteCallback cb, obs::TraceContext ctx = {});
 
   // --- Health and rebuild ------------------------------------------------
@@ -93,9 +92,12 @@ class RaidGroup {
  private:
   struct StripeData {
     bool ok = false;
-    std::vector<util::Bytes> units;  // one per data unit, full-size
+    std::vector<util::Payload> units;  // one per data unit, full-size
   };
   using FetchCallback = std::function<void(StripeData)>;
+  /// A stripe read's result: the requested range as views, in order.
+  using PartsCallback =
+      std::function<void(bool ok, std::vector<util::Payload> parts)>;
 
   /// True if the member can be read from (live only).
   bool Readable(std::uint32_t i) const {
@@ -118,31 +120,32 @@ class RaidGroup {
   void FetchAllData(std::uint64_t stripe, FetchCallback cb,
                     obs::TraceContext ctx = {});
 
-  /// Reconstruct missing data units in-place given surviving raw units.
-  /// raw[i] holds disk i's unit (empty if unreadable).  Returns false if
-  /// too many members are missing.
-  bool Reconstruct(std::uint64_t stripe, std::vector<util::Bytes>& raw,
-                   std::vector<util::Bytes>& data_out);
+  /// Reconstruct missing data units given surviving raw units.  raw[i]
+  /// holds disk i's unit (empty if unreadable).  Returns false if too many
+  /// members are missing.
+  bool Reconstruct(std::uint64_t stripe, std::vector<util::Payload>& raw,
+                   std::vector<util::Payload>& data_out);
 
   // Stripe-granular operations (assume lock held; release it on completion).
+  // A write's `src` is exactly the `block_count` blocks it stores.
   void StripeRead(std::uint64_t stripe, std::uint32_t first_block,
-                  std::uint32_t block_count, std::uint8_t* out,
-                  std::function<void(bool)> done, obs::TraceContext ctx = {});
+                  std::uint32_t block_count, PartsCallback done,
+                  obs::TraceContext ctx = {});
   void StripeWrite(std::uint64_t stripe, std::uint32_t first_block,
-                   std::uint32_t block_count, const std::uint8_t* src,
+                   std::uint32_t block_count, util::Payload src,
                    std::function<void(bool)> done, obs::TraceContext ctx = {});
   void StripeWriteRaid01(std::uint64_t stripe, std::uint32_t first_block,
-                         std::uint32_t block_count, const std::uint8_t* src,
+                         std::uint32_t block_count, const util::Payload& src,
                          std::function<void(bool)> done,
                          obs::TraceContext ctx = {});
   void StripeWriteParity(std::uint64_t stripe, std::uint32_t first_block,
-                         std::uint32_t block_count, const std::uint8_t* src,
+                         std::uint32_t block_count, util::Payload src,
                          std::function<void(bool)> done,
                          obs::TraceContext ctx = {});
 
   /// Compute P (and Q for RAID-6) over full data units.
-  void ComputeParity(const std::vector<util::Bytes>& data, util::Bytes& p,
-                     util::Bytes& q) const;
+  void ComputeParity(const std::vector<util::Payload>& data, util::Payload& p,
+                     util::Payload& q) const;
 
   std::uint32_t unit_bytes() const {
     return layout_.unit_blocks() * block_size_;

@@ -1,5 +1,7 @@
 #include "security/encrypted_backing.h"
 
+#include <cstring>
+
 namespace nlss::security {
 
 EncryptedBacking::EncryptedBacking(sim::Engine& engine,
@@ -26,47 +28,46 @@ void EncryptedBacking::ReadBlocks(std::uint64_t block, std::uint32_t count,
                                   ReadCallback cb, obs::TraceContext ctx) {
   inner_.ReadBlocks(
       block, count,
-      [this, block, cb = std::move(cb)](bool ok, util::Bytes data) mutable {
+      [this, block, cb = std::move(cb)](bool ok, util::Payload data) mutable {
         if (!ok) {
           cb(false, {});
           return;
         }
+        // Ciphertext in, plaintext out: decryption writes a fresh payload.
         const std::uint32_t bs = block_size();
-        for (std::uint32_t i = 0; i * bs < data.size(); ++i) {
-          crypto::XtsDecrypt(data_key_, tweak_key_, block + i,
-                             std::span<std::uint8_t>(data.data() +
-                                                         static_cast<std::size_t>(i) * bs,
-                                                     bs));
-        }
-        bytes_decrypted_ += data.size();
-        const std::uint64_t n = data.size();
-        auto shared = std::make_shared<util::Bytes>(std::move(data));
-        Charge(n, [shared, cb = std::move(cb)]() mutable {
-          cb(true, std::move(*shared));
+        util::Payload plain(data.size(), [&](std::span<std::uint8_t> out) {
+          std::memcpy(out.data(), data.data(), data.size());
+          for (std::uint32_t i = 0; i * bs < out.size(); ++i) {
+            crypto::XtsDecrypt(
+                data_key_, tweak_key_, block + i,
+                out.subspan(static_cast<std::size_t>(i) * bs, bs));
+          }
+        });
+        bytes_decrypted_ += plain.size();
+        const std::uint64_t n = plain.size();
+        Charge(n, [plain = std::move(plain), cb = std::move(cb)]() mutable {
+          cb(true, std::move(plain));
         });
       },
       ctx);
 }
 
-void EncryptedBacking::WriteBlocks(std::uint64_t block,
-                                   std::span<const std::uint8_t> data,
+void EncryptedBacking::WriteBlocks(std::uint64_t block, util::Payload data,
                                    WriteCallback cb, obs::TraceContext ctx) {
-  util::Bytes ciphertext(data.begin(), data.end());
   const std::uint32_t bs = block_size();
-  for (std::uint32_t i = 0; i * bs < ciphertext.size(); ++i) {
-    crypto::XtsEncrypt(data_key_, tweak_key_, block + i,
-                       std::span<std::uint8_t>(
-                           ciphertext.data() + static_cast<std::size_t>(i) * bs,
-                           bs));
-  }
+  util::Payload ciphertext(data.size(), [&](std::span<std::uint8_t> out) {
+    std::memcpy(out.data(), data.data(), data.size());
+    for (std::uint32_t i = 0; i * bs < out.size(); ++i) {
+      crypto::XtsEncrypt(data_key_, tweak_key_, block + i,
+                         out.subspan(static_cast<std::size_t>(i) * bs, bs));
+    }
+  });
   bytes_encrypted_ += ciphertext.size();
-  auto shared = std::make_shared<util::Bytes>(std::move(ciphertext));
-  Charge(shared->size(),
-         [this, block, shared, ctx, cb = std::move(cb)]() mutable {
-           inner_.WriteBlocks(
-               block, *shared,
-               [shared, cb = std::move(cb)](bool ok) { cb(ok); }, ctx);
-         });
+  const std::uint64_t n = ciphertext.size();
+  Charge(n, [this, block, ciphertext = std::move(ciphertext), ctx,
+             cb = std::move(cb)]() mutable {
+    inner_.WriteBlocks(block, std::move(ciphertext), std::move(cb), ctx);
+  });
 }
 
 }  // namespace nlss::security

@@ -34,8 +34,8 @@ class EncryptedBacking final : public cache::BackingStore {
 
   void ReadBlocks(std::uint64_t block, std::uint32_t count, ReadCallback cb,
                   obs::TraceContext ctx = {}) override;
-  void WriteBlocks(std::uint64_t block, std::span<const std::uint8_t> data,
-                   WriteCallback cb, obs::TraceContext ctx = {}) override;
+  void WriteBlocks(std::uint64_t block, util::Payload data, WriteCallback cb,
+                   obs::TraceContext ctx = {}) override;
   std::uint64_t CapacityBlocks() const override {
     return inner_.CapacityBlocks();
   }

@@ -155,7 +155,7 @@ bool TierManager::TierRead(cache::ControllerId ctrl, const cache::PageKey& key,
   Lane& lane = LaneOf(holder);
   const obs::TraceContext span =
       obs::StartSpan(ctx, obs::Layer::kTier, "tier.flash_read");
-  util::Bytes data = e->data;  // copy now: the entry may move underneath us
+  util::Payload data = e->data;  // the entry may be erased underneath us
   const std::uint64_t bytes = data.size();
   if (!e->dirty) {
     // Promotion: the page is about to live in DRAM and the disk copy is
@@ -185,7 +185,7 @@ bool TierManager::TierRead(cache::ControllerId ctrl, const cache::PageKey& key,
 
 bool TierManager::TierWriteBack(cache::ControllerId ctrl,
                                 const std::vector<cache::TierPageSnap>& pages,
-                                const util::Bytes& data,
+                                const util::Payload& data,
                                 cache::BackingStore::WriteCallback cb,
                                 obs::TraceContext ctx) {
   Lane& lane = LaneOf(ctrl);
@@ -255,8 +255,7 @@ bool TierManager::TierWriteBack(cache::ControllerId ctrl,
     NLSS_ACCESS(kTier, RaceKey(s.key), kWrite);
     Entry& e = lane.flash[s.key];
     loc_[s.key] = ctrl;
-    e.data.assign(data.begin() + i * page_bytes,
-                  data.begin() + (i + 1) * page_bytes);
+    e.data = data.Slice(i * page_bytes, page_bytes);
     SetDirty(lane, e, true);
     e.dirty_epoch = s.dirty_epoch;
     e.wid = s.wid;
@@ -305,7 +304,7 @@ bool TierManager::TierWriteBack(cache::ControllerId ctrl,
 
 void TierManager::OnCleanEvict(cache::ControllerId ctrl,
                                const cache::PageKey& key,
-                               const util::Bytes& data) {
+                               const util::Payload& data) {
   // Opportunistic while the lane has free capacity (the whole point of a
   // flash tier is to capture what DRAM cannot hold); heat-gated only once
   // admitting means evicting something else.
@@ -318,7 +317,7 @@ void TierManager::OnCleanEvict(cache::ControllerId ctrl,
 
 void TierManager::OnDiskRead(cache::ControllerId ctrl,
                              const cache::PageKey& key,
-                             const util::Bytes& data) {
+                             const util::Payload& data) {
   if (!LaneHasRoom(ctrl) && heat_.HeatOf(key) < config_.admit_min_heat) {
     return;
   }
@@ -326,7 +325,7 @@ void TierManager::OnDiskRead(cache::ControllerId ctrl,
 }
 
 void TierManager::StageSpill(cache::ControllerId ctrl,
-                             const cache::PageKey& key, util::Bytes data,
+                             const cache::PageKey& key, util::Payload data,
                              bool admission) {
   if (loc_.find(key) != loc_.end()) return;  // already flash-resident
   Lane& lane = LaneOf(ctrl);
@@ -435,7 +434,7 @@ void TierManager::MaybeCool(cache::ControllerId ctrl,
     victims.push_back(key);
   });
   for (const cache::PageKey& key : victims) {
-    util::Bytes data;
+    util::Payload data;
     if (!cluster_.StealCleanFrame(ctrl, key, &data)) continue;
     if (loc_.find(key) == loc_.end() &&
         (LaneHasRoom(ctrl) ||
@@ -557,7 +556,7 @@ void TierManager::IssueDemote(cache::ControllerId ctrl,
   // Flash read of the batch, then one backing write per page (pages in a
   // demote batch are rarely disk-contiguous, unlike a flush run).
   std::uint64_t bytes = 0;
-  std::vector<std::tuple<cache::PageKey, std::uint64_t, util::Bytes>> work;
+  std::vector<std::tuple<cache::PageKey, std::uint64_t, util::Payload>> work;
   work.reserve(batch.size());
   for (const cache::PageKey& key : batch) {
     const auto eit = lane.flash.find(key);

@@ -47,7 +47,7 @@
 #include "sim/engine.h"
 #include "sim/resource.h"
 #include "tier/heat.h"
-#include "util/bytes.h"
+#include "util/payload.h"
 
 namespace nlss::tier {
 
@@ -138,13 +138,13 @@ class TierManager final : public cache::TierHook {
                 obs::TraceContext ctx) override;
   bool TierWriteBack(cache::ControllerId ctrl,
                      const std::vector<cache::TierPageSnap>& pages,
-                     const util::Bytes& data,
+                     const util::Payload& data,
                      cache::BackingStore::WriteCallback cb,
                      obs::TraceContext ctx) override;
   void OnCleanEvict(cache::ControllerId ctrl, const cache::PageKey& key,
-                    const util::Bytes& data) override;
+                    const util::Payload& data) override;
   void OnDiskRead(cache::ControllerId ctrl, const cache::PageKey& key,
-                  const util::Bytes& data) override;
+                  const util::Payload& data) override;
   void OnAccess(cache::ControllerId ctrl, const cache::PageKey& key,
                 bool write) override;
   std::optional<cache::PageKey> PickVictim(cache::ControllerId ctrl,
@@ -171,7 +171,7 @@ class TierManager final : public cache::TierHook {
   };
 
   struct Entry {
-    util::Bytes data;
+    util::Payload data;
     bool dirty = false;
     EntryState state = EntryState::kReady;
     /// Bumped on every absorb; demote completions compare against their
@@ -209,7 +209,7 @@ class TierManager final : public cache::TierHook {
   /// Buffer one clean page into the lane's spill batch (installs the entry
   /// as kStaging immediately so concurrent reads can join).
   void StageSpill(cache::ControllerId ctrl, const cache::PageKey& key,
-                  util::Bytes data, bool admission);
+                  util::Payload data, bool admission);
   void FlushStaging(cache::ControllerId ctrl);
 
   void MaybeCool(cache::ControllerId ctrl, const cache::PageKey& skip);

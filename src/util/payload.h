@@ -1,0 +1,96 @@
+// Payload: the simulator's one representation of data bytes on the I/O
+// path.  A payload is a refcounted, immutable view of a byte buffer, so
+// handing one from host to blade, cache frame, replica, flash entry, RAID
+// unit and disk extent copies a pointer, never the bytes.  Bytes are
+// materialized (written into a fresh buffer) only through the copy-on-write
+// constructor and the helpers built on it; every such buffer is counted in
+// materialized_bytes().
+#pragma once
+
+#include <atomic>
+#include <cassert>
+#include <cstddef>
+#include <cstdint>
+#include <memory>
+#include <span>
+#include <utility>
+
+#include "util/bytes.h"
+
+namespace nlss::util {
+
+class Payload {
+ public:
+  /// Empty payload (size 0).
+  Payload() = default;
+
+  /// Copy-on-write construction: allocate `size` fresh bytes, let `fill`
+  /// write all of them through a std::span<std::uint8_t>, then freeze the
+  /// buffer.  The only place a payload's bytes are ever writable.
+  template <typename Fill>
+  explicit Payload(std::size_t size, Fill&& fill)
+      : size_(size), buffer_size_(size) {
+    if (size == 0) return;
+    auto buf = std::make_shared_for_overwrite<std::uint8_t[]>(size);
+    std::forward<Fill>(fill)(std::span<std::uint8_t>(buf.get(), size));
+    buf_ = std::move(buf);
+    materialized_.fetch_add(size, std::memory_order_relaxed);
+  }
+
+  /// A fresh copy of `bytes`.
+  static Payload Copy(std::span<const std::uint8_t> bytes);
+  /// `size` zero bytes.
+  static Payload Zeros(std::size_t size);
+  /// `pieces` back to back.  A lone non-empty piece is shared as is; two or
+  /// more are copied into one fresh buffer.
+  static Payload Concat(std::span<const Payload> pieces);
+
+  /// View of `length` bytes starting at `offset` (shares the buffer).
+  Payload Slice(std::size_t offset, std::size_t length) const {
+    assert(offset + length <= size_);
+    Payload out;
+    if (length == 0) return out;
+    out.buf_ = buf_;
+    out.offset_ = offset_ + offset;
+    out.size_ = length;
+    out.buffer_size_ = buffer_size_;
+    return out;
+  }
+
+  /// This view, or a fresh copy of it when it is less than half of the
+  /// buffer it keeps alive.  For holders that outlive the buffer's other
+  /// users, so a small view never pins a much larger dead buffer.
+  Payload Compact() const {
+    return size_ * 2 < buffer_size_ ? Copy(*this) : *this;
+  }
+
+  const std::uint8_t* data() const { return buf_.get() + offset_; }
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  std::uint8_t operator[](std::size_t i) const { return data()[i]; }
+  const std::uint8_t* begin() const { return data(); }
+  const std::uint8_t* end() const { return data() + size_; }
+  operator std::span<const std::uint8_t>() const { return {data(), size_}; }
+
+  /// Copy out into caller-owned bytes: the host edge, where data leaves the
+  /// simulated system.  Counted like any other materialization.
+  Bytes ToBytes() const;
+
+  /// Bytes written into fresh buffers by this process so far.  A host-side
+  /// cost counter: it never feeds a simulated result or an obs digest.
+  static std::uint64_t materialized_bytes() {
+    return materialized_.load(std::memory_order_relaxed);
+  }
+
+  friend bool operator==(const Payload& a, std::span<const std::uint8_t> b);
+
+ private:
+  static inline std::atomic<std::uint64_t> materialized_{0};
+
+  std::shared_ptr<const std::uint8_t[]> buf_;
+  std::size_t offset_ = 0;
+  std::size_t size_ = 0;
+  std::size_t buffer_size_ = 0;  // bytes the shared buffer holds
+};
+
+}  // namespace nlss::util

@@ -53,8 +53,8 @@ void StoragePool::ReadBlocks(const PhysExtent& e, std::uint32_t offset_blocks,
 }
 
 void StoragePool::WriteBlocks(const PhysExtent& e, std::uint32_t offset_blocks,
-                              std::span<const std::uint8_t> data,
-                              WriteCallback cb, obs::TraceContext ctx) {
+                              const util::Payload& data, WriteCallback cb,
+                              obs::TraceContext ctx) {
   assert(offset_blocks + data.size() / block_size_ <= extent_blocks_);
   groups_[e.group]->WriteBlocks(BaseBlock(e) + offset_blocks, data,
                                 std::move(cb), ctx);

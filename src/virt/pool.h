@@ -10,11 +10,10 @@
 #include <deque>
 #include <functional>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "raid/group.h"
-#include "util/bytes.h"
+#include "util/payload.h"
 
 namespace nlss::virt {
 
@@ -47,7 +46,7 @@ class StoragePool {
     return static_cast<std::uint64_t>(extent_blocks_) * block_size_;
   }
 
-  using ReadCallback = std::function<void(bool, util::Bytes)>;
+  using ReadCallback = std::function<void(bool, util::Payload)>;
   using WriteCallback = std::function<void(bool)>;
 
   /// I/O within one extent (offset/count must not cross the extent end).
@@ -55,7 +54,7 @@ class StoragePool {
                   std::uint32_t count, ReadCallback cb,
                   obs::TraceContext ctx = {});
   void WriteBlocks(const PhysExtent& e, std::uint32_t offset_blocks,
-                   std::span<const std::uint8_t> data, WriteCallback cb,
+                   const util::Payload& data, WriteCallback cb,
                    obs::TraceContext ctx = {});
 
   raid::RaidGroup& group(std::uint32_t i) { return *groups_[i]; }

@@ -93,46 +93,43 @@ void DemandMappedVolume::ReadVia(const ExtentMap& map, std::uint64_t block,
   assert(block + count <= virtual_blocks_);
   const std::uint32_t eb = pool_.extent_blocks();
   const std::uint32_t bs = block_size();
-  auto result = std::make_shared<util::Bytes>(
-      static_cast<std::size_t>(count) * bs, 0);
 
   struct Piece {
     std::uint64_t vext;
     std::uint32_t off;
     std::uint32_t n;
-    std::size_t out;
   };
   std::vector<Piece> pieces;
   std::uint64_t cur = block;
   std::uint32_t left = count;
-  std::size_t out = 0;
   while (left > 0) {
     const std::uint64_t vext = cur / eb;
     const std::uint32_t off = static_cast<std::uint32_t>(cur % eb);
     const std::uint32_t n = std::min(left, eb - off);
-    pieces.push_back(Piece{vext, off, n, out});
+    pieces.push_back(Piece{vext, off, n});
     cur += n;
     left -= n;
-    out += static_cast<std::size_t>(n) * bs;
   }
+  // Per-extent views, joined into one payload only when there are several.
+  auto parts = std::make_shared<std::vector<util::Payload>>(pieces.size());
   auto join = std::make_shared<Join>(
       static_cast<int>(pieces.size()),
-      [result, cb = std::move(cb)](bool ok) {
-        cb(ok, ok ? std::move(*result) : util::Bytes{});
+      [parts, cb = std::move(cb)](bool ok) {
+        cb(ok, ok ? util::Payload::Concat(*parts) : util::Payload());
       });
-  for (const Piece& p : pieces) {
+  for (std::size_t i = 0; i < pieces.size(); ++i) {
+    const Piece& p = pieces[i];
     const auto& phys = map[p.vext];
     if (!phys) {
-      // Unmapped: reads as zeros (the buffer is pre-zeroed).
+      // Unmapped: reads as zeros.
+      (*parts)[i] = util::Payload::Zeros(static_cast<std::size_t>(p.n) * bs);
       engine_.Schedule(0, [join] { join->Arrive(true); });
       continue;
     }
     pool_.ReadBlocks(
         *phys, p.off, p.n,
-        [result, p, bs, join](bool ok, util::Bytes data) {
-          if (ok) {
-            std::memcpy(result->data() + p.out, data.data(), data.size());
-          }
+        [parts, i, join](bool ok, util::Payload data) {
+          if (ok) (*parts)[i] = std::move(data);
           join->Arrive(ok);
         },
         ctx);
@@ -154,7 +151,7 @@ void DemandMappedVolume::ReadSnapshotBlocks(SnapshotId id, std::uint64_t block,
 
 void DemandMappedVolume::WriteWithinExtent(std::uint64_t vext,
                                            std::uint32_t offset_blocks,
-                                           std::span<const std::uint8_t> data,
+                                           util::Payload data,
                                            WriteCallback cb,
                                            obs::TraceContext ctx) {
   const std::uint32_t eb = pool_.extent_blocks();
@@ -183,12 +180,27 @@ void DemandMappedVolume::WriteWithinExtent(std::uint64_t vext,
     return;
   }
 
+  // A write that covers only part of an extent is merged into a fresh,
+  // extent-sized buffer: over `base`, or over zeros when `base` is empty.
+  auto merge = [this, offset_blocks, bs](const util::Payload& base,
+                                         const util::Payload& patch) {
+    const std::size_t size = pool_.extent_bytes();
+    return util::Payload(size, [&](std::span<std::uint8_t> out) {
+      if (base.empty()) {
+        std::memset(out.data(), 0, out.size());
+      } else {
+        std::memcpy(out.data(), base.data(), out.size());
+      }
+      std::memcpy(out.data() + static_cast<std::size_t>(offset_blocks) * bs,
+                  patch.data(), patch.size());
+    });
+  };
+
   if (needs_alloc) {
     // First touch: initialize the whole extent (zeros merged with the new
     // data) so stale pool content never leaks into the volume.
-    util::Bytes init(pool_.extent_bytes(), 0);
-    std::memcpy(init.data() + static_cast<std::size_t>(offset_blocks) * bs,
-                data.data(), data.size());
+    const util::Payload init =
+        data.size() == pool_.extent_bytes() ? data : merge({}, data);
     slot = *fresh;
     Ref(*fresh);
     ++mapped_extents_;
@@ -199,21 +211,16 @@ void DemandMappedVolume::WriteWithinExtent(std::uint64_t vext,
   // Copy-on-write: read the shared extent, merge, write the private copy.
   const PhysExtent old = *slot;
   ++cow_copies_;
-  util::Bytes patch(data.begin(), data.end());
   pool_.ReadBlocks(
       old, 0, eb,
-      [this, vext, old, fresh = *fresh, offset_blocks, bs, ctx,
-       patch = std::move(patch),
-       finish = std::move(finish)](bool ok, util::Bytes content) mutable {
+      [this, vext, old, fresh = *fresh, ctx, merge, patch = std::move(data),
+       finish = std::move(finish)](bool ok, util::Payload content) mutable {
         if (!ok) {
           finish(false);
           return;
         }
-        std::memcpy(content.data() +
-                        static_cast<std::size_t>(offset_blocks) * bs,
-                    patch.data(), patch.size());
         pool_.WriteBlocks(
-            fresh, 0, content,
+            fresh, 0, merge(content, patch),
             [this, vext, old, fresh, finish = std::move(finish)](bool ok2) mutable {
               if (ok2) {
                 map_[vext] = fresh;
@@ -229,8 +236,7 @@ void DemandMappedVolume::WriteWithinExtent(std::uint64_t vext,
       ctx);
 }
 
-void DemandMappedVolume::WriteBlocks(std::uint64_t block,
-                                     std::span<const std::uint8_t> data,
+void DemandMappedVolume::WriteBlocks(std::uint64_t block, util::Payload data,
                                      WriteCallback cb, obs::TraceContext ctx) {
   assert(data.size() % block_size() == 0);
   const std::uint32_t count =
@@ -238,9 +244,6 @@ void DemandMappedVolume::WriteBlocks(std::uint64_t block,
   assert(block + count <= virtual_blocks_);
   const std::uint32_t eb = pool_.extent_blocks();
   const std::uint32_t bs = block_size();
-
-  // Copy once; simulated I/O outlives the caller's buffer.
-  auto src = std::make_shared<util::Bytes>(data.begin(), data.end());
 
   struct Piece {
     std::uint64_t vext;
@@ -262,16 +265,13 @@ void DemandMappedVolume::WriteBlocks(std::uint64_t block,
     soff += static_cast<std::size_t>(n) * bs;
   }
   auto join = std::make_shared<Join>(static_cast<int>(pieces.size()),
-                                     [src, cb = std::move(cb)](bool ok) {
-                                       cb(ok);
-                                     });
+                                     std::move(cb));
   for (const Piece& p : pieces) {
-    LockExtent(p.vext, [this, p, src, bs, join, ctx] {
+    util::Payload src =
+        data.Slice(p.src_off, static_cast<std::size_t>(p.n) * bs);
+    LockExtent(p.vext, [this, p, src = std::move(src), join, ctx] {
       WriteWithinExtent(
-          p.vext, p.off,
-          std::span<const std::uint8_t>(src->data() + p.src_off,
-                                        static_cast<std::size_t>(p.n) * bs),
-          [join](bool ok) { join->Arrive(ok); }, ctx);
+          p.vext, p.off, src, [join](bool ok) { join->Arrive(ok); }, ctx);
     });
   }
 }
@@ -320,9 +320,10 @@ void DemandMappedVolume::Trim(std::uint64_t block, std::uint64_t count,
       }
       // Partial trim: zero the range (keeps the extent mapped); shared
       // extents get a COW first via the normal write path.
-      const util::Bytes zeros(static_cast<std::size_t>(a.n) * bs, 0);
-      WriteWithinExtent(a.vext, a.off, zeros,
-                        [join](bool ok) { join->Arrive(ok); });
+      WriteWithinExtent(
+          a.vext, a.off,
+          util::Payload::Zeros(static_cast<std::size_t>(a.n) * bs),
+          [join](bool ok) { join->Arrive(ok); });
     });
   }
 }

@@ -40,8 +40,8 @@ class DemandMappedVolume final : public cache::BackingStore {
   // --- BackingStore -------------------------------------------------------
   void ReadBlocks(std::uint64_t block, std::uint32_t count, ReadCallback cb,
                   obs::TraceContext ctx = {}) override;
-  void WriteBlocks(std::uint64_t block, std::span<const std::uint8_t> data,
-                   WriteCallback cb, obs::TraceContext ctx = {}) override;
+  void WriteBlocks(std::uint64_t block, util::Payload data, WriteCallback cb,
+                   obs::TraceContext ctx = {}) override;
   std::uint64_t CapacityBlocks() const override { return virtual_blocks_; }
   std::uint32_t block_size() const override { return pool_.block_size(); }
 
@@ -96,7 +96,7 @@ class DemandMappedVolume final : public cache::BackingStore {
   /// Write one in-extent range, handling allocate-on-write and COW.
   /// Assumes the extent lock is held; releases it before cb.
   void WriteWithinExtent(std::uint64_t vext, std::uint32_t offset_blocks,
-                         std::span<const std::uint8_t> data, WriteCallback cb,
+                         util::Payload data, WriteCallback cb,
                          obs::TraceContext ctx = {});
 
   /// Read via an arbitrary mapping (current or snapshot).

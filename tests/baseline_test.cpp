@@ -26,7 +26,8 @@ class ArrayTest : public ::testing::Test {
 
   bool Write(std::uint32_t lun, std::uint64_t off, const util::Bytes& data) {
     bool ok = false;
-    array_->Write(host_, lun, off, data, [&](bool r) { ok = r; });
+    array_->Write(host_, lun, off, util::Payload::Copy(data),
+                  [&](bool r) { ok = r; });
     engine_.Run();
     return ok;
   }
@@ -35,9 +36,9 @@ class ArrayTest : public ::testing::Test {
                                     std::uint32_t len) {
     bool ok = false;
     util::Bytes out;
-    array_->Read(host_, lun, off, len, [&](bool r, util::Bytes d) {
+    array_->Read(host_, lun, off, len, [&](bool r, util::Payload d) {
       ok = r;
-      out = std::move(d);
+      out = d.ToBytes();
     });
     engine_.Run();
     return {ok, std::move(out)};
@@ -93,7 +94,8 @@ TEST_F(ArrayTest, FailoverPreservesMirroredDirtyData) {
   for (auto& b : backings_) b->set_latency(200 * util::kNsPerMs);
   const auto data = Pattern(64 * util::KiB, 3);
   bool acked = false;
-  array_->Write(host_, 0, 0, data, [&](bool ok) { acked = ok; });
+  array_->Write(host_, 0, 0, util::Payload::Copy(data),
+                [&](bool ok) { acked = ok; });
   engine_.RunFor(50 * util::kNsPerMs);
   ASSERT_TRUE(acked);
   const std::uint32_t owner = array_->OwnerOf(0);

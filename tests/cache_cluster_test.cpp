@@ -37,7 +37,7 @@ class ClusterTest : public ::testing::Test {
 
   bool Write(ControllerId via, std::uint64_t offset, const util::Bytes& data) {
     bool ok = false, fired = false;
-    cluster_->Write(via, kVol, offset, data, [&](bool r) {
+    cluster_->Write(via, kVol, offset, util::Payload::Copy(data), [&](bool r) {
       ok = r;
       fired = true;
     });
@@ -50,9 +50,9 @@ class ClusterTest : public ::testing::Test {
                                     std::uint32_t len) {
     bool ok = false, fired = false;
     util::Bytes out;
-    cluster_->Read(via, kVol, offset, len, [&](bool r, util::Bytes d) {
+    cluster_->Read(via, kVol, offset, len, [&](bool r, util::Payload d) {
       ok = r;
-      out = std::move(d);
+      out = d.ToBytes();
       fired = true;
     });
     engine_.Run();
@@ -126,6 +126,47 @@ TEST_F(ClusterTest, PartialPageWriteMergesWithExisting) {
   EXPECT_EQ(got, expect);
 }
 
+TEST_F(ClusterTest, RewritesLeaveHandedOutPayloadsUntouched) {
+  CacheCluster::Config config;
+  config.replication = 2;
+  config.flush_delay_ns = 100 * util::kNsPerMs;  // keep the replica pinned
+  Build(2, config);
+  const PageKey key{kVol, 0};
+  const std::uint32_t page = 64 * 1024;
+  const util::Bytes v1 = Pattern(page, 21);
+  cluster_->Write(0, kVol, 0, util::Payload::Copy(v1), [](bool) {});
+  engine_.RunFor(10 * util::kNsPerMs);
+  util::Payload served;
+  cluster_->Read(0, kVol, 0, page,
+                 [&](bool, util::Payload d) { served = std::move(d); });
+  engine_.RunFor(10 * util::kNsPerMs);
+  const CacheNode::Frame* replica = cluster_->node(1).Find(key);
+  ASSERT_NE(replica, nullptr);
+  ASSERT_TRUE(replica->is_replica);
+  const util::Payload pinned = replica->data;
+
+  // A full-page rewrite, then a partial one merged over it.
+  const util::Bytes v2 = Pattern(page, 22);
+  cluster_->Write(0, kVol, 0, util::Payload::Copy(v2), [](bool) {});
+  engine_.RunFor(10 * util::kNsPerMs);
+  util::Payload rewritten;
+  cluster_->Read(0, kVol, 0, page,
+                 [&](bool, util::Payload d) { rewritten = std::move(d); });
+  engine_.RunFor(10 * util::kNsPerMs);
+  const util::Bytes patch = Pattern(100, 23);
+  cluster_->Write(0, kVol, 1000, util::Payload::Copy(patch), [](bool) {});
+  engine_.Run();
+
+  EXPECT_EQ(served, v1) << "a served frame changed under its reader";
+  EXPECT_EQ(pinned, v1) << "a replica's old bytes changed under its holder";
+  EXPECT_EQ(rewritten, v2) << "a partial write changed another holder";
+  util::Bytes expect = v2;
+  std::copy(patch.begin(), patch.end(), expect.begin() + 1000);
+  EXPECT_EQ(Read(1, 0, page).second, expect);
+  EXPECT_TRUE(
+      std::equal(expect.begin(), expect.end(), backing_->raw().begin()));
+}
+
 TEST_F(ClusterTest, ReadMissGoesToBackingExactlyOnce) {
   Build(4);
   ASSERT_TRUE(Write(0, 0, Pattern(64 * 1024, 5)));
@@ -160,7 +201,8 @@ TEST_F(ClusterTest, WriteAckPrecedesDiskWrite) {
   backing_->set_latency(10 * util::kNsPerMs);  // slow disk
   bool acked = false;
   const auto data = Pattern(64 * 1024, 8);
-  cluster_->Write(0, kVol, 0, data, [&](bool ok) { acked = ok; });
+  cluster_->Write(0, kVol, 0, util::Payload::Copy(data),
+                  [&](bool ok) { acked = ok; });
   // Run long enough for replication but shorter than the disk latency.
   engine_.RunFor(5 * util::kNsPerMs);
   EXPECT_TRUE(acked) << "write-back caching must ack before the disk write";
@@ -193,7 +235,8 @@ TEST_F(ClusterTest, NWayReplicationPinsCopies) {
   // Use a slow backing to observe the pinned window instead.
   backing_->set_latency(50 * util::kNsPerMs);
   bool acked = false;
-  cluster_->Write(1, kVol, 1 * 64 * 1024, Pattern(64 * 1024, 13),
+  cluster_->Write(1, kVol, 1 * 64 * 1024,
+                  util::Payload::Copy(Pattern(64 * 1024, 13)),
                   [&](bool) { acked = true; });
   engine_.RunFor(10 * util::kNsPerMs);
   ASSERT_TRUE(acked);
@@ -222,7 +265,8 @@ TEST_F(ClusterTest, DirtyDataSurvivesOwnerFailure) {
   backing_->set_latency(100 * util::kNsPerMs);
   const auto data = Pattern(64 * 1024, 14);
   bool acked = false;
-  cluster_->Write(0, kVol, 0, data, [&](bool ok) { acked = ok; });
+  cluster_->Write(0, kVol, 0, util::Payload::Copy(data),
+                  [&](bool ok) { acked = ok; });
   engine_.RunFor(10 * util::kNsPerMs);
   ASSERT_TRUE(acked);
   EXPECT_EQ(backing_->writes(), 0u);
@@ -248,7 +292,8 @@ TEST_F(ClusterTest, ReplicationOneLosesDataOnFailure) {
   backing_->set_latency(100 * util::kNsPerMs);
   const auto data = Pattern(64 * 1024, 15);
   bool acked = false;
-  cluster_->Write(0, kVol, 0, data, [&](bool ok) { acked = ok; });
+  cluster_->Write(0, kVol, 0, util::Payload::Copy(data),
+                  [&](bool ok) { acked = ok; });
   engine_.RunFor(10 * util::kNsPerMs);
   ASSERT_TRUE(acked);
   cluster_->FailController(0);
@@ -268,7 +313,8 @@ TEST_F(ClusterTest, SurvivesNMinusOneFailures) {
   backing_->set_latency(200 * util::kNsPerMs);
   const auto data = Pattern(64 * 1024, 16);
   bool acked = false;
-  cluster_->Write(2, kVol, 0, data, [&](bool ok) { acked = ok; });
+  cluster_->Write(2, kVol, 0, util::Payload::Copy(data),
+                  [&](bool ok) { acked = ok; });
   engine_.RunFor(20 * util::kNsPerMs);
   ASSERT_TRUE(acked);
   // Kill the owner and one replica holder (N-1 = 2 failures).
@@ -365,8 +411,9 @@ TEST_F(ClusterTest, ConcurrentMixedOpsEventuallyConsistent) {
   for (int round = 0; round < 10; ++round) {
     for (ControllerId c = 0; c < 4; ++c) {
       cluster_->Write(c, kVol, 0,
-                      Pattern(page, 1000 + round * 4 + c), [](bool) {});
-      cluster_->Read(c, kVol, 0, page, [](bool, util::Bytes) {});
+                      util::Payload::Copy(Pattern(page, 1000 + round * 4 + c)),
+                      [](bool) {});
+      cluster_->Read(c, kVol, 0, page, [](bool, util::Payload) {});
     }
   }
   engine_.Run();
@@ -413,10 +460,11 @@ TEST_F(ClusterTest, ReadMissRacingOwnWriteKeepsTheWrite) {
       bool acked = false;
       bool read_ok = false;
       util::Bytes seen;
-      cluster_->Write(0, kVol, p * page, data, [&](bool ok) { acked = ok; });
-      cluster_->Read(0, kVol, p * page, page, [&](bool ok, util::Bytes d) {
+      cluster_->Write(0, kVol, p * page, util::Payload::Copy(data),
+                      [&](bool ok) { acked = ok; });
+      cluster_->Read(0, kVol, p * page, page, [&](bool ok, util::Payload d) {
         read_ok = ok;
-        seen = std::move(d);
+        seen = d.ToBytes();
       });
       engine_.Run();
       engine_.AttachRaceDetector(nullptr);
@@ -448,7 +496,8 @@ TEST_F(ClusterTest, FailedControllerRejectsIo) {
   cluster_->FailController(1);
   cluster_->Recover();
   bool ok = true;
-  cluster_->Write(1, kVol, 0, Pattern(1024, 1), [&](bool r) { ok = r; });
+  cluster_->Write(1, kVol, 0, util::Payload::Copy(Pattern(1024, 1)),
+                  [&](bool r) { ok = r; });
   engine_.Run();
   EXPECT_FALSE(ok);
   // Other controllers still work.
@@ -462,7 +511,7 @@ TEST_F(ClusterTest, RetentionPriorityOverridesLru) {
   Build(1, config);
   // Write a high-priority page first (it becomes the LRU candidate)...
   bool ok = false;
-  cluster_->Write(0, kVol, 0, Pattern(64 * 1024, 1),
+  cluster_->Write(0, kVol, 0, util::Payload::Copy(Pattern(64 * 1024, 1)),
                   [&](bool r) { ok = r; }, /*priority=*/5);
   engine_.Run();
   ASSERT_TRUE(ok);
@@ -490,7 +539,7 @@ TEST_F(ClusterTest, PriorityRaisedByLaterAccess) {
   ASSERT_TRUE(FlushAll());
   bool ok = false;
   cluster_->Read(0, kVol, 0, 1024,
-                 [&](bool r, util::Bytes) { ok = r; }, /*priority=*/3);
+                 [&](bool r, util::Payload) { ok = r; }, /*priority=*/3);
   engine_.Run();
   ASSERT_TRUE(ok);
   const CacheNode::Frame* f = cluster_->node(0).Find(PageKey{kVol, 0});

@@ -24,7 +24,7 @@ class SystemTest : public ::testing::Test {
 
   bool Write(VolumeId vol, std::uint64_t off, const util::Bytes& data) {
     bool ok = false, fired = false;
-    system_->Write(host_, vol, off, data, [&](bool r) {
+    system_->Write(host_, vol, off, util::Payload::Copy(data), [&](bool r) {
       ok = r;
       fired = true;
     });
@@ -37,9 +37,9 @@ class SystemTest : public ::testing::Test {
                                     std::uint32_t len) {
     bool ok = false;
     util::Bytes out;
-    system_->Read(host_, vol, off, len, [&](bool r, util::Bytes d) {
+    system_->Read(host_, vol, off, len, [&](bool r, util::Payload d) {
       ok = r;
-      out = std::move(d);
+      out = d.ToBytes();
     });
     engine_.Run();
     return {ok, std::move(out)};
@@ -65,6 +65,21 @@ TEST_F(SystemTest, EndToEndRoundtrip) {
   auto [ok, got] = Read(vol, 12345, 1 * util::MiB);
   ASSERT_TRUE(ok);
   EXPECT_EQ(got, data);
+}
+
+TEST_F(SystemTest, FinishedOpsReleaseTheirCallbacks) {
+  Build();
+  const VolumeId vol = system_->CreateVolume("physics", 16 * util::MiB);
+  // The retry loops of Write and Read must not keep themselves (and with
+  // them the caller's callback and the payload) alive once the op is done.
+  auto token = std::make_shared<int>(0);
+  const std::weak_ptr<int> watch = token;
+  system_->Write(host_, vol, 0, util::Payload::Copy(Pattern(4096, 1)),
+                 [token](bool) {});
+  system_->Read(host_, vol, 0, 4096,
+                [token = std::move(token)](bool, util::Payload) {});
+  engine_.Run();
+  EXPECT_TRUE(watch.expired());
 }
 
 TEST_F(SystemTest, MultipleVolumesIsolated) {
@@ -154,7 +169,8 @@ TEST_F(SystemTest, WritePolicyReplicationOverride) {
   const VolumeId vol = system_->CreateVolume("t", 32 * util::MiB);
   // Critical file: 3-way; scratch file: 1-way (no copies).
   bool ok = false;
-  system_->WriteReplicated(host_, vol, 0, Pattern(64 * util::KiB, 1), 3,
+  system_->WriteReplicated(host_, vol, 0,
+                           util::Payload::Copy(Pattern(64 * util::KiB, 1)), 3,
                            [&](bool r) { ok = r; });
   // Run past the ack but not past the delayed write-back flush.
   engine_.RunFor(100 * util::kNsPerMs);

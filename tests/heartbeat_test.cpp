@@ -80,7 +80,8 @@ TEST_F(HeartbeatTest, IoContinuesThroughUndetectedCrashViaRetry) {
   const auto vol = system_->CreateVolume("t", 16 * util::MiB);
   const auto data = Pattern(512 * util::KiB, 1);
   bool ok = false;
-  system_->Write(host_, vol, 0, data, [&](bool r) { ok = r; });
+  system_->Write(host_, vol, 0, util::Payload::Copy(data),
+                 [&](bool r) { ok = r; });
   engine_.Run();
   ASSERT_TRUE(ok);
 
@@ -96,7 +97,7 @@ TEST_F(HeartbeatTest, IoContinuesThroughUndetectedCrashViaRetry) {
   constexpr int kReads = 8;
   for (int i = 0; i < kReads; ++i) {
     system_->Read(host_, vol, 0, 64 * util::KiB,
-                  [&](bool r, util::Bytes) { reads_ok += r ? 1 : 0; });
+                  [&](bool r, util::Payload) { reads_ok += r ? 1 : 0; });
   }
   engine_.RunUntil(util::kNsPerSec);
   monitor.Stop();

@@ -81,6 +81,47 @@ TEST_F(HostInitiatorTest, RoundtripThroughMultipath) {
   EXPECT_EQ(init_->path_count(), system_->controller_count());
 }
 
+TEST_F(HostInitiatorTest, PayloadCopiedOnlyAtIngestParityAndDelivery) {
+  InitiatorConfig hc;
+  hc.pin_path = 0;  // enter through blade 0; no hedges
+  Build(hc);
+  const auto vol = system_->CreateVolume("physics", 8 * util::MiB);
+  constexpr std::uint32_t kPage = 64 * util::KiB;
+  // Lay down the whole first extent, so a later page write finds every
+  // RAID unit of its stripe on disk instead of a first-touch zero fill.
+  ASSERT_TRUE(Write(vol, 0, Pattern(util::MiB, 1)));
+
+  // A full-page write copies the host's bytes once and computes one parity
+  // unit (RAID-5); cache frame, replica, flush and disk share the rest.
+  auto before = util::Payload::materialized_bytes();
+  ASSERT_TRUE(Write(vol, 2 * kPage, Pattern(kPage, 2)));
+  EXPECT_LE(util::Payload::materialized_bytes() - before, 2u * kPage);
+
+  // A local hit on blade 0 copies only into the host's buffer.
+  const auto local_hits = system_->cache().stats(0).local_hits;
+  before = util::Payload::materialized_bytes();
+  auto [ok, got] = Read(vol, 2 * kPage, kPage);
+  ASSERT_TRUE(ok);
+  EXPECT_EQ(got, Pattern(kPage, 2));
+  EXPECT_EQ(system_->cache().stats(0).local_hits, local_hits + 1);
+  EXPECT_EQ(util::Payload::materialized_bytes() - before, kPage);
+
+  // A remote hit through blade 1 forwards blade 0's frame without a copy.
+  InitiatorConfig hc1;
+  hc1.pin_path = 1;
+  Initiator other(*system_, "h1", hc1);
+  before = util::Payload::materialized_bytes();
+  util::Bytes got1;
+  other.Read(vol, 2 * kPage, kPage, [&](bool r, util::Bytes d) {
+    ASSERT_TRUE(r);
+    got1 = std::move(d);
+  });
+  engine_.Run();
+  EXPECT_EQ(got1, Pattern(kPage, 2));
+  EXPECT_EQ(system_->cache().stats(1).remote_hits, 1u);
+  EXPECT_EQ(util::Payload::materialized_bytes() - before, kPage);
+}
+
 TEST_F(HostInitiatorTest, RoundRobinSpreadsAttemptsAcrossPaths) {
   InitiatorConfig hc;
   hc.policy = InitiatorConfig::Policy::kRoundRobin;

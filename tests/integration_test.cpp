@@ -132,7 +132,8 @@ TEST(Integration, EncryptedVolumeEndToEnd) {
 
   const auto data = Pattern(2 * util::MiB, 7);
   bool ok = false;
-  system.cache().Write(0, enc_vol, 0, data, [&](bool r) { ok = r; });
+  system.cache().Write(0, enc_vol, 0, util::Payload::Copy(data),
+                       [&](bool r) { ok = r; });
   engine.Run();
   ASSERT_TRUE(ok);
   bool flushed = false;
@@ -143,9 +144,9 @@ TEST(Integration, EncryptedVolumeEndToEnd) {
   // Through the cache: plaintext.
   util::Bytes got;
   system.cache().Read(1, enc_vol, 0, 1 * util::MiB,
-                      [&](bool r, util::Bytes d) {
+                      [&](bool r, util::Payload d) {
                         ok = r;
-                        got = std::move(d);
+                        got = d.ToBytes();
                       });
   engine.Run();
   ASSERT_TRUE(ok);
@@ -153,9 +154,9 @@ TEST(Integration, EncryptedVolumeEndToEnd) {
 
   // Straight off the medium (bypassing the crypto layer): ciphertext.
   util::Bytes raw;
-  inner.ReadBlocks(0, 256, [&](bool r, util::Bytes d) {
+  inner.ReadBlocks(0, 256, [&](bool r, util::Payload d) {
     ok = r;
-    raw = std::move(d);
+    raw = d.ToBytes();
   });
   engine.Run();
   ASSERT_TRUE(ok);
@@ -331,7 +332,8 @@ TEST(Integration, StreamingDuringRollingUpgrade) {
   util::Bytes data(len);
   util::FillPattern(data, 4);
   bool ok = false;
-  system.Write(host, vol, 0, data, [&](bool r) { ok = r; });
+  system.Write(host, vol, 0, util::Payload::Copy(data),
+               [&](bool r) { ok = r; });
   engine.Run();
   ASSERT_TRUE(ok);
 

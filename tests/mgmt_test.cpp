@@ -85,7 +85,8 @@ TEST_F(MgmtTest, PolicyEngineAutoGrowsNearlyFullVolume) {
   const auto vol = system_->CreateVolume("t", 4 * util::MiB);
   // Fill past the autogrow threshold.
   bool ok = false;
-  system_->Write(host_, vol, 0, Pattern(4 * util::MiB - 4096, 1),
+  system_->Write(host_, vol, 0,
+                 util::Payload::Copy(Pattern(4 * util::MiB - 4096, 1)),
                  [&](bool r) { ok = r; });
   engine_.Run();
   ASSERT_TRUE(ok);
@@ -112,7 +113,8 @@ TEST_F(MgmtTest, RollingUpgradeKeepsSystemAvailable) {
   const auto vol = system_->CreateVolume("t", 16 * util::MiB);
   const auto data = Pattern(1 * util::MiB, 2);
   bool seeded = false;
-  system_->Write(host_, vol, 0, data, [&](bool r) { seeded = r; });
+  system_->Write(host_, vol, 0, util::Payload::Copy(data),
+                 [&](bool r) { seeded = r; });
   engine_.Run();
   ASSERT_TRUE(seeded);
 
@@ -131,7 +133,7 @@ TEST_F(MgmtTest, RollingUpgradeKeepsSystemAvailable) {
     if (upgrade_done) return;
     ++reads_total;
     system_->Read(host_, vol, 0, 64 * util::KiB,
-                  [&](bool ok, util::Bytes) { reads_ok += ok ? 1 : 0; });
+                  [&](bool ok, util::Payload) { reads_ok += ok ? 1 : 0; });
     engine_.Schedule(10 * util::kNsPerMs, reader);
   };
   reader();
@@ -150,9 +152,9 @@ TEST_F(MgmtTest, RollingUpgradeKeepsSystemAvailable) {
   bool read_ok = false;
   util::Bytes got;
   system_->Read(host_, vol, 0, static_cast<std::uint32_t>(data.size()),
-                [&](bool ok, util::Bytes d) {
+                [&](bool ok, util::Payload d) {
                   read_ok = ok;
-                  got = std::move(d);
+                  got = d.ToBytes();
                 });
   engine_.Run();
   ASSERT_TRUE(read_ok);
@@ -270,11 +272,11 @@ TEST_F(MgmtTest, AdminHttpObsRoutes) {
   // Drive a couple of traced ops so there is something to export.
   const auto vol = system_->CreateVolume("physics", 8 * util::MiB);
   bool ok = false;
-  system_->Write(host_, vol, 0, Pattern(64 * util::KiB, 1),
+  system_->Write(host_, vol, 0, util::Payload::Copy(Pattern(64 * util::KiB, 1)),
                  [&](bool r) { ok = r; });
   engine_.Run();
   ASSERT_TRUE(ok);
-  system_->Read(host_, vol, 0, 64 * util::KiB, [](bool, util::Bytes) {});
+  system_->Read(host_, vol, 0, 64 * util::KiB, [](bool, util::Payload) {});
   engine_.Run();
 
   // /metrics: Prometheus text, not JSON.
@@ -346,11 +348,11 @@ TEST_F(MgmtTest, AdminHttpTraceViewsAndLabelledQosMetrics) {
 
   const auto vol = system_->CreateVolume("lab-a", 8 * util::MiB);
   bool ok = false;
-  system_->Write(host_, vol, 0, Pattern(64 * util::KiB, 1),
+  system_->Write(host_, vol, 0, util::Payload::Copy(Pattern(64 * util::KiB, 1)),
                  [&](bool r) { ok = r; });
   engine_.Run();
   ASSERT_TRUE(ok);
-  system_->Read(host_, vol, 0, 64 * util::KiB, [](bool, util::Bytes) {});
+  system_->Read(host_, vol, 0, 64 * util::KiB, [](bool, util::Payload) {});
   engine_.Run();
 
   // /metrics serves the per-tenant labelled QoS series.

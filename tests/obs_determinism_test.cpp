@@ -56,10 +56,10 @@ RunResult RunSeededWorkload(std::uint64_t seed, double sample_rate) {
         (rng.Next() % (8 * util::MiB / buf.size())) * buf.size();
     if ((rng.Next() % 4) == 0) {
       util::FillPattern(buf, off ^ seed);
-      system.Write(host, vol, off, buf, [](bool) {});
+      system.Write(host, vol, off, util::Payload::Copy(buf), [](bool) {});
     } else {
       system.Read(host, vol, off, static_cast<std::uint32_t>(buf.size()),
-                  [](bool, util::Bytes) {});
+                  [](bool, util::Payload) {});
     }
     // Interleave: let some ops overlap by only draining every few issues.
     if ((op % 4) == 3) engine.Run();

@@ -42,7 +42,7 @@ class RaidGroupTest : public ::testing::TestWithParam<GroupCase> {
   bool Write(std::uint64_t block, const util::Bytes& data) {
     bool ok = false;
     bool fired = false;
-    group_->WriteBlocks(block, data, [&](bool r) {
+    group_->WriteBlocks(block, util::Payload::Copy(data), [&](bool r) {
       ok = r;
       fired = true;
     });
@@ -55,9 +55,9 @@ class RaidGroupTest : public ::testing::TestWithParam<GroupCase> {
     bool ok = false;
     util::Bytes out;
     bool fired = false;
-    group_->ReadBlocks(block, count, [&](bool r, util::Bytes d) {
+    group_->ReadBlocks(block, count, [&](bool r, util::Payload d) {
       ok = r;
-      out = std::move(d);
+      out = d.ToBytes();
       fired = true;
     });
     engine_.Run();
@@ -233,7 +233,8 @@ TEST_P(RaidGroupTest, WritesDuringRebuildLand) {
   // Foreground write racing the rebuild.
   const auto fresh = MakeData(dbs, 77);
   bool write_ok = false;
-  group_->WriteBlocks(dbs, fresh, [&](bool ok) { write_ok = ok; });
+  group_->WriteBlocks(dbs, util::Payload::Copy(fresh),
+                      [&](bool ok) { write_ok = ok; });
   for (std::uint64_t s = 0; s < group_->StripeCount(); ++s) {
     group_->RebuildStripe(s, 0, [](bool) {});
   }
@@ -277,7 +278,7 @@ TEST(RaidGroupCompute, ParityComputeChargesResource) {
   util::Bytes data(group.layout().DataBlocksPerStripe() * 4096ull);
   util::FillPattern(data, 3);
   bool ok = false;
-  group.WriteBlocks(0, data, [&](bool r) { ok = r; });
+  group.WriteBlocks(0, util::Payload::Copy(data), [&](bool r) { ok = r; });
   engine.Run();
   EXPECT_TRUE(ok);
   EXPECT_GT(compute.busy_total(), 0u);
@@ -302,7 +303,7 @@ TEST(RaidGroupRaid6, DoubleDegradedDataPlusParity) {
   util::Bytes data(static_cast<std::size_t>(dbs) * 4096);
   util::FillPattern(data, 1234);
   bool ok = false;
-  group.WriteBlocks(0, data, [&](bool r) { ok = r; });
+  group.WriteBlocks(0, util::Payload::Copy(data), [&](bool r) { ok = r; });
   engine.Run();
   ASSERT_TRUE(ok);
 
@@ -313,9 +314,9 @@ TEST(RaidGroupRaid6, DoubleDegradedDataPlusParity) {
   group.disk(d0).Fail();
 
   util::Bytes got;
-  group.ReadBlocks(0, dbs, [&](bool r, util::Bytes b) {
+  group.ReadBlocks(0, dbs, [&](bool r, util::Payload b) {
     ok = r;
-    got = std::move(b);
+    got = b.ToBytes();
   });
   engine.Run();
   ASSERT_TRUE(ok);

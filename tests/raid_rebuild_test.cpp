@@ -32,7 +32,7 @@ class RebuildTest : public ::testing::Test {
     data_.resize(group_->DataCapacityBlocks() * 4096ull);
     util::FillPattern(data_, 2024);
     bool ok = false;
-    group_->WriteBlocks(0, data_, [&](bool r) { ok = r; });
+    group_->WriteBlocks(0, util::Payload::Copy(data_), [&](bool r) { ok = r; });
     engine_.Run();
     ASSERT_TRUE(ok);
   }
@@ -47,9 +47,9 @@ class RebuildTest : public ::testing::Test {
     bool ok = false;
     util::Bytes got;
     group_->ReadBlocks(0, static_cast<std::uint32_t>(group_->DataCapacityBlocks()),
-                       [&](bool r, util::Bytes b) {
+                       [&](bool r, util::Payload b) {
                          ok = r;
-                         got = std::move(b);
+                         got = b.ToBytes();
                        });
     engine_.Run();
     return ok && got == data_;
@@ -181,7 +181,8 @@ TEST(RebuildScaling, MoreWorkersFinishMultipleGroupsFaster) {
       util::Bytes data(groups[g]->DataCapacityBlocks() * 4096ull);
       util::FillPattern(data, g);
       bool ok = false;
-      groups[g]->WriteBlocks(0, data, [&](bool r) { ok = r; });
+      groups[g]->WriteBlocks(0, util::Payload::Copy(data),
+                             [&](bool r) { ok = r; });
       engine.Run();
       EXPECT_TRUE(ok);
       groups[g]->disk(0).Fail();
@@ -222,7 +223,7 @@ TEST_F(RebuildTest, ConcurrentJobsShareWorkers) {
   util::Bytes d2(group2.DataCapacityBlocks() * 4096ull);
   util::FillPattern(d2, 5);
   bool seeded = false;
-  group2.WriteBlocks(0, d2, [&](bool r) { seeded = r; });
+  group2.WriteBlocks(0, util::Payload::Copy(d2), [&](bool r) { seeded = r; });
   engine_.Run();
   ASSERT_TRUE(seeded);
 

@@ -36,7 +36,8 @@ TEST(Resilience, StreamRidesThroughBladeFailure) {
   bool ok = false;
   util::Bytes data(len);
   util::FillPattern(data, 1);
-  system.Write(host, vol, 0, data, [&](bool r) { ok = r; });
+  system.Write(host, vol, 0, util::Payload::Copy(data),
+               [&](bool r) { ok = r; });
   engine.Run();
   ASSERT_TRUE(ok);
 
@@ -114,7 +115,8 @@ TEST(Resilience, SnapshotCowWorksOnDegradedRaid) {
   const auto vol = system.CreateVolume("v", 16 * util::MiB);
   const auto base = Pattern(4 * util::MiB, 3);
   bool ok = false;
-  system.Write(host, vol, 0, base, [&](bool r) { ok = r; });
+  system.Write(host, vol, 0, util::Payload::Copy(base),
+               [&](bool r) { ok = r; });
   engine.Run();
   ASSERT_TRUE(ok);
   bool flushed = false;
@@ -128,7 +130,8 @@ TEST(Resilience, SnapshotCowWorksOnDegradedRaid) {
   system.group(0).disk(0).Fail();
   system.group(1).disk(2).Fail();
   const auto update = Pattern(2 * util::MiB, 4);
-  system.Write(host, vol, util::MiB, update, [&](bool r) { ok = r; });
+  system.Write(host, vol, util::MiB, util::Payload::Copy(update),
+               [&](bool r) { ok = r; });
   engine.Run();
   ASSERT_TRUE(ok) << "COW on degraded RAID must reconstruct and proceed";
   system.cache().FlushAll([&](bool) {});
@@ -138,18 +141,18 @@ TEST(Resilience, SnapshotCowWorksOnDegradedRaid) {
   util::Bytes snap_data;
   system.volume(vol).ReadSnapshotBlocks(
       snap, util::MiB / 4096, static_cast<std::uint32_t>(util::MiB / 4096),
-      [&](bool r, util::Bytes d) {
+      [&](bool r, util::Payload d) {
         ok = r;
-        snap_data = std::move(d);
+        snap_data = d.ToBytes();
       });
   engine.Run();
   ASSERT_TRUE(ok);
   EXPECT_TRUE(std::equal(snap_data.begin(), snap_data.end(),
                          base.begin() + util::MiB));
   util::Bytes live;
-  system.Read(host, vol, util::MiB, util::MiB, [&](bool r, util::Bytes d) {
+  system.Read(host, vol, util::MiB, util::MiB, [&](bool r, util::Payload d) {
     ok = r;
-    live = std::move(d);
+    live = d.ToBytes();
   });
   engine.Run();
   ASSERT_TRUE(ok);
@@ -184,13 +187,14 @@ TEST(Resilience, InfinibandHostAttachWorksEndToEnd) {
   const auto vol = system.CreateVolume("t", 8 * util::MiB);
   const auto data = Pattern(512 * util::KiB, 5);
   bool ok = false;
-  system.Write(host, vol, 0, data, [&](bool r) { ok = r; });
+  system.Write(host, vol, 0, util::Payload::Copy(data),
+               [&](bool r) { ok = r; });
   engine.Run();
   ASSERT_TRUE(ok);
   util::Bytes got;
-  system.Read(host, vol, 0, data.size(), [&](bool r, util::Bytes d) {
+  system.Read(host, vol, 0, data.size(), [&](bool r, util::Payload d) {
     ok = r;
-    got = std::move(d);
+    got = d.ToBytes();
   });
   engine.Run();
   ASSERT_TRUE(ok);
@@ -216,7 +220,8 @@ TEST(Resilience, RepeatedFailRecoverCycles) {
     const auto data = Pattern(512 * util::KiB, 100 + cycle);
     const std::uint64_t off = cycle * util::MiB;
     bool ok = false;
-    system.Write(host, vol, off, data, [&](bool r) { ok = r; });
+    system.Write(host, vol, off, util::Payload::Copy(data),
+                 [&](bool r) { ok = r; });
     engine.Run();
     ASSERT_TRUE(ok) << "cycle " << cycle;
     std::copy(data.begin(), data.end(),
@@ -232,9 +237,9 @@ TEST(Resilience, RepeatedFailRecoverCycles) {
 
     util::Bytes got;
     system.Read(host, vol, 0, static_cast<std::uint32_t>(model.size()),
-                [&](bool r, util::Bytes d) {
+                [&](bool r, util::Payload d) {
                   ok = r;
-                  got = std::move(d);
+                  got = d.ToBytes();
                 });
     engine.Run();
     ASSERT_TRUE(ok) << "cycle " << cycle;

@@ -167,15 +167,15 @@ TEST_F(SecurityTest, EncryptedBackingRoundtripAndCiphertextAtRest) {
   util::Bytes data(8 * 4096);
   util::FillPattern(data, 9);
   bool wrote = false;
-  enc.WriteBlocks(16, data, [&](bool ok) { wrote = ok; });
+  enc.WriteBlocks(16, util::Payload::Copy(data), [&](bool ok) { wrote = ok; });
   engine_.Run();
   ASSERT_TRUE(wrote);
 
   // Reading through the layer returns plaintext.
   util::Bytes got;
-  enc.ReadBlocks(16, 8, [&](bool ok, util::Bytes d) {
+  enc.ReadBlocks(16, 8, [&](bool ok, util::Payload d) {
     ASSERT_TRUE(ok);
-    got = std::move(d);
+    got = d.ToBytes();
   });
   engine_.Run();
   EXPECT_EQ(got, data);
@@ -193,8 +193,8 @@ TEST_F(SecurityTest, EncryptedBackingDifferentVolumesDifferentCiphertext) {
   EncryptedBacking b(engine_, inner_b, keys_.DeriveVolumeKeys("t", 2));
   util::Bytes data(4096);
   util::FillPattern(data, 10);
-  a.WriteBlocks(0, data, [](bool) {});
-  b.WriteBlocks(0, data, [](bool) {});
+  a.WriteBlocks(0, util::Payload::Copy(data), [](bool) {});
+  b.WriteBlocks(0, util::Payload::Copy(data), [](bool) {});
   engine_.Run();
   EXPECT_NE(inner_a.raw(), inner_b.raw())
       << "per-volume keys must yield distinct ciphertext";
@@ -210,7 +210,8 @@ TEST_F(SecurityTest, EncryptedBackingChargesCryptoEngine) {
   util::Bytes data(16 * 4096);
   util::FillPattern(data, 11);
   sim::Tick done = 0;
-  enc.WriteBlocks(0, data, [&](bool) { done = engine_.now(); });
+  enc.WriteBlocks(0, util::Payload::Copy(data),
+                  [&](bool) { done = engine_.now(); });
   engine_.Run();
   EXPECT_GE(done, data.size()) << "1 ns/B engine must take >= 64 us";
   EXPECT_GT(crypto_engine.busy_total(), 0u);

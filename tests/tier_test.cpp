@@ -107,7 +107,7 @@ class TierTest : public ::testing::Test {
   bool Write(cache::ControllerId via, std::uint64_t offset,
              const util::Bytes& data) {
     bool ok = false, fired = false;
-    cluster_->Write(via, kVol, offset, data, [&](bool r) {
+    cluster_->Write(via, kVol, offset, util::Payload::Copy(data), [&](bool r) {
       ok = r;
       fired = true;
     });
@@ -120,9 +120,9 @@ class TierTest : public ::testing::Test {
                                     std::uint64_t offset, std::uint32_t len) {
     bool ok = false, fired = false;
     util::Bytes out;
-    cluster_->Read(via, kVol, offset, len, [&](bool r, util::Bytes d) {
+    cluster_->Read(via, kVol, offset, len, [&](bool r, util::Payload d) {
       ok = r;
-      out = std::move(d);
+      out = d.ToBytes();
       fired = true;
     });
     engine_.Run();
@@ -198,7 +198,7 @@ TEST_F(TierTest, DirtyDemotionVsConcurrentRewriteIsSeqOrdered) {
   const util::Bytes v2 = Pattern(pb, 200);
 
   bool absorbed1 = false;
-  ASSERT_TRUE(tier_->TierWriteBack(0, {{key, 1, {}}}, v1,
+  ASSERT_TRUE(tier_->TierWriteBack(0, {{key, 1, {}}}, util::Payload::Copy(v1),
                                    [&](bool ok) { absorbed1 = ok; }, {}));
   engine_.Run();
   ASSERT_TRUE(absorbed1);
@@ -212,7 +212,7 @@ TEST_F(TierTest, DirtyDemotionVsConcurrentRewriteIsSeqOrdered) {
   tier_->DrainDirty([&](bool ok) { drained = ok; });
   bool absorbed2 = false;
   engine_.Schedule(1000, [&] {
-    ASSERT_TRUE(tier_->TierWriteBack(0, {{key, 2, {}}}, v2,
+    ASSERT_TRUE(tier_->TierWriteBack(0, {{key, 2, {}}}, util::Payload::Copy(v2),
                                      [&](bool ok) { absorbed2 = ok; }, {}));
   });
   engine_.Run();
@@ -234,14 +234,38 @@ TEST_F(TierTest, DirtyDemotionVsConcurrentRewriteIsSeqOrdered) {
   bool ok = false;
   util::Bytes got;
   ASSERT_TRUE(tier_->TierRead(0, key,
-                              [&](bool r, util::Bytes d) {
+                              [&](bool r, util::Payload d) {
                                 ok = r;
-                                got = std::move(d);
+                                got = d.ToBytes();
                               },
                               {}));
   engine_.Run();
   ASSERT_TRUE(ok);
   EXPECT_EQ(got, v2);
+}
+
+TEST_F(TierTest, RewriteLeavesServedFlashPayloadUntouched) {
+  Build(1);
+  const std::uint32_t pb = PageBytes();
+  const cache::PageKey key{kVol, 4};
+  const util::Bytes v1 = Pattern(pb, 31);
+  const util::Bytes v2 = Pattern(pb, 32);
+  ASSERT_TRUE(tier_->TierWriteBack(0, {{key, 1, {}}}, util::Payload::Copy(v1),
+                                   [](bool) {}, {}));
+  engine_.Run();
+  util::Payload served;
+  ASSERT_TRUE(tier_->TierRead(
+      0, key, [&](bool, util::Payload d) { served = std::move(d); }, {}));
+  engine_.Run();
+  ASSERT_TRUE(tier_->TierWriteBack(0, {{key, 2, {}}}, util::Payload::Copy(v2),
+                                   [](bool) {}, {}));
+  engine_.Run();
+  EXPECT_EQ(served, v1) << "a rewrite changed bytes a reader already holds";
+  util::Payload now;
+  ASSERT_TRUE(tier_->TierRead(
+      0, key, [&](bool, util::Payload d) { now = std::move(d); }, {}));
+  engine_.Run();
+  EXPECT_EQ(now, v2);
 }
 
 TEST_F(TierTest, InFlightSpillIsJoinableWithoutDuplicateFetch) {
@@ -252,7 +276,7 @@ TEST_F(TierTest, InFlightSpillIsJoinableWithoutDuplicateFetch) {
 
   // Stage an admission (clean spill): the entry is visible immediately but
   // its NVMe program has not landed yet.
-  tier_->OnDiskRead(0, key, data);
+  tier_->OnDiskRead(0, key, util::Payload::Copy(data));
   ASSERT_EQ(tier_->TotalFlashPages(), 1u);
 
   // A read arriving mid-spill must join the in-flight entry, not fall
@@ -260,9 +284,9 @@ TEST_F(TierTest, InFlightSpillIsJoinableWithoutDuplicateFetch) {
   bool ok = false, fired = false;
   util::Bytes got;
   ASSERT_TRUE(tier_->TierRead(0, key,
-                              [&](bool r, util::Bytes d) {
+                              [&](bool r, util::Payload d) {
                                 ok = r;
-                                got = std::move(d);
+                                got = d.ToBytes();
                                 fired = true;
                               },
                               {}));
@@ -281,7 +305,7 @@ TEST_F(TierTest, DeadBladeDirtyFlashFailsHonestlyAndResumesAfterRevival) {
   const cache::PageKey key{kVol, 2};
   const util::Bytes v = Pattern(pb, 42);
   bool absorbed = false;
-  ASSERT_TRUE(tier_->TierWriteBack(0, {{key, 1, {}}}, v,
+  ASSERT_TRUE(tier_->TierWriteBack(0, {{key, 1, {}}}, util::Payload::Copy(v),
                                    [&](bool ok) { absorbed = ok; }, {}));
   engine_.Run();
   ASSERT_TRUE(absorbed);
@@ -295,7 +319,7 @@ TEST_F(TierTest, DeadBladeDirtyFlashFailsHonestlyAndResumesAfterRevival) {
   // the stale disk block, and the drain must not hang on the dead lane.
   bool ok = true, fired = false;
   ASSERT_TRUE(tier_->TierRead(1, key,
-                              [&](bool r, util::Bytes) {
+                              [&](bool r, util::Payload) {
                                 ok = r;
                                 fired = true;
                               },
@@ -354,7 +378,8 @@ TEST(TierMgmt, AdminHttpTierReport) {
   for (std::uint64_t off = 0; off < 8 * util::MiB; off += buf.size()) {
     util::FillPattern(buf, off);
     bool ok = false;
-    system.Write(h0, vol, off, buf, [&](bool r) { ok = r; });
+    system.Write(h0, vol, off, util::Payload::Copy(buf),
+                 [&](bool r) { ok = r; });
     engine.Run();
     ASSERT_TRUE(ok);
   }
@@ -411,7 +436,8 @@ std::uint32_t CrashMidSpillDigest() {
   for (std::uint64_t off = 0; off < 8 * util::MiB; off += buf.size()) {
     util::FillPattern(buf, off);
     bool ok = false;
-    system.Write(h0, vol, off, buf, [&](bool r) { ok = r; });
+    system.Write(h0, vol, off, util::Payload::Copy(buf),
+                 [&](bool r) { ok = r; });
     engine.Run();
     EXPECT_TRUE(ok);
   }
@@ -433,7 +459,7 @@ std::uint32_t CrashMidSpillDigest() {
   for (std::uint64_t off = 0; off < 8 * util::MiB; off += buf.size()) {
     bool fired = false;
     system.Read(h0, vol, off, static_cast<std::uint32_t>(buf.size()),
-                [&](bool, util::Bytes) { fired = true; });
+                [&](bool, util::Payload) { fired = true; });
     engine.Run();
     EXPECT_TRUE(fired);
   }

@@ -7,6 +7,7 @@
 
 #include "util/bytes.h"
 #include "util/crc32c.h"
+#include "util/payload.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -297,6 +298,64 @@ TEST(ByteRw, UnderrunThrows) {
   ByteReader r(w.data());
   EXPECT_EQ(r.U16(), 1);
   EXPECT_THROW(r.U8(), std::out_of_range);
+}
+
+TEST(Payload, SliceAndLoneConcatShareTheBuffer) {
+  Bytes src(4096);
+  FillPattern(src, 9);
+  const Payload whole = Payload::Copy(src);
+  const std::uint64_t before = Payload::materialized_bytes();
+  const Payload mid = whole.Slice(1000, 500);
+  ASSERT_EQ(mid.size(), 500u);
+  EXPECT_EQ(mid.data(), whole.data() + 1000);
+  EXPECT_EQ(mid, std::span<const std::uint8_t>(src).subspan(1000, 500));
+  const Payload pieces[] = {Payload(), mid, Payload()};
+  const Payload joined = Payload::Concat(pieces);
+  EXPECT_EQ(joined.data(), mid.data());
+  EXPECT_EQ(Payload::materialized_bytes(), before)
+      << "views and a lone-piece Concat must not copy";
+}
+
+TEST(Payload, EveryFreshBufferIsCounted) {
+  Bytes src(300);
+  FillPattern(src, 4);
+  std::uint64_t before = Payload::materialized_bytes();
+  const Payload a = Payload::Copy(src);
+  EXPECT_EQ(Payload::materialized_bytes() - before, 300u);
+
+  before = Payload::materialized_bytes();
+  const Payload parts[] = {a.Slice(0, 100), a.Slice(200, 100)};
+  const Payload joined = Payload::Concat(parts);
+  EXPECT_EQ(Payload::materialized_bytes() - before, 200u);
+  Bytes expect(src.begin(), src.begin() + 100);
+  expect.insert(expect.end(), src.begin() + 200, src.end());
+  EXPECT_EQ(joined, expect);
+
+  before = Payload::materialized_bytes();
+  const Bytes out = joined.ToBytes();
+  EXPECT_EQ(Payload::materialized_bytes() - before, 200u);
+  EXPECT_EQ(out, expect);
+
+  before = Payload::materialized_bytes();
+  const Payload zeros = Payload::Zeros(64);
+  EXPECT_EQ(Payload::materialized_bytes() - before, 64u);
+  EXPECT_TRUE(std::all_of(zeros.begin(), zeros.end(),
+                          [](std::uint8_t b) { return b == 0; }));
+}
+
+TEST(Payload, CopyOnWriteLeavesTheSourceUntouched) {
+  Bytes src(256);
+  FillPattern(src, 5);
+  const Payload base = Payload::Copy(src);
+  const Payload held = base.Slice(0, 256);
+  const Payload patched(base.size(), [&](std::span<std::uint8_t> out) {
+    std::copy(base.begin(), base.end(), out.begin());
+    std::fill(out.begin() + 10, out.begin() + 20, 0xAB);
+  });
+  EXPECT_EQ(held, src);
+  EXPECT_EQ(base, src);
+  EXPECT_EQ(patched[15], 0xAB);
+  EXPECT_EQ(patched[9], src[9]);
 }
 
 TEST(ThreadPool, RunsAllTasks) {

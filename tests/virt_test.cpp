@@ -49,7 +49,7 @@ class VirtTest : public ::testing::Test {
   bool Write(DemandMappedVolume& v, std::uint64_t block,
              const util::Bytes& data) {
     bool ok = false, fired = false;
-    v.WriteBlocks(block, data, [&](bool r) {
+    v.WriteBlocks(block, util::Payload::Copy(data), [&](bool r) {
       ok = r;
       fired = true;
     });
@@ -62,9 +62,9 @@ class VirtTest : public ::testing::Test {
                                     std::uint32_t count) {
     bool ok = false;
     util::Bytes out;
-    v.ReadBlocks(block, count, [&](bool r, util::Bytes d) {
+    v.ReadBlocks(block, count, [&](bool r, util::Payload d) {
       ok = r;
-      out = std::move(d);
+      out = d.ToBytes();
     });
     engine_.Run();
     return {ok, std::move(out)};
@@ -268,9 +268,9 @@ TEST_F(VirtTest, SnapshotPreservesPointInTime) {
   bool ok_snap = false;
   util::Bytes snap_data;
   v->ReadSnapshotBlocks(snap, 0, 2 * kExtentBlocks,
-                        [&](bool r, util::Bytes d) {
+                        [&](bool r, util::Payload d) {
                           ok_snap = r;
-                          snap_data = std::move(d);
+                          snap_data = d.ToBytes();
                         });
   engine_.Run();
   ASSERT_TRUE(ok_snap);
@@ -315,7 +315,7 @@ TEST_F(VirtTest, MultipleSnapshotsIndependent) {
   auto read_snap = [&](SnapshotId id) {
     util::Bytes out;
     v->ReadSnapshotBlocks(id, 0, kExtentBlocks,
-                          [&](bool, util::Bytes d) { out = std::move(d); });
+                          [&](bool, util::Payload d) { out = d.ToBytes(); });
     engine_.Run();
     return out;
   };

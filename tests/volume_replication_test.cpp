@@ -42,7 +42,8 @@ TEST_F(VolumeReplicationTest, SyncWritesLandBothSidesBeforeAck) {
   Build(/*synchronous=*/true);
   const auto data = Pattern(64 * 1024, 1);
   bool acked = false;
-  repl_->WriteBlocks(16, data, [&](bool ok) { acked = ok; });
+  repl_->WriteBlocks(16, util::Payload::Copy(data),
+                     [&](bool ok) { acked = ok; });
   engine_.Run();
   ASSERT_TRUE(acked);
   // Both media hold the data.
@@ -56,7 +57,7 @@ TEST_F(VolumeReplicationTest, SyncWritesLandBothSidesBeforeAck) {
 TEST_F(VolumeReplicationTest, SyncAckPaysWanRoundTrip) {
   Build(/*synchronous=*/true, 1.0, 10 * util::kNsPerMs);
   sim::Tick acked = 0;
-  repl_->WriteBlocks(0, Pattern(4096, 2), [&](bool) {
+  repl_->WriteBlocks(0, util::Payload::Copy(Pattern(4096, 2)), [&](bool) {
     acked = engine_.now();
   });
   engine_.Run();
@@ -68,7 +69,7 @@ TEST_F(VolumeReplicationTest, AsyncAcksLocallyThenConverges) {
   const auto data = Pattern(256 * 1024, 3);
   bool acked = false;
   sim::Tick acked_at = 0;
-  repl_->WriteBlocks(0, data, [&](bool) {
+  repl_->WriteBlocks(0, util::Payload::Copy(data), [&](bool) {
     acked = true;
     acked_at = engine_.now();
   });
@@ -89,8 +90,8 @@ TEST_F(VolumeReplicationTest, AsyncAppliesInOrder) {
   // Two overlapping writes: the remote must end at the second version.
   const auto v1 = Pattern(64 * 1024, 4);
   const auto v2 = Pattern(64 * 1024, 5);
-  repl_->WriteBlocks(0, v1, [](bool) {});
-  repl_->WriteBlocks(0, v2, [](bool) {});
+  repl_->WriteBlocks(0, util::Payload::Copy(v1), [](bool) {});
+  repl_->WriteBlocks(0, util::Payload::Copy(v2), [](bool) {});
   bool drained = false;
   repl_->Drain([&] { drained = true; });
   engine_.Run();
@@ -103,12 +104,12 @@ TEST_F(VolumeReplicationTest, PrimaryFailureLosesOnlyQueuedTail) {
   Build(/*synchronous=*/false, /*wan_gbps=*/0.1);  // slow WAN
   const auto a = Pattern(512 * 1024, 6);
   const auto b = Pattern(512 * 1024, 7);
-  repl_->WriteBlocks(0, a, [](bool) {});
+  repl_->WriteBlocks(0, util::Payload::Copy(a), [](bool) {});
   bool drained = false;
   repl_->Drain([&] { drained = true; });
   engine_.Run();
   ASSERT_TRUE(drained);  // first write fully shipped
-  repl_->WriteBlocks(256, b, [](bool) {});
+  repl_->WriteBlocks(256, util::Payload::Copy(b), [](bool) {});
   engine_.RunFor(util::kNsPerMs);  // b still (mostly) queued
   const std::uint64_t lost = repl_->FailPrimary();
   EXPECT_GT(lost, 0u) << "the async tail is the RPO";
@@ -120,7 +121,7 @@ TEST_F(VolumeReplicationTest, PrimaryFailureLosesOnlyQueuedTail) {
 TEST_F(VolumeReplicationTest, ReadsAreLocalOnly) {
   Build(/*synchronous=*/false);
   const auto data = Pattern(64 * 1024, 8);
-  repl_->WriteBlocks(0, data, [](bool) {});
+  repl_->WriteBlocks(0, util::Payload::Copy(data), [](bool) {});
   bool drained = false;
   repl_->Drain([&] { drained = true; });
   engine_.Run();
@@ -128,9 +129,9 @@ TEST_F(VolumeReplicationTest, ReadsAreLocalOnly) {
   const auto wan_before = fabric_.StatsFor(local_gw_, remote_gw_).bytes;
   util::Bytes got;
   bool ok = false;
-  repl_->ReadBlocks(0, 16, [&](bool r, util::Bytes d) {
+  repl_->ReadBlocks(0, 16, [&](bool r, util::Payload d) {
     ok = r;
-    got = std::move(d);
+    got = d.ToBytes();
   });
   engine_.Run();
   ASSERT_TRUE(ok);
@@ -144,7 +145,8 @@ TEST_F(VolumeReplicationTest, WanFlapRetriesUntilDelivered) {
   fabric_.SetLinkUp(local_gw_, remote_gw_, false);
   const auto data = Pattern(128 * 1024, 9);
   bool acked = false;
-  repl_->WriteBlocks(0, data, [&](bool ok) { acked = ok; });
+  repl_->WriteBlocks(0, util::Payload::Copy(data),
+                     [&](bool ok) { acked = ok; });
   engine_.RunFor(100 * util::kNsPerMs);
   ASSERT_TRUE(acked);
   EXPECT_GT(repl_->PendingBytes(), 0u) << "stuck behind the dead WAN";
@@ -162,7 +164,7 @@ TEST_F(VolumeReplicationTest, DifferentSizedRemotePoolWorks) {
   EXPECT_GT(remote_->CapacityBlocks(), local_->CapacityBlocks());
   const auto data = Pattern(4096, 10);
   bool ok = false;
-  repl_->WriteBlocks(local_->CapacityBlocks() - 1, data,
+  repl_->WriteBlocks(local_->CapacityBlocks() - 1, util::Payload::Copy(data),
                      [&](bool r) { ok = r; });
   engine_.Run();
   EXPECT_TRUE(ok);

@@ -119,7 +119,8 @@ CoalesceRun RunAdjacentDirty(std::uint32_t coalesce_pages,
   const std::uint32_t page = config.page_bytes;
   for (std::uint32_t p = 0; p < pages; ++p) {
     cluster.Write(0, 1, static_cast<std::uint64_t>(p) * page,
-                  Pattern(page, 100 + p), [](bool ok) { EXPECT_TRUE(ok); },
+                  util::Payload::Copy(Pattern(page, 100 + p)),
+                  [](bool ok) { EXPECT_TRUE(ok); },
                   /*priority=*/0, {}, cache::WriteId{1, p + 1});
   }
   engine.Run();
@@ -169,7 +170,7 @@ TEST(FlushCoalescer, RewriteDuringInFlightRunReachesBacking) {
   const std::uint32_t page = config.page_bytes;
   for (std::uint32_t p = 0; p < 8; ++p) {
     cluster.Write(0, 1, static_cast<std::uint64_t>(p) * page,
-                  Pattern(page, 200 + p), [](bool) {},
+                  util::Payload::Copy(Pattern(page, 200 + p)), [](bool) {},
                   /*priority=*/0, {}, cache::WriteId{1, p + 1});
   }
   // Let the aged flush issue its coalesced run (in flight for 20 ms), then
@@ -177,7 +178,8 @@ TEST(FlushCoalescer, RewriteDuringInFlightRunReachesBacking) {
   engine.RunFor(5 * util::kNsPerMs);
   const util::Bytes rewrite = Pattern(page, 999);
   bool acked = false;
-  cluster.Write(0, 1, 3ull * page, rewrite, [&](bool ok) { acked = ok; },
+  cluster.Write(0, 1, 3ull * page, util::Payload::Copy(rewrite),
+                [&](bool ok) { acked = ok; },
                 /*priority=*/0, {}, cache::WriteId{1, 9});
   engine.Run();
   ASSERT_TRUE(acked);
