@@ -5,19 +5,16 @@
 
 namespace nlss::meta {
 
-namespace {
-std::string JoinPath(const std::vector<std::string>& parts, std::size_t n) {
-  std::string out;
-  for (std::size_t i = 0; i < n; ++i) {
-    out += '/';
-    out += parts[i];
-  }
-  return out;
+std::string_view Client::WalkPath::Prefix(std::size_t n) const {
+  std::size_t len = n;  // one '/' per component
+  for (std::size_t i = 0; i < n; ++i) len += parts[i].size();
+  return std::string_view(key).substr(0, len);
 }
-}  // namespace
 
 Client::Client(MetaService& service, std::string name, ClientConfig config)
     : service_(service), name_(std::move(name)), config_(config) {
+  // One spare slot: an insert lands before its eviction.
+  if (config_.capacity != 0) cache_.reserve(config_.capacity + 1);
   service_.RegisterClient(this);
 }
 
@@ -51,9 +48,9 @@ void Client::Resolve(const std::string& path, MetaService::ResolveCallback cb,
       }
     }
   }
-  auto parts = std::make_shared<std::vector<std::string>>(
-      MetaService::SplitPath(path));
-  if (parts->empty()) {
+  auto walk = std::make_shared<WalkPath>();
+  walk->parts = MetaService::SplitPath(path);
+  if (walk->parts.empty()) {
     // The root needs no walk; serve it like a local hit.
     ++stats_.full_hits;
     service_.engine().Schedule(config_.local_hit_ns, [cb = std::move(cb)]() {
@@ -66,62 +63,63 @@ void Client::Resolve(const std::string& path, MetaService::ResolveCallback cb,
     service_.Resolve(path, std::move(cb), ctx);
     return;
   }
-  const std::string key = JoinPath(*parts, parts->size());
-  const auto it = cache_.find(key);
+  for (const std::string& part : walk->parts) {
+    walk->key += '/';
+    walk->key += part;
+  }
+  const auto it = cache_.find(walk->key);
   if (it == cache_.end()) {
-    BeginWalk(parts, std::move(cb), ctx);
+    BeginWalk(std::move(walk), std::move(cb), ctx);
     return;
   }
   ++stats_.full_hits;
-  TouchLru(key, it->second);
+  TouchLru(it->second);
   // The hit is *served* local_hit_ns from now; a mutation can land in the
   // window, so re-validate at fire time and fall back to a walk if the
   // entry was invalidated under us — never serve the stale copy.
   service_.engine().Schedule(
       config_.local_hit_ns,
-      [this, key, parts, cb = std::move(cb), ctx]() {
-        const auto it2 = cache_.find(key);
+      [this, walk = std::move(walk), cb = std::move(cb), ctx]() {
+        const auto it2 = cache_.find(walk->key);
         if (it2 == cache_.end()) {
           ++stats_.revalidation_fallbacks;
-          BeginWalk(parts, cb, ctx);
+          BeginWalk(walk, cb, ctx);
           return;
         }
-        for (const auto& [dir, ver] : it2->second.chain) {
-          NLSS_ACCESS(kMeta, RaceKey(dir), kRead);
-          const std::uint64_t now_ver = service_.DirVersion(dir);
-          NLSS_INVARIANT(kMeta, now_ver == ver,
+        for (const Link& link : it2->second.chain) {
+          NLSS_ACCESS(kMeta, RaceKey(link.dir), kRead);
+          const std::uint64_t now_ver = service_.DirVersion(link.dir);
+          NLSS_INVARIANT(kMeta, now_ver == link.version,
                          "stale dentry served for %s: dir %llu at v%llu, "
                          "cached v%llu",
-                         key.c_str(), static_cast<unsigned long long>(dir),
+                         walk->key.c_str(),
+                         static_cast<unsigned long long>(link.dir),
                          static_cast<unsigned long long>(now_ver),
-                         static_cast<unsigned long long>(ver));
+                         static_cast<unsigned long long>(link.version));
           (void)now_ver;
-          (void)ver;
         }
         cb(Status::kOk, it2->second.dentry);
       });
 }
 
-void Client::BeginWalk(std::shared_ptr<std::vector<std::string>> parts,
+void Client::BeginWalk(std::shared_ptr<const WalkPath> path,
                        MetaService::ResolveCallback cb,
                        obs::TraceContext ctx) {
   std::size_t start = 0;
   DirId dir = kRootDir;
-  auto chain = std::make_shared<
-      std::vector<std::pair<DirId, std::uint64_t>>>();
-  for (std::size_t n = parts->size() - 1; n >= 1; --n) {
-    const std::string prefix = JoinPath(*parts, n);
-    const auto it = cache_.find(prefix);
+  auto chain = std::make_shared<Chain>();
+  chain->reserve(path->parts.size());  // one step per component
+  for (std::size_t n = path->parts.size() - 1; n >= 1; --n) {
+    const auto it = cache_.find(path->Prefix(n));
     if (it != cache_.end() && it->second.dentry.is_dir) {
-#if NLSS_INVARIANTS_ENABLED
-      for (const auto& [d, ver] : it->second.chain) {
-        NLSS_ACCESS(kMeta, RaceKey(d), kRead);
+      for (const Link& link : it->second.chain) {
+        NLSS_ACCESS(kMeta, RaceKey(link.dir), kRead);
+        // The ancestor's chain prefixes ours.
+        chain->emplace_back(link.dir, link.version);
       }
-#endif
       start = n;
       dir = it->second.dentry.ino;
-      *chain = it->second.chain;  // ancestor's chain prefixes ours
-      TouchLru(prefix, it->second);
+      TouchLru(it->second);
       break;
     }
   }
@@ -130,38 +128,34 @@ void Client::BeginWalk(std::shared_ptr<std::vector<std::string>> parts,
   } else {
     ++stats_.misses;
   }
-  WalkFrom(parts, start, dir, chain, std::move(cb), ctx);
+  WalkFrom(std::move(path), start, dir, std::move(chain), std::move(cb), ctx);
 }
 
-void Client::WalkFrom(
-    std::shared_ptr<std::vector<std::string>> parts, std::size_t next,
-    DirId dir,
-    std::shared_ptr<std::vector<std::pair<DirId, std::uint64_t>>> chain,
-    MetaService::ResolveCallback cb, obs::TraceContext ctx) {
+void Client::WalkFrom(std::shared_ptr<const WalkPath> path, std::size_t next,
+                      DirId dir, std::shared_ptr<Chain> chain,
+                      MetaService::ResolveCallback cb, obs::TraceContext ctx) {
   // E18a hot-root fix: a cold walk's first step always lands on the root
   // directory's shard, so 32 hosts missing on distinct "/dN" paths still
   // serialize there.  Serve that step from a version-stamped root copy
   // instead of a shard visit whenever the delegation grant is usable.
   if (dir == kRootDir && config_.root_delegation && config_.capacity != 0 &&
       !root_grant_broken_ &&
-      TryRootDelegation(parts, next, chain, cb, ctx)) {
+      TryRootDelegation(path, next, chain, cb, ctx)) {
     return;
   }
   ++stats_.steps;
+  const std::string& name = path->parts[next];
   service_.LookupStep(
-      dir, (*parts)[next],
-      [this, parts, next, dir, chain, cb = std::move(cb), ctx](
-          Status st, Dentry d, std::uint64_t ver) {
+      dir, name,
+      [this, path = std::move(path), next, dir, chain = std::move(chain),
+       cb = std::move(cb), ctx](Status st, Dentry d, std::uint64_t ver) {
         if (st != Status::kOk) {
           cb(st, {});
           return;
         }
         chain->emplace_back(dir, ver);
-        Entry e;
-        e.dentry = d;
-        e.chain = *chain;
-        InsertEntry(JoinPath(*parts, next + 1), std::move(e));
-        if (next + 1 == parts->size()) {
+        InsertEntry(path->Prefix(next + 1), d, *chain);
+        if (next + 1 == path->parts.size()) {
           cb(Status::kOk, d);
           return;
         }
@@ -169,22 +163,22 @@ void Client::WalkFrom(
           cb(Status::kNotDirectory, {});
           return;
         }
-        WalkFrom(parts, next + 1, d.ino, chain, cb, ctx);
+        WalkFrom(path, next + 1, d.ino, chain, cb, ctx);
       },
       ctx);
 }
 
-bool Client::TryRootDelegation(
-    std::shared_ptr<std::vector<std::string>> parts, std::size_t next,
-    std::shared_ptr<std::vector<std::pair<DirId, std::uint64_t>>> chain,
-    MetaService::ResolveCallback cb, obs::TraceContext ctx) {
+bool Client::TryRootDelegation(std::shared_ptr<const WalkPath> path,
+                               std::size_t next, std::shared_ptr<Chain> chain,
+                               MetaService::ResolveCallback cb,
+                               obs::TraceContext ctx) {
   if (root_grant_pending_) {
     // A grant fetch is already in flight; join it instead of issuing a
     // second shard visit, and re-enter the walk once the copy lands.
     ++stats_.delegation_joins;
     root_grant_waiters_.push_back(
-        [this, parts, next, chain, cb = std::move(cb), ctx]() {
-          WalkFrom(parts, next, kRootDir, chain, cb, ctx);
+        [this, path, next, chain, cb = std::move(cb), ctx]() {
+          WalkFrom(path, next, kRootDir, chain, cb, ctx);
         });
     return true;
   }
@@ -194,8 +188,8 @@ bool Client::TryRootDelegation(
     ++stats_.delegation_grants;
     root_grant_pending_ = true;
     root_grant_waiters_.push_back(
-        [this, parts, next, chain, cb = std::move(cb), ctx]() {
-          WalkFrom(parts, next, kRootDir, chain, cb, ctx);
+        [this, path, next, chain, cb = std::move(cb), ctx]() {
+          WalkFrom(path, next, kRootDir, chain, cb, ctx);
         });
     service_.DelegateDirectory(
         kRootDir,
@@ -224,15 +218,15 @@ bool Client::TryRootDelegation(
   ++stats_.delegation_hits;
   service_.engine().Schedule(
       config_.local_hit_ns,
-      [this, parts, next, chain, cb = std::move(cb), ctx]() {
+      [this, path, next, chain, cb = std::move(cb), ctx]() {
         if (!root_grant_valid_ ||
             service_.DirVersion(kRootDir) != root_version_) {
           DropRootGrant();
           ++stats_.revalidation_fallbacks;
-          WalkFrom(parts, next, kRootDir, chain, cb, ctx);
+          WalkFrom(path, next, kRootDir, chain, cb, ctx);
           return;
         }
-        const auto it = root_copy_.find((*parts)[next]);
+        const auto it = root_copy_.find(path->parts[next]);
         if (it == root_copy_.end()) {
           // The copy is complete at root_version_, so a miss in it is an
           // authoritative negative — no shard visit to confirm.
@@ -241,11 +235,8 @@ bool Client::TryRootDelegation(
         }
         const Dentry d = it->second;
         chain->emplace_back(kRootDir, root_version_);
-        Entry e;
-        e.dentry = d;
-        e.chain = *chain;
-        InsertEntry(JoinPath(*parts, next + 1), std::move(e));
-        if (next + 1 == parts->size()) {
+        InsertEntry(path->Prefix(next + 1), d, *chain);
+        if (next + 1 == path->parts.size()) {
           cb(Status::kOk, d);
           return;
         }
@@ -253,7 +244,7 @@ bool Client::TryRootDelegation(
           cb(Status::kNotDirectory, {});
           return;
         }
-        WalkFrom(parts, next + 1, d.ino, chain, cb, ctx);
+        WalkFrom(path, next + 1, d.ino, chain, cb, ctx);
       });
   return true;
 }
@@ -266,54 +257,66 @@ void Client::DropRootGrant() {
   ++stats_.delegation_drops;
 }
 
-void Client::InsertEntry(const std::string& path, Entry entry) {
+void Client::InsertEntry(std::string_view path, Dentry dentry,
+                         const Chain& chain) {
   if (config_.capacity == 0) return;
   // A walk overlapping a mutation can deliver a result whose prefix went
   // stale before the reply landed; the result itself is a legal lookup
   // race, but caching it would be exactly the stale positive coherence
   // forbids.  Only cache chains that are still current.
-  for (const auto& [dir, ver] : entry.chain) {
+  for (const auto& [dir, ver] : chain) {
     if (service_.DirVersion(dir) != ver) return;
   }
   // Validated insert commutes with same-tick peers (distinct paths, stable
-  // LRU stamps) but not with an invalidation of any chain directory: that
+  // LRU order) but not with an invalidation of any chain directory: that
   // pair settles to the same cache state either way, yet the drop counters
   // — and so the digest — depend on which ran first.
 #if NLSS_INVARIANTS_ENABLED
-  for (const auto& [dir, ver] : entry.chain) {
+  for (const auto& [dir, ver] : chain) {
     NLSS_ACCESS(kMeta, RaceKey(dir), kCommute);
   }
 #endif
-  RemoveEntry(path, nullptr);
-  entry.lru = ++lru_clock_;
-  lru_order_[entry.lru] = path;
-  for (const auto& [dir, ver] : entry.chain) by_dir_[dir].insert(path);
-  cache_.emplace(path, std::move(entry));
+  auto it = cache_.find(path);
+  if (it == cache_.end()) {
+    it = cache_.try_emplace(std::string(path)).first;
+    it->second.path = &it->first;
+  } else {
+    // Re-learned: the old chain and recency give way to the new ones.
+    lru_.Unlink(&it->second);
+    UnlinkChain(it->second);
+  }
+  Entry& entry = it->second;
+  entry.dentry = dentry;
+  entry.chain.clear();
+  entry.chain.reserve(chain.size());
+  for (const auto& [dir, ver] : chain) {
+    entry.chain.push_back(Link{dir, ver, &entry});
+  }
+  for (Link& link : entry.chain) by_dir_[link.dir].PushBack(&link);
+  lru_.PushBack(&entry);
   while (cache_.size() > config_.capacity) {
-    const std::string victim = lru_order_.begin()->second;
-    RemoveEntry(victim, &stats_.evictions);
+    RemoveEntry(*lru_.head, &stats_.evictions);
   }
 }
 
-void Client::RemoveEntry(const std::string& path, std::uint64_t* counter) {
-  const auto it = cache_.find(path);
-  if (it == cache_.end()) return;
-  for (const auto& [dir, ver] : it->second.chain) {
-    const auto b = by_dir_.find(dir);
-    if (b != by_dir_.end()) {
-      b->second.erase(path);
-      if (b->second.empty()) by_dir_.erase(b);
-    }
-  }
-  lru_order_.erase(it->second.lru);
-  cache_.erase(it);
+void Client::RemoveEntry(Entry& entry, std::uint64_t* counter) {
+  lru_.Unlink(&entry);
+  UnlinkChain(entry);
+  cache_.erase(cache_.find(*entry.path));
   if (counter != nullptr) ++(*counter);
 }
 
-void Client::TouchLru(const std::string& path, Entry& entry) {
-  lru_order_.erase(entry.lru);
-  entry.lru = ++lru_clock_;
-  lru_order_[entry.lru] = path;
+void Client::UnlinkChain(Entry& entry) {
+  for (Link& link : entry.chain) {
+    const auto it = by_dir_.find(link.dir);
+    it->second.Unlink(&link);
+    if (it->second.head == nullptr) by_dir_.erase(it);
+  }
+}
+
+void Client::TouchLru(Entry& entry) {
+  lru_.Unlink(&entry);
+  lru_.PushBack(&entry);
 }
 
 void Client::OnDirectoryInvalidate(DirId dir, std::uint64_t /*version*/) {
@@ -323,11 +326,10 @@ void Client::OnDirectoryInvalidate(DirId dir, std::uint64_t /*version*/) {
   // pending fetch is left alone — its version stamp is re-validated at
   // every use, so a copy read before the mutation can never be served.)
   if (dir == kRootDir) DropRootGrant();
-  const auto it = by_dir_.find(dir);
-  if (it == by_dir_.end()) return;
-  const std::vector<std::string> paths(it->second.begin(), it->second.end());
-  for (const std::string& p : paths) {
-    RemoveEntry(p, &stats_.dropped_entries);
+  // Drop the list's paths head first; the last one takes the list with it.
+  for (auto it = by_dir_.find(dir); it != by_dir_.end();
+       it = by_dir_.find(dir)) {
+    RemoveEntry(*it->second.head->owner, &stats_.dropped_entries);
   }
 }
 

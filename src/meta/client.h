@@ -22,10 +22,12 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -87,6 +89,9 @@ class Client {
   const ClientStats& stats() const { return stats_; }
   const ClientConfig& config() const { return config_; }
   std::size_t cached_entries() const { return cache_.size(); }
+  /// Directories at least one cached path resolved through (one
+  /// membership list each; a list goes with its last path).
+  std::size_t dir_lists() const { return by_dir_.size(); }
   /// Fraction of resolves served entirely from cache.
   double HitRate() const {
     return stats_.resolves == 0
@@ -96,35 +101,87 @@ class Client {
   }
 
  private:
+  /// (directory, version) pairs a resolution read through, root-first.
+  using Chain = std::vector<std::pair<DirId, std::uint64_t>>;
+
+  /// Doubly linked list threaded through its elements' own prev/next
+  /// pointers: O(1) append and unlink, no allocation.
+  template <typename T>
+  struct List {
+    T* head = nullptr;  // oldest
+    T* tail = nullptr;
+    void PushBack(T* n) {
+      n->prev = tail;
+      n->next = nullptr;
+      (tail != nullptr ? tail->next : head) = n;
+      tail = n;
+    }
+    void Unlink(T* n) {
+      (n->prev != nullptr ? n->prev->next : head) = n->next;
+      (n->next != nullptr ? n->next->prev : tail) = n->prev;
+      n->prev = n->next = nullptr;
+    }
+  };
+
+  struct Entry;
+  /// One chain step of a cached path, linked into the membership list of
+  /// the directory it read through.
+  struct Link {
+    DirId dir = 0;
+    std::uint64_t version = 0;
+    Entry* owner = nullptr;
+    Link* prev = nullptr;
+    Link* next = nullptr;
+  };
   struct Entry {
     Dentry dentry;
-    /// Every (directory, version) the resolution read through, root-first;
-    /// chain.back().first is the leaf's parent directory.
-    std::vector<std::pair<DirId, std::uint64_t>> chain;
-    std::uint64_t lru = 0;  // last-touch stamp (deterministic)
+    /// Root-first; chain.back().dir is the leaf's parent directory.  Never
+    /// resized while linked: the directory lists point into it.
+    std::vector<Link> chain;
+    const std::string* path = nullptr;  // this entry's key in cache_
+    Entry* prev = nullptr;              // LRU neighbours (lru_)
+    Entry* next = nullptr;
+  };
+
+  /// One resolve's path, split once: its components and its normalized
+  /// key "/a/b/c", whose prefixes are the keys of its ancestors.
+  struct WalkPath {
+    std::vector<std::string> parts;
+    std::string key;
+    /// Key of the first `n` components.
+    std::string_view Prefix(std::size_t n) const;
+  };
+
+  /// Transparent hash: cache_ is probed with string_view prefixes of a
+  /// WalkPath key, without building a string per probe.
+  struct PathHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
   };
 
   /// Start a service walk: from the deepest cached ancestor when one
   /// exists, from the root otherwise.
-  void BeginWalk(std::shared_ptr<std::vector<std::string>> parts,
+  void BeginWalk(std::shared_ptr<const WalkPath> path,
                  MetaService::ResolveCallback cb, obs::TraceContext ctx);
   /// Walk components [next, end) from `dir`, prefix = cached chain so far.
-  void WalkFrom(std::shared_ptr<std::vector<std::string>> parts,
-                std::size_t next, DirId dir,
-                std::shared_ptr<std::vector<std::pair<DirId, std::uint64_t>>>
-                    chain,
+  void WalkFrom(std::shared_ptr<const WalkPath> path, std::size_t next,
+                DirId dir, std::shared_ptr<Chain> chain,
                 MetaService::ResolveCallback cb, obs::TraceContext ctx);
   /// Serve a root-directory step from the delegation copy (fetching or
   /// joining a grant first when needed).  Returns false when delegation is
   /// off/unavailable and the caller should issue a plain LookupStep.
-  bool TryRootDelegation(
-      std::shared_ptr<std::vector<std::string>> parts, std::size_t next,
-      std::shared_ptr<std::vector<std::pair<DirId, std::uint64_t>>> chain,
-      MetaService::ResolveCallback cb, obs::TraceContext ctx);
+  bool TryRootDelegation(std::shared_ptr<const WalkPath> path,
+                         std::size_t next, std::shared_ptr<Chain> chain,
+                         MetaService::ResolveCallback cb,
+                         obs::TraceContext ctx);
   void DropRootGrant();
-  void InsertEntry(const std::string& path, Entry entry);
-  void RemoveEntry(const std::string& path, std::uint64_t* counter);
-  void TouchLru(const std::string& path, Entry& entry);
+  void InsertEntry(std::string_view path, Dentry dentry, const Chain& chain);
+  void RemoveEntry(Entry& entry, std::uint64_t* counter);
+  /// Take `entry`'s chain out of every directory list it sits in.
+  void UnlinkChain(Entry& entry);
+  void TouchLru(Entry& entry);
   /// Race-detector key for this client's cached state about `dir`: each
   /// host cache is independent state, so the key is salted per client
   /// (deterministically, from the client's name).
@@ -133,10 +190,13 @@ class Client {
   MetaService& service_;
   std::string name_;
   ClientConfig config_;
-  std::map<std::string, Entry> cache_;             // normalized path -> entry
-  std::map<DirId, std::set<std::string>> by_dir_;  // chain dir -> paths
-  std::map<std::uint64_t, std::string> lru_order_;  // stamp -> path
-  std::uint64_t lru_clock_ = 0;
+  // Hashed containers here are looked up, never iterated: every walk over
+  // cached paths follows lru_ or a directory list, so no hash order can
+  // reach the simulation.
+  std::unordered_map<std::string, Entry, PathHash, std::equal_to<>>
+      cache_;                                    // normalized path -> entry
+  std::unordered_map<DirId, List<Link>> by_dir_;  // chain dir -> its links
+  List<Entry> lru_;  // least recently touched first: head is the victim
   // Root delegation state: a full, version-stamped copy of "/".
   bool root_grant_valid_ = false;
   bool root_grant_pending_ = false;

@@ -198,20 +198,28 @@ void Tracer::EndTrace(const TraceContext& root, bool ok) {
   aggregate_.Add(trace.breakdown);
   ++finished_;
 
+  // slowest_ stays sorted slowest first (ties: lower id first), so a trace
+  // that does not beat the K-th is turned away without a copy or a sort.
+  const auto slower = [](const FinishedTrace& x, const FinishedTrace& y) {
+    if (x.duration() != y.duration()) return x.duration() > y.duration();
+    return x.id < y.id;
+  };
+  const bool keep = config_.keep_slowest > 0 &&
+                    (slowest_.size() < config_.keep_slowest ||
+                     slower(trace, slowest_.back()));
   if (config_.keep_recent > 0) {
-    recent_.push_back(trace);
+    if (keep) {
+      recent_.push_back(trace);
+    } else {
+      recent_.push_back(std::move(trace));
+    }
     if (recent_.size() > config_.keep_recent) recent_.pop_front();
   }
-  slowest_.push_back(std::move(trace));
-  std::sort(slowest_.begin(), slowest_.end(),
-            [](const FinishedTrace& x, const FinishedTrace& y) {
-              if (x.duration() != y.duration())
-                return x.duration() > y.duration();
-              return x.id < y.id;
-            });
-  if (slowest_.size() > config_.keep_slowest) {
-    slowest_.resize(config_.keep_slowest);
-  }
+  if (!keep) return;
+  const auto at =
+      std::upper_bound(slowest_.begin(), slowest_.end(), trace, slower);
+  slowest_.insert(at, std::move(trace));
+  if (slowest_.size() > config_.keep_slowest) slowest_.pop_back();
 }
 
 std::string Tracer::Dump() const {

@@ -6,9 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "check/invariant.h"
@@ -483,6 +485,367 @@ TEST(DentryCache, RootDelegationServesRootStepsLocally) {
   EXPECT_EQ(ps, Status::kOk);
   EXPECT_EQ(plain.stats().delegation_grants, 0u);
   EXPECT_EQ(plain.stats().steps, 2u);
+}
+
+// --- Host dentry cache: pinned eviction, invalidation and counters -----------
+
+/// One resolve run to completion: its result, and whether the client
+/// served it as a full-path cache hit.
+struct Resolved {
+  Status st = Status::kInvalidArgument;
+  Dentry d;
+  bool full_hit = false;
+};
+
+Resolved ResolveNow(sim::Engine& engine, Client& client,
+                    const std::string& path) {
+  const std::uint64_t hits0 = client.stats().full_hits;
+  Resolved r;
+  client.Resolve(path, [&r](Status s, Dentry d) {
+    r.st = s;
+    r.d = d;
+  });
+  engine.Run();
+  r.full_hit = client.stats().full_hits > hits0;
+  return r;
+}
+
+Status MutateNow(sim::Engine& engine,
+                 const std::function<void(MetaService::StatusCallback)>& op) {
+  Status st = Status::kInvalidArgument;
+  op([&st](Status s) { st = s; });
+  engine.Run();
+  return st;
+}
+
+// The victim is always the least recently *touched* path: a full hit
+// touches its path, and a walk from a cached ancestor touches the
+// ancestor — so "/d", cached first, outlives every file under it.
+TEST(DentryCache, LruEvictsLeastRecentlyTouchedAndWalksKeepAncestors) {
+  sim::Engine engine;
+  MetaService service(engine);
+  ClientConfig cc;
+  cc.capacity = 3;
+  Client client(service, "c0", cc);
+  ASSERT_EQ(service.BootstrapMkdir("/d"), Status::kOk);
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_EQ(service.BootstrapCreate("/d/f" + std::to_string(i)),
+              Status::kOk);
+  }
+
+  struct Step {
+    const char* path;
+    bool full_hit;
+    std::uint64_t evictions;  // running total after the step
+  };
+  // LRU order (oldest first) after each step, in the comments.
+  const Step steps[] = {
+      {"/d/f0", false, 0},  // [/d f0]
+      {"/d/f1", false, 0},  // [f0 /d f1]
+      {"/d/f0", true, 0},   // [/d f1 f0]
+      {"/d/f2", false, 1},  // touch /d, evict f1: [f0 /d f2]
+      {"/d/f0", true, 1},   // [/d f2 f0]
+      {"/d/f1", false, 2},  // touch /d, evict f2: [f0 /d f1]
+      {"/d/f2", false, 3},  // touch /d, evict f0: [f1 /d f2]
+      {"/d", true, 3},      // [f1 f2 /d]
+      {"/d/f3", false, 4},  // evict f1: [f2 /d f3]
+      {"/d/f2", true, 4},   // [/d f3 f2]
+      {"/d/f1", false, 5},  // touch /d, evict f3: [f2 /d f1]
+  };
+  for (const Step& s : steps) {
+    const Resolved r = ResolveNow(engine, client, s.path);
+    EXPECT_EQ(r.st, Status::kOk) << s.path;
+    EXPECT_EQ(r.full_hit, s.full_hit) << s.path;
+    EXPECT_EQ(client.stats().evictions, s.evictions) << s.path;
+    EXPECT_LE(client.cached_entries(), cc.capacity) << s.path;
+  }
+  EXPECT_EQ(client.cached_entries(), cc.capacity);
+
+  // Two walks of f3 in flight around one of f0 (one tick apart, so no
+  // same-tick order is involved): the second f3 reply re-learns the path
+  // and makes it the most recent again.
+  const sim::Tick t0 = engine.now();
+  for (const auto& [dt, path] : {std::pair<sim::Tick, const char*>{1, "/d/f3"},
+                                 {2, "/d/f0"},
+                                 {3, "/d/f3"}}) {
+    engine.ScheduleAt(t0 + dt, [&client, path = path] {
+      client.Resolve(path, [](Status s, Dentry) {
+        EXPECT_EQ(s, Status::kOk);
+      });
+    });
+  }
+  engine.Run();  // evict f2, then f1: [/d f0 f3]
+  EXPECT_EQ(client.stats().evictions, 7u);
+  EXPECT_FALSE(ResolveNow(engine, client, "/d/f1").full_hit);  // evict f0
+  EXPECT_TRUE(ResolveNow(engine, client, "/d/f3").full_hit);
+  EXPECT_FALSE(ResolveNow(engine, client, "/d/f0").full_hit);
+
+  EXPECT_EQ(client.stats().misses, 1u);
+  EXPECT_EQ(client.stats().partial_hits, 11u);
+  EXPECT_EQ(client.stats().full_hits, 5u);
+  EXPECT_EQ(client.stats().evictions, 9u);
+  EXPECT_EQ(client.stats().dropped_entries, 0u);
+}
+
+// An invalidation of `dir` drops exactly the cached paths whose resolution
+// read through `dir` — not `dir`'s own entry, and nothing beside it.
+TEST(DentryCache, InvalidateDropsExactlyThePathsThroughTheDirectory) {
+  sim::Engine engine;
+  MetaService service(engine);
+  Client client(service, "c0");
+  for (const char* d : {"/a", "/a/x", "/b"}) {
+    ASSERT_EQ(service.BootstrapMkdir(d), Status::kOk);
+  }
+  for (const char* f : {"/a/x/f", "/a/y", "/b/g"}) {
+    ASSERT_EQ(service.BootstrapCreate(f), Status::kOk);
+  }
+  for (const char* p : {"/a/x/f", "/a/y", "/b/g"}) {
+    ASSERT_EQ(ResolveNow(engine, client, p).st, Status::kOk);
+  }
+  ASSERT_EQ(client.cached_entries(), 6u);  // /a /a/x /a/x/f /a/y /b /b/g
+
+  // A create in /a/x bumps only /a/x: its one cached child goes.
+  ASSERT_EQ(MutateNow(engine,
+                      [&](MetaService::StatusCallback cb) {
+                        service.Create("/a/x/n", [cb](Status s, Ino) {
+                          cb(s);
+                        });
+                      }),
+            Status::kOk);
+  EXPECT_EQ(client.stats().dropped_entries, 1u);
+  EXPECT_EQ(client.cached_entries(), 5u);
+  for (const char* kept : {"/a", "/a/x", "/a/y", "/b", "/b/g"}) {
+    EXPECT_TRUE(ResolveNow(engine, client, kept).full_hit) << kept;
+  }
+  EXPECT_FALSE(ResolveNow(engine, client, "/a/x/f").full_hit);
+  ASSERT_EQ(client.cached_entries(), 6u);
+
+  // A mkdir in /a drops everything beneath /a but keeps "/a" itself
+  // (its chain is just the root) and the whole /b subtree.
+  ASSERT_EQ(MutateNow(engine,
+                      [&](MetaService::StatusCallback cb) {
+                        service.Mkdir("/a/m", cb);
+                      }),
+            Status::kOk);
+  EXPECT_EQ(client.stats().dropped_entries, 4u);
+  EXPECT_EQ(client.cached_entries(), 3u);
+  for (const char* kept : {"/a", "/b", "/b/g"}) {
+    EXPECT_TRUE(ResolveNow(engine, client, kept).full_hit) << kept;
+  }
+  for (const char* gone : {"/a/x", "/a/y", "/a/x/f"}) {
+    EXPECT_FALSE(ResolveNow(engine, client, gone).full_hit) << gone;
+  }
+  EXPECT_EQ(client.stats().invalidations, 2u);
+}
+
+// Every cached path reads through "/", so a root mutation empties the
+// cache and drops the root delegation copy with it.
+TEST(DentryCache, RootInvalidationDropsEveryPathAndTheRootGrant) {
+  sim::Engine engine;
+  MetaService service(engine);
+  Client client(service, "c0");
+  for (const char* d : {"/a", "/a/x", "/b"}) {
+    ASSERT_EQ(service.BootstrapMkdir(d), Status::kOk);
+  }
+  for (const char* f : {"/a/x/f", "/b/g"}) {
+    ASSERT_EQ(service.BootstrapCreate(f), Status::kOk);
+  }
+  for (const char* p : {"/a/x/f", "/b/g"}) {
+    ASSERT_EQ(ResolveNow(engine, client, p).st, Status::kOk);
+  }
+  ASSERT_EQ(client.cached_entries(), 5u);
+  ASSERT_EQ(client.stats().delegation_grants, 1u);
+
+  ASSERT_EQ(MutateNow(engine,
+                      [&](MetaService::StatusCallback cb) {
+                        service.Mkdir("/c", cb);
+                      }),
+            Status::kOk);
+  EXPECT_EQ(client.cached_entries(), 0u);
+  EXPECT_EQ(client.stats().dropped_entries, 5u);
+  EXPECT_EQ(client.stats().delegation_drops, 1u);
+
+  const Resolved again = ResolveNow(engine, client, "/a/x/f");
+  EXPECT_EQ(again.st, Status::kOk);
+  EXPECT_FALSE(again.full_hit);
+  EXPECT_EQ(client.stats().misses, 3u) << "a walk from the root, not /a/x";
+  EXPECT_EQ(client.stats().delegation_grants, 2u)
+      << "the dropped grant must be fetched again";
+}
+
+// Every counter after a scripted mix of hits, walks, evictions, negative
+// lookups and invalidations (capacity 4; LRU order in the comments).
+TEST(DentryCache, ScriptedSequenceCountersAreExact) {
+  sim::Engine engine;
+  MetaService service(engine);
+  ClientConfig cc;
+  cc.capacity = 4;
+  Client client(service, "c0", cc);
+  for (const char* d : {"/p", "/p/q", "/t"}) {
+    ASSERT_EQ(service.BootstrapMkdir(d), Status::kOk);
+  }
+  for (const char* f : {"/p/q/r1", "/p/q/r2", "/p/s", "/t/u"}) {
+    ASSERT_EQ(service.BootstrapCreate(f), Status::kOk);
+  }
+  const auto resolve = [&](const char* path) {
+    return ResolveNow(engine, client, path).st;
+  };
+
+  EXPECT_EQ(resolve("/p/q/r1"), Status::kOk);  // miss: [/p /p/q r1]
+  EXPECT_EQ(resolve("/p/q/r2"), Status::kOk);  // partial: [/p r1 /p/q r2]
+  EXPECT_EQ(resolve("/p/s"), Status::kOk);     // partial, evict r1
+  EXPECT_EQ(resolve("/p/q/r2"), Status::kOk);  // hit: [/p/q /p /p/s r2]
+  EXPECT_EQ(resolve("/t/u"), Status::kOk);     // miss, evict /p/q and /p
+  ASSERT_EQ(MutateNow(engine,
+                      [&](MetaService::StatusCallback cb) {
+                        service.Unlink("/p/q/r2", cb);
+                      }),
+            Status::kOk);                        // drop r2: [/p/s /t /t/u]
+  EXPECT_EQ(resolve("/p/q/r2"), Status::kNotFound);  // miss, evict /p/s
+  EXPECT_EQ(resolve("/p/nope"), Status::kNotFound);  // partial from /p
+  ASSERT_EQ(MutateNow(engine,
+                      [&](MetaService::StatusCallback cb) {
+                        service.Rename("/t", "/w", cb);
+                      }),
+            Status::kOk);                        // root changed: drop all 4
+  EXPECT_EQ(resolve("/w/u"), Status::kOk);     // miss: [/w /w/u]
+
+  const ClientStats& s = client.stats();
+  EXPECT_EQ(s.resolves, 8u);
+  EXPECT_EQ(s.full_hits, 1u);
+  EXPECT_EQ(s.partial_hits, 3u);
+  EXPECT_EQ(s.misses, 4u);
+  EXPECT_EQ(s.steps, 9u);
+  EXPECT_EQ(s.evictions, 4u);
+  EXPECT_EQ(s.invalidations, 2u);
+  EXPECT_EQ(s.dropped_entries, 5u);
+  EXPECT_EQ(s.revalidation_fallbacks, 0u);
+  EXPECT_EQ(s.delegation_grants, 2u);
+  EXPECT_EQ(s.delegation_hits, 4u);
+  EXPECT_EQ(s.delegation_drops, 1u);
+  EXPECT_EQ(client.cached_entries(), 2u);
+}
+
+// Seeded coherence sweep: a random mix of resolves and namespace mutations
+// on a small tree, one op per Run().  Every cached client must answer
+// exactly like an uncached one, never hold more than its capacity, and
+// keep no directory list past the last cached path that read through it.
+TEST(DentryCache, SeededSweepAnswersLikeAnUncachedClient) {
+  const char* const kNames[] = {"a", "b", "c"};
+  constexpr std::size_t kMaxDepth = 3;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    sim::Engine engine;
+    MetaService service(engine);
+    ClientConfig off;
+    off.capacity = 0;
+    Client reference(service, "ref", off);
+    std::vector<std::unique_ptr<Client>> clients;
+    for (const std::size_t capacity : {1, 3, 16}) {
+      ClientConfig cc;
+      cc.capacity = capacity;
+      clients.push_back(std::make_unique<Client>(
+          service, "c" + std::to_string(capacity), cc));
+    }
+    ASSERT_EQ(service.BootstrapMkdir("/a"), Status::kOk);
+    ASSERT_EQ(service.BootstrapMkdir("/a/b"), Status::kOk);
+    ASSERT_EQ(service.BootstrapCreate("/a/b/c"), Status::kOk);
+    ASSERT_EQ(service.BootstrapCreate("/b"), Status::kOk);
+
+    std::uint64_t rng = seed;
+    const auto random_path = [&] {
+      const std::uint64_t r = Mix(rng);
+      std::vector<std::string> parts(1 + r % kMaxDepth);
+      for (std::size_t i = 0; i < parts.size(); ++i) {
+        parts[i] = kNames[(r >> (8 + 4 * i)) % 3];
+      }
+      return parts;
+    };
+    const auto join = [](const std::vector<std::string>& parts) {
+      std::string out;
+      for (const std::string& p : parts) out += "/" + p;
+      return out;
+    };
+
+    for (int step = 0; step < 400; ++step) {
+      const std::uint64_t op = Mix(rng) % 8;
+      const std::vector<std::string> parts = random_path();
+      const std::string path = join(parts);
+      SCOPED_TRACE("seed " + std::to_string(seed) + " step " +
+                   std::to_string(step) + " op " + std::to_string(op) + " " +
+                   path);
+      if (op < 4) {
+        Resolved want;
+        reference.Resolve(path, [&want](Status s, Dentry d) {
+          want.st = s;
+          want.d = d;
+        });
+        std::vector<Resolved> got(clients.size());
+        for (std::size_t i = 0; i < clients.size(); ++i) {
+          clients[i]->Resolve(path, [&got, i](Status s, Dentry d) {
+            got[i].st = s;
+            got[i].d = d;
+          });
+        }
+        engine.Run();
+        for (std::size_t i = 0; i < clients.size(); ++i) {
+          EXPECT_EQ(got[i].st, want.st) << clients[i]->name();
+          EXPECT_EQ(got[i].d.ino, want.d.ino) << clients[i]->name();
+          EXPECT_EQ(got[i].d.is_dir, want.d.is_dir) << clients[i]->name();
+        }
+      } else {
+        Status st = Status::kInvalidArgument;
+        const auto done = [&st](Status s) { st = s; };
+        bool touches_root = parts.size() == 1;
+        if (op == 4) {
+          service.Create(path, [&st](Status s, Ino) { st = s; });
+        } else if (op == 5) {
+          service.Unlink(path, done);
+        } else if (op == 6) {
+          service.Mkdir(path, done);
+        } else {
+          const std::vector<std::string> to = random_path();
+          // The service does not refuse a move into the source's own
+          // subtree, and a self-rename is a no-op: skip both.
+          if (to.size() >= parts.size() &&
+              std::equal(parts.begin(), parts.end(), to.begin())) {
+            continue;
+          }
+          touches_root = touches_root || to.size() == 1;
+          service.Rename(path, join(to), done);
+        }
+        engine.Run();
+        if (st == Status::kOk && touches_root) {
+          // Every cached path reads through "/".
+          for (const auto& c : clients) {
+            EXPECT_EQ(c->cached_entries(), 0u) << c->name();
+            EXPECT_EQ(c->dir_lists(), 0u) << c->name();
+          }
+        }
+      }
+      for (const auto& c : clients) {
+        EXPECT_LE(c->cached_entries(), c->config().capacity) << c->name();
+        EXPECT_EQ(c->cached_entries() == 0, c->dir_lists() == 0)
+            << c->name();
+        EXPECT_LE(c->dir_lists(), kMaxDepth * c->cached_entries())
+            << c->name();
+      }
+    }
+
+    bool made = false;
+    service.Mkdir("/z", [&made](Status s) { made = (s == Status::kOk); });
+    engine.Run();
+    ASSERT_TRUE(made);
+    for (const auto& c : clients) {
+      EXPECT_EQ(c->cached_entries(), 0u) << c->name();
+      EXPECT_EQ(c->dir_lists(), 0u) << c->name();
+      // The sweep must have exercised every path through the cache.
+      EXPECT_GT(c->stats().full_hits, 0u) << c->name();
+      EXPECT_GT(c->stats().partial_hits, 0u) << c->name();
+      EXPECT_GT(c->stats().dropped_entries, 0u) << c->name();
+    }
+    EXPECT_GT(clients[0]->stats().evictions, 0u);
+    EXPECT_GT(clients[1]->stats().evictions, 0u);
+  }
 }
 
 // --- Metadata under QoS admission --------------------------------------------

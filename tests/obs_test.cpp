@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "obs/hub.h"
@@ -116,6 +118,48 @@ TEST(Tracer, TopKRetainsSlowestTracesInOrder) {
   EXPECT_EQ(tracer.finished(), 3u);
   // The aggregate still folds in the evicted trace.
   EXPECT_EQ(tracer.aggregate().total, 600u);
+}
+
+// The retained set is exactly the K first traces of a full sort by
+// (duration descending, id ascending), whatever order they finish in —
+// ties included, and nothing at K = 0, while the recent ring still fills.
+TEST(Tracer, TopKMatchesAFullSortWithTies) {
+  for (const std::size_t k : {0, 1, 3, 16}) {
+    sim::Engine engine;
+    Tracer::Config cfg;
+    cfg.keep_slowest = k;
+    cfg.keep_recent = 4;
+    Tracer tracer(engine, cfg);
+
+    // Start 24 traces at tick 0, then end them in a scrambled order,
+    // three per tick, so equal durations must be ordered by id.
+    std::vector<TraceContext> open;
+    for (int i = 0; i < 24; ++i) {
+      open.push_back(tracer.StartTrace(Layer::kProto, "op"));
+    }
+    std::vector<std::pair<sim::Tick, TraceId>> all;  // (duration, id)
+    for (int i = 0; i < 24; ++i) {
+      if (i % 3 == 0) {
+        engine.Schedule(10, [] {});
+        engine.Run();
+      }
+      const TraceContext& ctx = open[(i * 7) % 24];
+      tracer.EndTrace(ctx, true);
+      all.emplace_back(engine.now(), ctx.trace);
+    }
+    std::sort(all.begin(), all.end(), [](const auto& x, const auto& y) {
+      if (x.first != y.first) return x.first > y.first;
+      return x.second < y.second;
+    });
+    const std::size_t kept = std::min(k, all.size());
+    ASSERT_EQ(tracer.slowest().size(), kept) << "k=" << k;
+    for (std::size_t i = 0; i < kept; ++i) {
+      EXPECT_EQ(tracer.slowest()[i].duration(), all[i].first) << "k=" << k;
+      EXPECT_EQ(tracer.slowest()[i].id, all[i].second) << "k=" << k;
+    }
+    EXPECT_EQ(tracer.recent().size(), 4u) << "k=" << k;
+    EXPECT_EQ(tracer.finished(), 24u);
+  }
 }
 
 TEST(Tracer, AnnotationsAndTenantStick) {
