@@ -30,11 +30,11 @@ struct Setup {
       groups.push_back(std::make_unique<raid::RaidGroup>(
           engine, std::move(disks), rc));
       // Seed every group with data so the rebuild reconstructs real bytes.
-      util::Bytes data(groups[g]->DataCapacityBlocks() * 4096ull);
-      util::FillPattern(data, g);
+      const util::Payload data(
+          groups[g]->DataCapacityBlocks() * 4096ull,
+          [g](std::span<std::uint8_t> out) { util::FillPattern(out, g); });
       bool ok = false;
-      groups[g]->WriteBlocks(0, util::Payload::Copy(data),
-                             [&](bool r) { ok = r; });
+      groups[g]->WriteBlocks(0, data, [&](bool r) { ok = r; });
       engine.Run();
       if (!ok) std::abort();
     }

@@ -27,7 +27,7 @@ void BM_XorInto(benchmark::State& state) {
   util::FillPattern(a, 1);
   util::FillPattern(b, 2);
   for (auto _ : state) {
-    raid::XorInto(a, b);
+    util::XorInto(a, b);
     benchmark::DoNotOptimize(a.data());
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * n);
@@ -57,7 +57,7 @@ void BM_Raid6PQ(benchmark::State& state) {
     std::fill(p.begin(), p.end(), 0);
     std::fill(q.begin(), q.end(), 0);
     for (std::uint32_t u = 0; u < data.size(); ++u) {
-      raid::XorInto(p, data[u]);
+      util::XorInto(p, data[u]);
       raid::GfMulInto(q, data[u], raid::Gf256::Exp(u));
     }
     benchmark::DoNotOptimize(p.data());

@@ -374,28 +374,6 @@ void TraditionalArray::FailController(std::uint32_t c) {
   }
 }
 
-void TraditionalArray::FlushAll(WriteCallback cb) {
-  std::vector<std::tuple<std::uint32_t, std::uint32_t, std::uint64_t>> dirty;
-  for (std::uint32_t c = 0; c < ctrls_.size(); ++c) {
-    if (!ctrls_[c]->alive) continue;
-    for (const auto& [key, page] : ctrls_[c]->cache) {
-      if (page.dirty) {
-        dirty.emplace_back(c, static_cast<std::uint32_t>(key >> 40),
-                           key & ((1ULL << 40) - 1));
-      }
-    }
-  }
-  if (dirty.empty()) {
-    engine_.Schedule(0, [cb = std::move(cb)] { cb(true); });
-    return;
-  }
-  auto join = std::make_shared<Join>(static_cast<int>(dirty.size()),
-                                     std::move(cb));
-  for (const auto& [c, lun, page] : dirty) {
-    FlushKey(c, lun, page, [join](bool ok) { join->Arrive(ok); });
-  }
-}
-
 std::vector<double> TraditionalArray::LoadByController() const {
   std::vector<double> loads;
   for (const auto& c : ctrls_) {

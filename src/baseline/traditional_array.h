@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <functional>
 #include <list>
+#include <map>
 #include <unordered_map>
 #include <vector>
 
@@ -54,8 +55,6 @@ class TraditionalArray {
   /// LUNs with a cold cache (only mirrored dirty pages survive).
   void FailController(std::uint32_t c);
 
-  void FlushAll(WriteCallback cb);
-
   std::uint32_t OwnerOf(std::uint32_t lun) const;
   std::vector<double> LoadByController() const;
   sim::Resource& compute(std::uint32_t c) { return ctrls_[c]->compute; }
@@ -77,8 +76,9 @@ class TraditionalArray {
     std::list<std::uint64_t> lru;
     std::unordered_map<std::uint64_t, std::list<std::uint64_t>::iterator>
         lru_pos;
-    // Mirrored dirty pages held for the partner (active-passive safety).
-    std::unordered_map<std::uint64_t, util::Payload> partner_mirror;
+    // Mirrored dirty pages held for the partner (active-passive safety),
+    // in key order so a failover replays them deterministically.
+    std::map<std::uint64_t, util::Payload> partner_mirror;
 
     Controller(net::NodeId n, sim::Engine& e) : node(n), compute(e) {}
   };

@@ -2,6 +2,8 @@
 
 #include <cassert>
 
+#include "util/bytes.h"
+
 namespace nlss::raid {
 namespace {
 
@@ -49,26 +51,12 @@ std::uint8_t Gf256::Pow(std::uint8_t base, unsigned power) {
   return kGf.exp[(static_cast<unsigned>(kGf.log[base]) * power) % 255];
 }
 
-void XorInto(std::span<std::uint8_t> dst, std::span<const std::uint8_t> src) {
-  assert(dst.size() == src.size());
-  std::size_t i = 0;
-  // Word-at-a-time main loop; tails byte-wise.
-  for (; i + 8 <= dst.size(); i += 8) {
-    std::uint64_t d, s;
-    __builtin_memcpy(&d, dst.data() + i, 8);
-    __builtin_memcpy(&s, src.data() + i, 8);
-    d ^= s;
-    __builtin_memcpy(dst.data() + i, &d, 8);
-  }
-  for (; i < dst.size(); ++i) dst[i] ^= src[i];
-}
-
 void GfMulInto(std::span<std::uint8_t> dst, std::span<const std::uint8_t> src,
                std::uint8_t coeff) {
   assert(dst.size() == src.size());
   if (coeff == 0) return;
   if (coeff == 1) {
-    XorInto(dst, src);
+    util::XorInto(dst, src);
     return;
   }
   // Per-coefficient 256-entry product table amortizes the log/exp lookups.

@@ -18,9 +18,6 @@ class Gf256 {
   static std::uint8_t Pow(std::uint8_t base, unsigned power);
 };
 
-/// dst ^= src, element-wise.  Sizes must match.
-void XorInto(std::span<std::uint8_t> dst, std::span<const std::uint8_t> src);
-
 /// dst ^= coeff * src in GF(2^8), element-wise.  Sizes must match.
 void GfMulInto(std::span<std::uint8_t> dst, std::span<const std::uint8_t> src,
                std::uint8_t coeff);

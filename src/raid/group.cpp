@@ -115,12 +115,9 @@ void RaidGroup::Compute(std::uint64_t bytes, std::function<void()> next) {
 
 void RaidGroup::ComputeParity(const std::vector<util::Payload>& data,
                               util::Payload& p, util::Payload& q) const {
-  const std::uint32_t ub = unit_bytes();
-  p = util::Payload(ub, [&](std::span<std::uint8_t> out) {
-    std::memcpy(out.data(), data[0].data(), ub);
-    for (std::size_t u = 1; u < data.size(); ++u) XorInto(out, data[u]);
-  });
+  p = util::Payload::Xor(data);
   if (layout_.level() == RaidLevel::kRaid6) {
+    const std::uint32_t ub = unit_bytes();
     q = util::Payload(ub, [&](std::span<std::uint8_t> out) {
       std::memset(out.data(), 0, ub);
       for (std::uint32_t u = 0; u < data.size(); ++u) {
@@ -157,16 +154,16 @@ bool RaidGroup::Reconstruct(std::uint64_t stripe,
 
   if (missing.empty()) return true;
 
-  // A fresh unit starting from `base`, with S (xor of surviving data) or
-  // T (sum of g^u * surviving data) folded in.
-  auto with_xor_of_surviving = [&](const util::Payload& base) {
-    return util::Payload(ub, [&](std::span<std::uint8_t> out) {
-      std::memcpy(out.data(), base.data(), ub);
-      for (std::uint32_t u = 0; u < du; ++u) {
-        if (!data_out[u].empty()) XorInto(out, data_out[u]);
-      }
-    });
+  // P ^ S, with S the xor of the surviving data: deferred, and when P was
+  // never read it cancels down to the missing units' own buffers.
+  auto xor_of_surviving = [&](const util::Payload& parity) {
+    std::vector<util::Payload> terms{parity};
+    for (const util::Payload& unit : data_out) {
+      if (!unit.empty()) terms.push_back(unit);
+    }
+    return util::Payload::Xor(terms);
   };
+  // T (sum of g^u * surviving data) folded into `out`.
   auto fold_rs_of_surviving = [&](std::span<std::uint8_t> out) {
     for (std::uint32_t u = 0; u < du; ++u) {
       if (!data_out[u].empty()) GfMulInto(out, data_out[u], Gf256::Exp(u));
@@ -176,7 +173,7 @@ bool RaidGroup::Reconstruct(std::uint64_t stripe,
   if (missing.size() == 1) {
     const std::uint32_t u = missing[0];
     if (p != nullptr) {
-      data_out[u] = with_xor_of_surviving(*p);
+      data_out[u] = xor_of_surviving(*p);
       return true;
     }
     if (q != nullptr && layout_.level() == RaidLevel::kRaid6) {
@@ -194,7 +191,7 @@ bool RaidGroup::Reconstruct(std::uint64_t stripe,
       p != nullptr && q != nullptr) {
     const std::uint32_t u1 = missing[0];
     const std::uint32_t u2 = missing[1];
-    const util::Payload a = with_xor_of_surviving(*p);  // A = P ^ S = D1 ^ D2
+    const util::Payload a = xor_of_surviving(*p);  // A = P ^ S = D1 ^ D2
     // D1 = (g^u2 * A ^ B) / (g^u1 ^ g^u2), with B = Q ^ T.
     const std::uint8_t denom =
         static_cast<std::uint8_t>(Gf256::Exp(u1) ^ Gf256::Exp(u2));
@@ -204,12 +201,9 @@ bool RaidGroup::Reconstruct(std::uint64_t stripe,
       GfMulInto(out, a, Gf256::Exp(u2));
       GfScale(out, Gf256::Inv(denom));
     });
-    util::Payload d2(ub, [&](std::span<std::uint8_t> out) {
-      std::memcpy(out.data(), a.data(), ub);
-      XorInto(out, d1);
-    });
+    const util::Payload a_and_d1[] = {a, d1};
+    data_out[u2] = util::Payload::Xor(a_and_d1);
     data_out[u1] = std::move(d1);
-    data_out[u2] = std::move(d2);
     return true;
   }
 
@@ -567,6 +561,9 @@ void RaidGroup::StripeWriteParity(std::uint64_t stripe,
       done(false);
       return;
     }
+    // Compact first: the deferred parity then holds exactly the unit
+    // handles the data disks store, never a view pinning a larger buffer.
+    for (util::Payload& unit : data) unit = unit.Compact();
     util::Payload p, q;
     ComputeParity(data, p, q);
     const std::uint64_t parity_bytes =

@@ -143,7 +143,8 @@ class RaidGroup {
                          std::function<void(bool)> done,
                          obs::TraceContext ctx = {});
 
-  /// Compute P (and Q for RAID-6) over full data units.
+  /// P over full data units as a deferred XOR of them, and RAID-6's Q
+  /// computed now.
   void ComputeParity(const std::vector<util::Payload>& data, util::Payload& p,
                      util::Payload& q) const;
 

@@ -1,5 +1,7 @@
 #include "util/bytes.h"
 
+#include <cassert>
+
 namespace nlss::util {
 namespace {
 
@@ -33,6 +35,20 @@ bool CheckPattern(std::span<const std::uint8_t> data, std::uint64_t seed) {
   Bytes expected(data.size());
   FillPattern(expected, seed);
   return std::equal(data.begin(), data.end(), expected.begin());
+}
+
+void XorInto(std::span<std::uint8_t> dst, std::span<const std::uint8_t> src) {
+  assert(dst.size() == src.size());
+  std::size_t i = 0;
+  // Word-at-a-time main loop; tails byte-wise.
+  for (; i + 8 <= dst.size(); i += 8) {
+    std::uint64_t d, s;
+    __builtin_memcpy(&d, dst.data() + i, 8);
+    __builtin_memcpy(&s, src.data() + i, 8);
+    d ^= s;
+    __builtin_memcpy(dst.data() + i, &d, 8);
+  }
+  for (; i < dst.size(); ++i) dst[i] ^= src[i];
 }
 
 void ByteWriter::U16(std::uint16_t v) {

@@ -20,6 +20,9 @@ void FillPattern(std::span<std::uint8_t> out, std::uint64_t seed);
 /// Check that `data` matches the pattern produced by FillPattern(seed).
 bool CheckPattern(std::span<const std::uint8_t> data, std::uint64_t seed);
 
+/// dst ^= src, element-wise.  Sizes must match.
+void XorInto(std::span<std::uint8_t> dst, std::span<const std::uint8_t> src);
+
 /// Little-endian binary writer.
 class ByteWriter {
  public:

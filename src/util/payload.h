@@ -3,8 +3,12 @@
 // handing one from host to blade, cache frame, replica, flash entry, RAID
 // unit and disk extent copies a pointer, never the bytes.  Bytes are
 // materialized (written into a fresh buffer) only through the copy-on-write
-// constructor and the helpers built on it; every such buffer is counted in
-// materialized_bytes().
+// constructor and the helpers built on it, and by the first read of a
+// deferred XOR (Xor); every such buffer is counted in materialized_bytes().
+//
+// A deferred payload computes its bytes on first read without a lock, so
+// that read must not race another read of the same payload on a second
+// thread.  Nothing in the simulator shares payloads across threads.
 #pragma once
 
 #include <atomic>
@@ -14,6 +18,7 @@
 #include <memory>
 #include <span>
 #include <utility>
+#include <vector>
 
 #include "util/bytes.h"
 
@@ -45,6 +50,15 @@ class Payload {
   /// more are copied into one fresh buffer.
   static Payload Concat(std::span<const Payload> pieces);
 
+  /// The XOR of equal-size `terms`.  Its bytes are produced in one pass the
+  /// first time any copy reads them, then shared.  Two identical views
+  /// (same buffer, offset and size) cancel, and a term that is itself an
+  /// unread Xor contributes its own terms, so the result may be one of the
+  /// terms itself (Xor({a, b, a}) is b).  The flattened list never holds
+  /// more than twice as many terms as were given: an unread Xor that would
+  /// not fit is computed here instead and kept as one term.
+  static Payload Xor(std::span<const Payload> terms);
+
   /// View of `length` bytes starting at `offset` (shares the buffer).
   Payload Slice(std::size_t offset, std::size_t length) const {
     assert(offset + length <= size_);
@@ -54,6 +68,7 @@ class Payload {
     out.offset_ = offset_ + offset;
     out.size_ = length;
     out.buffer_size_ = buffer_size_;
+    out.deferred_ = deferred_;
     return out;
   }
 
@@ -64,7 +79,9 @@ class Payload {
     return size_ * 2 < buffer_size_ ? Copy(*this) : *this;
   }
 
-  const std::uint8_t* data() const { return buf_.get() + offset_; }
+  const std::uint8_t* data() const {
+    return (deferred_ ? lazy()->Read() : buf_.get()) + offset_;
+  }
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
   std::uint8_t operator[](std::size_t i) const { return data()[i]; }
@@ -85,12 +102,36 @@ class Payload {
   friend bool operator==(const Payload& a, std::span<const std::uint8_t> b);
 
  private:
+  /// A deferred XOR: its terms until the first read, its bytes after.
+  struct Lazy {
+    std::vector<Payload> terms;
+    std::size_t size = 0;
+    std::unique_ptr<std::uint8_t[]> bytes;
+
+    const std::uint8_t* Read();
+  };
+
+  /// The deferred XOR this payload views, or null.
+  Lazy* lazy() const {
+    return deferred_ ? reinterpret_cast<Lazy*>(
+                           const_cast<std::uint8_t*>(buf_.get()))
+                     : nullptr;
+  }
+
+  /// Same buffer (or deferred XOR), offset and size: the same bytes.
+  bool SameView(const Payload& o) const {
+    return buf_ == o.buf_ && offset_ == o.offset_ && size_ == o.size_;
+  }
+
   static inline std::atomic<std::uint64_t> materialized_{0};
 
+  // The byte buffer, or for a deferred XOR its Lazy node: buf_ then owns the
+  // node and points at it, which keeps a payload as small as a plain view.
   std::shared_ptr<const std::uint8_t[]> buf_;
   std::size_t offset_ = 0;
   std::size_t size_ = 0;
-  std::size_t buffer_size_ = 0;  // bytes the shared buffer holds
+  std::size_t buffer_size_ : 63 = 0;  // bytes the shared buffer holds
+  std::size_t deferred_ : 1 = 0;      // buf_ points at a Lazy
 };
 
 }  // namespace nlss::util

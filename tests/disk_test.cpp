@@ -276,6 +276,28 @@ TEST(BlockStore, UnwrittenAndTrimmedRangesReadZero) {
   EXPECT_EQ(store.Read(0, 1), util::Bytes(kBs, 0));
 }
 
+TEST(BlockStore, PartialOverwriteOfADeferredExtentKeepsBothSides) {
+  constexpr std::uint32_t kBs = 512;
+  BlockStore store(kBs);
+  util::Bytes a(8 * kBs), b(8 * kBs), patch(2 * kBs);
+  util::FillPattern(a, 1);
+  util::FillPattern(b, 2);
+  util::FillPattern(patch, 3);
+  const util::Payload terms[] = {util::Payload::Copy(a),
+                                 util::Payload::Copy(b)};
+  store.Write(0, util::Payload::Xor(terms));  // [0, 8), not yet computed
+  store.Write(3, util::Payload::Copy(patch));  // [3, 5) cuts it in two
+
+  util::Bytes expect = a;
+  util::XorInto(expect, b);
+  std::copy(patch.begin(), patch.end(), expect.begin() + 3 * kBs);
+  EXPECT_EQ(store.Read(5, 3),
+            std::span<const std::uint8_t>(expect).subspan(5 * kBs, 3 * kBs));
+  EXPECT_EQ(store.Read(0, 3),
+            std::span<const std::uint8_t>(expect).subspan(0, 3 * kBs));
+  EXPECT_EQ(store.Read(0, 8), expect);
+}
+
 TEST(DiskFarm, CapacityAndIdentity) {
   sim::Engine engine;
   DiskProfile p;

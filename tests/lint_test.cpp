@@ -88,6 +88,16 @@ TEST(LintRules, UnorderedIterFixture) {
   EXPECT_NE(findings[2].message.find("index"), std::string::npos);
 }
 
+TEST(LintRules, UnorderedMemberDeclaredInTheHeader) {
+  // Alone, the source file shows no unordered declaration.
+  EXPECT_TRUE(LintFixture("paired_member.cpp").empty());
+  const auto findings = LintPaths({FixturePath("paired_member.cpp")});
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].line, 6);
+  EXPECT_EQ(findings[0].rule, "unordered-iter");
+  EXPECT_NE(findings[0].message.find("balances_"), std::string::npos);
+}
+
 TEST(LintRules, PointerKeyFixture) {
   const auto got = LinesAndRules(LintFixture("bad_pointer_key.cpp"));
   const std::vector<std::pair<int, std::string>> want = {

@@ -3,6 +3,7 @@
 #include <memory>
 
 #include "disk/disk.h"
+#include "raid/gf256.h"
 #include "raid/group.h"
 #include "sim/engine.h"
 #include "util/bytes.h"
@@ -321,6 +322,253 @@ TEST(RaidGroupRaid6, DoubleDegradedDataPlusParity) {
   engine.Run();
   ASSERT_TRUE(ok);
   EXPECT_EQ(got, data);
+}
+
+/// A parity group of small disks with a flat model of its data, driven
+/// one step at a time, whose scrub checks every unit on disk against it.
+class ParityGroup {
+ public:
+  ParityGroup(RaidLevel level, std::uint32_t width) {
+    profile_.capacity_blocks = 256;  // 32 stripes of 8-block units
+    farm_ = std::make_unique<disk::DiskFarm>(engine_, profile_, width);
+    std::vector<disk::Disk*> disks;
+    for (std::size_t i = 0; i < farm_->size(); ++i) {
+      disks.push_back(&farm_->at(i));
+    }
+    RaidGroup::Config config;
+    config.level = level;
+    config.unit_blocks = 8;
+    group_ = std::make_unique<RaidGroup>(engine_, std::move(disks), config);
+    model_.assign(group_->DataCapacityBlocks() * bs(), 0);
+  }
+
+  std::uint32_t bs() const { return profile_.block_size; }
+  std::uint32_t ub() const { return group_->layout().unit_blocks(); }
+  std::uint32_t dbs() const { return group_->layout().DataBlocksPerStripe(); }
+  RaidGroup& group() { return *group_; }
+  sim::Engine& engine() { return engine_; }
+
+  /// Start a write of `data` at `block`; the model takes it on success.
+  void WriteAsync(std::uint64_t block, util::Payload data, bool* ok) {
+    group_->WriteBlocks(block, data, [this, block, data, ok](bool r) {
+      *ok = r;
+      if (r) {
+        std::copy(data.begin(), data.end(),
+                  model_.begin() +
+                      static_cast<std::ptrdiff_t>(block * bs()));
+      }
+    });
+  }
+
+  /// A seeded write: a full stripe, whole units, or part of one unit.
+  void RandomWriteAsync(util::Rng& rng, bool* ok) {
+    const std::uint64_t stripe = rng.Below(group_->StripeCount());
+    const std::uint32_t du = group_->layout().DataUnitsPerStripe();
+    std::uint64_t block = stripe * dbs();
+    std::uint32_t count = dbs();
+    switch (rng.Below(3)) {
+      case 0:
+        break;
+      case 1: {
+        const std::uint32_t u = static_cast<std::uint32_t>(rng.Below(du));
+        block += u * ub();
+        count = static_cast<std::uint32_t>(rng.Range(1, du - u)) * ub();
+        break;
+      }
+      default:
+        block += rng.Below(dbs());
+        count = static_cast<std::uint32_t>(rng.Range(
+            1, std::min<std::uint64_t>(ub() - 1, stripe * dbs() + dbs() -
+                                                     block)));
+        break;
+    }
+    util::Payload data(static_cast<std::size_t>(count) * bs(),
+                       [&](std::span<std::uint8_t> out) {
+                         util::FillPattern(out, rng.Next());
+                       });
+    WriteAsync(block, std::move(data), ok);
+  }
+
+  /// Compare every unit on every disk except `skip` with the model: data
+  /// units byte for byte, P and Q with XorInto/GfMulInto over the model's
+  /// data units of the stripe.
+  void Scrub(const std::string& step, int skip = -1) {
+    const Layout& layout = group_->layout();
+    const std::size_t unit = static_cast<std::size_t>(ub()) * bs();
+    for (std::uint64_t s = 0; s < group_->StripeCount(); ++s) {
+      util::Bytes p(unit, 0), q(unit, 0);
+      for (std::uint32_t u = 0; u < layout.DataUnitsPerStripe(); ++u) {
+        const std::span<const std::uint8_t> data(
+            model_.data() + (s * dbs() + u * ub()) * bs(), unit);
+        util::XorInto(p, data);
+        GfMulInto(q, data, Gf256::Exp(u));
+      }
+      for (std::uint32_t d = 0; d < layout.width(); ++d) {
+        if (static_cast<int>(d) == skip) continue;
+        const UnitRole role = layout.RoleOf(s, d);
+        const util::Payload got =
+            group_->disk(d).store().Read(layout.StripeLba(s), ub());
+        if (role.kind == UnitRole::kData) {
+          ASSERT_EQ(got, std::span<const std::uint8_t>(
+                             model_.data() +
+                                 (s * dbs() + role.data_index * ub()) * bs(),
+                             unit))
+              << step << ": data unit of stripe " << s << " on disk " << d;
+        } else {
+          ASSERT_EQ(got, role.kind == UnitRole::kParityP ? p : q)
+              << step << ": parity unit of stripe " << s << " on disk " << d;
+        }
+      }
+    }
+  }
+
+  const util::Bytes& model() const { return model_; }
+
+ private:
+  sim::Engine engine_;
+  disk::DiskProfile profile_;
+  std::unique_ptr<disk::DiskFarm> farm_;
+  std::unique_ptr<RaidGroup> group_;
+  util::Bytes model_;
+};
+
+TEST(RaidParityScrub, ParityMatchesDataThroughFailureRebuildAndWrites) {
+  for (const GroupCase c : {GroupCase{RaidLevel::kRaid5, 3},
+                            GroupCase{RaidLevel::kRaid5, 5},
+                            GroupCase{RaidLevel::kRaid6, 6}}) {
+    SCOPED_TRACE(RaidLevelName(c.level) + std::string(" w") +
+                 std::to_string(c.width));
+    ParityGroup g(c.level, c.width);
+    util::Rng rng(c.width * 31 + static_cast<int>(c.level));
+    auto write = [&](const std::string& step, int skip) {
+      bool ok = false;
+      g.RandomWriteAsync(rng, &ok);
+      g.engine().Run();
+      ASSERT_TRUE(ok) << step;
+      g.Scrub(step, skip);
+    };
+    for (int op = 0; op < 24; ++op) write("healthy " + std::to_string(op), -1);
+
+    const std::uint32_t failed =
+        static_cast<std::uint32_t>(rng.Below(c.width));
+    g.group().disk(failed).Fail();
+    g.group().RefreshMemberStates();
+    for (int op = 0; op < 12; ++op) {
+      write("degraded " + std::to_string(op), static_cast<int>(failed));
+    }
+
+    // Rebuild stripe by stripe with a write racing every other one.
+    g.group().disk(failed).Replace();
+    g.group().BeginRebuild(failed);
+    for (std::uint64_t s = 0; s < g.group().StripeCount(); ++s) {
+      bool rebuilt = false, wrote = true;
+      g.group().RebuildStripe(s, failed, [&](bool r) { rebuilt = r; });
+      if (s % 2 == 0) g.RandomWriteAsync(rng, &wrote);
+      g.engine().Run();
+      ASSERT_TRUE(rebuilt) << "stripe " << s;
+      ASSERT_TRUE(wrote) << "write racing the rebuild of stripe " << s;
+      g.Scrub("rebuilding stripe " + std::to_string(s),
+              static_cast<int>(failed));
+    }
+    g.group().FinishRebuild(failed);
+    g.Scrub("rebuilt");
+    for (int op = 0; op < 12; ++op) write("after " + std::to_string(op), -1);
+
+    bool ok = false;
+    util::Bytes got;
+    g.group().ReadBlocks(0, static_cast<std::uint32_t>(
+                                g.group().DataCapacityBlocks()),
+                         [&](bool r, util::Payload d) {
+                           ok = r;
+                           got = d.ToBytes();
+                         });
+    g.engine().Run();
+    ASSERT_TRUE(ok);
+    EXPECT_EQ(got, g.model());
+  }
+}
+
+TEST(RaidDeferredParity, FaultFreeRaid5WriteComputesNoParity) {
+  ParityGroup g(RaidLevel::kRaid5, 5);
+  const std::size_t unit = static_cast<std::size_t>(g.ub()) * g.bs();
+  const util::Payload stripe(g.dbs() * g.bs(), [](std::span<std::uint8_t> out) {
+    util::FillPattern(out, 1);
+  });
+  const util::Payload one_unit(unit, [](std::span<std::uint8_t> out) {
+    util::FillPattern(out, 2);
+  });
+
+  // Full stripe: the four data units are copied out of the stripe-sized
+  // buffer, so no stored unit pins it; parity adds nothing.
+  std::uint64_t before = util::Payload::materialized_bytes();
+  bool ok = false;
+  g.WriteAsync(0, stripe, &ok);
+  g.engine().Run();
+  ASSERT_TRUE(ok);
+  EXPECT_EQ(util::Payload::materialized_bytes() - before, stripe.size());
+
+  // One whole unit: the other units are views of what the disks hold and
+  // the new unit is the caller's buffer, so nothing is written at all.
+  before = util::Payload::materialized_bytes();
+  g.WriteAsync(g.ub(), one_unit, &ok);
+  g.engine().Run();
+  ASSERT_TRUE(ok);
+  EXPECT_EQ(util::Payload::materialized_bytes() - before, 0u);
+
+  // Reading the parity unit computes it, once.
+  const Layout& layout = g.group().layout();
+  const util::Payload parity = g.group().disk(layout.PDisk(0)).store().Read(
+      layout.StripeLba(0), g.ub());
+  before = util::Payload::materialized_bytes();
+  for (int read = 0; read < 2; ++read) (void)parity.data();
+  EXPECT_EQ(util::Payload::materialized_bytes() - before, unit);
+  g.Scrub("after the unit write");
+}
+
+TEST(RaidDeferredParity, RebuildOfUnchangedStripesReturnsTheWrittenUnits) {
+  ParityGroup g(RaidLevel::kRaid5, 4);
+  RaidGroup& group = g.group();
+  const Layout& layout = group.layout();
+  bool ok = false;
+  g.WriteAsync(0,
+               util::Payload(g.model().size(),
+                             [](std::span<std::uint8_t> out) {
+                               util::FillPattern(out, 5);
+                             }),
+               &ok);
+  g.engine().Run();
+  ASSERT_TRUE(ok);
+
+  // The unit buffers disk 0 holds for its data units.
+  constexpr std::uint32_t kLost = 0;
+  std::vector<const std::uint8_t*> held(group.StripeCount(), nullptr);
+  for (std::uint64_t s = 0; s < group.StripeCount(); ++s) {
+    if (layout.RoleOf(s, kLost).kind != UnitRole::kData) continue;
+    held[s] = group.disk(kLost).store().Read(layout.StripeLba(s), g.ub()).data();
+  }
+
+  group.disk(kLost).Fail();
+  group.RefreshMemberStates();
+  group.disk(kLost).Replace();
+  group.BeginRebuild(kLost);
+  const std::uint64_t before = util::Payload::materialized_bytes();
+  for (std::uint64_t s = 0; s < group.StripeCount(); ++s) {
+    bool rebuilt = false;
+    group.RebuildStripe(s, kLost, [&](bool r) { rebuilt = r; });
+    g.engine().Run();
+    ASSERT_TRUE(rebuilt) << "stripe " << s;
+  }
+  group.FinishRebuild(kLost);
+  EXPECT_EQ(util::Payload::materialized_bytes() - before, 0u)
+      << "reconstruction from unread parity cancels down to the lost units";
+  for (std::uint64_t s = 0; s < group.StripeCount(); ++s) {
+    if (held[s] == nullptr) continue;
+    EXPECT_EQ(
+        group.disk(kLost).store().Read(layout.StripeLba(s), g.ub()).data(),
+        held[s])
+        << "stripe " << s;
+  }
+  g.Scrub("rebuilt");
 }
 
 }  // namespace

@@ -60,7 +60,7 @@ TEST(Gf256, BufferKernels) {
   util::FillPattern(a, 1);
   util::FillPattern(b, 2);
   util::Bytes x = a;
-  XorInto(x, b);
+  util::XorInto(x, b);
   for (std::size_t i = 0; i < x.size(); ++i) {
     EXPECT_EQ(x[i], a[i] ^ b[i]);
   }

@@ -358,6 +358,141 @@ TEST(Payload, CopyOnWriteLeavesTheSourceUntouched) {
   EXPECT_EQ(patched[9], src[9]);
 }
 
+Payload PatternPayload(std::size_t n, std::uint64_t seed) {
+  return Payload(n, [&](std::span<std::uint8_t> out) { FillPattern(out, seed); });
+}
+
+Bytes EagerXor(std::span<const Payload> terms) {
+  Bytes out(terms[0].begin(), terms[0].end());
+  for (std::size_t t = 1; t < terms.size(); ++t) XorInto(out, terms[t]);
+  return out;
+}
+
+TEST(PayloadXor, MatchesAnEagerXorAtAnySize) {
+  Rng rng(17);
+  // Sizes around the word width and the materializer's 4 KiB chunk.
+  for (const std::size_t size : {1u, 7u, 8u, 13u, 4095u, 4096u, 4097u,
+                                 3 * 4096u + 5, 65536u}) {
+    for (std::size_t n = 1; n <= 6; ++n) {
+      std::vector<Payload> terms;
+      for (std::size_t t = 0; t < n; ++t) {
+        terms.push_back(PatternPayload(size, rng.Next()));
+      }
+      const Payload x = Payload::Xor(terms);
+      ASSERT_EQ(x.size(), size);
+      EXPECT_EQ(x, EagerXor(terms)) << "size " << size << " terms " << n;
+    }
+  }
+}
+
+TEST(PayloadXor, MaterializesOnceOnFirstRead) {
+  const Payload a = PatternPayload(5000, 1);
+  const Payload b = PatternPayload(5000, 2);
+  const Payload c = PatternPayload(5000, 3);
+  const std::uint64_t before = Payload::materialized_bytes();
+  const Payload terms[] = {a, b, c};
+  const Payload x = Payload::Xor(terms);
+  const Payload copy = x;
+  const Payload view = x.Slice(0, x.size());
+  EXPECT_EQ(Payload::materialized_bytes(), before)
+      << "building, copying or slicing a deferred XOR must not compute it";
+  const Bytes expect = EagerXor(terms);
+  EXPECT_EQ(copy, expect);
+  EXPECT_EQ(Payload::materialized_bytes() - before, 5000u);
+  EXPECT_EQ(x, expect);
+  EXPECT_EQ(view, expect);
+  EXPECT_EQ(x.data(), copy.data());
+  EXPECT_EQ(Payload::materialized_bytes() - before, 5000u)
+      << "every copy shares the one materialized buffer";
+}
+
+TEST(PayloadXor, IdenticalViewsCancel) {
+  const Payload a = PatternPayload(4096, 1);
+  const Payload b = PatternPayload(4096, 2);
+  const Payload c = PatternPayload(4096, 3);
+  const std::uint64_t before = Payload::materialized_bytes();
+
+  const Payload aba[] = {a, b, a};
+  EXPECT_EQ(Payload::Xor(aba).data(), b.data());
+
+  const Payload abc[] = {a, b, c};
+  const Payload parity = Payload::Xor(abc);
+  const Payload rebuild[] = {parity, b, c};
+  EXPECT_EQ(Payload::Xor(rebuild).data(), a.data())
+      << "an unread Xor contributes its own terms";
+  EXPECT_EQ(Payload::materialized_bytes(), before);
+
+  const Payload aa[] = {a, a};
+  const Payload zero = Payload::Xor(aa);
+  ASSERT_EQ(zero.size(), 4096u);
+  EXPECT_TRUE(std::all_of(zero.begin(), zero.end(),
+                          [](std::uint8_t v) { return v == 0; }));
+}
+
+TEST(PayloadXor, EqualBytesInOtherBuffersDoNotCancel) {
+  const Payload a = PatternPayload(1000, 1);
+  const Payload twin = Payload::Copy(a);
+  const Payload b = PatternPayload(1000, 2);
+  const Payload terms[] = {a, b, twin};
+  const Payload x = Payload::Xor(terms);
+  EXPECT_NE(x.data(), b.data());
+  EXPECT_EQ(x, std::span<const std::uint8_t>(b));
+  // Two slices of one buffer are different views.
+  const Payload pair = PatternPayload(2000, 3);
+  const Payload halves[] = {pair.Slice(0, 1000), pair.Slice(1000, 1000)};
+  EXPECT_EQ(Payload::Xor(halves), EagerXor(halves));
+  // A read Xor is an ordinary term: it is not opened again.
+  const Payload again[] = {x, b};
+  const Payload zero = Payload::Xor(again);
+  EXPECT_TRUE(std::all_of(zero.begin(), zero.end(),
+                          [](std::uint8_t v) { return v == 0; }));
+}
+
+TEST(PayloadXor, SlicesOfADeferredXor) {
+  const Payload a = PatternPayload(10000, 1);
+  const Payload b = PatternPayload(10000, 2);
+  const Payload terms[] = {a, b};
+  const Payload x = Payload::Xor(terms);
+  const Bytes expect = EagerXor(terms);
+  const std::uint64_t before = Payload::materialized_bytes();
+
+  // A whole-range slice stays deferred: it still cancels back to `a`.
+  const Payload whole = x.Slice(0, x.size());
+  const Payload back[] = {whole, b};
+  EXPECT_EQ(Payload::Xor(back).data(), a.data());
+  EXPECT_EQ(Payload::materialized_bytes(), before);
+
+  // A partial slice opens into slices of the terms, and reads right.
+  const Payload part = x.Slice(4093, 3000);
+  const Payload part_back[] = {part, b.Slice(4093, 3000)};
+  EXPECT_EQ(Payload::Xor(part_back).data(), a.data() + 4093);
+  EXPECT_EQ(part, std::span<const std::uint8_t>(expect).subspan(4093, 3000));
+}
+
+TEST(PayloadXor, LongChainsComputeATermInsteadOfNesting) {
+  // Xor each unread result with a fresh term: opening every level would
+  // grow the list without bound, so past twice the terms given the unread
+  // Xor is computed and kept as one term.  No unread Xor then holds
+  // another, and reading the top computes the top alone.
+  std::vector<Payload> fresh;
+  for (std::uint64_t level = 0; level < 1000; ++level) {
+    fresh.push_back(PatternPayload(512, level));
+  }
+  Payload acc = PatternPayload(512, 1000);
+  Bytes expect(acc.begin(), acc.end());
+  const std::uint64_t before = Payload::materialized_bytes();
+  for (const Payload& f : fresh) {
+    XorInto(expect, f);
+    const Payload terms[] = {acc, f};
+    acc = Payload::Xor(terms);
+  }
+  const std::uint64_t built = Payload::materialized_bytes() - before;
+  EXPECT_GT(built, 0u);
+  EXPECT_LT(built, fresh.size() * 512);
+  EXPECT_EQ(acc, expect);
+  EXPECT_EQ(Payload::materialized_bytes() - before, built + 512);
+}
+
 TEST(ThreadPool, RunsAllTasks) {
   ThreadPool pool(4);
   std::atomic<int> count{0};

@@ -1175,13 +1175,19 @@ const std::vector<std::string>& RuleNames() {
 }
 
 std::vector<Finding> LintText(const std::string& path,
-                              const std::string& text) {
+                              const std::string& text,
+                              const std::string& header) {
   std::vector<Finding> findings;
   Allowlist allow = ParseAllowlist(CommentProjection(text));
   const std::string stripped = Strip(text);
   const LineIndex idx(stripped);
   RuleSink sink{path, idx, allow, findings};
-  const UnorderedNames names = CollectUnordered(stripped);
+  UnorderedNames names = CollectUnordered(stripped);
+  if (!header.empty()) {
+    const UnorderedNames declared = CollectUnordered(Strip(header));
+    names.vars.insert(declared.vars.begin(), declared.vars.end());
+    names.aliases.insert(declared.aliases.begin(), declared.aliases.end());
+  }
   const std::set<std::string> floats = CollectFloats(stripped);
   RuleWallclock(stripped, sink, path);
   RuleRand(stripped, sink);
@@ -1236,13 +1242,23 @@ std::vector<Finding> LintPaths(const std::vector<std::string>& roots) {
     }
   }
   std::sort(files.begin(), files.end());
-  std::vector<Finding> findings;
-  for (const std::string& file : files) {
+  auto read = [](const fs::path& file) {
     std::ifstream in(file, std::ios::binary);
-    if (!in) continue;
     std::stringstream ss;
     ss << in.rdbuf();
-    auto file_findings = LintText(file, ss.str());
+    return ss.str();
+  };
+  std::vector<Finding> findings;
+  for (const std::string& file : files) {
+    // A source file iterates members its own header declares.
+    fs::path header = file;
+    header.replace_extension(".h");
+    std::error_code ec;
+    const std::string header_text =
+        header != fs::path(file) && fs::is_regular_file(header, ec)
+            ? read(header)
+            : std::string();
+    auto file_findings = LintText(file, read(file), header_text);
     findings.insert(findings.end(), file_findings.begin(),
                     file_findings.end());
   }

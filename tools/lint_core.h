@@ -68,13 +68,17 @@ struct Finding {
 const std::vector<std::string>& RuleNames();
 
 /// Lint one file's text.  `path` drives path-scoped rules (wallclock is
-/// permitted under src/sim) and is echoed into findings.
+/// permitted under src/sim) and is echoed into findings.  `header` is the
+/// text of the file's own header, if any: unordered containers it declares
+/// count as unordered in `text` too (members iterated in the .cpp).
 std::vector<Finding> LintText(const std::string& path,
-                              const std::string& text);
+                              const std::string& text,
+                              const std::string& header = {});
 
 /// Recursively lint .h/.hpp/.cpp/.cc files under each root (files are
 /// accepted too).  Skips build/, .git/, and lint_fixtures/ directories.
-/// Results are sorted by (file, line) for deterministic output.
+/// Each source file is linted with the same-named .h beside it as its
+/// header.  Results are sorted by (file, line) for deterministic output.
 std::vector<Finding> LintPaths(const std::vector<std::string>& roots);
 
 /// Render one finding as "file:line: [rule] message".
