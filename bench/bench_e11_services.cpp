@@ -34,16 +34,17 @@ int main() {
   auto measure_phase = [&](const char* label, bool snapshot_held,
                            bool backup_running) -> double {
     if (backup_running) {
-      // Stream the snapshot image (a "backup") in the background.
-      auto backup = std::make_shared<std::function<void(std::uint64_t)>>();
-      *backup = [&, vol, snap, backup](std::uint64_t off) {
+      // Stream the snapshot image (a "backup") in the background.  Each
+      // read's completion carries the next step; nothing holds itself.
+      const auto backup = [&, vol, snap](const auto& self,
+                                         std::uint64_t off) -> void {
         if (off >= dataset) return;
         bed.system->volume(vol).ReadSnapshotBlocks(
-            snap, off / 4096, 512, [backup, off](bool, util::Payload) {
-              (*backup)(off + 512 * 4096);
+            snap, off / 4096, 512, [self, off](bool, util::Payload) {
+              self(self, off + 512 * 4096);
             });
       };
-      (*backup)(0);
+      backup(backup, 0);
     }
     util::Rng rng(7);
     auto [bytes, latency] = ClosedLoop::Run(

@@ -55,16 +55,19 @@ template <typename IssueFn>
 void StartPacedWrites(sim::Engine& engine, std::size_t streams,
                       sim::Tick until, util::Histogram& latency,
                       IssueFn issue) {
-  auto pump = std::make_shared<std::function<void()>>();
-  *pump = [&engine, &latency, until, issue, pump] {
+  // Every stream shares one `issue`.  Each pending completion holds the
+  // pump, and nothing holds itself, so the pump dies with its last stream.
+  const auto pump = [&engine, &latency, until,
+                     issue = std::make_shared<IssueFn>(std::move(issue))](
+                        const auto& self) -> void {
     if (engine.now() >= until) return;
     const sim::Tick t0 = engine.now();
-    issue([&engine, &latency, t0, pump](bool ok) {
+    (*issue)([&engine, &latency, t0, self](bool ok) {
       if (ok) latency.Record(engine.now() - t0);
-      engine.Schedule(kThinkNs, [pump] { (*pump)(); });
+      engine.Schedule(kThinkNs, [self] { self(self); });
     });
   };
-  for (std::size_t s = 0; s < streams; ++s) (*pump)();
+  for (std::size_t s = 0; s < streams; ++s) pump(pump);
 }
 
 /// Sequential per-stream offsets: issue n belongs to stream n % streams,

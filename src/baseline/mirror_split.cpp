@@ -6,7 +6,7 @@ namespace nlss::baseline {
 
 MirrorSplitReplicator::MirrorSplitReplicator(
     sim::Engine& engine, net::Fabric& fabric, net::NodeId src_gateway,
-    net::NodeId dst_gateway, std::function<std::uint64_t()> volume_bytes,
+    net::NodeId dst_gateway, util::Function<std::uint64_t()> volume_bytes,
     Config config)
     : engine_(engine),
       fabric_(fabric),

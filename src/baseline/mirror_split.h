@@ -8,10 +8,10 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "net/fabric.h"
 #include "sim/engine.h"
+#include "util/function.h"
 
 namespace nlss::baseline {
 
@@ -26,7 +26,7 @@ class MirrorSplitReplicator {
   /// allocated image is shipped each time).
   MirrorSplitReplicator(sim::Engine& engine, net::Fabric& fabric,
                         net::NodeId src_gateway, net::NodeId dst_gateway,
-                        std::function<std::uint64_t()> volume_bytes,
+                        util::Function<std::uint64_t()> volume_bytes,
                         Config config);
 
   void Start();
@@ -50,7 +50,7 @@ class MirrorSplitReplicator {
   net::Fabric& fabric_;
   net::NodeId src_;
   net::NodeId dst_;
-  std::function<std::uint64_t()> volume_bytes_;
+  util::Function<std::uint64_t()> volume_bytes_;
   Config config_;
   bool running_ = false;
   sim::Tick last_completed_ = 0;

@@ -5,21 +5,6 @@
 #include <memory>
 
 namespace nlss::baseline {
-namespace {
-
-struct Join {
-  Join(int n, std::function<void(bool)> done)
-      : remaining(n), on_done(std::move(done)) {}
-  int remaining;
-  bool ok = true;
-  std::function<void(bool)> on_done;
-  void Arrive(bool success) {
-    ok = ok && success;
-    if (--remaining == 0) on_done(ok);
-  }
-};
-
-}  // namespace
 
 TraditionalArray::TraditionalArray(sim::Engine& engine, net::Fabric& fabric,
                                    Config config)
@@ -277,7 +262,7 @@ void TraditionalArray::Read(net::NodeId host, std::uint32_t lun,
   fabric_.Send(host, ctrls_[c]->node, 128, [this, c, lun, host, pieces,
                                             shared_cb, length] {
     auto parts = std::make_shared<std::vector<util::Payload>>(pieces.size());
-    auto join = std::make_shared<Join>(
+    auto join = std::make_shared<util::Join>(
         static_cast<int>(pieces.size()),
         [this, c, host, parts, shared_cb, length](bool ok) {
           if (!ok) {
@@ -335,7 +320,7 @@ void TraditionalArray::Write(net::NodeId host, std::uint32_t lun,
       soff += n;
       left -= n;
     }
-    auto join = std::make_shared<Join>(
+    auto join = std::make_shared<util::Join>(
         static_cast<int>(pieces.size()),
         [shared_cb](bool ok) { (*shared_cb)(ok); });
     for (const Piece& p : pieces) {

@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <map>
 #include <unordered_map>
@@ -21,6 +20,7 @@
 #include "net/fabric.h"
 #include "sim/engine.h"
 #include "sim/resource.h"
+#include "util/function.h"
 #include "util/units.h"
 
 namespace nlss::baseline {
@@ -36,8 +36,8 @@ class TraditionalArray {
     net::LinkProfile host_link = net::LinkProfile::FibreChannel2G();
   };
 
-  using ReadCallback = std::function<void(bool, util::Payload)>;
-  using WriteCallback = std::function<void(bool)>;
+  using ReadCallback = util::Function<void(bool, util::Payload)>;
+  using WriteCallback = util::Function<void(bool)>;
 
   TraditionalArray(sim::Engine& engine, net::Fabric& fabric, Config config);
 

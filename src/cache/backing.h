@@ -5,20 +5,20 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <span>
 
 #include "obs/trace.h"
 #include "raid/group.h"
 #include "util/bytes.h"
+#include "util/function.h"
 #include "util/payload.h"
 
 namespace nlss::cache {
 
 class BackingStore {
  public:
-  using ReadCallback = std::function<void(bool ok, util::Payload data)>;
-  using WriteCallback = std::function<void(bool ok)>;
+  using ReadCallback = util::Function<void(bool ok, util::Payload data)>;
+  using WriteCallback = util::Function<void(bool ok)>;
 
   virtual ~BackingStore() = default;
 

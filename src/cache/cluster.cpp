@@ -18,18 +18,6 @@ inline std::uint64_t RaceKey(const PageKey& key) {
   return PageKeyHash{}(key);
 }
 
-struct Join {
-  Join(int n, std::function<void(bool)> done)
-      : remaining(n), on_done(std::move(done)) {}
-  int remaining;
-  bool ok = true;
-  std::function<void(bool)> on_done;
-  void Arrive(bool success) {
-    ok = ok && success;
-    if (--remaining == 0) on_done(ok);
-  }
-};
-
 }  // namespace
 
 CacheCluster::CacheCluster(sim::Engine& engine, net::Fabric& fabric,
@@ -63,7 +51,7 @@ std::uint32_t CacheCluster::PageBlocks(std::uint32_t volume) const {
 }
 
 void CacheCluster::Msg(ControllerId from, ControllerId to, std::uint64_t bytes,
-                       std::function<void()> delivered, Failure on_drop,
+                       util::Function<void()> delivered, Failure on_drop,
                        obs::TraceContext ctx) {
   fabric_.Send(ctrls_[from]->node, ctrls_[to]->node, bytes,
                std::move(delivered), std::move(on_drop), ctx);
@@ -72,7 +60,7 @@ void CacheCluster::Msg(ControllerId from, ControllerId to, std::uint64_t bytes,
 // --- Directory entry serialization ------------------------------------------
 
 void CacheCluster::AcquireEntry(ControllerId home, const PageKey& key,
-                                std::function<void()> fn) {
+                                util::Function<void()> fn) {
   DirEntry& e = dir_[home][key];
   if (e.busy) {
     e.waiters.push_back(std::move(fn));
@@ -175,8 +163,11 @@ void CacheCluster::ReadFromBacking(ControllerId ctrl, PageKey key,
                                    obs::TraceContext ctx) {
   // Flash tier sits in front of the disk backing store: a tier hit serves
   // the page at NVMe latency and never touches the FC feed or the disks.
-  // (cb is passed by value; on a miss the hook leaves it unconsumed.)
-  if (tier_ != nullptr && tier_->TierRead(ctrl, key, cb, ctx)) return;
+  // On a miss the hook hands `cb` back.
+  if (tier_ != nullptr) {
+    cb = tier_->TierRead(ctrl, key, std::move(cb), ctx);
+    if (!cb) return;
+  }
   BackingStore* vol = volumes_.at(key.volume);
   const std::uint32_t pb = PageBlocks(key.volume);
   const std::uint64_t block = key.page * pb;
@@ -255,7 +246,7 @@ void CacheCluster::WriteToBacking(ControllerId ctrl, PageKey key,
 // --- Flush -------------------------------------------------------------------
 
 void CacheCluster::FlushPage(ControllerId ctrl, PageKey key,
-                             std::function<void(bool)> cb) {
+                             util::Function<void(bool)> cb) {
   Controller& c = *ctrls_[ctrl];
   CacheNode::Frame* f = c.cache.Find(key);
   if (f == nullptr || !f->dirty) {
@@ -301,7 +292,7 @@ std::vector<PageKey> CacheCluster::BuildFlushRun(ControllerId ctrl,
 }
 
 void CacheCluster::FlushRun(ControllerId ctrl, std::vector<PageKey> run,
-                            std::function<void(bool)> cb) {
+                            util::Function<void(bool)> cb) {
   Controller& c = *ctrls_[ctrl];
   struct PageSnap {
     PageKey key;
@@ -383,8 +374,8 @@ void CacheCluster::FlushRun(ControllerId ctrl, std::vector<PageKey> run,
     // Settling is identical whether the run landed on disk or was absorbed
     // by the flash tier: either way the data is durable below DRAM, so the
     // replicas release and the frames go clean (epoch-checked).
-    std::function<void(bool)> settle = [this, ctrl, snaps, flush_ctx,
-                                        cb = std::move(cb)](bool ok) mutable {
+    BackingStore::WriteCallback settle = [this, ctrl, snaps, flush_ctx,
+                                          cb = std::move(cb)](bool ok) mutable {
       Controller& c = *ctrls_[ctrl];
       std::vector<PageKey> redo;
       for (const PageSnap& s : *snaps) {
@@ -446,11 +437,8 @@ void CacheCluster::FlushRun(ControllerId ctrl, std::vector<PageKey> run,
         return;
       }
       // Pages re-written mid-flight go around again; cb follows them.
-      auto join = std::make_shared<Join>(
-          static_cast<int>(redo.size()),
-          [cb = std::move(cb)](bool all_ok) {
-            if (cb) cb(all_ok);
-          });
+      auto join = std::make_shared<util::Join>(static_cast<int>(redo.size()),
+                                               std::move(cb));
       for (const PageKey& key : redo) {
         FlushPage(ctrl, key, [join](bool r) { join->Arrive(r); });
       }
@@ -461,9 +449,9 @@ void CacheCluster::FlushRun(ControllerId ctrl, std::vector<PageKey> run,
       for (const PageSnap& s : *snaps) {
         tier_snaps.push_back(TierPageSnap{s.key, s.epoch, s.wid});
       }
-      if (tier_->TierWriteBack(ctrl, tier_snaps, data, settle, flush_ctx)) {
-        return;
-      }
+      settle = tier_->TierWriteBack(ctrl, tier_snaps, data, std::move(settle),
+                                    flush_ctx);
+      if (!settle) return;
     }
     WriteToBacking(ctrl, snaps->front().key, data, std::move(settle),
                    flush_ctx);
@@ -475,12 +463,13 @@ void CacheCluster::FlushAll(WriteCallback cb) {
   // flash; FlushAll's durability contract ("every dirty page on backing")
   // extends through the tier, so drain dirty flash pages to disk after
   // the DRAM pass settles.
-  WriteCallback finish = [this, cb = std::move(cb)](bool ok) {
+  WriteCallback finish = [this, cb = std::move(cb)](bool ok) mutable {
     if (tier_ == nullptr) {
       cb(ok);
       return;
     }
-    tier_->DrainDirty([cb, ok](bool drained) { cb(ok && drained); });
+    tier_->DrainDirty(
+        [cb = std::move(cb), ok](bool drained) { cb(ok && drained); });
   };
   std::vector<std::pair<ControllerId, PageKey>> dirty;
   for (const ControllerId c : live_) {
@@ -493,8 +482,8 @@ void CacheCluster::FlushAll(WriteCallback cb) {
     engine_.Schedule(0, [finish = std::move(finish)] { finish(true); });
     return;
   }
-  auto join = std::make_shared<Join>(static_cast<int>(dirty.size()),
-                                     std::move(finish));
+  auto join = std::make_shared<util::Join>(static_cast<int>(dirty.size()),
+                                           std::move(finish));
   for (const auto& [c, key] : dirty) {
     FlushPage(c, key, [join](bool ok) { join->Arrive(ok); });
   }
@@ -591,7 +580,7 @@ void CacheCluster::FetchCurrent(ControllerId via, PageKey key,
 }
 
 void CacheCluster::InvalidateHolders(ControllerId except, PageKey key,
-                                     std::function<void()> done,
+                                     util::Function<void()> done,
                                      obs::TraceContext ctx) {
   const ControllerId home = HomeOf(key);
   DirEntry& e = dir_[home][key];
@@ -609,7 +598,7 @@ void CacheCluster::InvalidateHolders(ControllerId except, PageKey key,
     engine_.Schedule(0, std::move(done));
     return;
   }
-  auto join = std::make_shared<Join>(
+  auto join = std::make_shared<util::Join>(
       static_cast<int>(holders.size()),
       [done = std::move(done)](bool) { done(); });
 
@@ -618,31 +607,28 @@ void CacheCluster::InvalidateHolders(ControllerId except, PageKey key,
         [this, h, home, key, join, ctx] {
           // Local invalidation at h.  Deferred while a flush is in flight
           // so the on-disk image never goes backwards in time.
-          std::function<void()> inv = [this, h, home, key, join, ctx] {
-            CacheNode::Frame* f = ctrls_[h]->cache.Find(key);
-            if (f != nullptr) {
-              FrameExtra& ex = Extra(h, key);
-              if (ex.flushing) {
-                ex.flush_waiters.push_back([this, h, home, key, join, ctx] {
-                  // Retry the invalidation after the flush completes.
-                  CacheNode::Frame* f2 = ctrls_[h]->cache.Find(key);
-                  if (f2 != nullptr) {
-                    DropFrameWithReplicas(h, key);
-                  }
-                  Msg(h, home, config_.ctrl_msg_bytes,
-                      [join] { join->Arrive(true); },
-                      [join] { join->Arrive(true); }, ctx);
-                });
-                return;
-              }
-              DropFrameWithReplicas(h, key);
+          CacheNode::Frame* f = ctrls_[h]->cache.Find(key);
+          if (f != nullptr) {
+            FrameExtra& ex = Extra(h, key);
+            if (ex.flushing) {
+              ex.flush_waiters.push_back([this, h, home, key, join, ctx] {
+                // Retry the invalidation after the flush completes.
+                CacheNode::Frame* f2 = ctrls_[h]->cache.Find(key);
+                if (f2 != nullptr) {
+                  DropFrameWithReplicas(h, key);
+                }
+                Msg(h, home, config_.ctrl_msg_bytes,
+                    [join] { join->Arrive(true); },
+                    [join] { join->Arrive(true); }, ctx);
+              });
+              return;
             }
-            ++ctrls_[h]->stats.invalidations_received;
-            Msg(h, home, config_.ctrl_msg_bytes,
-                [join] { join->Arrive(true); },
-                [join] { join->Arrive(true); }, ctx);
-          };
-          inv();
+            DropFrameWithReplicas(h, key);
+          }
+          ++ctrls_[h]->stats.invalidations_received;
+          Msg(h, home, config_.ctrl_msg_bytes,
+              [join] { join->Arrive(true); },
+              [join] { join->Arrive(true); }, ctx);
         },
         [join] { join->Arrive(true); }, ctx);
   }
@@ -670,7 +656,7 @@ void CacheCluster::DropFrameWithReplicas(ControllerId ctrl,
 
 void CacheCluster::ReplicateDirty(ControllerId owner_ctrl, PageKey key,
                                   std::uint32_t replication,
-                                  std::function<void()> done,
+                                  util::Function<void()> done,
                                   obs::TraceContext ctx) {
   // If an eviction-triggered flush already landed this page, replication
   // would pin copies nobody will ever release — skip it.
@@ -720,7 +706,7 @@ void CacheCluster::ReplicateDirty(ControllerId owner_ctrl, PageKey key,
   CacheNode::Frame* f = ctrls_[owner_ctrl]->cache.Find(key);
   assert(f != nullptr);
   const util::Payload data = f->data;  // replicas share the owner's buffer
-  auto join = std::make_shared<Join>(
+  auto join = std::make_shared<util::Join>(
       static_cast<int>(targets.size()),
       [done = std::move(done)](bool) { done(); });
   for (const ControllerId t : targets) {
@@ -796,20 +782,20 @@ void CacheCluster::HandleGetX(ControllerId via, PageKey key,
       offset == 0 && data.size() == config_.page_bytes;
   const std::size_t len = data.size();
 
-  auto fail = [this, home, key, cb](const char*) {
-    ReleaseEntry(home, key);
-    cb(false);
-  };
-
   // Step 3 onwards, once we know the page's base content (empty for a
-  // full-page write, which needs none).
+  // full-page write, which needs none).  A failed fetch fails the write.
   auto apply = [this, via, home, key, offset, len, data = std::move(data),
-                replication, priority, cb, ctx, wid,
-                fail](util::Payload base) mutable {
+                replication, priority, cb = std::move(cb), ctx,
+                wid](bool ok, util::Payload base) mutable {
+    if (!ok) {
+      ReleaseEntry(home, key);
+      cb(false);
+      return;
+    }
     InvalidateHolders(
         via, key,
         [this, via, home, key, offset, len, data = std::move(data),
-         replication, priority, cb, ctx, wid,
+         replication, priority, cb = std::move(cb), ctx, wid,
          base = std::move(base)]() mutable {
           // A full-page write installs the payload itself; a partial one
           // merges it into a fresh copy of the current page.
@@ -848,11 +834,11 @@ void CacheCluster::HandleGetX(ControllerId via, PageKey key,
           ctrls_[via]->stats.bytes_served += len;
           const sim::Tick done = ctrls_[via]->compute.AcquireBytes(
               len, config_.serve_ns_per_byte);
-          engine_.ScheduleAt(done, [this, via, home, key, replication, cb,
-                                    ctx] {
+          engine_.ScheduleAt(done, [this, via, home, key, replication,
+                                    cb = std::move(cb), ctx]() mutable {
             ReplicateDirty(
                 via, key, replication,
-                [this, via, home, key, cb] {
+                [this, via, home, key, cb = std::move(cb)] {
                   ReleaseEntry(home, key);
                   cb(true);
                   // Write-back: flush after the configured aging delay.  The
@@ -873,26 +859,17 @@ void CacheCluster::HandleGetX(ControllerId via, PageKey key,
   };
 
   if (full_page) {
-    apply({});
+    apply(true, {});
     return;
   }
   CacheNode::Frame* f_via = ctrls_[via]->cache.Find(key);
   if (f_via != nullptr) {
     // Current content already present locally (shared, owned, or replica —
     // replicas always carry the owner's latest write).
-    apply(f_via->data);
+    apply(true, f_via->data);
     return;
   }
-  FetchCurrent(
-      via, key,
-      [apply = std::move(apply), fail](bool ok, util::Payload base) mutable {
-        if (!ok) {
-          fail("fetch");
-          return;
-        }
-        apply(std::move(base));
-      },
-      ctx);
+  FetchCurrent(via, key, std::move(apply), ctx);
 }
 
 // --- Page-level API -----------------------------------------------------------
@@ -1039,7 +1016,7 @@ void CacheCluster::Read(ControllerId via, std::uint32_t volume,
   }
   // Views of the pages, joined into one payload only when there are several.
   auto parts = std::make_shared<std::vector<util::Payload>>(pieces.size());
-  auto join = std::make_shared<Join>(
+  auto join = std::make_shared<util::Join>(
       static_cast<int>(pieces.size()),
       [parts, span, cb = std::move(cb)](bool ok) {
         obs::EndSpan(span);
@@ -1096,7 +1073,7 @@ void CacheCluster::WriteWithReplication(ControllerId via, std::uint32_t volume,
     src += n;
     left -= n;
   }
-  auto join = std::make_shared<Join>(
+  auto join = std::make_shared<util::Join>(
       static_cast<int>(pieces.size()),
       [span, cb = std::move(cb)](bool ok) {
         obs::EndSpan(span);

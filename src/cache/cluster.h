@@ -25,7 +25,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <set>
 #include <unordered_map>
@@ -40,6 +39,7 @@
 #include "obs/trace.h"
 #include "sim/engine.h"
 #include "sim/resource.h"
+#include "util/function.h"
 #include "util/units.h"
 
 namespace nlss::cache {
@@ -86,8 +86,8 @@ class CacheCluster {
     std::uint64_t coalesced_pages = 0;  // pages that rode a multi-page run
   };
 
-  using ReadCallback = std::function<void(bool ok, util::Payload data)>;
-  using WriteCallback = std::function<void(bool ok)>;
+  using ReadCallback = util::Function<void(bool ok, util::Payload data)>;
+  using WriteCallback = util::Function<void(bool ok)>;
 
   /// `controller_nodes` are fabric nodes of the controller blades (already
   /// connected to each other / to switches by the caller).
@@ -184,6 +184,8 @@ class CacheCluster {
   std::vector<double> LoadByController() const;
   const Config& config() const { return config_; }
   CacheNode& node(ControllerId c) { return ctrls_[c]->cache; }
+  /// The store a registered volume id reads and writes through.
+  const BackingStore& backing(std::uint32_t v) const { return *volumes_.at(v); }
 
  private:
   struct Controller {
@@ -201,7 +203,7 @@ class CacheCluster {
     ControllerId owner = kNoController;
     std::set<ControllerId> sharers;
     bool busy = false;
-    std::deque<std::function<void()>> waiters;
+    std::deque<util::Function<void()>> waiters;
     sim::Tick owner_since = 0;  // invariant: ownership transfer is monotone
   };
 
@@ -209,22 +211,22 @@ class CacheCluster {
     // Cluster-side bookkeeping for dirty frames, keyed (ctrl, page).
     std::vector<ControllerId> replica_sites;
     bool flushing = false;
-    std::vector<std::function<void()>> flush_waiters;
+    std::vector<util::Function<void()>> flush_waiters;
   };
 
-  using Failure = std::function<void()>;
+  using Failure = util::Function<void()>;
 
   ControllerId HomeOf(const PageKey& key) const;
   std::uint32_t PageBlocks(std::uint32_t volume) const;
 
   /// Fabric send between controllers with explicit failure path.
   void Msg(ControllerId from, ControllerId to, std::uint64_t bytes,
-           std::function<void()> delivered, Failure on_drop,
+           util::Function<void()> delivered, Failure on_drop,
            obs::TraceContext ctx = {});
 
   /// Serialize per-page operations through the home directory entry.
   void AcquireEntry(ControllerId home, const PageKey& key,
-                    std::function<void()> fn);
+                    util::Function<void()> fn);
   void ReleaseEntry(ControllerId home, const PageKey& key);
 
   /// Make room and insert/overwrite a frame with `data`.
@@ -244,12 +246,12 @@ class CacheCluster {
   void FetchCurrent(ControllerId via, PageKey key, ReadCallback cb,
                     obs::TraceContext ctx = {});
   void InvalidateHolders(ControllerId except, PageKey key,
-                         std::function<void()> done,
+                         util::Function<void()> done,
                          obs::TraceContext ctx = {});
   /// Erase a frame at `ctrl` and unpin any replicas it parked on peers.
   void DropFrameWithReplicas(ControllerId ctrl, const PageKey& key);
   void ReplicateDirty(ControllerId owner_ctrl, PageKey key,
-                      std::uint32_t replication, std::function<void()> done,
+                      std::uint32_t replication, util::Function<void()> done,
                       obs::TraceContext ctx = {});
 
   /// Backing I/O issued by controller `ctrl` (charges its FC feed).
@@ -264,7 +266,7 @@ class CacheCluster {
   /// (Config::coalesce_pages > 1) adjacent dirty pages of the same volume
   /// on the same blade are merged into the same back-end write.
   void FlushPage(ControllerId ctrl, PageKey key,
-                 std::function<void(bool)> cb = nullptr);
+                 util::Function<void(bool)> cb = nullptr);
   /// Contiguous run of flushable pages around `seed` (always contains it),
   /// sorted by page index and capped at Config::coalesce_pages.
   std::vector<PageKey> BuildFlushRun(ControllerId ctrl, const PageKey& seed);
@@ -272,7 +274,7 @@ class CacheCluster {
   /// write, then settle each page individually (epoch check, replica
   /// release, waiters, re-flush when re-dirtied mid-flight).
   void FlushRun(ControllerId ctrl, std::vector<PageKey> run,
-                std::function<void(bool)> cb);
+                util::Function<void(bool)> cb);
 
   /// Page-granular entry points used by Read/Write.
   void ReadPage(ControllerId via, PageKey key, ReadCallback cb,

@@ -24,8 +24,9 @@ void WriteDedupIndex::Prune(Writer& w) {
   }
 }
 
-bool WriteDedupIndex::Begin(const WriteId& id, Waiter waiter) {
-  if (!id.valid()) return true;  // unattributed legacy traffic: no dedup
+WriteDedupIndex::Waiter WriteDedupIndex::Begin(const WriteId& id,
+                                               Waiter waiter) {
+  if (!id.valid()) return waiter;  // unattributed legacy traffic: no dedup
   Writer& w = writers_[id.writer];
   if (id.settled > w.settled) {
     w.settled = id.settled;
@@ -46,7 +47,7 @@ bool WriteDedupIndex::Begin(const WriteId& id, Waiter waiter) {
     // where arrival order decided who applies.
     NLSS_ACCESS(kCache, RaceKey(id), kCommute);
     ++stats_.applies;
-    return true;
+    return waiter;
   }
   NLSS_ACCESS(kCache, RaceKey(id), kRead);
   switch (e.state) {
@@ -55,19 +56,19 @@ bool WriteDedupIndex::Begin(const WriteId& id, Waiter waiter) {
       // this duplicate when it completes.
       ++stats_.dedup_hits;
       e.waiters.push_back(std::move(waiter));
-      return false;
+      return nullptr;
     case State::kApplied:
       ++stats_.dedup_hits;
       if (waiter) waiter(e.ok);
-      return false;
+      return nullptr;
     case State::kCancelled:
       // The writer reported this op failed before the payload landed: a
       // ghost write.  Drop it so the read-back matches the failed outcome.
       ++stats_.ghost_writes;
       if (waiter) waiter(false);
-      return false;
+      return nullptr;
   }
-  return false;  // unreachable
+  return nullptr;  // unreachable
 }
 
 void WriteDedupIndex::Complete(const WriteId& id, bool ok) {

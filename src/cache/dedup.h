@@ -30,9 +30,10 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <vector>
+
+#include "util/function.h"
 
 namespace nlss::cache {
 
@@ -72,13 +73,14 @@ class WriteDedupIndex {
 
   /// Outcome sink for one arrival; invoked exactly once with the write's
   /// recorded result (possibly synchronously from Begin).
-  using Waiter = std::function<void(bool)>;
+  using Waiter = util::Function<void(bool)>;
 
-  /// Admit one arrival of `id`.  Returns true when the caller must apply
-  /// the data and report via Complete(id, ok); returns false when the
-  /// arrival was absorbed — the index owns `waiter` and delivers the
-  /// original application's outcome (false for ghost writes).
-  bool Begin(const WriteId& id, Waiter waiter);
+  /// Admit one arrival of `id` with a non-empty `waiter`.  Hands `waiter`
+  /// back when the caller must apply the data and report via
+  /// Complete(id, ok); returns an empty Waiter when the arrival was
+  /// absorbed — the index owns `waiter` and delivers the original
+  /// application's outcome (false for ghost writes).
+  [[nodiscard]] Waiter Begin(const WriteId& id, Waiter waiter);
 
   /// Report the outcome of an application admitted by Begin.  A failed
   /// application is forgotten so a later re-drive can apply fresh.

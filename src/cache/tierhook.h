@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <vector>
 
@@ -16,6 +15,7 @@
 #include "cache/node.h"
 #include "cache/types.h"
 #include "obs/trace.h"
+#include "util/function.h"
 #include "util/payload.h"
 
 namespace nlss::cache {
@@ -34,23 +34,24 @@ class TierHook {
   virtual ~TierHook() = default;
 
   /// Demand read that reached the backing path (no DRAM copy anywhere).
-  /// Returns true when the flash tier absorbed the read — `cb` then fires
-  /// with the page after the modeled flash access.  False: the caller
-  /// falls through to the disk backing store (cb untouched).
-  virtual bool TierRead(ControllerId ctrl, const PageKey& key,
-                        BackingStore::ReadCallback cb,
-                        obs::TraceContext ctx) = 0;
+  /// Returns an empty callback when the flash tier absorbed the read —
+  /// `cb` then fires with the page after the modeled flash access.
+  /// Otherwise hands `cb` back: the caller falls through to the disk
+  /// backing store.
+  [[nodiscard]] virtual BackingStore::ReadCallback TierRead(
+      ControllerId ctrl, const PageKey& key, BackingStore::ReadCallback cb,
+      obs::TraceContext ctx) = 0;
 
   /// Offer a contiguous dirty write-back run (one backing write's worth of
-  /// pages, `data` holds them in order).  Returns true when the flash tier
-  /// absorbed the write-back — `cb(true)` fires once the run is durable in
-  /// flash, and the tier owns moving it to disk later.  False: the caller
-  /// writes to the disk backing store itself.
-  virtual bool TierWriteBack(ControllerId ctrl,
-                             const std::vector<TierPageSnap>& pages,
-                             const util::Payload& data,
-                             BackingStore::WriteCallback cb,
-                             obs::TraceContext ctx) = 0;
+  /// pages, `data` holds them in order).  Returns an empty callback when
+  /// the flash tier absorbed the write-back — `cb(true)` fires once the run
+  /// is durable in flash, and the tier owns moving it to disk later.
+  /// Otherwise hands `cb` back: the caller writes to the disk backing
+  /// store itself.
+  [[nodiscard]] virtual BackingStore::WriteCallback TierWriteBack(
+      ControllerId ctrl, const std::vector<TierPageSnap>& pages,
+      const util::Payload& data, BackingStore::WriteCallback cb,
+      obs::TraceContext ctx) = 0;
 
   /// A clean primary frame is being evicted from DRAM; the tier may spill
   /// the data to flash (warm page) or let it fall through to disk (cold).
@@ -75,7 +76,7 @@ class TierHook {
 
   /// Demote every dirty flash page to disk; cb(true) once the flash tier
   /// holds no dirty data (FlushAll's durability contract).
-  virtual void DrainDirty(std::function<void(bool)> cb) = 0;
+  virtual void DrainDirty(util::Function<void(bool)> cb) = 0;
 };
 
 }  // namespace nlss::cache

@@ -19,8 +19,9 @@
 
 #include <cstdint>
 #include <atomic>
-#include <functional>
 #include <string>
+
+#include "util/function.h"
 
 #if !defined(NLSS_INVARIANTS_ENABLED)
 #if defined(NDEBUG)
@@ -84,7 +85,7 @@ class Registry {
   /// and abort).  Called by the macro via detail::Fail.
   void Report(const Violation& v);
 
-  using Handler = std::function<void(const Violation&)>;
+  using Handler = util::Function<void(const Violation&)>;
   /// Install a handler (tests capture the violation instead of dying).
   /// Returns the previous handler; pass nullptr to restore the default.
   Handler SetHandler(Handler h);

@@ -30,7 +30,7 @@ std::uint32_t HighSpeedPort::SegBytes(const StreamState& s,
 
 void HighSpeedPort::Stream(VolumeId vol, std::uint64_t offset,
                            std::uint64_t length,
-                           std::function<void(StreamResult)> done) {
+                           util::Function<void(StreamResult)> done) {
   auto s = std::make_shared<StreamState>();
   s->vol = vol;
   s->offset = offset;
@@ -132,7 +132,7 @@ void HighSpeedPort::PumpEgress(const std::shared_ptr<StreamState>& s) {
 }
 
 void HighSpeedPort::MaybeFinish(const std::shared_ptr<StreamState>& s) {
-  if (s->done == nullptr) return;
+  if (!s->done) return;
   const bool complete =
       s->next_to_deliver == s->total_segments && s->outstanding == 0;
   const bool aborted = s->failed && s->outstanding == 0;
@@ -141,8 +141,7 @@ void HighSpeedPort::MaybeFinish(const std::shared_ptr<StreamState>& s) {
   r.ok = !s->failed;
   r.bytes = s->delivered_bytes;
   r.elapsed_ns = system_.engine().now() - s->start;
-  auto done = std::move(s->done);
-  s->done = nullptr;
+  auto done = std::move(s->done);  // leaves s->done empty: report once
   done(r);
 }
 

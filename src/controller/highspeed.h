@@ -10,12 +10,12 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <vector>
 
 #include "controller/system.h"
 #include "net/fabric.h"
+#include "util/function.h"
 
 namespace nlss::controller {
 
@@ -45,7 +45,7 @@ class HighSpeedPort {
   /// Stream volume[offset, offset+length) to the client; segments are
   /// assigned blades[i % k] and delivered in order.
   void Stream(VolumeId vol, std::uint64_t offset, std::uint64_t length,
-              std::function<void(StreamResult)> done);
+              util::Function<void(StreamResult)> done);
 
   net::NodeId port_node() const { return port_node_; }
   net::NodeId client_node() const { return client_node_; }
@@ -63,7 +63,7 @@ class HighSpeedPort {
     sim::Tick start = 0;
     bool failed = false;
     std::uint64_t outstanding = 0;
-    std::function<void(StreamResult)> done;
+    util::Function<void(StreamResult)> done;
   };
 
   std::uint32_t SegBytes(const StreamState& s, std::uint64_t seq) const;

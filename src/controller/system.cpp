@@ -301,6 +301,19 @@ obs::TraceContext StorageSystem::StartOp(obs::TraceContext ctx,
   return ctx;
 }
 
+void StorageSystem::EndOp(util::Histogram* latency, sim::Tick t0,
+                          obs::TraceContext ctx, bool root, bool ok) {
+  if (latency != nullptr) {
+    latency->Record(engine_.now() - t0);
+    if (!ok) io_failures_total_->Increment();
+  }
+  if (root) {
+    ctx.tracer->EndTrace(ctx, ok);
+  } else {
+    obs::EndSpan(ctx);
+  }
+}
+
 void StorageSystem::Read(net::NodeId host, VolumeId vol, std::uint64_t offset,
                          std::uint32_t length, ReadCallback cb,
                          std::uint8_t priority, qos::TenantId tenant,
@@ -309,40 +322,37 @@ void StorageSystem::Read(net::NodeId host, VolumeId vol, std::uint64_t offset,
   bool root = false;
   ctx = StartOp(ctx, "controller.read", vol, &root);
   const sim::Tick t0 = engine_.now();
-  // Host-driver multipathing: re-issue via another blade on failure.  The
-  // loop holds itself weakly; the attempt in flight holds it strongly, so
-  // it (and the caller's callback) are freed once the op completes.
-  auto attempt = std::make_shared<std::function<void(std::uint32_t)>>();
-  auto shared_cb = std::make_shared<ReadCallback>(
-      [this, t0, ctx, root, cb = std::move(cb)](bool ok, util::Payload data) {
-        if (read_latency_ns_ != nullptr) {
-          read_latency_ns_->Record(engine_.now() - t0);
-          if (!ok) io_failures_total_->Increment();
-        }
-        if (root) {
-          ctx.tracer->EndTrace(ctx, ok);
-        } else {
-          obs::EndSpan(ctx);
-        }
-        cb(ok, std::move(data));
-      });
-  *attempt = [this, host, vol, offset, length, priority, tenant, shared_cb,
-              self = std::weak_ptr(attempt), ctx](std::uint32_t retries_left) {
-    ReadOnce(host, PickController(vol), vol, offset, length, priority, tenant,
-             [this, shared_cb, attempt = self.lock(), retries_left](
-                 bool ok, util::Payload data) {
-               if (ok || retries_left == 0) {
-                 (*shared_cb)(ok, std::move(data));
-                 return;
-               }
-               engine_.Schedule(config_.retry_delay_ns,
-                                [attempt, retries_left] {
-                                  (*attempt)(retries_left - 1);
-                                });
-             },
-             ctx);
-  };
-  (*attempt)(config_.io_retries);
+  ReadAttempt(host, vol, offset, length, priority, tenant, config_.io_retries,
+              [this, t0, ctx, root, cb = std::move(cb)](bool ok,
+                                                        util::Payload data) {
+                EndOp(read_latency_ns_, t0, ctx, root, ok);
+                cb(ok, std::move(data));
+              },
+              ctx);
+}
+
+void StorageSystem::ReadAttempt(net::NodeId host, VolumeId vol,
+                                std::uint64_t offset, std::uint32_t length,
+                                std::uint8_t priority, qos::TenantId tenant,
+                                std::uint32_t retries_left, ReadCallback cb,
+                                obs::TraceContext ctx) {
+  ReadOnce(host, PickController(vol), vol, offset, length, priority, tenant,
+           [this, host, vol, offset, length, priority, tenant, retries_left,
+            cb = std::move(cb), ctx](bool ok, util::Payload data) mutable {
+             if (ok || retries_left == 0) {
+               cb(ok, std::move(data));
+               return;
+             }
+             engine_.Schedule(config_.retry_delay_ns,
+                              [this, host, vol, offset, length, priority,
+                               tenant, retries_left, cb = std::move(cb),
+                               ctx]() mutable {
+                                ReadAttempt(host, vol, offset, length,
+                                            priority, tenant, retries_left - 1,
+                                            std::move(cb), ctx);
+                              });
+           },
+           ctx);
 }
 
 void StorageSystem::ReadVia(net::NodeId host, cache::ControllerId via,
@@ -357,15 +367,7 @@ void StorageSystem::ReadVia(net::NodeId host, cache::ControllerId via,
   ReadOnce(host, via, vol, offset, length, priority, tenant,
            [this, t0, ctx, root, cb = std::move(cb)](bool ok,
                                                      util::Payload data) {
-             if (read_latency_ns_ != nullptr) {
-               read_latency_ns_->Record(engine_.now() - t0);
-               if (!ok) io_failures_total_->Increment();
-             }
-             if (root) {
-               ctx.tracer->EndTrace(ctx, ok);
-             } else {
-               obs::EndSpan(ctx);
-             }
+             EndOp(read_latency_ns_, t0, ctx, root, ok);
              cb(ok, std::move(data));
            },
            ctx);
@@ -389,15 +391,7 @@ void StorageSystem::WriteVia(net::NodeId host, cache::ControllerId via,
   WriteOnce(host, via, vol, offset, std::move(data),
             config_.cache.replication, priority, tenant, wid,
             [this, t0, ctx, root, cb = std::move(cb)](bool ok) {
-              if (write_latency_ns_ != nullptr) {
-                write_latency_ns_->Record(engine_.now() - t0);
-                if (!ok) io_failures_total_->Increment();
-              }
-              if (root) {
-                ctx.tracer->EndTrace(ctx, ok);
-              } else {
-                obs::EndSpan(ctx);
-              }
+              EndOp(write_latency_ns_, t0, ctx, root, ok);
               cb(ok);
             },
             ctx);
@@ -409,58 +403,57 @@ void StorageSystem::ReadOnce(net::NodeId host, cache::ControllerId ctrl,
                              qos::TenantId tenant, ReadCallback cb,
                              obs::TraceContext ctx) {
   auto shared_cb = std::make_shared<ReadCallback>(std::move(cb));
-  // The blade attempt, parameterized on the QoS completion hook (`done` is
-  // a no-op when no scheduler is attached).
+  // The blade attempt, parameterized on the QoS completion hook (empty
+  // when no scheduler is attached).
   auto issue = [this, host, ctrl, vol, offset, length, priority, shared_cb,
-                ctx](std::function<void(bool)> done) {
+                ctx](qos::Scheduler::Done done) {
+    if (done) {  // every path then releases the QoS slot before replying
+      *shared_cb = [done = std::move(done), cb = std::move(*shared_cb)](
+                       bool ok, util::Payload data) {
+        done(ok);
+        cb(ok, std::move(data));
+      };
+    }
     ++outstanding_[ctrl];
     // Request command to the blade (small), response data to the host.
     fabric_.Send(
         host, controller_nodes_[ctrl], config_.cache.ctrl_msg_bytes,
-        [this, host, ctrl, vol, offset, length, priority, shared_cb, done,
-         ctx] {
+        [this, host, ctrl, vol, offset, length, priority, shared_cb, ctx] {
           cache_->Read(
               ctrl, vol, offset, length,
-              [this, host, ctrl, shared_cb, done, ctx](bool ok,
-                                                       util::Payload data) {
+              [this, host, ctrl, shared_cb, ctx](bool ok,
+                                                 util::Payload data) {
                 --outstanding_[ctrl];
                 if (!ok) {
-                  done(false);
                   (*shared_cb)(false, {});
                   return;
                 }
                 const std::size_t bytes = data.size();
                 fabric_.Send(
                     controller_nodes_[ctrl], host, bytes,
-                    [shared_cb, data = std::move(data), done] {
-                      done(true);
+                    [shared_cb, data = std::move(data)] {
                       (*shared_cb)(true, data);
                     },
-                    [shared_cb, done] {
-                      done(false);
-                      (*shared_cb)(false, {});
-                    },
-                    ctx);
+                    [shared_cb] { (*shared_cb)(false, {}); }, ctx);
               },
               priority, ctx);
         },
-        [this, ctrl, shared_cb, done] {
+        [this, ctrl, shared_cb] {
           --outstanding_[ctrl];
-          done(false);
           (*shared_cb)(false, {});
         },
         ctx);
   };
-  if (qos_ != nullptr) {
-    if (!qos_->Submit(ctrl, ResolveTenant(vol, tenant), length,
-                      std::move(issue), ctx)) {
-      // Admission rejected (backpressure): fail the attempt; the multipath
-      // retry loop re-submits after retry_delay_ns.
-      engine_.Schedule(0, [shared_cb] { (*shared_cb)(false, {}); });
-    }
+  if (qos_ == nullptr) {
+    issue(nullptr);
     return;
   }
-  issue([](bool) {});
+  // Admission rejected (backpressure) hands `issue` back: fail the attempt;
+  // the multipath retry loop re-submits after retry_delay_ns.
+  if (qos_->Submit(ctrl, ResolveTenant(vol, tenant), length, std::move(issue),
+                   ctx)) {
+    engine_.Schedule(0, [shared_cb] { (*shared_cb)(false, {}); });
+  }
 }
 
 void StorageSystem::Write(net::NodeId host, VolumeId vol, std::uint64_t offset,
@@ -480,42 +473,43 @@ void StorageSystem::WriteReplicated(net::NodeId host, VolumeId vol,
   bool root = false;
   ctx = StartOp(ctx, "controller.write", vol, &root);
   const sim::Tick t0 = engine_.now();
-  // Same self-reference rule as Read's retry loop.
-  auto attempt = std::make_shared<std::function<void(std::uint32_t)>>();
-  auto outer_cb = std::make_shared<WriteCallback>(
-      [this, t0, ctx, root, cb = std::move(cb)](bool ok) {
-        if (write_latency_ns_ != nullptr) {
-          write_latency_ns_->Record(engine_.now() - t0);
-          if (!ok) io_failures_total_->Increment();
-        }
-        if (root) {
-          ctx.tracer->EndTrace(ctx, ok);
-        } else {
-          obs::EndSpan(ctx);
-        }
-        cb(ok);
-      });
-  *attempt = [this, host, vol, offset, data = std::move(data), replication,
-              priority, tenant, outer_cb, self = std::weak_ptr(attempt),
-              ctx](std::uint32_t retries_left) {
-    // Legacy driver loop: unattributed ({} write id, no dedup).  Safe by
-    // construction — each retry rewrites the identical payload at the
-    // identical offset and the loop never overlaps attempts.
-    WriteOnce(host, PickController(vol), vol, offset, data, replication,
-              priority, tenant, cache::WriteId{},
-              [this, outer_cb, attempt = self.lock(), retries_left](bool ok) {
-                if (ok || retries_left == 0) {
-                  (*outer_cb)(ok);
-                  return;
-                }
-                engine_.Schedule(config_.retry_delay_ns,
-                                 [attempt, retries_left] {
-                                   (*attempt)(retries_left - 1);
-                                 });
-              },
-              ctx);
-  };
-  (*attempt)(config_.io_retries);
+  WriteAttempt(host, vol, offset, std::move(data), replication, priority,
+               tenant, config_.io_retries,
+               [this, t0, ctx, root, cb = std::move(cb)](bool ok) {
+                 EndOp(write_latency_ns_, t0, ctx, root, ok);
+                 cb(ok);
+               },
+               ctx);
+}
+
+void StorageSystem::WriteAttempt(net::NodeId host, VolumeId vol,
+                                 std::uint64_t offset, util::Payload data,
+                                 std::uint32_t replication,
+                                 std::uint8_t priority, qos::TenantId tenant,
+                                 std::uint32_t retries_left, WriteCallback cb,
+                                 obs::TraceContext ctx) {
+  // Legacy driver loop: unattributed ({} write id, no dedup).  Safe by
+  // construction — each retry rewrites the identical payload at the
+  // identical offset and the loop never overlaps attempts.
+  WriteOnce(host, PickController(vol), vol, offset, data, replication,
+            priority, tenant, cache::WriteId{},
+            [this, host, vol, offset, data, replication, priority, tenant,
+             retries_left, cb = std::move(cb), ctx](bool ok) mutable {
+              if (ok || retries_left == 0) {
+                cb(ok);
+                return;
+              }
+              engine_.Schedule(
+                  config_.retry_delay_ns,
+                  [this, host, vol, offset, data = std::move(data),
+                   replication, priority, tenant, retries_left,
+                   cb = std::move(cb), ctx]() mutable {
+                    WriteAttempt(host, vol, offset, std::move(data),
+                                 replication, priority, tenant,
+                                 retries_left - 1, std::move(cb), ctx);
+                  });
+            },
+            ctx);
 }
 
 void StorageSystem::WriteOnce(net::NodeId host, cache::ControllerId ctrl,
@@ -528,61 +522,60 @@ void StorageSystem::WriteOnce(net::NodeId host, cache::ControllerId ctrl,
   const std::size_t bytes = payload.size();
   auto issue = [this, host, ctrl, vol, offset, replication, priority,
                 payload = std::move(payload), wid, shared_cb,
-                ctx](std::function<void(bool)> done) {
+                ctx](qos::Scheduler::Done done) {
+    if (done) {  // every path then releases the QoS slot before replying
+      *shared_cb = [done = std::move(done),
+                    cb = std::move(*shared_cb)](bool ok) {
+        done(ok);
+        cb(ok);
+      };
+    }
     ++outstanding_[ctrl];
     // Data travels host -> blade, then the ack returns blade -> host.
     fabric_.Send(
         host, controller_nodes_[ctrl], payload.size(),
         [this, host, ctrl, vol, offset, replication, priority, payload, wid,
-         shared_cb, done, ctx] {
-          // Shared continuation: duplicates absorbed by the dedup index
-          // ride it too, so every arrival acks (and releases its QoS
-          // slot) exactly once.
-          auto outcome = [this, host, ctrl, shared_cb, done, ctx](bool ok) {
-            --outstanding_[ctrl];
-            if (!ok) {
-              done(false);
-              (*shared_cb)(false);
-              return;
-            }
-            fabric_.Send(
-                controller_nodes_[ctrl], host, config_.cache.ctrl_msg_bytes,
-                [shared_cb, done] {
-                  done(true);
-                  (*shared_cb)(true);
-                },
-                [shared_cb, done] {
-                  done(false);
-                  (*shared_cb)(false);
-                },
-                ctx);
-          };
+         shared_cb, ctx] {
           // Payload has landed on the blade: consult the cluster-wide
-          // idempotency index before touching the data image.
-          if (!dedup_.Begin(wid, outcome)) return;
+          // idempotency index before touching the data image.  A duplicate
+          // it absorbs acks through the same continuation, so every
+          // arrival acks (and releases its QoS slot) exactly once.
+          cache::WriteDedupIndex::Waiter outcome = dedup_.Begin(
+              wid, [this, host, ctrl, shared_cb, ctx](bool ok) {
+                --outstanding_[ctrl];
+                if (!ok) {
+                  (*shared_cb)(false);
+                  return;
+                }
+                fabric_.Send(
+                    controller_nodes_[ctrl], host,
+                    config_.cache.ctrl_msg_bytes,
+                    [shared_cb] { (*shared_cb)(true); },
+                    [shared_cb] { (*shared_cb)(false); }, ctx);
+              });
+          if (!outcome) return;  // absorbed
           cache_->WriteWithReplication(
               ctrl, vol, offset, payload, replication,
-              [this, wid, outcome](bool ok) {
+              [this, wid, outcome = std::move(outcome)](bool ok) {
                 dedup_.Complete(wid, ok);
                 outcome(ok);
               },
               priority, ctx, wid);
         },
-        [this, ctrl, shared_cb, done] {
+        [this, ctrl, shared_cb] {
           --outstanding_[ctrl];
-          done(false);
           (*shared_cb)(false);
         },
         ctx);
   };
-  if (qos_ != nullptr) {
-    if (!qos_->Submit(ctrl, ResolveTenant(vol, tenant), bytes,
-                      std::move(issue), ctx)) {
-      engine_.Schedule(0, [shared_cb] { (*shared_cb)(false); });
-    }
+  if (qos_ == nullptr) {
+    issue(nullptr);
     return;
   }
-  issue([](bool) {});
+  if (qos_->Submit(ctrl, ResolveTenant(vol, tenant), bytes, std::move(issue),
+                   ctx)) {  // rejected
+    engine_.Schedule(0, [shared_cb] { (*shared_cb)(false); });
+  }
 }
 
 void StorageSystem::BladeRead(cache::ControllerId via, VolumeId vol,
@@ -595,35 +588,27 @@ void StorageSystem::BladeRead(cache::ControllerId via, VolumeId vol,
   const sim::Tick t0 = engine_.now();
   auto shared_cb = std::make_shared<ReadCallback>(
       [this, t0, ctx, root, cb = std::move(cb)](bool ok, util::Payload data) {
-        if (read_latency_ns_ != nullptr) {
-          read_latency_ns_->Record(engine_.now() - t0);
-          if (!ok) io_failures_total_->Increment();
-        }
-        if (root) {
-          ctx.tracer->EndTrace(ctx, ok);
-        } else {
-          obs::EndSpan(ctx);
-        }
+        EndOp(read_latency_ns_, t0, ctx, root, ok);
         cb(ok, std::move(data));
       });
   auto issue = [this, via, vol, offset, length, priority, shared_cb,
-                ctx](std::function<void(bool)> done) {
+                ctx](qos::Scheduler::Done done) {
     cache_->Read(
         via, vol, offset, length,
-        [shared_cb, done](bool ok, util::Payload data) {
-          done(ok);
+        [shared_cb, done = std::move(done)](bool ok, util::Payload data) {
+          if (done) done(ok);
           (*shared_cb)(ok, std::move(data));
         },
         priority, ctx);
   };
-  if (qos_ != nullptr) {
-    if (!qos_->Submit(via, ResolveTenant(vol, tenant), length,
-                      std::move(issue), ctx)) {
-      engine_.Schedule(0, [shared_cb] { (*shared_cb)(false, {}); });
-    }
+  if (qos_ == nullptr) {
+    issue(nullptr);
     return;
   }
-  issue([](bool) {});
+  if (qos_->Submit(via, ResolveTenant(vol, tenant), length, std::move(issue),
+                   ctx)) {  // rejected
+    engine_.Schedule(0, [shared_cb] { (*shared_cb)(false, {}); });
+  }
 }
 
 void StorageSystem::BladeWrite(cache::ControllerId via, VolumeId vol,
@@ -645,41 +630,34 @@ void StorageSystem::BladeWrite(cache::ControllerId via, VolumeId vol,
   const std::size_t bytes = data.size();
   auto shared_cb = std::make_shared<WriteCallback>(
       [this, t0, ctx, root, cb = std::move(cb)](bool ok) {
-        if (write_latency_ns_ != nullptr) {
-          write_latency_ns_->Record(engine_.now() - t0);
-          if (!ok) io_failures_total_->Increment();
-        }
-        if (root) {
-          ctx.tracer->EndTrace(ctx, ok);
-        } else {
-          obs::EndSpan(ctx);
-        }
+        EndOp(write_latency_ns_, t0, ctx, root, ok);
         cb(ok);
       });
   auto issue = [this, via, vol, offset, replication, priority,
                 data = std::move(data), wid, shared_cb,
-                ctx](std::function<void(bool)> done) {
-    auto outcome = [shared_cb, done](bool ok) {
-      done(ok);
-      (*shared_cb)(ok);
-    };
-    if (!dedup_.Begin(wid, outcome)) return;
+                ctx](qos::Scheduler::Done done) {
+    cache::WriteDedupIndex::Waiter outcome = dedup_.Begin(
+        wid, [shared_cb, done = std::move(done)](bool ok) {
+          if (done) done(ok);
+          (*shared_cb)(ok);
+        });
+    if (!outcome) return;  // absorbed
     cache_->WriteWithReplication(
         via, vol, offset, data, replication,
-        [this, wid, outcome](bool ok) {
+        [this, wid, outcome = std::move(outcome)](bool ok) {
           dedup_.Complete(wid, ok);
           outcome(ok);
         },
         priority, ctx, wid);
   };
-  if (qos_ != nullptr) {
-    if (!qos_->Submit(via, ResolveTenant(vol, tenant), bytes,
-                      std::move(issue), ctx)) {
-      engine_.Schedule(0, [shared_cb] { (*shared_cb)(false); });
-    }
+  if (qos_ == nullptr) {
+    issue(nullptr);
     return;
   }
-  issue([](bool) {});
+  if (qos_->Submit(via, ResolveTenant(vol, tenant), bytes, std::move(issue),
+                   ctx)) {  // rejected
+    engine_.Schedule(0, [shared_cb] { (*shared_cb)(false); });
+  }
 }
 
 void StorageSystem::FailController(std::uint32_t i) {
@@ -695,7 +673,7 @@ void StorageSystem::ReviveController(std::uint32_t i) {
 }
 
 void StorageSystem::FailAndRebuildDisk(std::uint32_t g, std::uint32_t d,
-                                       std::function<void(bool)> on_done) {
+                                       util::Function<void(bool)> on_done) {
   groups_[g]->disk(d).Fail();
   groups_[g]->RefreshMemberStates();
   groups_[g]->disk(d).Replace();

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -29,6 +28,7 @@
 #include "raid/rebuild.h"
 #include "sim/engine.h"
 #include "tier/manager.h"
+#include "util/function.h"
 #include "virt/chargeback.h"
 #include "virt/pool.h"
 #include "virt/volume.h"
@@ -204,7 +204,7 @@ class StorageSystem {
   void RecoverCluster() { cache_->Recover(); }
   /// Fail disk `d` of group `g`, replace it, and rebuild across blades.
   void FailAndRebuildDisk(std::uint32_t g, std::uint32_t d,
-                          std::function<void(bool)> on_done);
+                          util::Function<void(bool)> on_done);
 
   // --- Components --------------------------------------------------------------
   sim::Engine& engine() { return engine_; }
@@ -236,6 +236,21 @@ class StorageSystem {
                  std::uint32_t replication, std::uint8_t priority,
                  qos::TenantId tenant, cache::WriteId wid, WriteCallback cb,
                  obs::TraceContext ctx = {});
+  /// One multipath attempt of Read / WriteReplicated: on failure, re-issue
+  /// via another blade after retry_delay_ns, moving `cb` into the retry.
+  void ReadAttempt(net::NodeId host, VolumeId vol, std::uint64_t offset,
+                   std::uint32_t length, std::uint8_t priority,
+                   qos::TenantId tenant, std::uint32_t retries_left,
+                   ReadCallback cb, obs::TraceContext ctx);
+  void WriteAttempt(net::NodeId host, VolumeId vol, std::uint64_t offset,
+                    util::Payload data, std::uint32_t replication,
+                    std::uint8_t priority, qos::TenantId tenant,
+                    std::uint32_t retries_left, WriteCallback cb,
+                    obs::TraceContext ctx);
+  /// Record a finished host op: latency histogram, failure counter, and
+  /// the end of its span (or of the trace StartOp rooted).
+  void EndOp(util::Histogram* latency, sim::Tick t0, obs::TraceContext ctx,
+             bool root, bool ok);
   /// Register the labelled per-tenant QoS series (idempotent; called from
   /// AttachObs and AttachQos so attach order doesn't matter).
   void RegisterQosMetrics();

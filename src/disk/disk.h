@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -21,6 +20,7 @@
 
 #include "obs/trace.h"
 #include "sim/engine.h"
+#include "util/function.h"
 #include "util/payload.h"
 #include "util/units.h"
 
@@ -90,8 +90,8 @@ struct DiskStats {
 
 class Disk {
  public:
-  using ReadCallback = std::function<void(bool ok, util::Payload data)>;
-  using WriteCallback = std::function<void(bool ok)>;
+  using ReadCallback = util::Function<void(bool ok, util::Payload data)>;
+  using WriteCallback = util::Function<void(bool ok)>;
 
   Disk(sim::Engine& engine, DiskProfile profile, std::string name);
 

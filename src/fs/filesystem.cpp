@@ -7,21 +7,6 @@
 #include "util/bytes.h"
 
 namespace nlss::fs {
-namespace {
-
-struct Join {
-  Join(int n, std::function<void(bool)> done)
-      : remaining(n), on_done(std::move(done)) {}
-  int remaining;
-  bool ok = true;
-  std::function<void(bool)> on_done;
-  void Arrive(bool success) {
-    ok = ok && success;
-    if (--remaining == 0) on_done(ok);
-  }
-};
-
-}  // namespace
 
 const char* StatusName(Status s) {
   switch (s) {
@@ -235,6 +220,10 @@ void FileSystem::Write(const std::string& path, std::uint64_t offset,
     });
     return;
   }
+  if (data.empty()) {  // changes nothing: no size, no chunks, no I/O
+    system_.engine().Schedule(0, [cb = std::move(cb)] { cb(Status::kOk); });
+    return;
+  }
   Inode& inode = *r.node;
   const Status st = EnsureChunks(inode, offset + data.size());
   if (st != Status::kOk) {
@@ -269,7 +258,7 @@ void FileSystem::Write(const std::string& path, std::uint64_t offset,
   const std::uint32_t replication = inode.policy.cache_replication;
   const std::uint8_t priority = inode.policy.cache_priority;
   const qos::TenantId tenant = inode.policy.qos_tenant;
-  auto join = std::make_shared<Join>(
+  auto join = std::make_shared<util::Join>(
       static_cast<int>(pieces.size()),
       [cb = std::move(cb)](bool ok) {
         cb(ok ? Status::kOk : Status::kIoError);
@@ -342,7 +331,7 @@ void FileSystem::Read(const std::string& path, std::uint64_t offset,
     left -= n;
   }
   auto parts = std::make_shared<std::vector<util::Payload>>(pieces.size());
-  auto join = std::make_shared<Join>(
+  auto join = std::make_shared<util::Join>(
       static_cast<int>(pieces.size()),
       [parts, cb = std::move(cb)](bool ok) {
         cb(ok ? Status::kOk : Status::kIoError,
@@ -508,7 +497,7 @@ std::uint64_t FileSystem::AllocatedChunks() const {
 
 void FileSystem::WalkFiles(
     const Inode& dir, const std::string& prefix,
-    const std::function<void(const std::string&, const Inode&)>& fn) const {
+    util::FunctionRef<void(const std::string&, const Inode&)> fn) const {
   dir.entries.ForEach([&](const std::string& name, const meta::Dentry& d) {
     const Inode& node = inodes_.at(d.ino);
     const std::string path = prefix + "/" + name;
@@ -521,7 +510,7 @@ void FileSystem::WalkFiles(
 }
 
 void FileSystem::ForEachFile(
-    const std::function<void(const std::string&, const Inode&)>& fn) const {
+    util::FunctionRef<void(const std::string&, const Inode&)> fn) const {
   WalkFiles(inodes_.at(kRootIno), "", fn);
 }
 

@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <optional>
 #include <set>
@@ -24,6 +23,7 @@
 #include "qos/tenant.h"
 #include "raid/layout.h"
 #include "util/bytes.h"
+#include "util/function.h"
 
 namespace nlss::fs {
 
@@ -101,8 +101,8 @@ class FileSystem {
   Status SetPolicy(const std::string& path, const FilePolicy& policy);
 
   // --- Data ------------------------------------------------------------------
-  using ReadCallback = std::function<void(Status, util::Bytes)>;
-  using WriteCallback = std::function<void(Status)>;
+  using ReadCallback = util::Function<void(Status, util::Bytes)>;
+  using WriteCallback = util::Function<void(Status)>;
 
   /// Write (extending the file as needed).  Replication factor comes from
   /// the file's policy.
@@ -139,7 +139,7 @@ class FileSystem {
 
   /// Iterate over all files (path, inode); used by the geo replicator.
   void ForEachFile(
-      const std::function<void(const std::string&, const Inode&)>& fn) const;
+      util::FunctionRef<void(const std::string&, const Inode&)> fn) const;
 
  private:
   struct Resolved {
@@ -161,8 +161,8 @@ class FileSystem {
   }
 
   void WalkFiles(const Inode& dir, const std::string& prefix,
-                 const std::function<void(const std::string&, const Inode&)>&
-                     fn) const;
+                 util::FunctionRef<void(const std::string&, const Inode&)> fn)
+      const;
 
   /// Stamp the next write id (blade-side dedup token) with the current
   /// settled cursor; the seq joins the unsettled set until its BladeWrite

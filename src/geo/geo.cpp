@@ -6,21 +6,6 @@
 #include <memory>
 
 namespace nlss::geo {
-namespace {
-
-struct Join {
-  Join(int n, std::function<void(bool)> done)
-      : remaining(n), on_done(std::move(done)) {}
-  int remaining;
-  bool ok = true;
-  std::function<void(bool)> on_done;
-  void Arrive(bool success) {
-    ok = ok && success;
-    if (--remaining == 0) on_done(ok);
-  }
-};
-
-}  // namespace
 
 double DistanceKm(const Location& a, const Location& b) {
   const double dx = a.x_km - b.x_km;
@@ -61,8 +46,8 @@ void GeoCluster::ConnectSites(SiteId a, SiteId b,
 }
 
 void GeoCluster::Ship(SiteId from, SiteId to, std::uint64_t bytes,
-                      std::function<void()> delivered,
-                      std::function<void()> dropped) {
+                      util::Function<void()> delivered,
+                      util::Function<void()> dropped) {
   fabric_.Send(sites_[from]->gateway(), sites_[to]->gateway(), bytes,
                std::move(delivered), std::move(dropped));
 }
@@ -159,7 +144,7 @@ std::set<SiteId> GeoCluster::ReplicasOf(const std::string& path) const {
 void GeoCluster::ApplyRemoteWrite(SiteId target, const std::string& path,
                                   std::uint64_t offset,
                                   const util::Payload& data,
-                                  std::function<void(bool)> cb) {
+                                  util::Function<void(bool)> cb) {
   if (!sites_[target]->alive()) {
     engine_.Schedule(0, [cb = std::move(cb)] { cb(false); });
     return;
@@ -215,7 +200,7 @@ void GeoCluster::HomeWriteAndReplicate(const std::string& path,
           cb(fs::Status::kOk);
           return;
         }
-        auto join = std::make_shared<Join>(
+        auto join = std::make_shared<util::Join>(
             static_cast<int>(sync_targets.size()),
             [cb = std::move(cb)](bool ok) {
               cb(ok ? fs::Status::kOk : fs::Status::kIoError);
@@ -355,7 +340,7 @@ void GeoCluster::CheckDrained() {
   for (auto& w : waiters) engine_.Schedule(0, std::move(w));
 }
 
-void GeoCluster::DrainAsync(std::function<void()> cb) {
+void GeoCluster::DrainAsync(util::Function<void()> cb) {
   drain_waiters_.push_back(std::move(cb));
   CheckDrained();
 }
@@ -369,15 +354,15 @@ std::uint64_t GeoCluster::ChunkCount(const GeoFile& f) const {
 
 void GeoCluster::FetchChunks(SiteId via, const std::string& path,
                              std::vector<std::uint64_t> chunks,
-                             std::function<void(bool)> cb) {
+                             util::Function<void(bool)> cb) {
   if (chunks.empty()) {
     engine_.Schedule(0, [cb = std::move(cb)] { cb(true); });
     return;
   }
   GeoFile& f = files_.at(path);
   const SiteId home = f.home;
-  auto join = std::make_shared<Join>(static_cast<int>(chunks.size()),
-                                     std::move(cb));
+  auto join = std::make_shared<util::Join>(static_cast<int>(chunks.size()),
+                                           std::move(cb));
   for (const std::uint64_t c : chunks) {
     const std::uint64_t off =
         c * static_cast<std::uint64_t>(config_.migrate_chunk_bytes);

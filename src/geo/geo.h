@@ -28,7 +28,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -40,6 +39,7 @@
 #include "fs/filesystem.h"
 #include "net/fabric.h"
 #include "obs/trace.h"
+#include "util/function.h"
 
 namespace nlss::geo {
 
@@ -122,7 +122,7 @@ class GeoCluster {
   std::uint64_t PendingAsyncBytes() const;
   std::uint64_t PendingAsyncBytesFrom(SiteId src) const;
   /// cb fires once every queue is empty.
-  void DrainAsync(std::function<void()> cb);
+  void DrainAsync(util::Function<void()> cb);
 
   // --- Disaster recovery ------------------------------------------------------------
   /// Fail a whole site: its fabric nodes go down, queued async updates from
@@ -169,12 +169,12 @@ class GeoCluster {
 
   /// WAN transfer between site gateways.
   void Ship(SiteId from, SiteId to, std::uint64_t bytes,
-            std::function<void()> delivered, std::function<void()> dropped);
+            util::Function<void()> delivered, util::Function<void()> dropped);
 
   void ChooseReplicas(const std::string& path, GeoFile& f);
   void ApplyRemoteWrite(SiteId target, const std::string& path,
                         std::uint64_t offset, const util::Payload& data,
-                        std::function<void(bool)> cb);
+                        util::Function<void(bool)> cb);
   void HomeWriteAndReplicate(const std::string& path, std::uint64_t offset,
                              const util::Payload& data, WriteCallback cb);
   void EnqueueAsync(SiteId from, SiteId to, AsyncUpdate update);
@@ -183,7 +183,7 @@ class GeoCluster {
 
   void FetchChunks(SiteId via, const std::string& path,
                    std::vector<std::uint64_t> chunks,
-                   std::function<void(bool)> cb);
+                   util::Function<void(bool)> cb);
   void MaybePrefetch(SiteId via, const std::string& path);
   void MaybePromote(SiteId via, const std::string& path);
 
@@ -195,7 +195,7 @@ class GeoCluster {
   std::vector<std::unique_ptr<Site>> sites_;
   std::map<std::string, GeoFile> files_;
   std::map<std::pair<SiteId, SiteId>, AsyncQueue> async_;
-  std::vector<std::function<void()>> drain_waiters_;
+  std::vector<util::Function<void()>> drain_waiters_;
   LossReport losses_;
   obs::Tracer* tracer_ = nullptr;  // roots "geo.replicate" background spans
 };

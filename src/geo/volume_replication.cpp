@@ -122,7 +122,7 @@ void ReplicatedBacking::CheckDrained() {
   for (auto& w : waiters) engine_.Schedule(0, std::move(w));
 }
 
-void ReplicatedBacking::Drain(std::function<void()> cb) {
+void ReplicatedBacking::Drain(util::Function<void()> cb) {
   drain_waiters_.push_back(std::move(cb));
   CheckDrained();
 }

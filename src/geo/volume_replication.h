@@ -15,11 +15,11 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 
 #include "cache/backing.h"
 #include "net/fabric.h"
 #include "sim/engine.h"
+#include "util/function.h"
 
 namespace nlss::geo {
 
@@ -51,7 +51,7 @@ class ReplicatedBacking final : public cache::BackingStore {
   std::uint64_t PendingBytes() const { return pending_bytes_; }
 
   /// cb runs once the async queue is empty.
-  void Drain(std::function<void()> cb);
+  void Drain(util::Function<void()> cb);
 
   /// Simulate loss of the primary: un-shipped queue entries are dropped
   /// and counted; returns the lost byte count.
@@ -85,7 +85,7 @@ class ReplicatedBacking final : public cache::BackingStore {
   bool pumping_ = false;
   bool primary_failed_ = false;
   std::uint64_t replicated_writes_ = 0;
-  std::vector<std::function<void()>> drain_waiters_;
+  std::vector<util::Function<void()>> drain_waiters_;
   obs::Tracer* tracer_ = nullptr;
 };
 

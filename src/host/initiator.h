@@ -44,6 +44,7 @@
 #include "host/path.h"
 #include "host/retry.h"
 #include "obs/hub.h"
+#include "util/function.h"
 
 namespace nlss::meta {
 class Client;
@@ -119,7 +120,7 @@ class Initiator {
  public:
   /// Reads hand the caller its own bytes: the host edge is where a payload
   /// leaves the simulated system, and the one place a read copies it.
-  using ReadCallback = std::function<void(bool ok, util::Bytes data)>;
+  using ReadCallback = util::Function<void(bool ok, util::Bytes data)>;
   using WriteCallback = controller::StorageSystem::WriteCallback;
 
   /// Attaches a host node named `name` to the system's fabric and opens a

@@ -159,23 +159,23 @@ bool DentryIndex::Erase(const std::string& name) {
 }
 
 void DentryIndex::ForEach(
-    const std::function<void(const std::string&, const Dentry&)>& fn) const {
-  const std::function<void(const Node*)> walk = [&](const Node* node) {
+    util::FunctionRef<void(const std::string&, const Dentry&)> fn) const {
+  const auto walk = [&](const auto& self, const Node* node) -> void {
     if (node->leaf) {
       for (std::size_t i = 0; i < node->keys.size(); ++i) {
         fn(node->keys[i], node->vals[i]);
       }
       return;
     }
-    for (const auto& kid : node->kids) walk(kid.get());
+    for (const auto& kid : node->kids) self(self, kid.get());
   };
-  walk(root_.get());
+  walk(walk, root_.get());
 }
 
 std::vector<std::pair<std::string, Dentry>> DentryIndex::Scan(
     const std::string& from, std::size_t limit) const {
   std::vector<std::pair<std::string, Dentry>> out;
-  const std::function<bool(const Node*)> walk = [&](const Node* node) -> bool {
+  const auto walk = [&](const auto& self, const Node* node) -> bool {
     if (node->leaf) {
       auto it = std::lower_bound(node->keys.begin(), node->keys.end(), from);
       for (; it != node->keys.end(); ++it) {
@@ -186,11 +186,11 @@ std::vector<std::pair<std::string, Dentry>> DentryIndex::Scan(
       return true;
     }
     for (std::size_t i = node->RouteTo(from); i < node->kids.size(); ++i) {
-      if (!walk(node->kids[i].get())) return false;
+      if (!self(self, node->kids[i].get())) return false;
     }
     return true;
   };
-  walk(root_.get());
+  walk(walk, root_.get());
   return out;
 }
 
@@ -200,8 +200,8 @@ bool DentryIndex::Validate() const {
   std::string prev;
   bool have_prev = false;
   bool ok = true;
-  const std::function<void(const Node*, int)> walk = [&](const Node* node,
-                                                         int depth) {
+  const auto walk = [&](const auto& self, const Node* node,
+                        int depth) -> void {
     if (!ok) return;
     if (node->leaf) {
       if (leaf_depth < 0) leaf_depth = depth;
@@ -224,14 +224,14 @@ bool DentryIndex::Validate() const {
       // i-1's max) must be < keys[i], and the subtree visited next must not
       // go below keys[i].
       if (i >= 1 && have_prev && !(prev < node->keys[i])) ok = false;
-      walk(node->kids[i].get(), depth + 1);
+      self(self, node->kids[i].get(), depth + 1);
       if (i + 1 < node->keys.size() && have_prev &&
           !(prev < node->keys[i + 1])) {
         ok = false;
       }
     }
   };
-  walk(root_.get(), 0);
+  walk(walk, root_.get(), 0);
   return ok && counted == size_;
 }
 

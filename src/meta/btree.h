@@ -18,10 +18,11 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
+
+#include "util/function.h"
 
 namespace nlss::meta {
 
@@ -55,7 +56,7 @@ class DentryIndex {
 
   /// In-order visit of every entry (lexicographic by name).
   void ForEach(
-      const std::function<void(const std::string&, const Dentry&)>& fn) const;
+      util::FunctionRef<void(const std::string&, const Dentry&)> fn) const;
 
   /// Ordered range scan: up to `limit` entries with name >= `from`
   /// (lexicographic).  limit == 0 means no bound.

@@ -79,11 +79,11 @@ void Client::Resolve(const std::string& path, MetaService::ResolveCallback cb,
   // entry was invalidated under us — never serve the stale copy.
   service_.engine().Schedule(
       config_.local_hit_ns,
-      [this, walk = std::move(walk), cb = std::move(cb), ctx]() {
+      [this, walk = std::move(walk), cb = std::move(cb), ctx]() mutable {
         const auto it2 = cache_.find(walk->key);
         if (it2 == cache_.end()) {
           ++stats_.revalidation_fallbacks;
-          BeginWalk(walk, cb, ctx);
+          BeginWalk(std::move(walk), std::move(cb), ctx);
           return;
         }
         for (const Link& link : it2->second.chain) {
@@ -139,8 +139,9 @@ void Client::WalkFrom(std::shared_ptr<const WalkPath> path, std::size_t next,
   // serialize there.  Serve that step from a version-stamped root copy
   // instead of a shard visit whenever the delegation grant is usable.
   if (dir == kRootDir && config_.root_delegation && config_.capacity != 0 &&
-      !root_grant_broken_ &&
-      TryRootDelegation(path, next, chain, cb, ctx)) {
+      !root_grant_broken_) {
+    RootDelegationStep(std::move(path), next, std::move(chain), std::move(cb),
+                       ctx);
     return;
   }
   ++stats_.steps;
@@ -148,7 +149,8 @@ void Client::WalkFrom(std::shared_ptr<const WalkPath> path, std::size_t next,
   service_.LookupStep(
       dir, name,
       [this, path = std::move(path), next, dir, chain = std::move(chain),
-       cb = std::move(cb), ctx](Status st, Dentry d, std::uint64_t ver) {
+       cb = std::move(cb), ctx](Status st, Dentry d,
+                                std::uint64_t ver) mutable {
         if (st != Status::kOk) {
           cb(st, {});
           return;
@@ -163,24 +165,26 @@ void Client::WalkFrom(std::shared_ptr<const WalkPath> path, std::size_t next,
           cb(Status::kNotDirectory, {});
           return;
         }
-        WalkFrom(path, next + 1, d.ino, chain, cb, ctx);
+        WalkFrom(std::move(path), next + 1, d.ino, std::move(chain),
+                 std::move(cb), ctx);
       },
       ctx);
 }
 
-bool Client::TryRootDelegation(std::shared_ptr<const WalkPath> path,
-                               std::size_t next, std::shared_ptr<Chain> chain,
-                               MetaService::ResolveCallback cb,
-                               obs::TraceContext ctx) {
+void Client::RootDelegationStep(std::shared_ptr<const WalkPath> path,
+                                std::size_t next, std::shared_ptr<Chain> chain,
+                                MetaService::ResolveCallback cb,
+                                obs::TraceContext ctx) {
   if (root_grant_pending_) {
     // A grant fetch is already in flight; join it instead of issuing a
     // second shard visit, and re-enter the walk once the copy lands.
     ++stats_.delegation_joins;
     root_grant_waiters_.push_back(
-        [this, path, next, chain, cb = std::move(cb), ctx]() {
-          WalkFrom(path, next, kRootDir, chain, cb, ctx);
+        [this, path, next, chain, cb = std::move(cb), ctx]() mutable {
+          WalkFrom(std::move(path), next, kRootDir, std::move(chain),
+                   std::move(cb), ctx);
         });
-    return true;
+    return;
   }
   if (!root_grant_valid_) {
     // No usable copy: fetch one.  The requester becomes the first waiter
@@ -188,8 +192,9 @@ bool Client::TryRootDelegation(std::shared_ptr<const WalkPath> path,
     ++stats_.delegation_grants;
     root_grant_pending_ = true;
     root_grant_waiters_.push_back(
-        [this, path, next, chain, cb = std::move(cb), ctx]() {
-          WalkFrom(path, next, kRootDir, chain, cb, ctx);
+        [this, path, next, chain, cb = std::move(cb), ctx]() mutable {
+          WalkFrom(std::move(path), next, kRootDir, std::move(chain),
+                   std::move(cb), ctx);
         });
     service_.DelegateDirectory(
         kRootDir,
@@ -205,12 +210,12 @@ bool Client::TryRootDelegation(std::shared_ptr<const WalkPath> path,
             // but if it did, re-entering waiters would re-fetch forever.
             root_grant_broken_ = true;
           }
-          std::vector<std::function<void()>> waiters;
+          std::vector<util::Function<void()>> waiters;
           waiters.swap(root_grant_waiters_);
           for (auto& w : waiters) w();
         },
         ctx);
-    return true;
+    return;
   }
   // Usable copy: serve the root step locally after local_hit_ns.  Same
   // hit-to-serve race as a full-path hit: re-validate against the
@@ -218,12 +223,13 @@ bool Client::TryRootDelegation(std::shared_ptr<const WalkPath> path,
   ++stats_.delegation_hits;
   service_.engine().Schedule(
       config_.local_hit_ns,
-      [this, path, next, chain, cb = std::move(cb), ctx]() {
+      [this, path, next, chain, cb = std::move(cb), ctx]() mutable {
         if (!root_grant_valid_ ||
             service_.DirVersion(kRootDir) != root_version_) {
           DropRootGrant();
           ++stats_.revalidation_fallbacks;
-          WalkFrom(path, next, kRootDir, chain, cb, ctx);
+          WalkFrom(std::move(path), next, kRootDir, std::move(chain),
+                   std::move(cb), ctx);
           return;
         }
         const auto it = root_copy_.find(path->parts[next]);
@@ -244,9 +250,9 @@ bool Client::TryRootDelegation(std::shared_ptr<const WalkPath> path,
           cb(Status::kNotDirectory, {});
           return;
         }
-        WalkFrom(path, next + 1, d.ino, chain, cb, ctx);
+        WalkFrom(std::move(path), next + 1, d.ino, std::move(chain),
+                 std::move(cb), ctx);
       });
-  return true;
 }
 
 void Client::DropRootGrant() {

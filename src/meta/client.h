@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "meta/service.h"
+#include "util/function.h"
 
 namespace nlss::meta {
 
@@ -170,12 +171,11 @@ class Client {
                 DirId dir, std::shared_ptr<Chain> chain,
                 MetaService::ResolveCallback cb, obs::TraceContext ctx);
   /// Serve a root-directory step from the delegation copy (fetching or
-  /// joining a grant first when needed).  Returns false when delegation is
-  /// off/unavailable and the caller should issue a plain LookupStep.
-  bool TryRootDelegation(std::shared_ptr<const WalkPath> path,
-                         std::size_t next, std::shared_ptr<Chain> chain,
-                         MetaService::ResolveCallback cb,
-                         obs::TraceContext ctx);
+  /// joining a grant first when needed).
+  void RootDelegationStep(std::shared_ptr<const WalkPath> path,
+                          std::size_t next, std::shared_ptr<Chain> chain,
+                          MetaService::ResolveCallback cb,
+                          obs::TraceContext ctx);
   void DropRootGrant();
   void InsertEntry(std::string_view path, Dentry dentry, const Chain& chain);
   void RemoveEntry(Entry& entry, std::uint64_t* counter);
@@ -203,7 +203,7 @@ class Client {
   bool root_grant_broken_ = false;  // fetch failed: stop re-trying forever
   std::map<std::string, Dentry> root_copy_;
   std::uint64_t root_version_ = 0;
-  std::vector<std::function<void()>> root_grant_waiters_;
+  std::vector<util::Function<void()>> root_grant_waiters_;
   ClientStats stats_;
 };
 

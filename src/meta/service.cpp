@@ -155,9 +155,10 @@ void MetaService::InvalidateGone(DirId dir) {
 
 // --- Shard visits -------------------------------------------------------------
 
-void MetaService::Visit(DirId dir, MetaShard::OpClass klass,
-                        sim::Tick cost_ns, std::function<void()> apply,
-                        std::function<void()> reply, obs::TraceContext parent) {
+void MetaService::Visit(DirId dir, MetaShard::OpClass klass, sim::Tick cost_ns,
+                        util::Function<void()> apply,
+                        util::Function<void()> reply,
+                        obs::TraceContext parent) {
   const ShardId shard = ShardOf(dir);
   obs::TraceContext span =
       obs::StartSpan(parent, obs::Layer::kMeta, "meta.shard");
@@ -166,16 +167,18 @@ void MetaService::Visit(DirId dir, MetaShard::OpClass klass,
   }
   auto serve = [this, shard, klass, cost_ns, apply = std::move(apply),
                 reply = std::move(reply),
-                span](std::function<void(bool)> done) {
-    shards_[shard]->Execute(klass, cost_ns, [this, apply, reply, span,
-                                             done = std::move(done)]() {
-      apply();
-      if (done) done(true);  // blade work finished; reply hop is network
-      engine_.Schedule(config_.hop_ns, [reply, span]() {
-        obs::EndSpan(span);
-        reply();
-      });
-    });
+                span](qos::Scheduler::Done done) mutable {
+    shards_[shard]->Execute(
+        klass, cost_ns,
+        [this, apply = std::move(apply), reply = std::move(reply), span,
+         done = std::move(done)]() mutable {
+          apply();
+          if (done) done(true);  // blade work finished; reply hop is network
+          engine_.Schedule(config_.hop_ns, [reply = std::move(reply), span]() {
+            obs::EndSpan(span);
+            reply();
+          });
+        });
   };
   // One fabric hop to reach the shard's blade, then admission.  Arrival
   // order here is what the shard's strict FIFO service preserves, so this
@@ -185,7 +188,7 @@ void MetaService::Visit(DirId dir, MetaShard::OpClass klass,
   const bool mutation = klass == MetaShard::OpClass::kMutation;
   engine_.Schedule(config_.hop_ns,
                    [this, shard, dir, mutation, serve = std::move(serve),
-                    span]() {
+                    span]() mutable {
                      if (mutation) {
                        NLSS_ACCESS(kMeta, check::AccessKey(0xD1Eull, dir),
                                    kWrite);
@@ -197,15 +200,16 @@ void MetaService::Visit(DirId dir, MetaShard::OpClass klass,
                    });
 }
 
-void MetaService::SubmitToBlade(
-    ShardId shard, std::function<void(std::function<void(bool)>)> serve,
-    obs::TraceContext span) {
+void MetaService::SubmitToBlade(ShardId shard, qos::Scheduler::Launch serve,
+                                obs::TraceContext span) {
   if (qos_ == nullptr) {
     serve(nullptr);
     return;
   }
   const std::uint32_t blade = BladeOf(shard) % qos_->blades();
-  if (!qos_->Submit(blade, qos_tenant_, kMetaOpCostBytes, serve, span)) {
+  serve = qos_->Submit(blade, qos_tenant_, kMetaOpCostBytes, std::move(serve),
+                       span);
+  if (serve) {  // rejected: handed back for a deterministic retry
     ++stats_.qos_rejects;
     engine_.Schedule(config_.qos_retry_delay_ns,
                      [this, shard, serve = std::move(serve), span]() mutable {
@@ -276,8 +280,8 @@ void MetaService::ResolveStep(std::shared_ptr<std::vector<std::string>> parts,
                               obs::TraceContext ctx) {
   LookupStep(
       dir, (*parts)[i],
-      [this, parts, i, done = std::move(done), ctx](Status st, Dentry d,
-                                                    std::uint64_t) {
+      [this, parts, i, done = std::move(done), ctx](
+          Status st, Dentry d, std::uint64_t) mutable {
         if (st != Status::kOk) {
           done(st, {});
           return;
@@ -290,7 +294,7 @@ void MetaService::ResolveStep(std::shared_ptr<std::vector<std::string>> parts,
           done(Status::kNotDirectory, {});
           return;
         }
-        ResolveStep(parts, i + 1, d.ino, done, ctx);
+        ResolveStep(parts, i + 1, d.ino, std::move(done), ctx);
       },
       ctx);
 }
@@ -316,15 +320,15 @@ void MetaService::Resolve(const std::string& path, ResolveCallback cb,
 
 void MetaService::WalkToParent(
     std::shared_ptr<std::vector<std::string>> parts, std::size_t next,
-    DirId dir, std::function<void(Status, DirId)> cb, obs::TraceContext ctx) {
+    DirId dir, util::Function<void(Status, DirId)> cb, obs::TraceContext ctx) {
   if (next + 1 >= parts->size()) {
     cb(Status::kOk, dir);
     return;
   }
   LookupStep(
       dir, (*parts)[next],
-      [this, parts, next, cb = std::move(cb), ctx](Status st, Dentry d,
-                                                   std::uint64_t) {
+      [this, parts, next, cb = std::move(cb), ctx](
+          Status st, Dentry d, std::uint64_t) mutable {
         if (st != Status::kOk) {
           cb(st, 0);
           return;
@@ -333,7 +337,7 @@ void MetaService::WalkToParent(
           cb(Status::kNotDirectory, 0);
           return;
         }
-        WalkToParent(parts, next + 1, d.ino, cb, ctx);
+        WalkToParent(parts, next + 1, d.ino, std::move(cb), ctx);
       },
       ctx);
 }
@@ -356,7 +360,8 @@ void MetaService::Mkdir(const std::string& path, StatusCallback cb,
   }
   WalkToParent(
       parts, 0, kRootDir,
-      [this, parts, done = std::move(done), op](Status st, DirId parent) {
+      [this, parts, done = std::move(done), op](Status st,
+                                                DirId parent) mutable {
         if (st != Status::kOk) {
           done(st);
           return;
@@ -379,7 +384,7 @@ void MetaService::Mkdir(const std::string& path, StatusCallback cb,
               TouchDirectory(*p);
               *result = Status::kOk;
             },
-            [done, result]() { done(*result); }, op);
+            [done = std::move(done), result]() { done(*result); }, op);
       },
       op);
 }
@@ -401,7 +406,8 @@ void MetaService::Create(const std::string& path, CreateCallback cb,
   }
   WalkToParent(
       parts, 0, kRootDir,
-      [this, parts, done = std::move(done), op](Status st, DirId parent) {
+      [this, parts, done = std::move(done), op](Status st,
+                                                DirId parent) mutable {
         if (st != Status::kOk) {
           done(st, 0);
           return;
@@ -424,7 +430,10 @@ void MetaService::Create(const std::string& path, CreateCallback cb,
               TouchDirectory(*p);
               *result = {Status::kOk, ino};
             },
-            [done, result]() { done(result->first, result->second); }, op);
+            [done = std::move(done), result]() {
+              done(result->first, result->second);
+            },
+            op);
       },
       op);
 }
@@ -445,7 +454,8 @@ void MetaService::Unlink(const std::string& path, StatusCallback cb,
   }
   WalkToParent(
       parts, 0, kRootDir,
-      [this, parts, done = std::move(done), op](Status st, DirId parent) {
+      [this, parts, done = std::move(done), op](Status st,
+                                                DirId parent) mutable {
         if (st != Status::kOk) {
           done(st);
           return;
@@ -468,7 +478,7 @@ void MetaService::Unlink(const std::string& path, StatusCallback cb,
               TouchDirectory(*p);
               *result = Status::kOk;
             },
-            [done, result]() { done(*result); }, op);
+            [done = std::move(done), result]() { done(*result); }, op);
       },
       op);
 }
@@ -489,7 +499,8 @@ void MetaService::Rmdir(const std::string& path, StatusCallback cb,
   }
   WalkToParent(
       parts, 0, kRootDir,
-      [this, parts, done = std::move(done), op](Status st, DirId parent) {
+      [this, parts, done = std::move(done), op](Status st,
+                                                DirId parent) mutable {
         if (st != Status::kOk) {
           done(st);
           return;
@@ -521,7 +532,7 @@ void MetaService::Rmdir(const std::string& path, StatusCallback cb,
               InvalidateGone(victim);
               *result = Status::kOk;
             },
-            [done, result]() { done(*result); }, op);
+            [done = std::move(done), result]() { done(*result); }, op);
       },
       op);
 }
@@ -544,15 +555,15 @@ void MetaService::Rename(const std::string& from, const std::string& to,
   WalkToParent(
       from_parts, 0, kRootDir,
       [this, from_parts, to_parts, done = std::move(done), op](
-          Status st, DirId from_parent) {
+          Status st, DirId from_parent) mutable {
         if (st != Status::kOk) {
           done(st);
           return;
         }
         WalkToParent(
             to_parts, 0, kRootDir,
-            [this, from_parts, to_parts, from_parent, done, op](
-                Status st2, DirId to_parent) {
+            [this, from_parts, to_parts, from_parent, done = std::move(done),
+             op](Status st2, DirId to_parent) mutable {
               if (st2 != Status::kOk) {
                 done(st2);
                 return;
@@ -598,7 +609,7 @@ void MetaService::Rename(const std::string& from, const std::string& to,
                     if (tp != fp) TouchDirectory(*tp);
                     *result = Status::kOk;
                   },
-                  [done, result]() { done(*result); }, op);
+                  [done = std::move(done), result]() { done(*result); }, op);
             },
             op);
       },
@@ -632,7 +643,7 @@ void MetaService::RangeScan(const std::string& path, const std::string& from,
     FinishOp(op, root, st == Status::kOk);
     cb(st, std::move(rows));
   };
-  auto scan_dir = [this, from, limit, done, op](DirId dir) {
+  auto scan_dir = [this, from, limit, op](DirId dir, auto done) {
     const Directory* d = FindDir(dir);
     const std::size_t approx = d == nullptr ? 0 : d->entries.size();
     const std::size_t billed =
@@ -650,15 +661,18 @@ void MetaService::RangeScan(const std::string& path, const std::string& from,
           result->first = Status::kOk;
           result->second = d2->entries.Scan(from, limit);
         },
-        [done, result]() { done(result->first, std::move(result->second)); },
+        [done = std::move(done), result]() {
+          done(result->first, std::move(result->second));
+        },
         op);
   };
   if (parts->empty()) {
-    scan_dir(kRootDir);
+    scan_dir(kRootDir, std::move(done));
     return;
   }
   ResolveStep(parts, 0, kRootDir,
-              [scan_dir = std::move(scan_dir), done](Status st, Dentry d) {
+              [scan_dir = std::move(scan_dir),
+               done = std::move(done)](Status st, Dentry d) mutable {
                 if (st != Status::kOk) {
                   done(st, {});
                   return;
@@ -667,7 +681,7 @@ void MetaService::RangeScan(const std::string& path, const std::string& from,
                   done(Status::kNotDirectory, {});
                   return;
                 }
-                scan_dir(d.ino);
+                scan_dir(d.ino, std::move(done));
               },
               op);
 }
@@ -724,7 +738,7 @@ void MetaService::AttachQos(qos::Scheduler* qos, qos::TenantId tenant) {
 }
 
 std::uint64_t MetaService::SumClientStat(
-    const std::function<std::uint64_t(const Client&)>& fn) const {
+    util::FunctionRef<std::uint64_t(const Client&)> fn) const {
   std::uint64_t sum = 0;
   for (const Client* c : clients_) sum += fn(*c);
   return sum;

@@ -26,7 +26,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -36,6 +35,7 @@
 #include "obs/hub.h"
 #include "qos/scheduler.h"
 #include "sim/engine.h"
+#include "util/function.h"
 
 namespace nlss::meta {
 
@@ -83,16 +83,16 @@ struct ServiceStats {
 
 class MetaService {
  public:
-  using StatusCallback = std::function<void(Status)>;
-  using ResolveCallback = std::function<void(Status, Dentry)>;
+  using StatusCallback = util::Function<void(Status)>;
+  using ResolveCallback = util::Function<void(Status, Dentry)>;
   /// Single-step lookup result: the dentry plus the parent directory's
   /// version at read time (the coherence stamp host caches record).
   using LookupCallback =
-      std::function<void(Status, Dentry, std::uint64_t dir_version)>;
-  using CreateCallback = std::function<void(Status, Ino)>;
+      util::Function<void(Status, Dentry, std::uint64_t dir_version)>;
+  using CreateCallback = util::Function<void(Status, Ino)>;
   using ListCallback =
-      std::function<void(Status, std::vector<std::string>)>;
-  using ScanCallback = std::function<void(
+      util::Function<void(Status, std::vector<std::string>)>;
+  using ScanCallback = util::Function<void(
       Status, std::vector<std::pair<std::string, Dentry>>)>;
 
   MetaService(sim::Engine& engine, ServiceConfig config = {});
@@ -135,7 +135,7 @@ class MetaService {
   /// `dir` locally — including authoritative negatives — until the
   /// version moves, instead of serializing every cold walk's first step
   /// on the root directory's shard.
-  using DelegateCallback = std::function<void(
+  using DelegateCallback = util::Function<void(
       Status, std::map<std::string, Dentry>, std::uint64_t version)>;
   void DelegateDirectory(DirId dir, DelegateCallback cb,
                          obs::TraceContext ctx = {});
@@ -182,7 +182,7 @@ class MetaService {
   /// Sum a per-client statistic over every registered client (mgmt's
   /// dentry-cache hit-rate report).
   std::uint64_t SumClientStat(
-      const std::function<std::uint64_t(const Client&)>& fn) const;
+      util::FunctionRef<std::uint64_t(const Client&)> fn) const;
 
   static std::vector<std::string> SplitPath(const std::string& path);
 
@@ -200,20 +200,19 @@ class MetaService {
   /// the shard executes ops strictly in arrival order — so it carries the
   /// race-detector access tag, keyed by directory.
   void Visit(DirId dir, MetaShard::OpClass klass, sim::Tick cost_ns,
-             std::function<void()> apply, std::function<void()> reply,
+             util::Function<void()> apply, util::Function<void()> reply,
              obs::TraceContext span);
 
   /// Pass one shard visit through QoS admission when a scheduler is
   /// attached (deterministic backoff retry on reject); direct dispatch
   /// otherwise.
-  void SubmitToBlade(ShardId shard,
-                     std::function<void(std::function<void(bool)>)> serve,
+  void SubmitToBlade(ShardId shard, qos::Scheduler::Launch serve,
                      obs::TraceContext span);
 
   /// Walk all but the last component; cb(status, parent_dir).
   void WalkToParent(std::shared_ptr<std::vector<std::string>> parts,
                     std::size_t next, DirId dir,
-                    std::function<void(Status, DirId)> cb,
+                    util::Function<void(Status, DirId)> cb,
                     obs::TraceContext ctx);
 
   /// Walk component `i` onward from `dir`, delivering the final dentry.

@@ -7,11 +7,11 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 
 #include "meta/btree.h"
 #include "sim/engine.h"
+#include "util/function.h"
 
 namespace nlss::meta {
 
@@ -75,7 +75,7 @@ class MetaShard {
 
   /// Run `fn` after this shard has a free service slot plus `cost_ns` of
   /// service time; ops execute strictly in arrival order.
-  void Execute(OpClass klass, sim::Tick cost_ns, std::function<void()> fn) {
+  void Execute(OpClass klass, sim::Tick cost_ns, util::Function<void()> fn) {
     switch (klass) {
       case OpClass::kLookup: ++stats_.lookups; break;
       case OpClass::kMutation: ++stats_.mutations; break;

@@ -158,38 +158,36 @@ std::vector<std::string> PolicyEngine::RunOnce() {
 // --- RollingUpgrade -----------------------------------------------------------------
 
 void RollingUpgrade::Run(sim::Tick per_controller_ns,
-                         std::function<void(Result)> done) {
-  auto shared_done =
-      std::make_shared<std::function<void(Result)>>(std::move(done));
-  UpgradeNext(0, per_controller_ns, system_.engine().now(), shared_done);
+                         util::Function<void(Result)> done) {
+  UpgradeNext(0, per_controller_ns, system_.engine().now(), std::move(done));
 }
 
-void RollingUpgrade::UpgradeNext(
-    std::uint32_t index, sim::Tick per_controller_ns, sim::Tick started,
-    std::shared_ptr<std::function<void(Result)>> done) {
+void RollingUpgrade::UpgradeNext(std::uint32_t index,
+                                 sim::Tick per_controller_ns, sim::Tick started,
+                                 util::Function<void(Result)> done) {
   if (index >= system_.controller_count()) {
     Result r;
     r.completed = true;
     r.controllers_upgraded = system_.controller_count();
     r.elapsed_ns = system_.engine().now() - started;
-    (*done)(r);
+    done(r);
     return;
   }
   // Drain the blade: flush its dirty data via the cluster-wide flush, then
   // take it out, "flash" it, and bring it back.
   system_.cache().FlushAll([this, index, per_controller_ns, started,
-                            done](bool) {
+                            done = std::move(done)](bool) mutable {
     alerts_.Raise(AlertSeverity::kInfo, "upgrade",
                   "upgrading controller " + std::to_string(index));
     system_.FailController(index);
     system_.RecoverCluster();
-    system_.engine().Schedule(per_controller_ns, [this, index,
-                                                  per_controller_ns, started,
-                                                  done] {
-      system_.ReviveController(index);
-      system_.RecoverCluster();
-      UpgradeNext(index + 1, per_controller_ns, started, done);
-    });
+    system_.engine().Schedule(
+        per_controller_ns, [this, index, per_controller_ns, started,
+                            done = std::move(done)]() mutable {
+          system_.ReviveController(index);
+          system_.RecoverCluster();
+          UpgradeNext(index + 1, per_controller_ns, started, std::move(done));
+        });
   });
 }
 

@@ -10,12 +10,12 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "controller/system.h"
 #include "geo/geo.h"
+#include "util/function.h"
 
 namespace nlss::mgmt {
 
@@ -103,12 +103,11 @@ class RollingUpgrade {
   /// Upgrade every controller one at a time: fail it out of the cluster,
   /// "flash" it for `per_controller_ns`, then return it to service and
   /// recover coherence before moving on.  The system stays up throughout.
-  void Run(sim::Tick per_controller_ns, std::function<void(Result)> done);
+  void Run(sim::Tick per_controller_ns, util::Function<void(Result)> done);
 
  private:
   void UpgradeNext(std::uint32_t index, sim::Tick per_controller_ns,
-                   sim::Tick started,
-                   std::shared_ptr<std::function<void(Result)>> done);
+                   sim::Tick started, util::Function<void(Result)> done);
 
   controller::StorageSystem& system_;
   AlertManager& alerts_;

@@ -16,6 +16,7 @@
 
 #include "controller/system.h"
 #include "mgmt/admin_http.h"
+#include "util/function.h"
 
 namespace nlss::mgmt {
 
@@ -33,7 +34,7 @@ class ManagementNetwork {
   /// Add a management station (an operator console / web browser).
   net::NodeId AddStation(const std::string& name);
 
-  using Callback = std::function<void(proto::HttpResponse)>;
+  using Callback = util::Function<void(proto::HttpResponse)>;
 
   /// Issue a raw admin HTTP request from a station.  The request rides the
   /// management network to a live blade's management port, is handled

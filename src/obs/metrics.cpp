@@ -86,7 +86,7 @@ util::Histogram& Registry::histogram(const std::string& name,
 }
 
 void Registry::AddCallback(const std::string& name, const std::string& help,
-                           std::function<double()> fn, const Labels& labels) {
+                           util::Function<double()> fn, const Labels& labels) {
   Entry& e = Ensure(name, labels, help, Kind::kCallback);
   e.callback = std::move(fn);
 }

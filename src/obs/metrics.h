@@ -13,13 +13,13 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "util/function.h"
 #include "util/stats.h"
 
 namespace nlss::obs {
@@ -61,7 +61,7 @@ class Registry {
 
   /// Gauge whose value is pulled from `fn` at render time.
   void AddCallback(const std::string& name, const std::string& help,
-                   std::function<double()> fn, const Labels& labels = {});
+                   util::Function<double()> fn, const Labels& labels = {});
 
   std::size_t size() const { return entries_.size(); }
 
@@ -79,7 +79,7 @@ class Registry {
     std::unique_ptr<Counter> counter;
     std::unique_ptr<Gauge> gauge;
     std::unique_ptr<util::Histogram> histogram;
-    std::function<double()> callback;
+    util::Function<double()> callback;
   };
   /// Map key: (family name, canonical rendered label block).  The label
   /// block is "" for the flat series or `{k="v",...}` sorted by key, so

@@ -1,5 +1,7 @@
 #include "proto/block_target.h"
 
+#include <limits>
+
 namespace nlss::proto {
 
 const char* BlockStatusName(BlockStatus s) {
@@ -101,6 +103,12 @@ void BlockTarget::Read(SessionId session, std::uint32_t volume,
     });
     return;
   }
+  if (!InVolume(volume, lba, blocks)) {
+    system_.engine().Schedule(0, [cb = std::move(cb)] {
+      cb(BlockStatus::kInvalidArgument, {}, 0);
+    });
+    return;
+  }
   const std::uint32_t bs = system_.pool().block_size();
   if (reads_total_ != nullptr) reads_total_->Increment();
   obs::TraceContext ctx;
@@ -139,13 +147,13 @@ void BlockTarget::Write(SessionId session, std::uint32_t volume,
     });
     return;
   }
-  if (data.empty() || data.size() % system_.pool().block_size() != 0) {
+  const std::uint32_t bs = system_.pool().block_size();
+  if (data.size() % bs != 0 || !InVolume(volume, lba, data.size() / bs)) {
     system_.engine().Schedule(0, [cb = std::move(cb)] {
       cb(BlockStatus::kInvalidArgument);
     });
     return;
   }
-  const std::uint32_t bs = system_.pool().block_size();
   if (writes_total_ != nullptr) writes_total_->Increment();
   obs::TraceContext ctx;
   if (hub_ != nullptr) {
@@ -158,6 +166,14 @@ void BlockTarget::Write(SessionId session, std::uint32_t volume,
         cb(ok ? BlockStatus::kOk : BlockStatus::kIoError);
       },
       s->tenant, ctx);
+}
+
+bool BlockTarget::InVolume(std::uint32_t volume, std::uint64_t lba,
+                           std::uint64_t blocks) const {
+  const std::uint64_t cap = system_.cache().backing(volume).CapacityBlocks();
+  return blocks > 0 && lba <= cap && blocks <= cap - lba &&
+         blocks <= std::numeric_limits<std::uint32_t>::max() /
+                       system_.pool().block_size();
 }
 
 BlockStatus BlockTarget::TrySnapshot(SessionId session, std::uint32_t volume) {

@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -17,6 +16,7 @@
 #include "security/control.h"
 #include "security/lun_mask.h"
 #include "util/crc32c.h"
+#include "util/function.h"
 
 namespace nlss::proto {
 
@@ -58,8 +58,8 @@ class BlockTarget {
   std::vector<std::uint32_t> ReportLuns(SessionId session) const;
 
   using ReadCallback =
-      std::function<void(BlockStatus, util::Bytes data, std::uint32_t crc)>;
-  using WriteCallback = std::function<void(BlockStatus)>;
+      util::Function<void(BlockStatus, util::Bytes data, std::uint32_t crc)>;
+  using WriteCallback = util::Function<void(BlockStatus)>;
 
   void Read(SessionId session, std::uint32_t volume, std::uint64_t lba,
             std::uint32_t blocks, ReadCallback cb);
@@ -86,6 +86,10 @@ class BlockTarget {
   };
 
   const Session* Validate(SessionId id) const;
+  /// A request names at least one block, ends inside the volume, and its
+  /// byte length fits the storage path's 32-bit length (64-bit checks).
+  bool InVolume(std::uint32_t volume, std::uint64_t lba,
+                std::uint64_t blocks) const;
 
   controller::StorageSystem& system_;
   security::AuthService& auth_;

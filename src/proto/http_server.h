@@ -7,12 +7,12 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 
 #include "fs/filesystem.h"
 #include "obs/hub.h"
+#include "util/function.h"
 
 namespace nlss::proto {
 
@@ -42,7 +42,7 @@ class HttpServer {
  public:
   explicit HttpServer(fs::FileSystem& fs) : fs_(fs) {}
 
-  using Callback = std::function<void(HttpResponse)>;
+  using Callback = util::Function<void(HttpResponse)>;
 
   /// Serve a parsed request.
   void Handle(const HttpRequest& request, Callback cb);

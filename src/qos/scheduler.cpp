@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <limits>
-#include <memory>
 
 #include "check/invariant.h"
 #include "check/race.h"
@@ -95,9 +94,9 @@ bool Scheduler::TryHedge(std::uint32_t blade, TenantId tenant) {
   return true;
 }
 
-bool Scheduler::Submit(std::uint32_t blade, TenantId tenant,
-                       std::uint64_t cost_bytes, Launch launch,
-                       obs::TraceContext ctx) {
+Scheduler::Launch Scheduler::Submit(std::uint32_t blade, TenantId tenant,
+                                    std::uint64_t cost_bytes, Launch launch,
+                                    obs::TraceContext ctx) {
   Blade& b = blades_.at(blade);
   const Tenant& t = registry_.tenant(tenant);  // clamps unknown ids
   const ClassSpec& spec = registry_.spec(t.cls);
@@ -110,7 +109,7 @@ bool Scheduler::Submit(std::uint32_t blade, TenantId tenant,
     // is capacity arbitration, not state observation.
     NLSS_ACCESS(kQos, BladeKey(blade), kCommute);
     slo_.OnReject(t.id);
-    return false;
+    return launch;
   }
   NLSS_ACCESS(kQos, BladeKey(blade), kCommute);
   QueuedOp op;
@@ -121,7 +120,7 @@ bool Scheduler::Submit(std::uint32_t blade, TenantId tenant,
   op.span = obs::StartSpan(ctx, obs::Layer::kQos, "qos.queue");
   b.queue.Push(std::move(op), spec.weight);
   TryDispatch(blade);
-  return true;
+  return nullptr;
 }
 
 void Scheduler::TryDispatch(std::uint32_t blade) {
@@ -156,11 +155,11 @@ void Scheduler::TryDispatch(std::uint32_t blade) {
     const TenantId tenant = op->tenant;
     const std::uint64_t cost = op->cost;
     const sim::Tick submitted = op->submitted;
-    auto done_called = std::make_shared<bool>(false);
-    launch([this, blade, tenant, cost, submitted, done_called](bool ok) {
-      assert(!*done_called && "QoS completion signalled twice");
-      if (*done_called) return;
-      *done_called = true;
+    launch([this, blade, tenant, cost, submitted,
+            done_called = false](bool ok) mutable {
+      assert(!done_called && "QoS completion signalled twice");
+      if (done_called) return;
+      done_called = true;
       Blade& bb = blades_[blade];
       --bb.in_service;
       slo_.OnComplete(tenant, cost, ok, engine_.now() - submitted);

@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <vector>
 
@@ -27,6 +26,7 @@
 #include "qos/token_bucket.h"
 #include "qos/wfq.h"
 #include "sim/engine.h"
+#include "util/function.h"
 
 namespace nlss::qos {
 
@@ -47,17 +47,21 @@ class Scheduler {
   Scheduler(sim::Engine& engine, TenantRegistry& registry,
             std::uint32_t blades, Config config);
 
+  /// Completion hook handed to a dispatched request.
+  using Done = util::Function<void(bool ok)>;
   /// Dispatch thunk: invoked when the request wins dispatch; must call
   /// `done(ok)` exactly once when the downstream I/O completes.
-  using Launch = std::function<void(std::function<void(bool)> done)>;
+  using Launch = util::Function<void(Done done)>;
 
   /// Admit a request of `cost_bytes` for `tenant` bound to `blade`.
-  /// Returns false (and drops `launch`) when admission control rejects it:
-  /// the blade queue is full or the tenant is over its queue-depth cap.
+  /// Returns an empty Launch when admitted.  When admission control rejects
+  /// it (the blade queue is full or the tenant is over its queue-depth
+  /// cap) `launch` is handed back, so the caller owns the retry.
   /// A sampled `ctx` gets a "qos.queue" span covering admission-to-dispatch
   /// (the queue-wait component of the trace breakdown).
-  bool Submit(std::uint32_t blade, TenantId tenant, std::uint64_t cost_bytes,
-              Launch launch, obs::TraceContext ctx = {});
+  [[nodiscard]] Launch Submit(std::uint32_t blade, TenantId tenant,
+                              std::uint64_t cost_bytes, Launch launch,
+                              obs::TraceContext ctx = {});
 
   /// Hedge-budget gate: may `tenant` spend one speculative duplicate
   /// attempt against `blade` right now?  Charges the tenant's hedge

@@ -27,7 +27,7 @@ void FairQueue::Push(QueuedOp op, std::uint32_t weight) {
 }
 
 std::optional<QueuedOp> FairQueue::PopEligible(
-    const std::function<bool(TenantId, std::uint64_t cost)>& eligible) {
+    util::FunctionRef<bool(TenantId, std::uint64_t cost)> eligible) {
   Flow* best = nullptr;
   std::uint64_t best_start = 0;
   for (auto& [tenant, flow] : flows_) {
@@ -53,7 +53,7 @@ std::optional<QueuedOp> FairQueue::PopEligible(
 }
 
 void FairQueue::ForEachHead(
-    const std::function<void(TenantId, std::uint64_t cost)>& fn) const {
+    util::FunctionRef<void(TenantId, std::uint64_t cost)> fn) const {
   for (const auto& [tenant, flow] : flows_) {
     if (!flow.q.empty()) fn(tenant, flow.q.front().cost);
   }

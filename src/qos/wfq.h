@@ -18,13 +18,13 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <optional>
 
 #include "obs/trace.h"
 #include "qos/tenant.h"
 #include "sim/engine.h"
+#include "util/function.h"
 
 namespace nlss::qos {
 
@@ -33,7 +33,7 @@ struct QueuedOp {
   std::uint64_t cost = 0;       // bytes
   sim::Tick submitted = 0;
   /// Dispatch thunk: must call `done(ok)` exactly once on completion.
-  std::function<void(std::function<void(bool)>)> launch;
+  util::Function<void(util::Function<void(bool)>)> launch;
   /// Open "qos.queue" span covering the time spent queued (if sampled).
   obs::TraceContext span;
   std::uint64_t start_vt = 0;
@@ -50,11 +50,11 @@ class FairQueue {
   /// Pop the op with the smallest start tag among flows whose head passes
   /// `eligible` (token-bucket gate).  Returns nullopt if nothing passes.
   std::optional<QueuedOp> PopEligible(
-      const std::function<bool(TenantId, std::uint64_t cost)>& eligible);
+      util::FunctionRef<bool(TenantId, std::uint64_t cost)> eligible);
 
   /// Visit each flow's head (for computing the earliest token eligibility).
   void ForEachHead(
-      const std::function<void(TenantId, std::uint64_t cost)>& fn) const;
+      util::FunctionRef<void(TenantId, std::uint64_t cost)> fn) const;
 
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }

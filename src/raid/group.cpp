@@ -8,23 +8,6 @@
 #include "raid/gf256.h"
 
 namespace nlss::raid {
-namespace {
-
-/// Shared completion join for fan-out operations.
-struct Join {
-  explicit Join(int n, std::function<void(bool)> done)
-      : remaining(n), on_done(std::move(done)) {}
-  int remaining;
-  bool ok = true;
-  std::function<void(bool)> on_done;
-
-  void Arrive(bool success) {
-    ok = ok && success;
-    if (--remaining == 0) on_done(ok);
-  }
-};
-
-}  // namespace
 
 RaidGroup::RaidGroup(sim::Engine& engine, std::vector<disk::Disk*> disks,
                      const Config& config)
@@ -78,7 +61,7 @@ void RaidGroup::FinishRebuild(std::uint32_t disk_index) {
 
 // --- Stripe locks ---------------------------------------------------------
 
-void RaidGroup::LockStripe(std::uint64_t stripe, std::function<void()> grant) {
+void RaidGroup::LockStripe(std::uint64_t stripe, util::Function<void()> grant) {
   auto [it, inserted] = stripe_locks_.try_emplace(stripe);
   if (inserted) {
     // Uncontended: run the grant on the event loop to keep call depth flat.
@@ -100,7 +83,7 @@ void RaidGroup::UnlockStripe(std::uint64_t stripe) {
   }
 }
 
-void RaidGroup::Compute(std::uint64_t bytes, std::function<void()> next) {
+void RaidGroup::Compute(std::uint64_t bytes, util::Function<void()> next) {
   compute_bytes_ += bytes;
   if (config_.compute == nullptr) {
     engine_.Schedule(0, std::move(next));
@@ -298,8 +281,8 @@ void RaidGroup::FetchAllData(std::uint64_t stripe, FetchCallback cb,
     }
     state->cb(StripeData{});
   };
-  auto join = std::make_shared<Join>(static_cast<int>(targets.size()),
-                                     std::move(finish));
+  auto join = std::make_shared<util::Join>(static_cast<int>(targets.size()),
+                                           std::move(finish));
   for (const std::uint32_t d : targets) {
     disks_[d]->Read(
         lba, ublocks,
@@ -322,8 +305,8 @@ void RaidGroup::StripeRead(std::uint64_t stripe, std::uint32_t first_block,
 
   // Fallback path used when a member is unreadable (or a read fails
   // mid-flight): fetch all data, slice the requested range.
-  auto degraded_read = [this, stripe, first_block, block_count, ctx,
-                        done](auto&&) mutable {
+  auto degraded_read = [this, stripe, first_block, block_count,
+                        ctx](PartsCallback done) {
     FetchAllData(
         stripe,
         [this, first_block, block_count,
@@ -357,7 +340,7 @@ void RaidGroup::StripeRead(std::uint64_t stripe, std::uint32_t first_block,
           [done = std::move(done), degraded_read](
               bool ok, util::Payload data) mutable {
             if (!ok) {
-              degraded_read(0);
+              degraded_read(std::move(done));
               return;
             }
             std::vector<util::Payload> parts;
@@ -382,7 +365,7 @@ void RaidGroup::StripeRead(std::uint64_t stripe, std::uint32_t first_block,
     }
   }
   if (!healthy) {
-    degraded_read(0);
+    degraded_read(std::move(done));
     return;
   }
 
@@ -398,12 +381,12 @@ void RaidGroup::StripeRead(std::uint64_t stripe, std::uint32_t first_block,
       done(true, std::move(state->parts));
     } else {
       // A member died mid-operation; retry once via reconstruction.
-      degraded_read(0);
+      degraded_read(std::move(done));
     }
   };
   auto join =
-      std::make_shared<Join>(static_cast<int>(u_last - u_first + 1),
-                             std::move(finish));
+      std::make_shared<util::Join>(static_cast<int>(u_last - u_first + 1),
+                                   std::move(finish));
   for (std::uint32_t u = u_first; u <= u_last; ++u) {
     const std::uint32_t a = std::max(first_block, u * ublocks) - u * ublocks;
     const std::uint32_t b =
@@ -452,7 +435,7 @@ void RaidGroup::ReadBlocks(std::uint64_t block, std::uint32_t count,
   // Per-stripe views, joined into one payload only when there are several.
   auto parts =
       std::make_shared<std::vector<std::vector<util::Payload>>>(pieces.size());
-  auto join = std::make_shared<Join>(
+  auto join = std::make_shared<util::Join>(
       static_cast<int>(pieces.size()),
       [parts, span, cb = std::move(cb)](bool ok) {
         obs::EndSpan(span);
@@ -487,7 +470,7 @@ void RaidGroup::StripeWriteRaid01(std::uint64_t stripe,
                                   std::uint32_t first_block,
                                   std::uint32_t block_count,
                                   const util::Payload& src,
-                                  std::function<void(bool)> done,
+                                  util::Function<void(bool)> done,
                                   obs::TraceContext ctx) {
   const std::uint64_t lba0 = layout_.StripeLba(stripe);
   const std::uint32_t bs = block_size_;
@@ -501,7 +484,7 @@ void RaidGroup::StripeWriteRaid01(std::uint64_t stripe,
       done(false);
       return;
     }
-    auto join = std::make_shared<Join>(
+    auto join = std::make_shared<util::Join>(
         static_cast<int>(targets.size()),
         [this, done = std::move(done)](bool) {
           RefreshMemberStates();
@@ -520,8 +503,8 @@ void RaidGroup::StripeWriteRaid01(std::uint64_t stripe,
   const std::uint32_t ublocks = layout_.unit_blocks();
   const std::uint32_t u_first = first_block / ublocks;
   const std::uint32_t u_last = (first_block + block_count - 1) / ublocks;
-  auto join = std::make_shared<Join>(static_cast<int>(u_last - u_first + 1),
-                                     std::move(done));
+  auto join = std::make_shared<util::Join>(
+      static_cast<int>(u_last - u_first + 1), std::move(done));
   for (std::uint32_t u = u_first; u <= u_last; ++u) {
     const std::uint32_t a = std::max(first_block, u * ublocks) - u * ublocks;
     const std::uint32_t b =
@@ -544,7 +527,7 @@ void RaidGroup::StripeWriteParity(std::uint64_t stripe,
                                   std::uint32_t first_block,
                                   std::uint32_t block_count,
                                   util::Payload src,
-                                  std::function<void(bool)> done,
+                                  util::Function<void(bool)> done,
                                   obs::TraceContext ctx) {
   const std::uint32_t du = layout_.DataUnitsPerStripe();
   const std::uint32_t dbs = layout_.DataBlocksPerStripe();
@@ -594,7 +577,7 @@ void RaidGroup::StripeWriteParity(std::uint64_t stripe,
         done(false);
         return;
       }
-      auto join = std::make_shared<Join>(
+      auto join = std::make_shared<util::Join>(
           static_cast<int>(targets.size()),
           [this, done = std::move(done)](bool) {
             RefreshMemberStates();
@@ -660,7 +643,7 @@ void RaidGroup::StripeWriteParity(std::uint64_t stripe,
 
 void RaidGroup::StripeWrite(std::uint64_t stripe, std::uint32_t first_block,
                             std::uint32_t block_count, util::Payload src,
-                            std::function<void(bool)> done,
+                            util::Function<void(bool)> done,
                             obs::TraceContext ctx) {
   RefreshMemberStates();
   if (layout_.level() == RaidLevel::kRaid0 ||
@@ -704,7 +687,7 @@ void RaidGroup::WriteBlocks(std::uint64_t block, const util::Payload& data,
     off += len;
   }
 
-  auto join = std::make_shared<Join>(
+  auto join = std::make_shared<util::Join>(
       static_cast<int>(pieces.size()), [span, cb = std::move(cb)](bool ok) {
         obs::EndSpan(span);
         cb(ok);

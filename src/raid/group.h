@@ -17,7 +17,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <vector>
 
@@ -26,6 +25,7 @@
 #include "raid/layout.h"
 #include "sim/engine.h"
 #include "sim/resource.h"
+#include "util/function.h"
 #include "util/payload.h"
 
 namespace nlss::raid {
@@ -39,8 +39,8 @@ class RaidGroup {
     double parity_ns_per_byte = 0.5;         // ~2 GB/s XOR engine
   };
 
-  using ReadCallback = std::function<void(bool ok, util::Payload data)>;
-  using WriteCallback = std::function<void(bool ok)>;
+  using ReadCallback = util::Function<void(bool ok, util::Payload data)>;
+  using WriteCallback = util::Function<void(bool ok)>;
 
   RaidGroup(sim::Engine& engine, std::vector<disk::Disk*> disks,
             const Config& config);
@@ -94,10 +94,10 @@ class RaidGroup {
     bool ok = false;
     std::vector<util::Payload> units;  // one per data unit, full-size
   };
-  using FetchCallback = std::function<void(StripeData)>;
+  using FetchCallback = util::Function<void(StripeData)>;
   /// A stripe read's result: the requested range as views, in order.
   using PartsCallback =
-      std::function<void(bool ok, std::vector<util::Payload> parts)>;
+      util::Function<void(bool ok, std::vector<util::Payload> parts)>;
 
   /// True if the member can be read from (live only).
   bool Readable(std::uint32_t i) const {
@@ -109,11 +109,11 @@ class RaidGroup {
   }
 
   // Per-stripe lock manager.
-  void LockStripe(std::uint64_t stripe, std::function<void()> grant);
+  void LockStripe(std::uint64_t stripe, util::Function<void()> grant);
   void UnlockStripe(std::uint64_t stripe);
 
   /// Charge parity compute and run `next` when the engine frees up.
-  void Compute(std::uint64_t bytes, std::function<void()> next);
+  void Compute(std::uint64_t bytes, util::Function<void()> next);
 
   /// Obtain all data units of a stripe, reconstructing as needed.
   /// Caller must hold the stripe lock.
@@ -133,14 +133,14 @@ class RaidGroup {
                   obs::TraceContext ctx = {});
   void StripeWrite(std::uint64_t stripe, std::uint32_t first_block,
                    std::uint32_t block_count, util::Payload src,
-                   std::function<void(bool)> done, obs::TraceContext ctx = {});
+                   util::Function<void(bool)> done, obs::TraceContext ctx = {});
   void StripeWriteRaid01(std::uint64_t stripe, std::uint32_t first_block,
                          std::uint32_t block_count, const util::Payload& src,
-                         std::function<void(bool)> done,
+                         util::Function<void(bool)> done,
                          obs::TraceContext ctx = {});
   void StripeWriteParity(std::uint64_t stripe, std::uint32_t first_block,
                          std::uint32_t block_count, util::Payload src,
-                         std::function<void(bool)> done,
+                         util::Function<void(bool)> done,
                          obs::TraceContext ctx = {});
 
   /// P over full data units as a deferred XOR of them, and RAID-6's Q
@@ -158,7 +158,7 @@ class RaidGroup {
   Config config_;
   std::uint32_t block_size_;
   std::vector<MemberState> members_;
-  std::map<std::uint64_t, std::deque<std::function<void()>>> stripe_locks_;
+  std::map<std::uint64_t, std::deque<util::Function<void()>>> stripe_locks_;
   std::uint64_t compute_bytes_ = 0;
 };
 

@@ -27,7 +27,7 @@ void RebuildEngine::SetWorkerAlive(int worker, bool alive) {
 }
 
 void RebuildEngine::Rebuild(RaidGroup& group, std::uint32_t disk_index,
-                            std::function<void(bool)> on_done) {
+                            util::Function<void(bool)> on_done) {
   group.BeginRebuild(disk_index);
   auto job = std::make_shared<Job>();
   job->group = &group;

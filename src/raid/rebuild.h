@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <set>
 #include <vector>
@@ -19,6 +18,7 @@
 #include "raid/group.h"
 #include "sim/engine.h"
 #include "sim/resource.h"
+#include "util/function.h"
 
 namespace nlss::raid {
 
@@ -43,7 +43,7 @@ class RebuildEngine {
   /// Replace()d; this calls BeginRebuild/FinishRebuild on the group.
   /// `on_done(true)` fires when every stripe has been rebuilt.
   void Rebuild(RaidGroup& group, std::uint32_t disk_index,
-               std::function<void(bool)> on_done);
+               util::Function<void(bool)> on_done);
 
   /// Chunks completed by each worker (shows rebuild distribution).
   std::vector<std::uint64_t> ChunksByWorker() const;
@@ -63,7 +63,7 @@ class RebuildEngine {
     std::uint64_t chunks_total = 0;
     std::uint64_t chunks_done = 0;
     bool failed = false;
-    std::function<void(bool)> on_done;
+    util::Function<void(bool)> on_done;
     obs::TraceContext root;  // "raid.rebuild" span covering the whole job
     /// Invariant bookkeeping (Debug only): chunks already completed, to
     /// prove rebuild never re-does or re-queues written work.

@@ -14,7 +14,8 @@ EncryptedBacking::EncryptedBacking(sim::Engine& engine,
       tweak_key_(keys.tweak_key),
       config_(config) {}
 
-void EncryptedBacking::Charge(std::uint64_t bytes, std::function<void()> next) {
+void EncryptedBacking::Charge(std::uint64_t bytes,
+                              util::Function<void()> next) {
   if (config_.engine_resource == nullptr) {
     next();
     return;

@@ -16,6 +16,7 @@
 #include "crypto/keystore.h"
 #include "sim/engine.h"
 #include "sim/resource.h"
+#include "util/function.h"
 
 namespace nlss::security {
 
@@ -46,7 +47,7 @@ class EncryptedBacking final : public cache::BackingStore {
 
  private:
   /// Charge the crypto engine, then run `next`.
-  void Charge(std::uint64_t bytes, std::function<void()> next);
+  void Charge(std::uint64_t bytes, util::Function<void()> next);
 
   sim::Engine& engine_;
   cache::BackingStore& inner_;

@@ -6,7 +6,7 @@
 // bit-reproducible from the workload seed.
 //
 // Hot path: events live in a per-engine slab arena (sim/event_pool.h) with
-// callbacks held in a 48-byte small-buffer Callback (sim/callback.h), so
+// callbacks held in a 48-byte small-buffer util::Function (util/function.h), so
 // common captures never heap-allocate.  The queue is a binary heap of
 // 24-byte {when, pri, Event*} records.  Event order is the total order
 // (when, pri) with pri a bijection of the sequence number, so any correct
@@ -41,7 +41,6 @@
 #include <vector>
 
 #include "check/invariant.h"
-#include "sim/callback.h"
 #include "sim/event_pool.h"
 
 namespace nlss::check {

@@ -19,12 +19,17 @@
 #include <vector>
 
 #include "check/invariant.h"
-#include "sim/callback.h"
+#include "util/function.h"
 
 namespace nlss::sim {
 
 /// Simulated time in nanoseconds.
 using Tick = std::uint64_t;
+
+/// Every timed action in the system is a `void()` closure pushed through
+/// the engine (see util/function.h for the type's rules).
+using Callback = util::Function<void()>;
+static_assert(sizeof(Callback) == 56, "one cache line minus a link pointer");
 
 /// One scheduled event, cache-line aligned with the dispatch-hot fields
 /// first: `cb` (56 bytes) plus the free-list link `next` fill the first 64

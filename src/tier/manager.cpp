@@ -18,19 +18,6 @@ inline std::uint64_t RaceKey(const cache::PageKey& key) {
   return check::AccessKey(0x71E4ull, cache::PageKeyHash{}(key));
 }
 
-/// Join: fires `done(all_ok)` once `expect` arrivals land.
-struct Join {
-  int remaining;
-  bool ok = true;
-  std::function<void(bool)> done;
-  Join(int expect, std::function<void(bool)> d)
-      : remaining(expect), done(std::move(d)) {}
-  void Arrive(bool r) {
-    ok = ok && r;
-    if (--remaining == 0 && done) done(ok);
-  }
-};
-
 }  // namespace
 
 TierManager::TierManager(sim::Engine& engine, cache::CacheCluster& cluster,
@@ -121,26 +108,26 @@ bool TierManager::MakeRoom(cache::ControllerId ctrl, std::uint64_t need) {
 
 // --- Demand reads -------------------------------------------------------------
 
-bool TierManager::TierRead(cache::ControllerId ctrl, const cache::PageKey& key,
-                           cache::BackingStore::ReadCallback cb,
-                           obs::TraceContext ctx) {
+cache::BackingStore::ReadCallback TierManager::TierRead(
+    cache::ControllerId ctrl, const cache::PageKey& key,
+    cache::BackingStore::ReadCallback cb, obs::TraceContext ctx) {
   cache::ControllerId holder = cache::kNoController;
   Entry* e = FindEntry(key, &holder);
   if (e == nullptr) {
     ++stats_.flash_misses;
-    return false;
+    return cb;
   }
   if (!cluster_.IsAlive(holder)) {
     ++stats_.unreachable;
     if (!e->dirty) {
       // Clean entry == disk copy: fall through and read it from disk.
       ++stats_.flash_misses;
-      return false;
+      return cb;
     }
     // The only current copy sits behind a dead blade.  Serving the stale
     // disk version would be silent corruption — fail the read honestly.
     engine_.Schedule(0, [cb = std::move(cb)] { cb(false, {}); });
-    return true;
+    return nullptr;
   }
   NLSS_ACCESS(kTier, RaceKey(key), kRead);     // entry state drives the serve
   NLSS_ACCESS(kTier, RaceKey(key), kCommute);  // heat bump commutes
@@ -150,7 +137,7 @@ bool TierManager::TierRead(cache::ControllerId ctrl, const cache::PageKey& key,
     // The flash fill is still in flight: join it instead of re-fetching.
     ++stats_.joins;
     e->waiters.push_back(std::move(cb));
-    return true;
+    return nullptr;
   }
   Lane& lane = LaneOf(holder);
   const obs::TraceContext span =
@@ -178,16 +165,15 @@ bool TierManager::TierRead(cache::ControllerId ctrl, const cache::PageKey& key,
                        obs::EndSpan(span);
                        cb(true, data);
                      });
-  return true;
+  return nullptr;
 }
 
 // --- Write-back absorption ----------------------------------------------------
 
-bool TierManager::TierWriteBack(cache::ControllerId ctrl,
-                                const std::vector<cache::TierPageSnap>& pages,
-                                const util::Payload& data,
-                                cache::BackingStore::WriteCallback cb,
-                                obs::TraceContext ctx) {
+cache::BackingStore::WriteCallback TierManager::TierWriteBack(
+    cache::ControllerId ctrl, const std::vector<cache::TierPageSnap>& pages,
+    const util::Payload& data, cache::BackingStore::WriteCallback cb,
+    obs::TraceContext ctx) {
   Lane& lane = LaneOf(ctrl);
   const std::uint32_t page_bytes = cluster_.config().page_bytes;
   assert(data.size() == pages.size() * static_cast<std::size_t>(page_bytes));
@@ -227,7 +213,7 @@ bool TierManager::TierWriteBack(cache::ControllerId ctrl,
       }
     }
     ++stats_.declines;
-    return false;
+    return cb;
   }
   // If a run page is already dirty in flash we must absorb even when it
   // overshoots capacity: letting the caller write disk directly would race
@@ -297,7 +283,7 @@ bool TierManager::TierWriteBack(cache::ControllerId ctrl,
     MaybeDemote(ctrl, /*force=*/false);
     EndOp();
   });
-  return true;
+  return nullptr;
 }
 
 // --- Clean spills & admission -------------------------------------------------
@@ -518,40 +504,43 @@ void TierManager::MaybeDemote(cache::ControllerId ctrl, bool force) {
   };
   const std::uint64_t cost_bytes =
       static_cast<std::uint64_t>(batch.size()) * cluster_.config().page_bytes;
-  auto launch = std::make_shared<std::function<void(std::function<void(bool)>)>>(
-      [this, ctrl, batch = std::move(batch)](
-          std::function<void(bool)> done) mutable {
-        IssueDemote(ctrl, std::move(batch), std::move(done));
-      });
+  SubmitDemote(ctrl, cost_bytes,
+               [this, ctrl, batch = std::move(batch),
+                finish = std::move(finish)](qos::Scheduler::Done done) mutable {
+                 IssueDemote(ctrl, std::move(batch),
+                             [done = std::move(done),
+                              finish = std::move(finish)](bool ok) {
+                               if (done) done(ok);
+                               finish(ok);
+                             });
+               });
+}
+
+void TierManager::SubmitDemote(cache::ControllerId ctrl,
+                               std::uint64_t cost_bytes,
+                               qos::Scheduler::Launch launch) {
+  if (qos_ == nullptr) {
+    launch(nullptr);
+    return;
+  }
   // The whole batch is one QoS admission: demotion is background traffic
-  // and must queue behind foreground tenants' tokens.  Rejections retry
-  // after a deterministic backoff (the MetaService pattern).
-  auto submit = [this, ctrl, launch, finish, cost_bytes](auto&& self) -> void {
-    if (qos_ == nullptr) {
-      (*launch)(finish);
-      return;
-    }
-    const std::uint32_t blade = ctrl % qos_->blades();
-    qos::Scheduler::Launch qlaunch = [launch,
-                                      finish](std::function<void(bool)> done) {
-      (*launch)([finish, done = std::move(done)](bool ok) {
-        if (done) done(ok);
-        finish(ok);
-      });
-    };
-    if (!qos_->Submit(blade, qos_tenant_, cost_bytes, std::move(qlaunch),
-                      {})) {
-      ++stats_.qos_rejects;
-      engine_.Schedule(config_.qos_retry_delay_ns,
-                       [self]() mutable { self(self); });
-    }
-  };
-  submit(submit);
+  // and must queue behind foreground tenants' tokens.  A rejection hands
+  // the batch back for a retry after a deterministic backoff (the
+  // MetaService pattern).
+  launch = qos_->Submit(ctrl % qos_->blades(), qos_tenant_, cost_bytes,
+                        std::move(launch), {});
+  if (!launch) return;
+  ++stats_.qos_rejects;
+  engine_.Schedule(config_.qos_retry_delay_ns,
+                   [this, ctrl, cost_bytes,
+                    launch = std::move(launch)]() mutable {
+                     SubmitDemote(ctrl, cost_bytes, std::move(launch));
+                   });
 }
 
 void TierManager::IssueDemote(cache::ControllerId ctrl,
                               std::vector<cache::PageKey> batch,
-                              std::function<void(bool)> done) {
+                              util::Function<void(bool)> done) {
   Lane& lane = LaneOf(ctrl);
   // Flash read of the batch, then one backing write per page (pages in a
   // demote batch are rarely disk-contiguous, unlike a flush run).
@@ -582,8 +571,8 @@ void TierManager::IssueDemote(cache::ControllerId ctrl,
                              config_.flash_ns_per_byte));
   engine_.ScheduleAt(read_done, [this, ctrl, work = std::move(work),
                                  done = std::move(done)]() mutable {
-    auto join = std::make_shared<Join>(static_cast<int>(work.size()),
-                                       std::move(done));
+    auto join = std::make_shared<util::Join>(static_cast<int>(work.size()),
+                                             std::move(done));
     for (auto& [key, seq, data] : work) {
       cluster_.TierBackingWrite(
           ctrl, key, data,
@@ -647,7 +636,7 @@ bool TierManager::HasDirty() const {
   return false;
 }
 
-void TierManager::DrainDirty(std::function<void(bool)> cb) {
+void TierManager::DrainDirty(util::Function<void(bool)> cb) {
   drain_waiters_.push_back(std::move(cb));
   for (cache::ControllerId c = 0; c < lanes_.size(); ++c) {
     FlushStaging(c);
@@ -673,7 +662,7 @@ void TierManager::CheckDrain() {
   if (dirty_reachable || pending_ops_ > 0) return;
   // Dirty entries behind dead blades stay in (persistent) flash and resume
   // demotion after revival; they cannot block a drain forever.
-  std::vector<std::function<void(bool)>> waiters = std::move(drain_waiters_);
+  std::vector<util::Function<void(bool)>> waiters = std::move(drain_waiters_);
   drain_waiters_.clear();
   for (auto& w : waiters) {
     engine_.Schedule(0, [w = std::move(w)] { w(true); });

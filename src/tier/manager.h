@@ -31,7 +31,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -47,6 +46,7 @@
 #include "sim/engine.h"
 #include "sim/resource.h"
 #include "tier/heat.h"
+#include "util/function.h"
 #include "util/payload.h"
 
 namespace nlss::tier {
@@ -133,14 +133,13 @@ class TierManager final : public cache::TierHook {
   void SetDedupIndex(const cache::WriteDedupIndex* dedup) { dedup_ = dedup; }
 
   // --- TierHook -----------------------------------------------------------
-  bool TierRead(cache::ControllerId ctrl, const cache::PageKey& key,
-                cache::BackingStore::ReadCallback cb,
-                obs::TraceContext ctx) override;
-  bool TierWriteBack(cache::ControllerId ctrl,
-                     const std::vector<cache::TierPageSnap>& pages,
-                     const util::Payload& data,
-                     cache::BackingStore::WriteCallback cb,
-                     obs::TraceContext ctx) override;
+  cache::BackingStore::ReadCallback TierRead(
+      cache::ControllerId ctrl, const cache::PageKey& key,
+      cache::BackingStore::ReadCallback cb, obs::TraceContext ctx) override;
+  cache::BackingStore::WriteCallback TierWriteBack(
+      cache::ControllerId ctrl, const std::vector<cache::TierPageSnap>& pages,
+      const util::Payload& data, cache::BackingStore::WriteCallback cb,
+      obs::TraceContext ctx) override;
   void OnCleanEvict(cache::ControllerId ctrl, const cache::PageKey& key,
                     const util::Payload& data) override;
   void OnDiskRead(cache::ControllerId ctrl, const cache::PageKey& key,
@@ -150,7 +149,7 @@ class TierManager final : public cache::TierHook {
   std::optional<cache::PageKey> PickVictim(cache::ControllerId ctrl,
                                            const cache::CacheNode& node)
       override;
-  void DrainDirty(std::function<void(bool)> cb) override;
+  void DrainDirty(util::Function<void(bool)> cb) override;
 
   // --- Introspection ------------------------------------------------------
   const Stats& stats() const { return stats_; }
@@ -214,9 +213,12 @@ class TierManager final : public cache::TierHook {
 
   void MaybeCool(cache::ControllerId ctrl, const cache::PageKey& skip);
   void MaybeDemote(cache::ControllerId ctrl, bool force);
+  /// Admit one demotion batch through QoS (direct when detached).
+  void SubmitDemote(cache::ControllerId ctrl, std::uint64_t cost_bytes,
+                    qos::Scheduler::Launch launch);
   void IssueDemote(cache::ControllerId ctrl,
                    std::vector<cache::PageKey> batch,
-                   std::function<void(bool)> done);
+                   util::Function<void(bool)> done);
   /// Drop clean cold entries until the lane is at/below `target_pages`.
   void TrimClean(cache::ControllerId ctrl, std::uint64_t target_pages);
 
@@ -237,7 +239,7 @@ class TierManager final : public cache::TierHook {
   const cache::WriteDedupIndex* dedup_ = nullptr;
   Stats stats_;
   std::uint64_t pending_ops_ = 0;  // in-flight flash writes + demote batches
-  std::vector<std::function<void(bool)>> drain_waiters_;
+  std::vector<util::Function<void(bool)>> drain_waiters_;
 };
 
 }  // namespace nlss::tier

@@ -24,7 +24,7 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-void ThreadPool::Submit(std::function<void()> task) {
+void ThreadPool::Submit(Function<void()> task) {
   {
     std::lock_guard lock(mu_);
     queue_.push_back(std::move(task));
@@ -34,7 +34,7 @@ void ThreadPool::Submit(std::function<void()> task) {
 
 void ThreadPool::WorkerLoop() {
   for (;;) {
-    std::function<void()> task;
+    Function<void()> task;
     {
       std::unique_lock lock(mu_);
       cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
@@ -57,8 +57,7 @@ void ThreadPool::Wait() {
   idle_cv_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
 }
 
-void ThreadPool::ParallelFor(std::size_t n,
-                             const std::function<void(std::size_t)>& fn) {
+void ThreadPool::ParallelFor(std::size_t n, FunctionRef<void(std::size_t)> fn) {
   if (n == 0) return;
   const std::size_t chunks = std::min(n, workers_.size() * 4);
   const std::size_t per = (n + chunks - 1) / chunks;

@@ -7,10 +7,11 @@
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
-#include <functional>
 #include <mutex>
 #include <thread>
 #include <vector>
+
+#include "util/function.h"
 
 namespace nlss::util {
 
@@ -24,11 +25,11 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   /// Enqueue a task.  Safe from any thread, including workers.
-  void Submit(std::function<void()> task);
+  void Submit(Function<void()> task);
 
   /// Run fn(i) for i in [0, n) across the pool and wait for completion.
   /// Chunked statically; the calling thread participates.
-  void ParallelFor(std::size_t n, const std::function<void(std::size_t)>& fn);
+  void ParallelFor(std::size_t n, FunctionRef<void(std::size_t)> fn);
 
   /// Block until all queued and running tasks are finished.
   void Wait();
@@ -39,7 +40,7 @@ class ThreadPool {
   void WorkerLoop();
 
   std::vector<std::thread> workers_;
-  std::deque<std::function<void()>> queue_;
+  std::deque<Function<void()>> queue_;
   std::mutex mu_;
   std::condition_variable cv_;        // wakes workers
   std::condition_variable idle_cv_;   // wakes Wait()

@@ -8,11 +8,11 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <optional>
 #include <vector>
 
 #include "raid/group.h"
+#include "util/function.h"
 #include "util/payload.h"
 
 namespace nlss::virt {
@@ -46,8 +46,8 @@ class StoragePool {
     return static_cast<std::uint64_t>(extent_blocks_) * block_size_;
   }
 
-  using ReadCallback = std::function<void(bool, util::Payload)>;
-  using WriteCallback = std::function<void(bool)>;
+  using ReadCallback = util::Function<void(bool, util::Payload)>;
+  using WriteCallback = util::Function<void(bool)>;
 
   /// I/O within one extent (offset/count must not cross the extent end).
   void ReadBlocks(const PhysExtent& e, std::uint32_t offset_blocks,

@@ -6,21 +6,6 @@
 #include <memory>
 
 namespace nlss::virt {
-namespace {
-
-struct Join {
-  Join(int n, std::function<void(bool)> done)
-      : remaining(n), on_done(std::move(done)) {}
-  int remaining;
-  bool ok = true;
-  std::function<void(bool)> on_done;
-  void Arrive(bool success) {
-    ok = ok && success;
-    if (--remaining == 0) on_done(ok);
-  }
-};
-
-}  // namespace
 
 DemandMappedVolume::DemandMappedVolume(sim::Engine& engine, StoragePool& pool,
                                        std::uint64_t virtual_blocks,
@@ -66,7 +51,7 @@ std::uint32_t DemandMappedVolume::RefCount(const PhysExtent& e) const {
 }
 
 void DemandMappedVolume::LockExtent(std::uint64_t vext,
-                                    std::function<void()> grant) {
+                                    util::Function<void()> grant) {
   auto [it, inserted] = extent_locks_.try_emplace(vext);
   if (inserted) {
     engine_.Schedule(0, std::move(grant));
@@ -112,7 +97,7 @@ void DemandMappedVolume::ReadVia(const ExtentMap& map, std::uint64_t block,
   }
   // Per-extent views, joined into one payload only when there are several.
   auto parts = std::make_shared<std::vector<util::Payload>>(pieces.size());
-  auto join = std::make_shared<Join>(
+  auto join = std::make_shared<util::Join>(
       static_cast<int>(pieces.size()),
       [parts, cb = std::move(cb)](bool ok) {
         cb(ok, ok ? util::Payload::Concat(*parts) : util::Payload());
@@ -264,8 +249,8 @@ void DemandMappedVolume::WriteBlocks(std::uint64_t block, util::Payload data,
     left -= n;
     soff += static_cast<std::size_t>(n) * bs;
   }
-  auto join = std::make_shared<Join>(static_cast<int>(pieces.size()),
-                                     std::move(cb));
+  auto join = std::make_shared<util::Join>(static_cast<int>(pieces.size()),
+                                           std::move(cb));
   for (const Piece& p : pieces) {
     util::Payload src =
         data.Slice(p.src_off, static_cast<std::size_t>(p.n) * bs);
@@ -300,8 +285,8 @@ void DemandMappedVolume::Trim(std::uint64_t block, std::uint64_t count,
     cur += n;
     left -= n;
   }
-  auto join = std::make_shared<Join>(static_cast<int>(actions.size()),
-                                     std::move(cb));
+  auto join = std::make_shared<util::Join>(static_cast<int>(actions.size()),
+                                           std::move(cb));
   for (const Action& a : actions) {
     LockExtent(a.vext, [this, a, bs, join] {
       auto& slot = map_[a.vext];

@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -22,6 +21,7 @@
 #include <vector>
 
 #include "cache/backing.h"
+#include "util/function.h"
 #include "virt/pool.h"
 
 namespace nlss::virt {
@@ -90,7 +90,7 @@ class DemandMappedVolume final : public cache::BackingStore {
   std::uint32_t RefCount(const PhysExtent& e) const;
 
   // Per-virtual-extent write serialization (allocation / COW transitions).
-  void LockExtent(std::uint64_t vext, std::function<void()> grant);
+  void LockExtent(std::uint64_t vext, util::Function<void()> grant);
   void UnlockExtent(std::uint64_t vext);
 
   /// Write one in-extent range, handling allocate-on-write and COW.
@@ -114,7 +114,7 @@ class DemandMappedVolume final : public cache::BackingStore {
   SnapshotId next_snapshot_ = 1;
   std::uint64_t mapped_extents_ = 0;  // current map only (excl. snapshots)
   std::uint64_t cow_copies_ = 0;
-  std::map<std::uint64_t, std::deque<std::function<void()>>> extent_locks_;
+  std::map<std::uint64_t, std::deque<util::Function<void()>>> extent_locks_;
 };
 
 }  // namespace nlss::virt

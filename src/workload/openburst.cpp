@@ -22,7 +22,7 @@ OpenBurstPrefetcher::OpenBurstPrefetcher(sim::Engine& engine,
       state_(files.count, FileState::kCold) {}
 
 void OpenBurstPrefetcher::Open(std::uint32_t file, std::uint32_t length,
-                               std::function<void(bool)> cb) {
+                               util::Function<void(bool)> cb) {
   ++stats_.opens;
   if (!config_.enabled || file >= files_.count) {
     ++stats_.misses;

@@ -18,11 +18,11 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <vector>
 
 #include "host/initiator.h"
+#include "util/function.h"
 
 namespace nlss::workload {
 
@@ -88,7 +88,7 @@ class OpenBurstPrefetcher {
 
   /// Open `file` and read its first `length` bytes; `cb(ok)` exactly once.
   void Open(std::uint32_t file, std::uint32_t length,
-            std::function<void(bool)> cb);
+            util::Function<void(bool)> cb);
 
   const Stats& stats() const { return stats_; }
 
@@ -109,7 +109,7 @@ class OpenBurstPrefetcher {
   qos::TenantId tenant_;
   std::vector<FileState> state_;
   /// Waiters per in-flight file; std::map for deterministic flush order.
-  std::map<std::uint32_t, std::vector<std::function<void(bool)>>> waiters_;
+  std::map<std::uint32_t, std::vector<util::Function<void(bool)>>> waiters_;
   std::deque<sim::Tick> recent_opens_;  // open timestamps inside the window
   std::uint32_t frontier_ = 0;          // first file never staged
   bool burst_armed_ = false;

@@ -1,7 +1,6 @@
 #include "workload/workload.h"
 
 #include <algorithm>
-#include <functional>
 #include <utility>
 
 #include "check/invariant.h"
@@ -258,7 +257,7 @@ PhaseResult Runner::Play(const Trace& trace) {
   // times.  Locals live through the engine_.Run() below, so reference
   // captures are safe.
   std::vector<std::size_t> cursor(trace.hosts, 0);
-  std::function<void(std::uint32_t)> pump = [&](std::uint32_t h) {
+  util::Function<void(std::uint32_t)> pump = [&](std::uint32_t h) {
     if (cursor[h] >= host_ops[h].size()) return;
     const TraceOp* op = host_ops[h][cursor[h]++];
     const sim::Tick due = phase_start + op->at;
@@ -287,7 +286,7 @@ PhaseResult Runner::Play(const Trace& trace) {
             init.meta()->Resolve(
                 MetaPathOf(op->file, config_.meta_files_per_dir),
                 [&, h, op, init_ptr = &init, done = std::move(done)](
-                    meta::Status st, meta::Dentry) {
+                    meta::Status st, meta::Dentry) mutable {
                   if (st != meta::Status::kOk) {
                     done(false);
                     return;
@@ -297,12 +296,16 @@ PhaseResult Runner::Play(const Trace& trace) {
                     return;
                   }
                   if (config_.prefetch.enabled) {
-                    prefetchers[h]->Open(op->file, op->length, done);
+                    prefetchers[h]->Open(op->file, op->length,
+                                         std::move(done));
                     return;
                   }
                   init_ptr->Read(vol_, trace.files.OffsetOf(op->file),
                                  op->length,
-                                 [done](bool ok, util::Bytes) { done(ok); },
+                                 [done = std::move(done)](bool ok,
+                                                          util::Bytes) {
+                                   done(ok);
+                                 },
                                  /*priority=*/0, config_.tenant);
                 });
           } else if (config_.prefetch.enabled) {

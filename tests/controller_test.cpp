@@ -68,8 +68,11 @@ TEST_F(SystemTest, EndToEndRoundtrip) {
 }
 
 TEST_F(SystemTest, FinishedOpsReleaseTheirCallbacks) {
-  Build();
+  SystemConfig config;
+  config.balancing = Balancing::kStaticByVolume;  // volume 0 enters blade 0
+  Build(config);
   const VolumeId vol = system_->CreateVolume("physics", 16 * util::MiB);
+  ASSERT_EQ(vol, 0u);
   // The retry loops of Write and Read must not keep themselves (and with
   // them the caller's callback and the payload) alive once the op is done.
   auto token = std::make_shared<int>(0);
@@ -80,6 +83,40 @@ TEST_F(SystemTest, FinishedOpsReleaseTheirCallbacks) {
                 [token = std::move(token)](bool, util::Payload) {});
   engine_.Run();
   EXPECT_TRUE(watch.expired());
+
+  // The same once the first attempt fails on a crashed blade and a retry
+  // completes the op after the failover.
+  const auto crash_then_retry = [&](const auto& issue) {
+    system_->CrashController(0);
+    engine_.Schedule(config.retry_delay_ns / 2, [&] {
+      system_->FailController(0);
+      system_->RecoverCluster();
+    });
+    auto held = std::make_shared<int>(0);
+    const sim::Tick t0 = engine_.now();
+    bool ok = false;
+    sim::Tick took = 0;
+    issue([&, held](bool r) {
+      ok = r;
+      took = engine_.now() - t0;
+    });
+    engine_.Run();
+    EXPECT_TRUE(ok);
+    EXPECT_GE(took, config.retry_delay_ns) << "the first attempt must fail";
+    EXPECT_EQ(held.use_count(), 1);
+    system_->ReviveController(0);
+    system_->RecoverCluster();
+  };
+  crash_then_retry([&](auto cb) {
+    system_->Write(host_, vol, 0, util::Payload::Copy(Pattern(4096, 2)),
+                   std::move(cb));
+  });
+  crash_then_retry([&](auto cb) {
+    system_->Read(host_, vol, 0, 4096,
+                  [cb = std::move(cb)](bool r, util::Payload d) {
+                    cb(r && util::CheckPattern(d.ToBytes(), 2));
+                  });
+  });
 }
 
 TEST_F(SystemTest, MultipleVolumesIsolated) {

@@ -109,6 +109,24 @@ TEST_F(FsTest, SparseWriteAndShortRead) {
   EXPECT_EQ(tail, data);
 }
 
+// An empty write past EOF completes (once, with kOk) and changes nothing:
+// no size growth, no chunks allocated for the hole it names.
+TEST_F(FsTest, ZeroByteWriteCompletesAndChangesNothing) {
+  ASSERT_EQ(fs_->Create("/empty"), Status::kOk);
+  const auto chunks_before = fs_->AllocatedChunks();
+  int calls = 0;
+  Status st = Status::kIoError;
+  fs_->Write("/empty", 8 * util::MiB, util::Bytes{}, [&](Status s) {
+    ++calls;
+    st = s;
+  });
+  engine_.Run();
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(st, Status::kOk);
+  EXPECT_EQ(fs_->Stat("/empty")->size, 0u);
+  EXPECT_EQ(fs_->AllocatedChunks(), chunks_before);
+}
+
 TEST_F(FsTest, OverwriteInMiddle) {
   ASSERT_EQ(fs_->Create("/f"), Status::kOk);
   const auto base = Pattern(2 * util::MiB, 4);

@@ -269,10 +269,11 @@ TEST_F(HostInitiatorTest, LateAckCompletesOpExactlyOnce) {
   const int kOps = 8;
   std::vector<int> fired(kOps, 0);
   std::vector<int> ok(kOps, 0);
+  auto token = std::make_shared<int>(0);  // held by every op's callback
   for (int i = 0; i < kOps; ++i) {
     const auto data = Pattern(64 * util::KiB, 100 + i);
     init_->Write(vol, static_cast<std::uint64_t>(i) * 64 * util::KiB, data,
-                 [&fired, &ok, i](bool r) {
+                 [&fired, &ok, i, token](bool r) {
                    ++fired[i];
                    ok[i] += r ? 1 : 0;
                  });
@@ -284,6 +285,8 @@ TEST_F(HostInitiatorTest, LateAckCompletesOpExactlyOnce) {
   }
   EXPECT_GT(init_->stats().timeouts, 0u);
   EXPECT_GT(init_->stats().late_acks, 0u);
+  EXPECT_EQ(token.use_count(), 1)
+      << "re-driven ops and their late acks must release the callback";
 
   // Verify the data landed intact through a second, sanely-configured host.
   Initiator verify(*system_, "h1");

@@ -59,6 +59,23 @@ TEST(LintRules, WallclockIsPermittedUnderSrcSim) {
   EXPECT_FALSE(LintText("src/cache/node.cpp", text).empty());
 }
 
+TEST(LintRules, StdFunctionIsBannedOnlyInSimulatorSources) {
+  const std::string text = ReadFile(FixturePath("bad_std_function.cpp"));
+  const auto got =
+      LinesAndRules(LintText("src/cache/bad_std_function.cpp", text));
+  const std::vector<std::pair<int, std::string>> want = {
+      {6, "std-function"}, {9, "std-function"}, {12, "std-function"}};
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(LinesAndRules(LintText("/ck/src/nlss/src/qos/x.h", text)), want);
+  // Everything outside src/<module>/ may use it.
+  for (const char* path :
+       {"tests/util_test.cpp", "bench/common.h", "examples/quickstart.cpp",
+        "tools/lint_core.cpp", "/ck/src/nlss/tests/x.cpp",
+        "perfbench/src/harness.cpp"}) {
+    EXPECT_TRUE(LintText(path, text).empty()) << path;
+  }
+}
+
 TEST(LintRules, RandFixture) {
   const auto got = LinesAndRules(LintFixture("bad_rand.cpp"));
   const std::vector<std::pair<int, std::string>> want = {
@@ -246,6 +263,12 @@ TEST(LintTree, EveryRuleHasAFiringFixture) {
         "bad_unchecked_status.cpp", "bad_same_tick_chain.cpp",
         "bad_float_accumulate.cpp", "bad_stale_allow.cpp"}) {
     for (const Finding& f : LintFixture(name)) fired.insert(f.rule);
+  }
+  // std-function is path-scoped to src/, so lint its fixture there.
+  for (const Finding& f :
+       LintText("src/cache/bad_std_function.cpp",
+                ReadFile(FixturePath("bad_std_function.cpp")))) {
+    fired.insert(f.rule);
   }
   for (const std::string& rule : nlss::lint::RuleNames()) {
     EXPECT_TRUE(fired.count(rule)) << "no fixture fires rule: " << rule;

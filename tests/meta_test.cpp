@@ -607,9 +607,10 @@ TEST(DentryCache, InvalidateDropsExactlyThePathsThroughTheDirectory) {
   // A create in /a/x bumps only /a/x: its one cached child goes.
   ASSERT_EQ(MutateNow(engine,
                       [&](MetaService::StatusCallback cb) {
-                        service.Create("/a/x/n", [cb](Status s, Ino) {
-                          cb(s);
-                        });
+                        service.Create("/a/x/n",
+                                       [cb = std::move(cb)](Status s, Ino) {
+                                         cb(s);
+                                       });
                       }),
             Status::kOk);
   EXPECT_EQ(client.stats().dropped_entries, 1u);
@@ -624,7 +625,7 @@ TEST(DentryCache, InvalidateDropsExactlyThePathsThroughTheDirectory) {
   // (its chain is just the root) and the whole /b subtree.
   ASSERT_EQ(MutateNow(engine,
                       [&](MetaService::StatusCallback cb) {
-                        service.Mkdir("/a/m", cb);
+                        service.Mkdir("/a/m", std::move(cb));
                       }),
             Status::kOk);
   EXPECT_EQ(client.stats().dropped_entries, 4u);
@@ -658,7 +659,7 @@ TEST(DentryCache, RootInvalidationDropsEveryPathAndTheRootGrant) {
 
   ASSERT_EQ(MutateNow(engine,
                       [&](MetaService::StatusCallback cb) {
-                        service.Mkdir("/c", cb);
+                        service.Mkdir("/c", std::move(cb));
                       }),
             Status::kOk);
   EXPECT_EQ(client.cached_entries(), 0u);
@@ -698,14 +699,14 @@ TEST(DentryCache, ScriptedSequenceCountersAreExact) {
   EXPECT_EQ(resolve("/t/u"), Status::kOk);     // miss, evict /p/q and /p
   ASSERT_EQ(MutateNow(engine,
                       [&](MetaService::StatusCallback cb) {
-                        service.Unlink("/p/q/r2", cb);
+                        service.Unlink("/p/q/r2", std::move(cb));
                       }),
             Status::kOk);                        // drop r2: [/p/s /t /t/u]
   EXPECT_EQ(resolve("/p/q/r2"), Status::kNotFound);  // miss, evict /p/s
   EXPECT_EQ(resolve("/p/nope"), Status::kNotFound);  // partial from /p
   ASSERT_EQ(MutateNow(engine,
                       [&](MetaService::StatusCallback cb) {
-                        service.Rename("/t", "/w", cb);
+                        service.Rename("/t", "/w", std::move(cb));
                       }),
             Status::kOk);                        // root changed: drop all 4
   EXPECT_EQ(resolve("/w/u"), Status::kOk);     // miss: [/w /w/u]
@@ -868,8 +869,9 @@ TEST(MetaQos, RejectedOpsRetryToCompletion) {
 
   std::uint64_t ok = 0;
   const int kOps = 64;
+  auto token = std::make_shared<int>(0);  // held by every op's callback
   for (int i = 0; i < kOps; ++i) {
-    service.Create("/ing/c" + std::to_string(i), [&](Status s, Ino) {
+    service.Create("/ing/c" + std::to_string(i), [&, token](Status s, Ino) {
       if (s == Status::kOk) ++ok;
     });
   }
@@ -878,6 +880,8 @@ TEST(MetaQos, RejectedOpsRetryToCompletion) {
       << "every rejected op must retry until admitted";
   EXPECT_GT(service.stats().qos_rejects, 0u)
       << "the burst must actually trip admission control";
+  EXPECT_EQ(token.use_count(), 1)
+      << "finished ops, retried or not, must release their callbacks";
 }
 
 // --- mgmt: GET /meta ---------------------------------------------------------

@@ -101,6 +101,63 @@ TEST_F(ProtoTest, BlockTargetSessionInvalidAfterLogout) {
   EXPECT_EQ(st, BlockStatus::kInvalidSession);
 }
 
+// A request that names no block, leaves the volume, or overflows the
+// 32-bit byte length is refused up front, and its callback still fires
+// exactly once.
+TEST_F(ProtoTest, BlockTargetRejectsEmptyAndOutOfRangeRequests) {
+  security::LunMasking mask;
+  security::CommandPolicy policy;
+  BlockTarget target(*system_, *auth_, mask, policy, *audit_);
+  const auto vol = system_->CreateVolume("t", util::MiB);  // 256 blocks
+  const auto big = system_->CreateVolume("t", 8 * util::GiB);
+  mask.Allow("h", vol);
+  mask.Allow("h", big);
+  const auto session = *target.Login(host_, "h", "alice", "pw");
+  const auto read = [&](std::uint32_t v, std::uint64_t lba,
+                        std::uint32_t blocks) {
+    int calls = 0;
+    BlockStatus st = BlockStatus::kIoError;
+    target.Read(session, v, lba, blocks,
+                [&](BlockStatus s, util::Bytes, std::uint32_t) {
+                  ++calls;
+                  st = s;
+                });
+    engine_.Run();
+    EXPECT_EQ(calls, 1) << "lba " << lba << " blocks " << blocks;
+    return st;
+  };
+  EXPECT_EQ(read(vol, 0, 0), BlockStatus::kInvalidArgument);
+  EXPECT_EQ(read(vol, 1000, 4), BlockStatus::kInvalidArgument);
+  EXPECT_EQ(read(vol, 254, 4), BlockStatus::kInvalidArgument);
+  EXPECT_EQ(read(vol, ~0ull - 1, 4), BlockStatus::kInvalidArgument);
+  EXPECT_EQ(read(big, 0, 1u << 20), BlockStatus::kInvalidArgument)
+      << "4 GiB does not fit the 32-bit byte length";
+  EXPECT_EQ(read(vol, 252, 4), BlockStatus::kOk);  // the last four blocks
+  // A LUN registered straight with the cache (an encrypted store, say) is
+  // sized by its own store, not by a pool volume.
+  cache::MemBacking lun_store(engine_, 64);
+  system_->cache().RegisterVolume(100, &lun_store);
+  mask.Allow("h", 100);
+  EXPECT_EQ(read(100, 60, 4), BlockStatus::kOk);
+  EXPECT_EQ(read(100, 62, 4), BlockStatus::kInvalidArgument);
+
+  const auto write = [&](std::uint64_t lba, std::size_t bytes) {
+    int calls = 0;
+    BlockStatus st = BlockStatus::kIoError;
+    target.Write(session, vol, lba, Pattern(bytes, lba), [&](BlockStatus s) {
+      ++calls;
+      st = s;
+    });
+    engine_.Run();
+    EXPECT_EQ(calls, 1) << "lba " << lba << " bytes " << bytes;
+    return st;
+  };
+  EXPECT_EQ(write(1000, 4 * 4096), BlockStatus::kInvalidArgument);
+  EXPECT_EQ(write(255, 2 * 4096), BlockStatus::kInvalidArgument);
+  EXPECT_EQ(write(0, 0), BlockStatus::kInvalidArgument);
+  EXPECT_EQ(write(255, 4096), BlockStatus::kOk);
+}
+
 TEST_F(ProtoTest, BlockTargetInBandSnapshotLockdown) {
   security::LunMasking mask;
   security::CommandPolicy policy;

@@ -21,6 +21,9 @@
 namespace nlss::qos {
 namespace {
 
+/// Submit hands a rejected launch back; an empty result means admitted.
+bool Admitted(const Scheduler::Launch& handed_back) { return !handed_back; }
+
 // --- Token bucket ----------------------------------------------------------
 
 TEST(TokenBucketTest, RefillTimingIsExact) {
@@ -111,10 +114,10 @@ TEST(SchedulerTest, ThrottledDispatchWakesAtExactRefillTick) {
   Scheduler qos(engine, registry, 1);
   std::vector<sim::Tick> dispatched;
   auto issue = [&] {
-    ASSERT_TRUE(qos.Submit(0, bronze, 500, [&](std::function<void(bool)> done) {
+    ASSERT_TRUE(Admitted(qos.Submit(0, bronze, 500, [&](Scheduler::Done done) {
       dispatched.push_back(engine.now());
       done(true);
-    }));
+    })));
   };
   issue();  // burst: immediate
   issue();  // waits a full 500-byte refill = 0.5 s
@@ -138,25 +141,25 @@ TEST(SchedulerTest, BoundedBladeQueueRejects) {
   Scheduler qos(engine, registry, 2, cfg);
 
   // Park one op in service (its done is held), then fill the queue.
-  std::function<void(bool)> parked_done;
-  ASSERT_TRUE(qos.Submit(0, t, 100, [&](std::function<void(bool)> done) {
+  Scheduler::Done parked_done;
+  ASSERT_TRUE(Admitted(qos.Submit(0, t, 100, [&](Scheduler::Done done) {
     parked_done = std::move(done);
-  }));
+  })));
   engine.Run();
   ASSERT_TRUE(parked_done);
 
   int launched = 0;
-  auto launch = [&](std::function<void(bool)> done) {
+  auto launch = [&](Scheduler::Done done) {
     ++launched;
     done(true);
   };
-  EXPECT_TRUE(qos.Submit(0, t, 100, launch));
-  EXPECT_TRUE(qos.Submit(0, t, 100, launch));
-  EXPECT_TRUE(qos.Submit(0, t, 100, launch));
-  EXPECT_FALSE(qos.Submit(0, t, 100, launch));  // queue bound hit
+  EXPECT_TRUE(Admitted(qos.Submit(0, t, 100, launch)));
+  EXPECT_TRUE(Admitted(qos.Submit(0, t, 100, launch)));
+  EXPECT_TRUE(Admitted(qos.Submit(0, t, 100, launch)));
+  EXPECT_FALSE(Admitted(qos.Submit(0, t, 100, launch)));  // queue bound hit
   EXPECT_EQ(qos.slo().stats(t).rejected, 1u);
   // Other blades are unaffected.
-  EXPECT_TRUE(qos.Submit(1, t, 100, launch));
+  EXPECT_TRUE(Admitted(qos.Submit(1, t, 100, launch)));
 
   // Completing the parked op drains the queue in order.
   parked_done(true);
@@ -178,18 +181,18 @@ TEST(SchedulerTest, PerTenantDepthCapIsolatesTenants) {
   cfg.max_queue_per_blade = 100;
   Scheduler qos(engine, registry, 1, cfg);
 
-  std::function<void(bool)> parked_done;
-  ASSERT_TRUE(qos.Submit(0, vip, 1, [&](std::function<void(bool)> done) {
+  Scheduler::Done parked_done;
+  ASSERT_TRUE(Admitted(qos.Submit(0, vip, 1, [&](Scheduler::Done done) {
     parked_done = std::move(done);
-  }));
-  auto noop = [](std::function<void(bool)> done) { done(true); };
-  EXPECT_TRUE(qos.Submit(0, hog, 1, noop));
-  EXPECT_TRUE(qos.Submit(0, hog, 1, noop));
+  })));
+  auto noop = [](Scheduler::Done done) { done(true); };
+  EXPECT_TRUE(Admitted(qos.Submit(0, hog, 1, noop)));
+  EXPECT_TRUE(Admitted(qos.Submit(0, hog, 1, noop)));
   // The hog is over its own cap...
-  EXPECT_FALSE(qos.Submit(0, hog, 1, noop));
+  EXPECT_FALSE(Admitted(qos.Submit(0, hog, 1, noop)));
   EXPECT_EQ(qos.slo().stats(hog).rejected, 1u);
   // ...but the gold tenant still gets in (blade queue has room).
-  EXPECT_TRUE(qos.Submit(0, vip, 1, noop));
+  EXPECT_TRUE(Admitted(qos.Submit(0, vip, 1, noop)));
   parked_done(true);
   engine.Run();
 }
@@ -210,13 +213,13 @@ TEST(SchedulerTest, BackloggedTenantsShareByConfiguredWeights) {
   // a fixed 1 us downstream.
   std::uint64_t done_a = 0, done_b = 0;
   std::function<void(TenantId)> submit = [&](TenantId t) {
-    EXPECT_TRUE(qos.Submit(0, t, 1000, [&, t](std::function<void(bool)> done) {
-      engine.Schedule(1 * util::kNsPerUs, [&, t, done] {
+    EXPECT_TRUE(Admitted(qos.Submit(0, t, 1000, [&, t](Scheduler::Done done) {
+      engine.Schedule(1 * util::kNsPerUs, [&, t, done = std::move(done)] {
         (t == a ? done_a : done_b) += 1;
         done(true);
         if (engine.now() < 10 * util::kNsPerMs) submit(t);
       });
-    })) << "closed-loop submit rejected despite deep queue";
+    }))) << "closed-loop submit rejected despite deep queue";
   };
   for (int i = 0; i < 8; ++i) {
     submit(a);

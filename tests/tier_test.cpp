@@ -28,6 +28,13 @@ std::uint64_t TierViolations() {
   return check::Registry::Instance().violations(check::Subsystem::kTier);
 }
 
+/// The tier hooks hand a callback back when they decline it; an empty
+/// result means the flash tier absorbed the request.
+template <typename Cb>
+bool Absorbed(const Cb& handed_back) {
+  return !handed_back;
+}
+
 // --- HeatTracker -------------------------------------------------------------
 
 TEST(HeatTracker, EpochDecayIsExactAndDeterministic) {
@@ -198,8 +205,9 @@ TEST_F(TierTest, DirtyDemotionVsConcurrentRewriteIsSeqOrdered) {
   const util::Bytes v2 = Pattern(pb, 200);
 
   bool absorbed1 = false;
-  ASSERT_TRUE(tier_->TierWriteBack(0, {{key, 1, {}}}, util::Payload::Copy(v1),
-                                   [&](bool ok) { absorbed1 = ok; }, {}));
+  ASSERT_TRUE(Absorbed(tier_->TierWriteBack(
+      0, {{key, 1, {}}}, util::Payload::Copy(v1),
+      [&](bool ok) { absorbed1 = ok; }, {})));
   engine_.Run();
   ASSERT_TRUE(absorbed1);
   ASSERT_EQ(tier_->FlashDirtyPages(0), 1u);
@@ -212,8 +220,9 @@ TEST_F(TierTest, DirtyDemotionVsConcurrentRewriteIsSeqOrdered) {
   tier_->DrainDirty([&](bool ok) { drained = ok; });
   bool absorbed2 = false;
   engine_.Schedule(1000, [&] {
-    ASSERT_TRUE(tier_->TierWriteBack(0, {{key, 2, {}}}, util::Payload::Copy(v2),
-                                     [&](bool ok) { absorbed2 = ok; }, {}));
+    ASSERT_TRUE(Absorbed(tier_->TierWriteBack(
+        0, {{key, 2, {}}}, util::Payload::Copy(v2),
+        [&](bool ok) { absorbed2 = ok; }, {})));
   });
   engine_.Run();
   ASSERT_TRUE(absorbed2);
@@ -233,12 +242,12 @@ TEST_F(TierTest, DirtyDemotionVsConcurrentRewriteIsSeqOrdered) {
   // And the flash copy (still resident, now clean) serves v2 too.
   bool ok = false;
   util::Bytes got;
-  ASSERT_TRUE(tier_->TierRead(0, key,
-                              [&](bool r, util::Payload d) {
-                                ok = r;
-                                got = d.ToBytes();
-                              },
-                              {}));
+  ASSERT_TRUE(Absorbed(tier_->TierRead(0, key,
+                                      [&](bool r, util::Payload d) {
+                                        ok = r;
+                                        got = d.ToBytes();
+                                      },
+                                      {})));
   engine_.Run();
   ASSERT_TRUE(ok);
   EXPECT_EQ(got, v2);
@@ -250,20 +259,20 @@ TEST_F(TierTest, RewriteLeavesServedFlashPayloadUntouched) {
   const cache::PageKey key{kVol, 4};
   const util::Bytes v1 = Pattern(pb, 31);
   const util::Bytes v2 = Pattern(pb, 32);
-  ASSERT_TRUE(tier_->TierWriteBack(0, {{key, 1, {}}}, util::Payload::Copy(v1),
-                                   [](bool) {}, {}));
+  ASSERT_TRUE(Absorbed(tier_->TierWriteBack(
+      0, {{key, 1, {}}}, util::Payload::Copy(v1), [](bool) {}, {})));
   engine_.Run();
   util::Payload served;
-  ASSERT_TRUE(tier_->TierRead(
-      0, key, [&](bool, util::Payload d) { served = std::move(d); }, {}));
+  ASSERT_TRUE(Absorbed(tier_->TierRead(
+      0, key, [&](bool, util::Payload d) { served = std::move(d); }, {})));
   engine_.Run();
-  ASSERT_TRUE(tier_->TierWriteBack(0, {{key, 2, {}}}, util::Payload::Copy(v2),
-                                   [](bool) {}, {}));
+  ASSERT_TRUE(Absorbed(tier_->TierWriteBack(
+      0, {{key, 2, {}}}, util::Payload::Copy(v2), [](bool) {}, {})));
   engine_.Run();
   EXPECT_EQ(served, v1) << "a rewrite changed bytes a reader already holds";
   util::Payload now;
-  ASSERT_TRUE(tier_->TierRead(
-      0, key, [&](bool, util::Payload d) { now = std::move(d); }, {}));
+  ASSERT_TRUE(Absorbed(tier_->TierRead(
+      0, key, [&](bool, util::Payload d) { now = std::move(d); }, {})));
   engine_.Run();
   EXPECT_EQ(now, v2);
 }
@@ -283,13 +292,13 @@ TEST_F(TierTest, InFlightSpillIsJoinableWithoutDuplicateFetch) {
   // through to disk.
   bool ok = false, fired = false;
   util::Bytes got;
-  ASSERT_TRUE(tier_->TierRead(0, key,
-                              [&](bool r, util::Payload d) {
-                                ok = r;
-                                got = d.ToBytes();
-                                fired = true;
-                              },
-                              {}));
+  ASSERT_TRUE(Absorbed(tier_->TierRead(0, key,
+                                      [&](bool r, util::Payload d) {
+                                        ok = r;
+                                        got = d.ToBytes();
+                                        fired = true;
+                                      },
+                                      {})));
   EXPECT_EQ(tier_->stats().joins, 1u);
   engine_.Run();
   ASSERT_TRUE(fired);
@@ -305,8 +314,9 @@ TEST_F(TierTest, DeadBladeDirtyFlashFailsHonestlyAndResumesAfterRevival) {
   const cache::PageKey key{kVol, 2};
   const util::Bytes v = Pattern(pb, 42);
   bool absorbed = false;
-  ASSERT_TRUE(tier_->TierWriteBack(0, {{key, 1, {}}}, util::Payload::Copy(v),
-                                   [&](bool ok) { absorbed = ok; }, {}));
+  ASSERT_TRUE(Absorbed(tier_->TierWriteBack(
+      0, {{key, 1, {}}}, util::Payload::Copy(v),
+      [&](bool ok) { absorbed = ok; }, {})));
   engine_.Run();
   ASSERT_TRUE(absorbed);
   ASSERT_EQ(tier_->FlashDirtyPages(0), 1u);
@@ -318,12 +328,12 @@ TEST_F(TierTest, DeadBladeDirtyFlashFailsHonestlyAndResumesAfterRevival) {
   // The only current copy sits in dead flash: reads must fail, not serve
   // the stale disk block, and the drain must not hang on the dead lane.
   bool ok = true, fired = false;
-  ASSERT_TRUE(tier_->TierRead(1, key,
-                              [&](bool r, util::Payload) {
-                                ok = r;
-                                fired = true;
-                              },
-                              {}));
+  ASSERT_TRUE(Absorbed(tier_->TierRead(1, key,
+                                      [&](bool r, util::Payload) {
+                                        ok = r;
+                                        fired = true;
+                                      },
+                                      {})));
   engine_.Run();
   ASSERT_TRUE(fired);
   EXPECT_FALSE(ok);

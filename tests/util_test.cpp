@@ -2,11 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <map>
+#include <memory>
 #include <numeric>
 
 #include "util/bytes.h"
 #include "util/crc32c.h"
+#include "util/function.h"
 #include "util/payload.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -491,6 +494,96 @@ TEST(PayloadXor, LongChainsComputeATermInsteadOfNesting) {
   EXPECT_LT(built, fresh.size() * 512);
   EXPECT_EQ(acc, expect);
   EXPECT_EQ(Payload::materialized_bytes() - before, built + 512);
+}
+
+TEST(Function, ForwardsArgumentsAndReturnsValues) {
+  Function<int(int, const std::string&)> f = [](int a, const std::string& s) {
+    return a + static_cast<int>(s.size());
+  };
+  EXPECT_EQ(f(2, "abc"), 5);
+  // A by-value argument is moved through to the target.
+  Function<int(std::unique_ptr<int>)> g = [](std::unique_ptr<int> p) {
+    return *p;
+  };
+  EXPECT_EQ(g(std::make_unique<int>(7)), 7);
+}
+
+TEST(Function, HoldsAMoveOnlyCapture) {
+  Function<int()> f = [p = std::make_unique<int>(42)] { return *p; };
+  Function<int()> moved = std::move(f);
+  ASSERT_TRUE(static_cast<bool>(moved));
+  EXPECT_EQ(moved(), 42);
+}
+
+TEST(Function, InlineUpTo48BytesThenOneHeapCell) {
+  struct Fits {
+    std::uint64_t a[6];  // exactly kInlineBytes
+  };
+  struct Spills {
+    std::uint64_t a[7];
+  };
+  Function<std::uint64_t(int)> fits = [c = Fits{{1, 2, 3, 4, 5, 6}}](int i) {
+    return c.a[i];
+  };
+  Function<std::uint64_t(int)> spills =
+      [c = Spills{{1, 2, 3, 4, 5, 6, 7}}](int i) { return c.a[i]; };
+  EXPECT_TRUE(fits.is_inline());
+  EXPECT_FALSE(spills.is_inline());
+  EXPECT_EQ(fits(5), 6u);
+  // Moving a spilled function hands its heap cell over.
+  Function<std::uint64_t(int)> moved = std::move(spills);
+  EXPECT_FALSE(moved.is_inline());
+  EXPECT_EQ(moved(6), 7u);
+  static_assert(sizeof(Function<void(int, int)>) == 56);
+}
+
+TEST(Function, EmptyStdFunctionOrNullPointerMakesAnEmptyFunction) {
+  std::function<void(int)> none;
+  Function<void(int)> from_none = none;
+  EXPECT_FALSE(static_cast<bool>(from_none));
+  void (*null_fn)(int) = nullptr;
+  Function<void(int)> from_null = null_fn;
+  EXPECT_FALSE(static_cast<bool>(from_null));
+  int seen = 0;
+  std::function<void(int)> some = [&seen](int v) { seen = v; };
+  Function<void(int)> from_some = some;
+  ASSERT_TRUE(static_cast<bool>(from_some));
+  from_some(3);
+  EXPECT_EQ(seen, 3);
+}
+
+TEST(FunctionRef, CallsABorrowedLambda) {
+  int total = 0;
+  auto add = [&total](int by) { return total += by; };
+  const auto twice = [](FunctionRef<int(int)> fn) { return fn(2) + fn(3); };
+  EXPECT_EQ(twice(add), 2 + 5);
+  EXPECT_EQ(total, 5);
+  static_assert(sizeof(FunctionRef<void()>) == 2 * sizeof(void*));
+}
+
+TEST(Join, FiresOnceOnTheLastArrivalWithTheAndOfAll) {
+  int fired = 0;
+  bool result = true;
+  Join some_failed(3, [&](bool ok) {
+    ++fired;
+    result = ok;
+  });
+  some_failed.Arrive(true);
+  some_failed.Arrive(false);
+  EXPECT_EQ(fired, 0);
+  some_failed.Arrive(true);
+  EXPECT_EQ(fired, 1);
+  EXPECT_FALSE(result);
+
+  Join all_ok(2, [&](bool ok) {
+    ++fired;
+    result = ok;
+  });
+  all_ok.Arrive(true);
+  EXPECT_EQ(fired, 1);
+  all_ok.Arrive(true);
+  EXPECT_EQ(fired, 2);
+  EXPECT_TRUE(result);
 }
 
 TEST(ThreadPool, RunsAllTasks) {

@@ -542,6 +542,30 @@ void RuleWallclock(const std::string& text, RuleSink& sink,
   }
 }
 
+/// A simulator source file: `src/<module>/<file>`.  The last `src/` in
+/// the path decides, so a checkout under some other src/ directory still
+/// leaves its tests, benches and examples out of scope.
+bool InSrcModule(const std::string& path) {
+  const std::size_t at = path.rfind("src/");
+  if (at == std::string::npos || (at > 0 && path[at - 1] != '/')) {
+    return false;
+  }
+  return std::count(path.begin() + static_cast<std::ptrdiff_t>(at) + 4,
+                    path.end(), '/') == 1;
+}
+
+void RuleStdFunction(const std::string& text, RuleSink& sink,
+                     const std::string& path) {
+  if (!InSrcModule(path)) return;  // tests, benches, examples and tools
+  std::size_t pos = 0;
+  while ((pos = FindToken(text, "std::function", pos)) != std::string::npos) {
+    sink.Add(pos, "std-function",
+             "std::function in src/: use the move-only util::Function "
+             "(util::FunctionRef for a synchronous visitor)");
+    pos += 1;
+  }
+}
+
 void RuleRand(const std::string& text, RuleSink& sink) {
   static const char* kTokens[] = {"random_device", "srand", "drand48"};
   for (const char* tok : kTokens) {
@@ -1169,8 +1193,9 @@ const std::vector<std::string>& RuleNames() {
       "wallclock",      "rand",
       "rng-seed",       "unordered-iter",
       "pointer-key",    "bare-write",
-      "unchecked-status", "same-tick-chain",
-      "float-accumulate", "stale-allow"};
+      "std-function",   "unchecked-status",
+      "same-tick-chain", "float-accumulate",
+      "stale-allow"};
   return kRules;
 }
 
@@ -1195,6 +1220,7 @@ std::vector<Finding> LintText(const std::string& path,
   RuleUnorderedIter(stripped, sink, names);
   RulePointerKey(stripped, sink);
   RuleBareWrite(stripped, sink);
+  RuleStdFunction(stripped, sink, path);
   RuleUncheckedStatus(stripped, sink);
   RuleSameTickChain(stripped, sink);
   RuleFloatAccumulate(stripped, sink, floats);

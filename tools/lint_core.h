@@ -22,6 +22,11 @@
 //                   write id (WriteId/wid/write_id token in the argument
 //                   list) — unattributed writes bypass the blade-side
 //                   idempotency dedup, so a re-drive could apply twice.
+//   std-function    std::function in a simulator source file
+//                   (src/<module>/<file>): the simulator has one move-only
+//                   callback type, util::Function, plus util::FunctionRef
+//                   for synchronous visitors.  Tests, benches, examples
+//                   and tools may use std::function.
 //
 // Flow-aware rules (brace matching, receiver chains, loop bodies — still
 // no libclang):
@@ -68,7 +73,8 @@ struct Finding {
 const std::vector<std::string>& RuleNames();
 
 /// Lint one file's text.  `path` drives path-scoped rules (wallclock is
-/// permitted under src/sim) and is echoed into findings.  `header` is the
+/// permitted under src/sim, std-function applies only under src/) and is
+/// echoed into findings.  `header` is the
 /// text of the file's own header, if any: unordered containers it declares
 /// count as unordered in `text` too (members iterated in the .cpp).
 std::vector<Finding> LintText(const std::string& path,
