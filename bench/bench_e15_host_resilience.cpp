@@ -78,7 +78,7 @@ TailResult RunTail(std::uint64_t seed, bool hedged) {
   // delays come from tracked quantiles, not the cold-start maximum.
   for (int i = 0; i < 128; ++i) {
     init.Read(vol, (static_cast<std::uint64_t>(i) * kOpBytes) % kDataset,
-              kOpBytes, [](bool, util::Bytes) {});
+              kOpBytes, [](bool, util::Payload) {});
     engine.Run();
   }
 
@@ -98,7 +98,7 @@ TailResult RunTail(std::uint64_t seed, bool hedged) {
       [&](std::size_t, std::function<void(bool, std::uint64_t)> done) {
         const std::uint64_t off = (rng.Next() % blocks) * kOpBytes;
         init.Read(vol, off, kOpBytes,
-                  [done = std::move(done)](bool ok, util::Bytes) {
+                  [done = std::move(done)](bool ok, util::Payload) {
                     done(ok, kOpBytes);
                   });
       });

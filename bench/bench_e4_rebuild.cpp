@@ -11,6 +11,20 @@
 namespace nlss::bench {
 namespace {
 
+/// Group `g`'s seed data.  Every Setup writes the same four seeds, and
+/// payloads are immutable, so each is filled once and shared: ingested like
+/// a host write, its 64 KiB chunks become the RAID units as they are.
+const util::Payload& Seed(std::size_t g, std::size_t bytes) {
+  static std::vector<util::Payload> seeds;
+  if (seeds.size() <= g) seeds.resize(g + 1);
+  if (seeds[g].empty()) {
+    util::Bytes buf(bytes);
+    util::FillPattern(buf, g);
+    seeds[g] = util::Payload::Copy(buf);
+  }
+  return seeds[g];
+}
+
 struct Setup {
   sim::Engine engine;
   std::vector<std::unique_ptr<disk::DiskFarm>> farms;
@@ -30,11 +44,10 @@ struct Setup {
       groups.push_back(std::make_unique<raid::RaidGroup>(
           engine, std::move(disks), rc));
       // Seed every group with data so the rebuild reconstructs real bytes.
-      const util::Payload data(
-          groups[g]->DataCapacityBlocks() * 4096ull,
-          [g](std::span<std::uint8_t> out) { util::FillPattern(out, g); });
       bool ok = false;
-      groups[g]->WriteBlocks(0, data, [&](bool r) { ok = r; });
+      groups[g]->WriteBlocks(
+          0, Seed(g, groups[g]->DataCapacityBlocks() * 4096ull),
+          [&](bool r) { ok = r; });
       engine.Run();
       if (!ok) std::abort();
     }

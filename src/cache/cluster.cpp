@@ -184,12 +184,10 @@ void CacheCluster::ReadFromBacking(ControllerId ctrl, PageKey key,
                       bool ok, util::Payload data) mutable {
                     if (ok && data.size() < config_.page_bytes) {
                       // Page tail past the volume's end reads as zeros.
-                      data = util::Payload(
-                          config_.page_bytes, [&](std::span<std::uint8_t> out) {
-                            std::memcpy(out.data(), data.data(), data.size());
-                            std::memset(out.data() + data.size(), 0,
-                                        out.size() - data.size());
-                          });
+                      const util::Payload pieces[] = {
+                          data, util::Payload::Zeros(config_.page_bytes -
+                                                     data.size())};
+                      data = util::Payload::Concat(pieces);
                     }
                     // Promotion-on-reheat decision point: the tier may
                     // admit a hot disk-read page into flash.

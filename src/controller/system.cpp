@@ -318,6 +318,10 @@ void StorageSystem::Read(net::NodeId host, VolumeId vol, std::uint64_t offset,
                          std::uint32_t length, ReadCallback cb,
                          std::uint8_t priority, qos::TenantId tenant,
                          obs::TraceContext ctx) {
+  if (!FitsVolume(vol, offset, length)) {
+    engine_.Schedule(0, [cb = std::move(cb)] { cb(false, {}); });
+    return;
+  }
   if (reads_total_ != nullptr) reads_total_->Increment();
   bool root = false;
   ctx = StartOp(ctx, "controller.read", vol, &root);
@@ -360,6 +364,10 @@ void StorageSystem::ReadVia(net::NodeId host, cache::ControllerId via,
                             std::uint32_t length, ReadCallback cb,
                             std::uint8_t priority, qos::TenantId tenant,
                             obs::TraceContext ctx) {
+  if (!FitsVolume(vol, offset, length)) {
+    engine_.Schedule(0, [cb = std::move(cb)] { cb(false, {}); });
+    return;
+  }
   if (reads_total_ != nullptr) reads_total_->Increment();
   bool root = false;
   ctx = StartOp(ctx, "controller.read", vol, &root);
@@ -384,6 +392,10 @@ void StorageSystem::WriteVia(net::NodeId host, cache::ControllerId via,
   NLSS_INVARIANT(kCache, wid.valid(),
                  "WriteVia without a write id (vol %u offset %llu)", vol,
                  static_cast<unsigned long long>(offset));
+  if (!FitsVolume(vol, offset, data.size())) {
+    engine_.Schedule(0, [cb = std::move(cb)] { cb(false); });
+    return;
+  }
   if (writes_total_ != nullptr) writes_total_->Increment();
   bool root = false;
   ctx = StartOp(ctx, "controller.write", vol, &root);
@@ -469,6 +481,10 @@ void StorageSystem::WriteReplicated(net::NodeId host, VolumeId vol,
                                     WriteCallback cb, std::uint8_t priority,
                                     qos::TenantId tenant,
                                     obs::TraceContext ctx) {
+  if (!FitsVolume(vol, offset, data.size())) {
+    engine_.Schedule(0, [cb = std::move(cb)] { cb(false); });
+    return;
+  }
   if (writes_total_ != nullptr) writes_total_->Increment();
   bool root = false;
   ctx = StartOp(ctx, "controller.write", vol, &root);

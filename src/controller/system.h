@@ -90,6 +90,13 @@ class StorageSystem {
                         bool preallocate = false);
   virt::DemandMappedVolume& volume(VolumeId id) { return *volumes_[id]; }
   std::size_t volume_count() const { return volumes_.size(); }
+  /// True when [offset, offset + length) is non-empty and inside volume
+  /// `vol`.  Host I/O on any other range fails on the next event.
+  bool FitsVolume(VolumeId vol, std::uint64_t offset,
+                  std::uint64_t length) const {
+    const std::uint64_t bytes = cache_->backing(vol).CapacityBytes();
+    return length > 0 && offset <= bytes && length <= bytes - offset;
+  }
 
   // --- Host I/O ----------------------------------------------------------------
   using ReadCallback = cache::CacheCluster::ReadCallback;

@@ -3,38 +3,29 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstring>
-#include <iterator>
 
 namespace nlss::disk {
 
 util::Payload BlockStore::Read(std::uint64_t lba, std::uint32_t count) const {
   const std::uint64_t end = lba + count;
-  // The extent that starts at or before `lba` is the only one that can
-  // cover the whole range.
+  // Views of the extents the range overlaps, with zeros in the gaps.
+  std::vector<util::Payload> out;
+  std::uint64_t at = lba;  // first block not yet covered
   auto it = extents_.upper_bound(lba);
-  if (it != extents_.begin()) {
-    const auto prev = std::prev(it);
-    if (prev->first + BlocksOf(prev->second) >= end) {
-      return prev->second.Slice((lba - prev->first) * block_size_,
-                                static_cast<std::size_t>(count) * block_size_);
+  if (it != extents_.begin()) --it;
+  for (; it != extents_.end() && it->first < end; ++it) {
+    const std::uint64_t first = std::max(it->first, lba);
+    const std::uint64_t last = std::min(it->first + BlocksOf(it->second), end);
+    if (first >= last) continue;
+    if (first > at) {
+      out.push_back(util::Payload::Zeros((first - at) * block_size_));
     }
-    it = prev;
+    out.push_back(it->second.Slice((first - it->first) * block_size_,
+                                   (last - first) * block_size_));
+    at = last;
   }
-  return util::Payload(
-      static_cast<std::size_t>(count) * block_size_,
-      [&](std::span<std::uint8_t> out) {
-        std::memset(out.data(), 0, out.size());
-        for (; it != extents_.end() && it->first < end; ++it) {
-          const std::uint64_t first = std::max(it->first, lba);
-          const std::uint64_t last =
-              std::min(it->first + BlocksOf(it->second), end);
-          if (first >= last) continue;
-          std::memcpy(out.data() + (first - lba) * block_size_,
-                      it->second.data() + (first - it->first) * block_size_,
-                      (last - first) * block_size_);
-        }
-      });
+  if (end > at) out.push_back(util::Payload::Zeros((end - at) * block_size_));
+  return util::Payload::Concat(out);
 }
 
 void BlockStore::Carve(std::uint64_t lba, std::uint64_t end) {
@@ -68,9 +59,9 @@ void BlockStore::Write(std::uint64_t lba, const util::Payload& data) {
   if (data.empty()) return;
   const std::uint64_t count = BlocksOf(data);
   Carve(lba, lba + count);
-  // The store outlives every other holder: a unit sliced from a multi-MiB
-  // host write or from a volume's first-touch fill must not keep the whole
-  // buffer alive after the cache has let go of it.
+  // The store outlives every other holder: a view must not keep a much
+  // larger buffer alive after the cache has let go of it.  A unit sliced
+  // from a chunked host write is a whole chunk, so this rarely copies.
   extents_.emplace(lba, data.Compact());
   allocated_blocks_ += count;
 }

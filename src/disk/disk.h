@@ -50,7 +50,7 @@ class BlockStore {
   explicit BlockStore(std::uint32_t block_size) : block_size_(block_size) {}
 
   /// `count` blocks starting at `lba`.  A range inside one extent is a view
-  /// of it; any other range is assembled into a fresh buffer.
+  /// of it; any other range joins extent views and zeros with Concat.
   util::Payload Read(std::uint64_t lba, std::uint32_t count) const;
 
   /// Store `data` (a whole number of blocks) at `lba`, trimming the extents

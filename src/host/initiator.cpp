@@ -47,6 +47,12 @@ std::size_t Initiator::UpPaths() const {
 void Initiator::Read(controller::VolumeId vol, std::uint64_t offset,
                      std::uint32_t length, ReadCallback cb,
                      std::uint8_t priority, qos::TenantId tenant) {
+  ++stats_.reads;
+  if (!system_.FitsVolume(vol, offset, length)) {
+    ++stats_.failed;
+    engine_.Schedule(0, [cb = std::move(cb)] { cb(false, {}); });
+    return;
+  }
   auto op = std::make_shared<Op>();
   op->id = next_op_++;
   op->is_read = true;
@@ -56,13 +62,28 @@ void Initiator::Read(controller::VolumeId vol, std::uint64_t offset,
   op->priority = priority;
   op->tenant = tenant;
   op->rcb = std::move(cb);
-  ++stats_.reads;
   Submit(std::move(op));
+}
+
+void Initiator::Read(controller::VolumeId vol, std::uint64_t offset,
+                     std::uint32_t length,
+                     util::Function<void(bool ok, util::Bytes data)> cb,
+                     std::uint8_t priority, qos::TenantId tenant) {
+  auto copy_out = [cb = std::move(cb)](bool ok, util::Payload data) {
+    cb(ok, data.ToBytes());
+  };
+  Read(vol, offset, length, std::move(copy_out), priority, tenant);
 }
 
 void Initiator::Write(controller::VolumeId vol, std::uint64_t offset,
                       std::span<const std::uint8_t> data, WriteCallback cb,
                       qos::TenantId tenant) {
+  ++stats_.writes;
+  if (!system_.FitsVolume(vol, offset, data.size())) {
+    ++stats_.failed;
+    engine_.Schedule(0, [cb = std::move(cb)] { cb(false); });
+    return;
+  }
   auto op = std::make_shared<Op>();
   op->id = next_op_++;
   op->is_read = false;
@@ -75,7 +96,6 @@ void Initiator::Write(controller::VolumeId vol, std::uint64_t offset,
   ++next_write_seq_;
   op->tenant = tenant;
   op->wcb = std::move(cb);
-  ++stats_.writes;
   Submit(std::move(op));
 }
 
@@ -386,7 +406,7 @@ void Initiator::FinishOp(const OpPtr& op, bool ok,
   if (op->root.sampled()) op->root.tracer->EndTrace(op->root, ok);
   if (!op->is_read) MaybeSettleWrite(op);
   if (op->is_read) {
-    if (op->rcb) op->rcb(ok, data.ToBytes());
+    if (op->rcb) op->rcb(ok, data);
   } else {
     if (op->wcb) op->wcb(ok);
   }

@@ -118,9 +118,10 @@ struct InitiatorStats {
 
 class Initiator {
  public:
-  /// Reads hand the caller its own bytes: the host edge is where a payload
-  /// leaves the simulated system, and the one place a read copies it.
-  using ReadCallback = util::Function<void(bool ok, util::Bytes data)>;
+  /// Reads hand the caller the payload itself: it is immutable, so no later
+  /// write can change bytes the caller holds.  A caller that wants its own
+  /// bytes calls ToBytes().
+  using ReadCallback = util::Function<void(bool ok, util::Payload data)>;
   using WriteCallback = controller::StorageSystem::WriteCallback;
 
   /// Attaches a host node named `name` to the system's fabric and opens a
@@ -143,8 +144,17 @@ class Initiator {
   void AttachMeta(meta::Client* meta) { meta_ = meta; }
   meta::Client* meta() const { return meta_; }
 
+  /// An op on a range that is empty or does not fit inside the volume fails
+  /// on the next event, with no attempt, retry or hedge.
   void Read(controller::VolumeId vol, std::uint64_t offset,
             std::uint32_t length, ReadCallback cb, std::uint8_t priority = 0,
+            qos::TenantId tenant = qos::kAutoTenant);
+  /// Read into caller-owned bytes (one ToBytes copy).  Kept only for the
+  /// benchmark's read checks, which take util::Bytes; nothing else calls it.
+  void Read(controller::VolumeId vol, std::uint64_t offset,
+            std::uint32_t length,
+            util::Function<void(bool ok, util::Bytes data)> cb,
+            std::uint8_t priority = 0,
             qos::TenantId tenant = qos::kAutoTenant);
   void Write(controller::VolumeId vol, std::uint64_t offset,
              std::span<const std::uint8_t> data, WriteCallback cb,

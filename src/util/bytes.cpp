@@ -1,6 +1,8 @@
 #include "util/bytes.h"
 
+#include <bit>
 #include <cassert>
+#include <cstring>
 
 namespace nlss::util {
 namespace {
@@ -17,13 +19,14 @@ std::uint64_t Mix(std::uint64_t x) {
 }  // namespace
 
 void FillPattern(std::span<std::uint8_t> out, std::uint64_t seed) {
+  // Each step's word is stored low byte first; on a little-endian host
+  // that is one 8-byte store.
+  static_assert(std::endian::native == std::endian::little);
   std::uint64_t state = Mix(seed ^ 0xA5A5A5A5A5A5A5A5ULL);
   std::size_t i = 0;
-  while (i + 8 <= out.size()) {
+  for (; i + 8 <= out.size(); i += 8) {
     state = Mix(state + 1);
-    for (int b = 0; b < 8; ++b) {
-      out[i++] = static_cast<std::uint8_t>(state >> (b * 8));
-    }
+    std::memcpy(out.data() + i, &state, 8);
   }
   state = Mix(state + 1);
   for (int b = 0; i < out.size(); ++b) {

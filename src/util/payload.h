@@ -4,7 +4,9 @@
 // unit and disk extent copies a pointer, never the bytes.  Bytes are
 // materialized (written into a fresh buffer) only through the copy-on-write
 // constructor and the helpers built on it, and by the first read of a
-// deferred XOR (Xor); every such buffer is counted in materialized_bytes().
+// deferred XOR (Xor) or concatenation (Concat); every such buffer is
+// counted in materialized_bytes().  Zeros are a view of one shared region
+// and are never materialized.
 //
 // A deferred payload computes its bytes on first read without a lock, so
 // that read must not race another read of the same payload on a second
@@ -42,12 +44,20 @@ class Payload {
     materialized_.fetch_add(size, std::memory_order_relaxed);
   }
 
-  /// A fresh copy of `bytes`.
+  /// Chunk size of a large Copy.
+  static constexpr std::size_t kChunkBytes = 64 * 1024;
+
+  /// A fresh copy of `bytes`.  Past kChunkBytes it is a Concat of
+  /// kChunkBytes buffers, so a page or RAID unit sliced from a large host
+  /// write at a chunk boundary is a whole buffer.  Chunks are recycled
+  /// through a per-thread free list.
   static Payload Copy(std::span<const std::uint8_t> bytes);
-  /// `size` zero bytes.
+  /// `size` zero bytes: a view of one shared region that is never written.
   static Payload Zeros(std::size_t size);
-  /// `pieces` back to back.  A lone non-empty piece is shared as is; two or
-  /// more are copied into one fresh buffer.
+  /// `pieces` back to back.  A lone non-empty piece is shared as is.  Two
+  /// or more are kept as a deferred concatenation, whose bytes are gathered
+  /// into one buffer the first time any copy reads them; an unread
+  /// concatenation among the pieces contributes its own pieces.
   static Payload Concat(std::span<const Payload> pieces);
 
   /// The XOR of equal-size `terms`.  Its bytes are produced in one pass the
@@ -56,28 +66,30 @@ class Payload {
   /// unread Xor contributes its own terms, so the result may be one of the
   /// terms itself (Xor({a, b, a}) is b).  The flattened list never holds
   /// more than twice as many terms as were given: an unread Xor that would
-  /// not fit is computed here instead and kept as one term.
+  /// not fit is computed here instead and kept as one term.  An unread
+  /// concatenation is an ordinary term.
   static Payload Xor(std::span<const Payload> terms);
 
-  /// View of `length` bytes starting at `offset` (shares the buffer).
+  /// View of `length` bytes starting at `offset` (shares the buffer).  Of an
+  /// unread concatenation: a view of one piece, or a smaller concatenation
+  /// when the range crosses pieces.
   Payload Slice(std::size_t offset, std::size_t length) const {
     assert(offset + length <= size_);
-    Payload out;
-    if (length == 0) return out;
-    out.buf_ = buf_;
-    out.offset_ = offset_ + offset;
+    if (length == 0) return {};
+    if (const Lazy* l = unread(); l != nullptr && l->concat) {
+      return SliceConcat(offset, length);
+    }
+    Payload out = *this;
+    out.offset_ += offset;
     out.size_ = length;
-    out.buffer_size_ = buffer_size_;
-    out.deferred_ = deferred_;
     return out;
   }
 
   /// This view, or a fresh copy of it when it is less than half of the
   /// buffer it keeps alive.  For holders that outlive the buffer's other
-  /// users, so a small view never pins a much larger dead buffer.
-  Payload Compact() const {
-    return size_ * 2 < buffer_size_ ? Copy(*this) : *this;
-  }
+  /// users, so a small view never pins a much larger dead buffer.  An
+  /// unread concatenation compacts piece by piece, and zeros stay shared.
+  Payload Compact() const;
 
   const std::uint8_t* data() const {
     return (deferred_ ? lazy()->Read() : buf_.get()) + offset_;
@@ -89,8 +101,9 @@ class Payload {
   const std::uint8_t* end() const { return data() + size_; }
   operator std::span<const std::uint8_t>() const { return {data(), size_}; }
 
-  /// Copy out into caller-owned bytes: the host edge, where data leaves the
-  /// simulated system.  Counted like any other materialization.
+  /// Copy out into caller-owned bytes.  Counted like any other
+  /// materialization; an unread concatenation is gathered straight from its
+  /// pieces and stays unread.
   Bytes ToBytes() const;
 
   /// Bytes written into fresh buffers by this process so far.  A host-side
@@ -102,31 +115,55 @@ class Payload {
   friend bool operator==(const Payload& a, std::span<const std::uint8_t> b);
 
  private:
-  /// A deferred XOR: its terms until the first read, its bytes after.
+  /// A deferred XOR or concatenation: its terms (or pieces) until the first
+  /// read, its bytes after.
   struct Lazy {
     std::vector<Payload> terms;
+    std::vector<std::size_t> ends;  // concatenation: end offset of each piece
     std::size_t size = 0;
     std::unique_ptr<std::uint8_t[]> bytes;
+    bool concat = false;
+    bool nested = false;  // some term is itself unread
 
     const std::uint8_t* Read();
   };
 
-  /// The deferred XOR this payload views, or null.
+  /// The deferred node this payload views, or null.
   Lazy* lazy() const {
     return deferred_ ? reinterpret_cast<Lazy*>(
                            const_cast<std::uint8_t*>(buf_.get()))
                      : nullptr;
   }
+  /// The deferred node this payload views while it is unread, or null.
+  /// A view of an unread concatenation always covers all of it.
+  Lazy* unread() const {
+    Lazy* l = lazy();
+    return l != nullptr && l->bytes == nullptr ? l : nullptr;
+  }
 
-  /// Same buffer (or deferred XOR), offset and size: the same bytes.
+  Payload(std::shared_ptr<const std::uint8_t[]> buf, std::size_t size,
+          std::size_t buffer_size)
+      : buf_(std::move(buf)), size_(size), buffer_size_(buffer_size) {}
+
+  /// A deferred node over `terms`.  A term that is unread and itself holds
+  /// unread terms is computed first, so unread nodes nest at most one level
+  /// and a first read recurses at most once.
+  static Payload Deferred(std::vector<Payload> terms, std::size_t size,
+                          bool concat);
+  /// Copy of at most kChunkBytes; a whole chunk comes from the free list.
+  static Payload CopyPiece(std::span<const std::uint8_t> bytes);
+  Payload SliceConcat(std::size_t offset, std::size_t length) const;
+
+  /// Same buffer (or deferred node), offset and size: the same bytes.
   bool SameView(const Payload& o) const {
     return buf_ == o.buf_ && offset_ == o.offset_ && size_ == o.size_;
   }
 
   static inline std::atomic<std::uint64_t> materialized_{0};
 
-  // The byte buffer, or for a deferred XOR its Lazy node: buf_ then owns the
-  // node and points at it, which keeps a payload as small as a plain view.
+  // The byte buffer, or for a deferred payload its Lazy node: buf_ then owns
+  // the node and points at it, which keeps a payload as small as a plain
+  // view.
   std::shared_ptr<const std::uint8_t[]> buf_;
   std::size_t offset_ = 0;
   std::size_t size_ = 0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
 #include <memory>
 
 namespace nlss::virt {
@@ -165,20 +164,19 @@ void DemandMappedVolume::WriteWithinExtent(std::uint64_t vext,
     return;
   }
 
-  // A write that covers only part of an extent is merged into a fresh,
-  // extent-sized buffer: over `base`, or over zeros when `base` is empty.
+  // A write that covers only part of an extent is patched into an
+  // extent-sized concatenation: over `base`, or over zeros when `base` is
+  // empty.
   auto merge = [this, offset_blocks, bs](const util::Payload& base,
                                          const util::Payload& patch) {
     const std::size_t size = pool_.extent_bytes();
-    return util::Payload(size, [&](std::span<std::uint8_t> out) {
-      if (base.empty()) {
-        std::memset(out.data(), 0, out.size());
-      } else {
-        std::memcpy(out.data(), base.data(), out.size());
-      }
-      std::memcpy(out.data() + static_cast<std::size_t>(offset_blocks) * bs,
-                  patch.data(), patch.size());
-    });
+    const std::size_t at = static_cast<std::size_t>(offset_blocks) * bs;
+    const std::size_t end = at + patch.size();
+    const util::Payload around = base.empty() ? util::Payload::Zeros(size)
+                                              : base;
+    const util::Payload pieces[] = {around.Slice(0, at), patch,
+                                    around.Slice(end, size - end)};
+    return util::Payload::Concat(pieces);
   };
 
   if (needs_alloc) {

@@ -27,7 +27,7 @@ void OpenBurstPrefetcher::Open(std::uint32_t file, std::uint32_t length,
   if (!config_.enabled || file >= files_.count) {
     ++stats_.misses;
     initiator_.Read(vol_, files_.OffsetOf(file), length,
-                    [cb = std::move(cb)](bool ok, util::Bytes) { cb(ok); },
+                    [cb = std::move(cb)](bool ok, util::Payload) { cb(ok); },
                     /*priority=*/0, tenant_);
     return;
   }
@@ -60,7 +60,7 @@ void OpenBurstPrefetcher::Open(std::uint32_t file, std::uint32_t length,
     case FileState::kFailed:
       ++stats_.misses;
       initiator_.Read(vol_, files_.OffsetOf(file), length,
-                      [cb = std::move(cb)](bool ok, util::Bytes) { cb(ok); },
+                      [cb = std::move(cb)](bool ok, util::Payload) { cb(ok); },
                       /*priority=*/0, tenant_);
       return;
   }
@@ -98,7 +98,7 @@ void OpenBurstPrefetcher::PrefetchAhead(std::uint32_t file) {
     // n files for one fabric round trip instead of n.
     initiator_.Read(
         vol_, files_.OffsetOf(first), static_cast<std::uint32_t>(batch_bytes),
-        [this, first, n](bool ok, util::Bytes) {
+        [this, first, n](bool ok, util::Payload) {
           if (!ok) ++stats_.failed_batches;
           for (std::uint32_t i = 0; i < n; ++i) {
             const std::uint32_t f = first + i;

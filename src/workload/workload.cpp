@@ -303,7 +303,7 @@ PhaseResult Runner::Play(const Trace& trace) {
                   init_ptr->Read(vol_, trace.files.OffsetOf(op->file),
                                  op->length,
                                  [done = std::move(done)](bool ok,
-                                                          util::Bytes) {
+                                                          util::Payload) {
                                    done(ok);
                                  },
                                  /*priority=*/0, config_.tenant);
@@ -314,7 +314,7 @@ PhaseResult Runner::Play(const Trace& trace) {
             engine_.Schedule(0, [done = std::move(done)]() { done(true); });
           } else {
             init.Read(vol_, trace.files.OffsetOf(op->file), op->length,
-                      [done = std::move(done)](bool ok, util::Bytes) {
+                      [done = std::move(done)](bool ok, util::Payload) {
                         done(ok);
                       },
                       /*priority=*/0, config_.tenant);
@@ -323,7 +323,7 @@ PhaseResult Runner::Play(const Trace& trace) {
         case TraceOp::Kind::kRead:
           init.Read(vol_, trace.files.OffsetOf(op->file) + op->offset,
                     op->length,
-                    [done = std::move(done)](bool ok, util::Bytes) {
+                    [done = std::move(done)](bool ok, util::Payload) {
                       done(ok);
                     },
                     /*priority=*/0, config_.tenant);

@@ -179,7 +179,7 @@ StackResult RunFailureWorkload(std::uint64_t seed) {
       init.Write(vol, off, buf, [](bool) {});
     } else {
       init.Read(vol, off, static_cast<std::uint32_t>(buf.size()),
-                [](bool, util::Bytes) {});
+                [](bool, util::Payload) {});
     }
     if ((op % 4) == 3) engine.Run();
   }
@@ -195,7 +195,7 @@ StackResult RunFailureWorkload(std::uint64_t seed) {
   engine.Run();
   system.FailController(1);
   system.RecoverCluster();
-  init.Read(vol_a, 0, 64 * util::KiB, [](bool, util::Bytes) {});
+  init.Read(vol_a, 0, 64 * util::KiB, [](bool, util::Payload) {});
   engine.Run();
 
   // Disk failure -> distributed rebuild across surviving controllers.

@@ -54,9 +54,9 @@ class HostInitiatorTest : public ::testing::Test {
                                     std::uint64_t off, std::uint32_t len) {
     bool ok = false;
     util::Bytes out;
-    init_->Read(vol, off, len, [&](bool r, util::Bytes d) {
+    init_->Read(vol, off, len, [&](bool r, util::Payload d) {
       ok = r;
-      out = std::move(d);
+      out = d.ToBytes();
     });
     engine_.Run();
     return {ok, std::move(out)};
@@ -81,46 +81,116 @@ TEST_F(HostInitiatorTest, RoundtripThroughMultipath) {
   EXPECT_EQ(init_->path_count(), system_->controller_count());
 }
 
-TEST_F(HostInitiatorTest, PayloadCopiedOnlyAtIngestAndDelivery) {
+TEST_F(HostInitiatorTest, PayloadCopiedOnlyAtIngest) {
   InitiatorConfig hc;
   hc.pin_path = 0;  // enter through blade 0; no hedges
   Build(hc);
   const auto vol = system_->CreateVolume("physics", 8 * util::MiB);
   constexpr std::uint32_t kPage = 64 * util::KiB;
-  // Lay down the whole first extent, so a later page write finds every
-  // RAID unit of its stripe on disk instead of a first-touch zero fill.
-  ASSERT_TRUE(Write(vol, 0, Pattern(util::MiB, 1)));
+  const util::Bytes data = Pattern(2 * util::MiB, 1);
+  const auto span = [&](std::uint64_t off, std::uint64_t len) {
+    return std::span<const std::uint8_t>(data).subspan(off, len);
+  };
+  const auto read = [&](Initiator& init, std::uint64_t off,
+                        std::uint32_t len) {
+    util::Payload got;
+    init.Read(vol, off, len, [&](bool r, util::Payload d) {
+      ASSERT_TRUE(r);
+      got = std::move(d);
+    });
+    engine_.Run();
+    return got;
+  };
 
-  // A full-page write copies the host's bytes once; cache frame, replica,
-  // flush and disk share them, and the RAID-5 parity unit stays a deferred
-  // XOR until something reads it.
+  // A 2 MiB aligned write copies the host's bytes once, into 64 KiB
+  // chunks: cache frames, replicas, flush, RAID units and disk extents
+  // share them, and the RAID-5 parity stays a deferred XOR.
   auto before = util::Payload::materialized_bytes();
-  ASSERT_TRUE(Write(vol, 2 * kPage, Pattern(kPage, 2)));
-  EXPECT_EQ(util::Payload::materialized_bytes() - before, kPage);
+  ASSERT_TRUE(Write(vol, 0, data));
+  EXPECT_EQ(util::Payload::materialized_bytes() - before, data.size());
 
-  // A local hit on blade 0 copies only into the host's buffer.
+  // A local hit on blade 0 hands out blade 0's frame.
   const auto local_hits = system_->cache().stats(0).local_hits;
   before = util::Payload::materialized_bytes();
-  auto [ok, got] = Read(vol, 2 * kPage, kPage);
-  ASSERT_TRUE(ok);
-  EXPECT_EQ(got, Pattern(kPage, 2));
+  const util::Payload local = read(*init_, 2 * kPage, kPage);
+  EXPECT_EQ(util::Payload::materialized_bytes() - before, 0u);
   EXPECT_EQ(system_->cache().stats(0).local_hits, local_hits + 1);
-  EXPECT_EQ(util::Payload::materialized_bytes() - before, kPage);
+  EXPECT_EQ(local, span(2 * kPage, kPage));
 
-  // A remote hit through blade 1 forwards blade 0's frame without a copy.
+  // A remote hit through blade 1 forwards blade 0's frame.
   InitiatorConfig hc1;
   hc1.pin_path = 1;
   Initiator other(*system_, "h1", hc1);
   before = util::Payload::materialized_bytes();
-  util::Bytes got1;
-  other.Read(vol, 2 * kPage, kPage, [&](bool r, util::Bytes d) {
-    ASSERT_TRUE(r);
-    got1 = std::move(d);
-  });
-  engine_.Run();
-  EXPECT_EQ(got1, Pattern(kPage, 2));
+  const util::Payload remote = read(other, 2 * kPage, kPage);
+  EXPECT_EQ(util::Payload::materialized_bytes() - before, 0u);
   EXPECT_EQ(system_->cache().stats(1).remote_hits, 1u);
-  EXPECT_EQ(util::Payload::materialized_bytes() - before, kPage);
+  EXPECT_EQ(remote.data(), local.data());
+
+  // A 1 MiB read joins 16 frames without gathering them.
+  before = util::Payload::materialized_bytes();
+  const util::Payload big = read(*init_, util::MiB, util::MiB);
+  EXPECT_EQ(util::Payload::materialized_bytes() - before, 0u);
+  EXPECT_EQ(big, span(util::MiB, util::MiB));
+}
+
+// Host I/O on a range that is empty or leaves the volume is refused on the
+// next event: no attempt, retry or hedge, and no write id left unsettled.
+TEST_F(HostInitiatorTest, WritePastTheVolumeEndIsRefused) {
+  Build();
+  const auto vol = system_->CreateVolume("physics", 8 * util::MiB);
+  // Acking it would lose it: the blades drop pages past capacity when the
+  // cache writes them back.
+  EXPECT_FALSE(Write(vol, 8 * util::MiB, Pattern(64 * util::KiB, 1)));
+  EXPECT_FALSE(Write(vol, 8 * util::MiB - 4096, Pattern(8192, 1)));
+  EXPECT_EQ(init_->stats().attempts, 0u);
+  // The system's own host entry refuses it too.
+  bool ok = true;
+  system_->Write(init_->node(), vol, 8 * util::MiB,
+                 util::Payload::Copy(Pattern(64 * util::KiB, 1)),
+                 [&](bool r) { ok = r; });
+  engine_.Run();
+  EXPECT_FALSE(ok);
+}
+
+TEST_F(HostInitiatorTest, ReadPastTheVolumeEndIsRefused) {
+  Build();
+  const auto vol = system_->CreateVolume("physics", 8 * util::MiB);
+  EXPECT_FALSE(Read(vol, 8 * util::MiB, 64 * util::KiB).first);
+  EXPECT_FALSE(Read(vol, ~0ull - 4096, 8192).first);
+  EXPECT_TRUE(Read(vol, 8 * util::MiB - 4096, 4096).first);
+  EXPECT_EQ(init_->stats().attempts, 1u);
+  bool ok = true;
+  system_->Read(init_->node(), vol, 8 * util::MiB, 4096,
+                [&](bool r, util::Payload) { ok = r; });
+  engine_.Run();
+  EXPECT_FALSE(ok);
+}
+
+TEST_F(HostInitiatorTest, EmptyReadFailsWithoutAnAttempt) {
+  Build();
+  const auto vol = system_->CreateVolume("physics", 8 * util::MiB);
+  const sim::Tick t0 = engine_.now();
+  EXPECT_FALSE(Read(vol, 0, 0).first);
+  EXPECT_EQ(engine_.now(), t0);
+  EXPECT_EQ(init_->stats().attempts, 0u);
+  EXPECT_EQ(init_->stats().retries, 0u);
+  EXPECT_EQ(init_->stats().failed, 1u);
+}
+
+TEST_F(HostInitiatorTest, EmptyWriteFailsWithoutAnAttempt) {
+  Build();
+  const auto vol = system_->CreateVolume("physics", 8 * util::MiB);
+  const sim::Tick t0 = engine_.now();
+  EXPECT_FALSE(Write(vol, 0, {}));
+  EXPECT_EQ(engine_.now(), t0);
+  EXPECT_EQ(init_->stats().attempts, 0u);
+  EXPECT_EQ(init_->stats().retries, 0u);
+  // No write id was taken: later writes settle and prune as usual.
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(Write(vol, 0, Pattern(4096, i)));
+  }
+  EXPECT_EQ(system_->write_dedup().entries(), 1u);
 }
 
 TEST_F(HostInitiatorTest, RoundRobinSpreadsAttemptsAcrossPaths) {
@@ -239,9 +309,9 @@ TEST_F(HostInitiatorTest, HedgedReadBeatsDegradedPrimary) {
     bool ok = false;
     sim::Tick done = 0;
     util::Bytes got;
-    init_->Read(vol, 0, 64 * util::KiB, [&](bool r, util::Bytes d) {
+    init_->Read(vol, 0, 64 * util::KiB, [&](bool r, util::Payload d) {
       ok = r;
-      got = std::move(d);
+      got = d.ToBytes();
       done = engine_.now();
     });
     engine_.Run();  // drains loser attempts too; latency is at the callback
@@ -294,9 +364,9 @@ TEST_F(HostInitiatorTest, LateAckCompletesOpExactlyOnce) {
     bool rok = false;
     util::Bytes got;
     verify.Read(vol, static_cast<std::uint64_t>(i) * 64 * util::KiB,
-                64 * util::KiB, [&](bool r, util::Bytes d) {
+                64 * util::KiB, [&](bool r, util::Payload d) {
                   rok = r;
-                  got = std::move(d);
+                  got = d.ToBytes();
                 });
     engine_.Run();
     ASSERT_TRUE(rok);
@@ -365,9 +435,9 @@ TEST_F(HostInitiatorTest, FailoverKeepsWriteStreamIntactAcrossBladeCrash) {
     bool rok = false;
     util::Bytes got;
     verify.Read(vol, static_cast<std::uint64_t>(i) * kLen, kLen,
-                [&](bool r, util::Bytes d) {
+                [&](bool r, util::Payload d) {
                   rok = r;
-                  got = std::move(d);
+                  got = d.ToBytes();
                 });
     engine_.Run();
     ASSERT_TRUE(rok) << "write " << i << " lost";
@@ -428,7 +498,7 @@ TEST(HostDeterminism, TwoRunDigestIdentical) {
     }
     for (int i = 0; i < 24; ++i) {
       init.Read(vol, static_cast<std::uint64_t>(i % 12) * 64 * util::KiB,
-                64 * util::KiB, [&](bool, util::Bytes) { ++done; });
+                64 * util::KiB, [&](bool, util::Payload) { ++done; });
       engine.Run();
     }
     EXPECT_EQ(done, 36u);
@@ -541,7 +611,7 @@ TEST_F(HostInitiatorTest, HedgeAccountingBalancesAcrossPathDown) {
   fabric_->SetLinkDegraded(system_->switch_node(), system_->controller_node(1),
                            20 * util::kNsPerMs);
   bool fired = false, ok = false;
-  init_->Read(vol, 0, 64 * util::KiB, [&](bool r, util::Bytes) {
+  init_->Read(vol, 0, 64 * util::KiB, [&](bool r, util::Payload) {
     fired = true;
     ok = r;
   });
@@ -716,9 +786,9 @@ TEST(HostDeterminism, WriteHedgingDedupDigestIdentical) {
       bool rok = false;
       util::Bytes got;
       init.Read(vol, static_cast<std::uint64_t>(i) * 64 * util::KiB,
-                64 * util::KiB, [&](bool r, util::Bytes d) {
+                64 * util::KiB, [&](bool r, util::Payload d) {
                   rok = r;
-                  got = std::move(d);
+                  got = d.ToBytes();
                 });
       engine.Run();
       EXPECT_TRUE(rok) << "write " << i;

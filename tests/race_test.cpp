@@ -325,7 +325,7 @@ RunDigest FinishAndDigest(PerturbBed& bed, std::uint64_t vol_bytes,
     const auto n = static_cast<std::uint32_t>(
         std::min<std::uint64_t>(chunk, vol_bytes - off));
     bool ok = false;
-    bed.inits[0]->Read(bed.vol, off, n, [&](bool rd, util::Bytes data) {
+    bed.inits[0]->Read(bed.vol, off, n, [&](bool rd, util::Payload data) {
       ok = rd;
       d.state = util::Crc32c(
           d.state, std::span<const std::uint8_t>(data.data(), data.size()));
@@ -344,8 +344,6 @@ RunDigest FinishAndDigest(PerturbBed& bed, std::uint64_t vol_bytes,
 
 RunDigest ShapeDigest(workload::Shape shape, std::uint64_t perturb_seed) {
   const workload::FileSet fs{0, 32, 4 * util::KiB};
-  PerturbBed bed(perturb_seed, 2, fs.TotalBytes());
-
   workload::Trace trace;
   std::uint64_t vol_bytes = fs.TotalBytes();
   switch (shape) {
@@ -365,6 +363,7 @@ RunDigest ShapeDigest(workload::Shape shape, std::uint64_t perturb_seed) {
       break;
     }
   }
+  PerturbBed bed(perturb_seed, 2, vol_bytes);
   workload::Runner runner(bed.engine, bed.inits, bed.vol, {}, bed.hub.get());
   const workload::PhaseResult r = runner.Play(trace);
   EXPECT_EQ(r.failed, 0u) << workload::ShapeName(shape);

@@ -303,6 +303,16 @@ TEST(ByteRw, UnderrunThrows) {
   EXPECT_THROW(r.U8(), std::out_of_range);
 }
 
+Payload PatternPayload(std::size_t n, std::uint64_t seed) {
+  return Payload(n, [&](std::span<std::uint8_t> out) { FillPattern(out, seed); });
+}
+
+Bytes Joined(std::initializer_list<Payload> pieces) {
+  Bytes out;
+  for (const Payload& p : pieces) out.insert(out.end(), p.begin(), p.end());
+  return out;
+}
+
 TEST(Payload, SliceAndLoneConcatShareTheBuffer) {
   Bytes src(4096);
   FillPattern(src, 9);
@@ -329,10 +339,9 @@ TEST(Payload, EveryFreshBufferIsCounted) {
   before = Payload::materialized_bytes();
   const Payload parts[] = {a.Slice(0, 100), a.Slice(200, 100)};
   const Payload joined = Payload::Concat(parts);
-  EXPECT_EQ(Payload::materialized_bytes() - before, 200u);
+  EXPECT_EQ(Payload::materialized_bytes() - before, 0u);
   Bytes expect(src.begin(), src.begin() + 100);
   expect.insert(expect.end(), src.begin() + 200, src.end());
-  EXPECT_EQ(joined, expect);
 
   before = Payload::materialized_bytes();
   const Bytes out = joined.ToBytes();
@@ -340,10 +349,141 @@ TEST(Payload, EveryFreshBufferIsCounted) {
   EXPECT_EQ(out, expect);
 
   before = Payload::materialized_bytes();
+  EXPECT_EQ(joined, expect);
+  EXPECT_EQ(Payload::materialized_bytes() - before, 200u);
+
+  before = Payload::materialized_bytes();
   const Payload zeros = Payload::Zeros(64);
-  EXPECT_EQ(Payload::materialized_bytes() - before, 64u);
   EXPECT_TRUE(std::all_of(zeros.begin(), zeros.end(),
                           [](std::uint8_t b) { return b == 0; }));
+  EXPECT_EQ(Payload::materialized_bytes() - before, 0u);
+}
+
+TEST(PayloadConcat, MaterializesOnceOnFirstRead) {
+  const Payload a = PatternPayload(5000, 1);
+  const Payload b = PatternPayload(3000, 2);
+  const Payload c = PatternPayload(7000, 3);
+  const Bytes expect = Joined({a, b, c});
+  const std::uint64_t before = Payload::materialized_bytes();
+  const Payload pieces[] = {a, b, c};
+  const Payload x = Payload::Concat(pieces);
+  const Payload copy = x;
+  const Payload across = x.Slice(4000, 5000);
+  EXPECT_EQ(Payload::materialized_bytes(), before)
+      << "building, copying or slicing a concatenation must not gather it";
+  EXPECT_EQ(copy, expect);
+  EXPECT_EQ(Payload::materialized_bytes() - before, expect.size());
+  EXPECT_EQ(x, expect);
+  EXPECT_EQ(x.data(), copy.data());
+  EXPECT_EQ(Payload::materialized_bytes() - before, expect.size())
+      << "every copy shares the one gathered buffer";
+  // A slice taken before the first read keeps its own pieces.
+  EXPECT_EQ(across, std::span<const std::uint8_t>(expect).subspan(4000, 5000));
+  EXPECT_EQ(Payload::materialized_bytes() - before, expect.size() + 5000);
+}
+
+TEST(PayloadConcat, ToBytesCopiesEachByteOnceAndLeavesItUnread) {
+  const Payload a = PatternPayload(4096, 1);
+  const Payload b = PatternPayload(100, 2);
+  const Payload pieces[] = {a, b, Payload::Zeros(50)};
+  const Payload x = Payload::Concat(pieces);
+  Bytes expect = Joined({a, b});
+  expect.resize(expect.size() + 50, 0);
+  std::uint64_t before = Payload::materialized_bytes();
+  EXPECT_EQ(x.ToBytes(), expect);
+  EXPECT_EQ(Payload::materialized_bytes() - before, expect.size());
+  // Still unread: a slice inside one piece is that piece's own bytes.
+  EXPECT_EQ(x.Slice(10, 20).data(), a.data() + 10);
+  before = Payload::materialized_bytes();
+  EXPECT_EQ(x, expect);
+  EXPECT_EQ(Payload::materialized_bytes() - before, expect.size());
+}
+
+TEST(PayloadConcat, SlicesShareAPieceOrStayDeferred) {
+  const Payload a = PatternPayload(1000, 1);
+  const Payload b = PatternPayload(1000, 2);
+  const Payload c = PatternPayload(1000, 3);
+  const Payload pieces[] = {a, b, c};
+  const Payload x = Payload::Concat(pieces);
+  const Bytes expect = Joined({a, b, c});
+  const std::uint64_t before = Payload::materialized_bytes();
+  EXPECT_EQ(x.Slice(1000, 1000).data(), b.data());
+  EXPECT_EQ(x.Slice(2500, 400).data(), c.data() + 500);
+  // Across pieces: a smaller concatenation, and its own pieces are shared.
+  const Payload across = x.Slice(900, 1200);
+  EXPECT_EQ(across.Slice(100, 1000).data(), b.data());
+  EXPECT_EQ(across.Slice(0, 50).data(), a.data() + 900);
+  // A concatenation of concatenations splices their pieces.
+  const Payload twice[] = {x, across};
+  const Payload nested = Payload::Concat(twice);
+  EXPECT_EQ(nested.Slice(3000 + 100, 1000).data(), b.data());
+  EXPECT_EQ(Payload::materialized_bytes(), before);
+  EXPECT_EQ(across, std::span<const std::uint8_t>(expect).subspan(900, 1200));
+  EXPECT_EQ(Payload::materialized_bytes() - before, 1200u);
+}
+
+TEST(PayloadConcat, CompactCopiesOnlyPiecesThatPinALargerBuffer) {
+  const Payload big = PatternPayload(10000, 1);
+  const Payload whole = PatternPayload(3000, 2);
+  const Payload half = PatternPayload(4000, 3);
+  const Payload pieces[] = {big.Slice(100, 2000), whole, half.Slice(0, 2000)};
+  const Payload x = Payload::Concat(pieces);
+  const Bytes expect = Joined({pieces[0], pieces[1], pieces[2]});
+  const std::uint64_t before = Payload::materialized_bytes();
+  const Payload compact = x.Compact();
+  EXPECT_EQ(Payload::materialized_bytes() - before, 2000u)
+      << "only the slice pinning more than twice its size is copied";
+  EXPECT_NE(compact.Slice(0, 2000).data(), big.data() + 100);
+  EXPECT_EQ(compact.Slice(2000, 3000).data(), whole.data());
+  EXPECT_EQ(compact.Slice(5000, 2000).data(), half.data());
+  EXPECT_EQ(compact, expect);
+  // Nothing to copy: the same payload back.
+  const Payload fit[] = {whole, half};
+  const Payload kept = Payload::Concat(fit);
+  EXPECT_EQ(kept.Compact().Slice(0, 3000).data(), whole.data());
+}
+
+TEST(Payload, ZerosAreSharedAndNeverMaterialized) {
+  const std::uint64_t before = Payload::materialized_bytes();
+  const Payload small = Payload::Zeros(4096);
+  const Payload large = Payload::Zeros(40 * 1024 * 1024 + 3);
+  EXPECT_EQ(large.size(), 40u * 1024 * 1024 + 3);
+  EXPECT_EQ(small.data(), Payload::Zeros(64).data());
+  EXPECT_EQ(small.Slice(10, 100).Compact().data(), small.data() + 10);
+  EXPECT_EQ(large.Compact().Slice(0, 4096).data(), small.data());
+  EXPECT_TRUE(std::all_of(small.begin(), small.end(),
+                          [](std::uint8_t b) { return b == 0; }));
+  const Payload tail = large.Slice(large.size() - 5000, 5000);
+  EXPECT_TRUE(std::all_of(tail.begin(), tail.end(),
+                          [](std::uint8_t b) { return b == 0; }));
+  EXPECT_EQ(Payload::materialized_bytes(), before);
+}
+
+TEST(Payload, LargeCopiesAreChunkedAndFreedChunksReused) {
+  const std::size_t kChunk = Payload::kChunkBytes;
+  Bytes src(3 * kChunk + 100);
+  FillPattern(src, 6);
+  const std::uint8_t* first = nullptr;
+  {
+    const Payload p = Payload::Copy(src);
+    EXPECT_EQ(p, src);
+    // Each chunk is a whole buffer: compacting a chunk-aligned unit is free.
+    const Payload unit = Payload::Copy(src).Slice(kChunk, kChunk);
+    const std::uint64_t before = Payload::materialized_bytes();
+    EXPECT_EQ(unit.Compact().data(), unit.data());
+    EXPECT_EQ(Payload::materialized_bytes(), before);
+    first = unit.data();
+  }
+  // Every chunk above went back to this thread's free list, so the next
+  // copy takes one of them instead of fresh memory.
+  const std::span<const std::uint8_t> one(src.data(), kChunk);
+  std::vector<Payload> copies;
+  bool reused = false;
+  for (int i = 0; i < 8 && !reused; ++i) {
+    copies.push_back(Payload::Copy(one));
+    reused = copies.back().data() == first;
+  }
+  EXPECT_TRUE(reused);
 }
 
 TEST(Payload, CopyOnWriteLeavesTheSourceUntouched) {
@@ -361,9 +501,6 @@ TEST(Payload, CopyOnWriteLeavesTheSourceUntouched) {
   EXPECT_EQ(patched[9], src[9]);
 }
 
-Payload PatternPayload(std::size_t n, std::uint64_t seed) {
-  return Payload(n, [&](std::span<std::uint8_t> out) { FillPattern(out, seed); });
-}
 
 Bytes EagerXor(std::span<const Payload> terms) {
   Bytes out(terms[0].begin(), terms[0].end());
@@ -470,6 +607,26 @@ TEST(PayloadXor, SlicesOfADeferredXor) {
   const Payload part_back[] = {part, b.Slice(4093, 3000)};
   EXPECT_EQ(Payload::Xor(part_back).data(), a.data() + 4093);
   EXPECT_EQ(part, std::span<const std::uint8_t>(expect).subspan(4093, 3000));
+}
+
+TEST(PayloadXor, RebuildOverTheChunksOfALargeCopyCancels) {
+  // RAID-5 over four 64 KiB units sliced from one 2 MiB host write: each
+  // unit is a whole chunk, so rebuilding a lost unit from P and the
+  // survivors cancels back to that unit's own buffer.
+  Bytes src(2 * 1024 * 1024);
+  FillPattern(src, 8);
+  const Payload write = Payload::Copy(src);
+  const std::size_t unit = Payload::kChunkBytes;
+  std::vector<Payload> units;
+  for (std::size_t u = 4; u < 8; ++u) {
+    units.push_back(write.Slice(u * unit, unit).Compact());
+  }
+  const std::uint64_t before = Payload::materialized_bytes();
+  const Payload p = Payload::Xor(units);
+  const Payload rebuild[] = {p, units[0], units[1], units[3]};
+  EXPECT_EQ(Payload::Xor(rebuild).data(), units[2].data());
+  EXPECT_EQ(units[2].data(), write.Slice(6 * unit, unit).data());
+  EXPECT_EQ(Payload::materialized_bytes(), before);
 }
 
 TEST(PayloadXor, LongChainsComputeATermInsteadOfNesting) {

@@ -181,6 +181,22 @@ TEST_F(VirtTest, FirstTouchDoesNotLeakStaleData) {
   for (auto b : got) EXPECT_EQ(b, 0) << "stale data leaked from freed extent";
 }
 
+TEST_F(VirtTest, PartialFirstTouchCopiesOnlyThePatch) {
+  // The first write to an extent patches it into shared zeros: the RAID
+  // units, their deferred parity and the disk extents all share the write's
+  // own buffer, so nothing past the host's copy is materialized.
+  auto v = MakeVolume(kExtentBlocks);
+  const auto patch = Pattern(3, 11);
+  const std::uint64_t before = util::Payload::materialized_bytes();
+  ASSERT_TRUE(Write(*v, 20, patch));
+  EXPECT_EQ(util::Payload::materialized_bytes() - before, patch.size());
+  auto [ok, got] = Read(*v, 0, kExtentBlocks);
+  ASSERT_TRUE(ok);
+  util::Bytes expect(static_cast<std::size_t>(kExtentBlocks) * 4096, 0);
+  std::copy(patch.begin(), patch.end(), expect.begin() + 20 * 4096);
+  EXPECT_EQ(got, expect);
+}
+
 TEST_F(VirtTest, TrimFreesFullExtentsAndZeroesPartials) {
   auto v = MakeVolume(4 * kExtentBlocks);
   ASSERT_TRUE(Write(*v, 0, Pattern(4 * kExtentBlocks, 5)));
