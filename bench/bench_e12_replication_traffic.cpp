@@ -61,7 +61,7 @@ int main() {
     for (int f = 0; f < kFiles; ++f) {
       util::FillPattern(chunk, f * 100 + round);
       bool ok = false;
-      grid.Write(a, names[f], round * chunk.size(), chunk,
+      grid.Write(a, names[f], round * chunk.size(), util::Payload::Copy(chunk),
                  [&](fs::Status s) { ok = s == fs::Status::kOk; });
       engine.Run();
       if (!ok) std::abort();

@@ -54,7 +54,8 @@ Timing MeasureAt(sim::Tick one_way_ns) {
       util::FillPattern(data, i);
       const sim::Tick start = engine.now();
       sim::Tick acked = 0;
-      grid.Write(a, path, i * kOpBytes, data, [&](fs::Status st) {
+      grid.Write(a, path, i * kOpBytes, util::Payload::Copy(data),
+                 [&](fs::Status st) {
         if (st == fs::Status::kOk) acked = engine.now();
       });
       engine.Run();
@@ -102,7 +103,7 @@ int main() {
   int acked = 0;
   for (int i = 0; i < 32; ++i) {
     util::FillPattern(chunk, i);
-    grid.Write(a, "/burst", i * chunk.size(), chunk,
+    grid.Write(a, "/burst", i * chunk.size(), util::Payload::Copy(chunk),
                [&](fs::Status st) { acked += st == fs::Status::kOk; });
   }
   engine.RunFor(300 * util::kNsPerMs);

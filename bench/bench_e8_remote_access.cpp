@@ -35,7 +35,8 @@ int main() {
     util::Bytes data(16 * util::MiB);
     util::FillPattern(data, 1);
     bool ok = false;
-    grid.Write(home, "/dataset", 0, data, [&](fs::Status s) {
+    grid.Write(home, "/dataset", 0, util::Payload::Copy(data),
+               [&](fs::Status s) {
       ok = s == fs::Status::kOk;
     });
     engine.Run();
@@ -47,7 +48,7 @@ int main() {
       const sim::Tick start = engine.now();
       sim::Tick done = 0;
       grid.Read(remote, "/dataset", off, 256 * util::KiB,
-                [&](fs::Status s, util::Bytes) {
+                [&](fs::Status s, util::Payload) {
                   if (s == fs::Status::kOk) done = engine.now();
                 });
       engine.Run();
@@ -92,11 +93,11 @@ int main() {
   grid.Create("/hot", home);
   util::Bytes data(2 * util::MiB);
   util::FillPattern(data, 2);
-  grid.Write(home, "/hot", 0, data, [](fs::Status) {});
+  grid.Write(home, "/hot", 0, util::Payload::Copy(data), [](fs::Status) {});
   engine.Run();
   int reads = 0;
   while (!grid.ReplicasOf("/hot").count(remote) && reads < 10) {
-    grid.Read(remote, "/hot", 0, 4096, [](fs::Status, util::Bytes) {});
+    grid.Read(remote, "/hot", 0, 4096, [](fs::Status, util::Payload) {});
     engine.Run();
     ++reads;
   }

@@ -53,9 +53,11 @@ int main() {
   std::function<void()> workload = [&] {
     if (engine.now() > 180 * util::kNsPerSec) return;
     util::FillPattern(txn, seq);
-    grid.Write(primary, "/sync.db", (seq % 128) * txn.size(), txn,
+    grid.Write(primary, "/sync.db", (seq % 128) * txn.size(),
+               util::Payload::Copy(txn),
                [&](fs::Status s) { sync_acked += s == fs::Status::kOk; });
-    grid.Write(primary, "/async.log", (seq % 128) * txn.size(), txn,
+    grid.Write(primary, "/async.log", (seq % 128) * txn.size(),
+               util::Payload::Copy(txn),
                [&](fs::Status s) { async_acked += s == fs::Status::kOk; });
     ++seq;
     engine.Schedule(50 * util::kNsPerMs, workload);
@@ -67,7 +69,8 @@ int main() {
   // caught in flight.
   for (int i = 0; i < 24; ++i) {
     util::FillPattern(txn, 90000 + i);
-    grid.Write(primary, "/async.log", (i % 128) * txn.size(), txn,
+    grid.Write(primary, "/async.log", (i % 128) * txn.size(),
+               util::Payload::Copy(txn),
                [&](fs::Status s) { async_acked += s == fs::Status::kOk; });
   }
   engine.RunFor(5 * util::kNsPerMs);
@@ -84,7 +87,7 @@ int main() {
   bool ok = false;
   const sim::Tick t_try = engine.now();
   sim::Tick t_ok = 0;
-  grid.Read(dr, "/sync.db", 0, txn.size(), [&](fs::Status s, util::Bytes) {
+  grid.Read(dr, "/sync.db", 0, txn.size(), [&](fs::Status s, util::Payload) {
     ok = s == fs::Status::kOk;
     t_ok = engine.now();
   });

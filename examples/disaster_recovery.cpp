@@ -60,9 +60,11 @@ int main() {
   std::function<void()> workload = [&] {
     if (engine.now() > 30 * util::kNsPerSec) return;
     util::FillPattern(txn, writes);
-    grid.Write(primary, "/ledger.db", (writes % 64) * txn.size(), txn,
+    grid.Write(primary, "/ledger.db", (writes % 64) * txn.size(),
+               util::Payload::Copy(txn),
                [](fs::Status) {});
-    grid.Write(primary, "/telemetry.log", (writes % 64) * txn.size(), txn,
+    grid.Write(primary, "/telemetry.log", (writes % 64) * txn.size(),
+               util::Payload::Copy(txn),
                [](fs::Status) {});
     ++writes;
     engine.Schedule(100 * util::kNsPerMs, workload);
@@ -92,12 +94,12 @@ int main() {
 
   bool ok = false;
   grid.Read(dr_site, "/ledger.db", 0, txn.size(),
-            [&](fs::Status s, util::Bytes) { ok = s == fs::Status::kOk; });
+            [&](fs::Status s, util::Payload) { ok = s == fs::Status::kOk; });
   engine.Run();
   std::printf("sync-replicated ledger at DR site: %s (RPO = 0)\n",
               ok ? "fully intact" : "LOST");
   grid.Read(dr_site, "/telemetry.log", 0, txn.size(),
-            [&](fs::Status s, util::Bytes) { ok = s == fs::Status::kOk; });
+            [&](fs::Status s, util::Payload) { ok = s == fs::Status::kOk; });
   engine.Run();
   std::printf("async-replicated telemetry at DR site: %s "
               "(RPO = seconds of queue)\n",

@@ -67,8 +67,9 @@ int main() {
   std::printf("\n--- blade-resident HTTP engine ---\n");
   fs::FileSystem fs(system);
   fs.Create("/colloquium.mpg");
-  util::Bytes clip(4 * util::MiB);
-  util::FillPattern(clip, 7);
+  const util::Payload clip(4 * util::MiB, [](std::span<std::uint8_t> out) {
+    util::FillPattern(out, 7);
+  });
   fs.Write("/colloquium.mpg", 0, clip, [](fs::Status) {});
   engine.Run();
 

@@ -57,10 +57,12 @@ int main() {
   critical.geo_sites = 3;
   grid.Create("/fusion/results.db", west, critical);
 
-  util::Bytes raw(8 * util::MiB);
-  util::FillPattern(raw, 42);
-  util::Bytes results(1 * util::MiB);
-  util::FillPattern(results, 43);
+  const util::Payload raw(8 * util::MiB, [](std::span<std::uint8_t> out) {
+    util::FillPattern(out, 42);
+  });
+  const util::Payload results(1 * util::MiB, [](std::span<std::uint8_t> out) {
+    util::FillPattern(out, 43);
+  });
 
   bool ok = false;
   sim::Tick t0 = engine.now();
@@ -88,7 +90,7 @@ int main() {
     t0 = engine.now();
     sim::Tick done = 0;
     grid.Read(east, "/fusion/run42.raw", 0, 1 * util::MiB,
-              [&](fs::Status s, util::Bytes) {
+              [&](fs::Status s, util::Payload) {
                 ok = s == fs::Status::kOk;
                 done = engine.now();
               });
@@ -111,9 +113,9 @@ int main() {
   std::printf("results.db failed over to: %s\n",
               grid.site(grid.HomeOf("/fusion/results.db")).name().c_str());
 
-  util::Bytes recovered;
+  util::Payload recovered;
   grid.Read(central, "/fusion/results.db", 0, results.size(),
-            [&](fs::Status s, util::Bytes d) {
+            [&](fs::Status s, util::Payload d) {
               ok = s == fs::Status::kOk;
               recovered = std::move(d);
             });
@@ -123,7 +125,7 @@ int main() {
               recovered == results ? "intact (zero loss)" : "CORRUPT");
 
   grid.Read(central, "/fusion/run42.raw", 0, 1024,
-            [&](fs::Status s, util::Bytes) { ok = s == fs::Status::kOk; });
+            [&](fs::Status s, util::Payload) { ok = s == fs::Status::kOk; });
   engine.Run();
   std::printf("unprotected raw output after failover: %s "
               "(no replica existed)\n\n",

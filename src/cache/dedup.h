@@ -31,6 +31,7 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <vector>
 
 #include "util/function.h"
@@ -49,6 +50,34 @@ struct WriteId {
   std::uint64_t settled = 0;
 
   bool valid() const { return writer != 0 && seq != 0; }
+};
+
+/// Writer-side stamping: per-writer monotonic seqs, plus the set still
+/// unsettled that backs the piggybacked settled cursor.  One per initiator
+/// or file system instance.
+class WriteIdStamper {
+ public:
+  explicit WriteIdStamper(std::uint32_t writer) : writer_(writer) {}
+
+  /// A fresh id carrying the settled cursor; its seq stays unsettled until
+  /// Settle(seq).
+  WriteId Next() {
+    const WriteId id{writer_, next_seq_, settled()};
+    unsettled_.insert(next_seq_);
+    ++next_seq_;
+    return id;
+  }
+  /// Every attempt of `seq` has resolved, so the blades may forget it.
+  void Settle(std::uint64_t seq) { unsettled_.erase(seq); }
+  /// Every seq below this is settled.
+  std::uint64_t settled() const {
+    return unsettled_.empty() ? next_seq_ : *unsettled_.begin();
+  }
+
+ private:
+  std::uint32_t writer_;
+  std::uint64_t next_seq_ = 1;
+  std::set<std::uint64_t> unsettled_;
 };
 
 /// Externally visible lifecycle state of one write id (see Lookup).

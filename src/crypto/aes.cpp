@@ -87,22 +87,8 @@ void AddRoundKey(std::uint8_t s[16], const std::uint8_t rk[16]) {
   for (int i = 0; i < 16; ++i) s[i] ^= rk[i];
 }
 
-void SubBytes(std::uint8_t s[16]) {
-  for (int i = 0; i < 16; ++i) s[i] = Sbox(s[i]);
-}
-
 void InvSubBytes(std::uint8_t s[16]) {
   for (int i = 0; i < 16; ++i) s[i] = InvSbox(s[i]);
-}
-
-void ShiftRows(std::uint8_t s[16]) {
-  std::uint8_t t[16];
-  for (int r = 0; r < 4; ++r) {
-    for (int c = 0; c < 4; ++c) {
-      t[r + 4 * c] = s[r + 4 * ((c + r) % 4)];
-    }
-  }
-  std::memcpy(s, t, 16);
 }
 
 void InvShiftRows(std::uint8_t s[16]) {
@@ -113,17 +99,6 @@ void InvShiftRows(std::uint8_t s[16]) {
     }
   }
   std::memcpy(s, t, 16);
-}
-
-void MixColumns(std::uint8_t s[16]) {
-  for (int c = 0; c < 4; ++c) {
-    std::uint8_t* col = s + 4 * c;
-    const std::uint8_t a0 = col[0], a1 = col[1], a2 = col[2], a3 = col[3];
-    col[0] = static_cast<std::uint8_t>(XTime(a0) ^ XTime(a1) ^ a1 ^ a2 ^ a3);
-    col[1] = static_cast<std::uint8_t>(a0 ^ XTime(a1) ^ XTime(a2) ^ a2 ^ a3);
-    col[2] = static_cast<std::uint8_t>(a0 ^ a1 ^ XTime(a2) ^ XTime(a3) ^ a3);
-    col[3] = static_cast<std::uint8_t>(XTime(a0) ^ a0 ^ a1 ^ a2 ^ XTime(a3));
-  }
 }
 
 void InvMixColumns(std::uint8_t s[16]) {

@@ -1,12 +1,19 @@
 #include "fs/filesystem.h"
 
 #include <algorithm>
-#include <cassert>
 #include <memory>
+#include <tuple>
 
 #include "util/bytes.h"
 
 namespace nlss::fs {
+namespace {
+
+Status FromMeta(meta::Status s) { return static_cast<Status>(s); }
+static_assert(static_cast<int>(Status::kInvalidArgument) ==
+              static_cast<int>(meta::Status::kInvalidArgument));
+
+}  // namespace
 
 const char* StatusName(Status s) {
   switch (s) {
@@ -24,150 +31,104 @@ const char* StatusName(Status s) {
 }
 
 FileSystem::FileSystem(controller::StorageSystem& system, Config config)
-    : system_(system), config_(config) {
-  volume_ = system_.CreateVolume(config_.tenant, config_.volume_bytes);
-  writer_id_ = system_.AllocWriterId();
-  max_chunks_ = config_.volume_bytes / config_.chunk_bytes;
-  Inode root;
-  root.ino = kRootIno;
-  root.type = FileType::kDirectory;
-  inodes_[kRootIno] = std::move(root);
+    : system_(system),
+      config_(std::move(config)),
+      volume_(system_.CreateVolume(config_.tenant, config_.volume_bytes)),
+      writes_(system_.AllocWriterId()),
+      max_chunks_(config_.volume_bytes / config_.chunk_bytes) {
+  inodes_[kRootIno] = Inode{kRootIno, FileType::kDirectory, 0, {}, {}};
 }
 
-std::vector<std::string> FileSystem::SplitPath(const std::string& path) {
-  std::vector<std::string> parts;
-  std::string cur;
-  for (const char c : path) {
-    if (c == '/') {
-      if (!cur.empty()) parts.push_back(std::move(cur));
-      cur.clear();
-    } else {
-      cur.push_back(c);
-    }
-  }
-  if (!cur.empty()) parts.push_back(std::move(cur));
-  return parts;
+Inode* FileSystem::Find(const std::string& path) {
+  meta::Dentry d;
+  if (ns_.Resolve(path, &d) != meta::Status::kOk) return nullptr;
+  const auto it = inodes_.find(d.ino);
+  return it == inodes_.end() ? nullptr : &it->second;
 }
 
-FileSystem::Resolved FileSystem::Resolve(const std::string& path) {
-  Resolved r;
-  const auto parts = SplitPath(path);
-  Inode* cur = &inodes_[kRootIno];
-  if (parts.empty()) {
-    r.parent = nullptr;
-    r.node = cur;
-    return r;
-  }
-  for (std::size_t i = 0; i + 1 < parts.size(); ++i) {
-    if (cur->type != FileType::kDirectory) return {};
-    const meta::Dentry* e = cur->entries.Find(parts[i]);
-    if (e == nullptr) return {};
-    cur = &inodes_[e->ino];
-  }
-  if (cur->type != FileType::kDirectory) return {};
-  r.parent = cur;
-  r.leaf = parts.back();
-  const meta::Dentry* e = cur->entries.Find(r.leaf);
-  r.node = e == nullptr ? nullptr : &inodes_[e->ino];
-  return r;
-}
-
-const Inode* FileSystem::ResolveConst(const std::string& path) const {
-  return const_cast<FileSystem*>(this)->Resolve(path).node;
+const Inode* FileSystem::Find(const std::string& path) const {
+  return const_cast<FileSystem*>(this)->Find(path);
 }
 
 Status FileSystem::Mkdir(const std::string& path) {
-  Resolved r = Resolve(path);
-  if (r.parent == nullptr) return Status::kNotFound;
-  if (r.node != nullptr) return Status::kExists;
-  if (r.leaf.empty()) return Status::kInvalidArgument;
-  Inode dir;
-  dir.ino = next_ino_++;
-  dir.type = FileType::kDirectory;
-  const InodeNum ino = dir.ino;
-  inodes_[ino] = std::move(dir);
-  r.parent->entries.Insert(r.leaf, meta::Dentry{ino, true});
-  return Status::kOk;
+  const auto r = ns_.AtPath(path, &meta::Namespace::Mkdir);
+  if (r.status == meta::Status::kOk) {
+    inodes_[r.ino] = Inode{r.ino, FileType::kDirectory, 0, {}, {}};
+  }
+  return FromMeta(r.status);
 }
 
 Status FileSystem::Create(const std::string& path, const FilePolicy& policy) {
-  Resolved r = Resolve(path);
-  if (r.parent == nullptr) return Status::kNotFound;
-  if (r.node != nullptr) return Status::kExists;
-  if (r.leaf.empty()) return Status::kInvalidArgument;
-  Inode file;
-  file.ino = next_ino_++;
-  file.type = FileType::kFile;
-  file.policy = policy;
-  const InodeNum ino = file.ino;
-  inodes_[ino] = std::move(file);
-  r.parent->entries.Insert(r.leaf, meta::Dentry{ino, false});
-  return Status::kOk;
+  const auto r = ns_.AtPath(path, &meta::Namespace::Create);
+  if (r.status == meta::Status::kOk) {
+    inodes_[r.ino] = Inode{r.ino, FileType::kFile, 0, policy, {}};
+  }
+  return FromMeta(r.status);
 }
 
 Status FileSystem::Unlink(const std::string& path) {
-  Resolved r = Resolve(path);
-  if (r.parent == nullptr || r.node == nullptr) return Status::kNotFound;
-  if (r.node->type == FileType::kDirectory) return Status::kIsDirectory;
-  // Release the file's chunks (physical space returns to the pool).
-  for (const std::uint64_t chunk : r.node->chunks) FreeChunk(chunk);
-  const InodeNum ino = r.node->ino;
-  r.parent->entries.Erase(r.leaf);
-  inodes_.erase(ino);
-  return Status::kOk;
+  const auto r = ns_.AtPath(path, &meta::Namespace::Unlink);
+  if (r.status == meta::Status::kOk) {
+    // Release the file's chunks (physical space returns to the pool).
+    for (const std::uint64_t chunk : inodes_.at(r.ino).chunks) {
+      FreeChunk(chunk);
+    }
+    inodes_.erase(r.ino);
+  }
+  return FromMeta(r.status);
 }
 
 Status FileSystem::Rmdir(const std::string& path) {
-  Resolved r = Resolve(path);
-  if (r.parent == nullptr || r.node == nullptr) return Status::kNotFound;
-  if (r.node->type != FileType::kDirectory) return Status::kNotDirectory;
-  if (!r.node->entries.empty()) return Status::kNotEmpty;
-  const InodeNum ino = r.node->ino;
-  r.parent->entries.Erase(r.leaf);
-  inodes_.erase(ino);
-  return Status::kOk;
+  const auto r = ns_.AtPath(path, &meta::Namespace::Rmdir);
+  if (r.status == meta::Status::kOk) inodes_.erase(r.ino);
+  return FromMeta(r.status);
 }
 
 Status FileSystem::Rename(const std::string& from, const std::string& to) {
-  Resolved src = Resolve(from);
-  if (src.parent == nullptr || src.node == nullptr) return Status::kNotFound;
-  Resolved dst = Resolve(to);
-  if (dst.parent == nullptr) return Status::kNotFound;
-  if (dst.node != nullptr) return Status::kExists;
-  if (dst.leaf.empty()) return Status::kInvalidArgument;
-  const InodeNum ino = src.node->ino;
-  const bool is_dir = src.node->type == FileType::kDirectory;
-  // Note: Resolve() returned stable pointers into inodes_ (std::map).
-  src.parent->entries.Erase(src.leaf);
-  dst.parent->entries.Insert(dst.leaf, meta::Dentry{ino, is_dir});
-  return Status::kOk;
+  meta::DirId from_parent = 0;
+  meta::DirId to_parent = 0;
+  std::string from_leaf;
+  std::string to_leaf;
+  // As MetaService::Rename: the root on either side is refused before any
+  // walk's failure counts, then the source walk's failure comes first.
+  const meta::Status from_st = ns_.ParentOf(from, &from_parent, &from_leaf);
+  const meta::Status to_st = ns_.ParentOf(to, &to_parent, &to_leaf);
+  constexpr meta::Status kRoot = meta::Status::kInvalidArgument;
+  meta::Status st = from_st == kRoot || to_st == kRoot ? kRoot
+                    : from_st != meta::Status::kOk     ? from_st
+                                                       : to_st;
+  if (st == meta::Status::kOk) {
+    st = ns_.Rename(from_parent, from_leaf, to_parent, to_leaf).status;
+  }
+  return FromMeta(st);
 }
 
 bool FileSystem::Exists(const std::string& path) const {
-  return ResolveConst(path) != nullptr;
+  return Find(path) != nullptr;
 }
 
 const Inode* FileSystem::Stat(const std::string& path) const {
-  return ResolveConst(path);
+  return Find(path);
 }
 
 std::vector<std::string> FileSystem::List(const std::string& path) const {
-  const Inode* dir = ResolveConst(path);
   std::vector<std::string> out;
-  if (dir == nullptr || dir->type != FileType::kDirectory) return out;
-  out.reserve(dir->entries.size());
-  dir->entries.ForEach(
-      [&out](const std::string& name, const meta::Dentry&) {
-        out.push_back(name);
-      });
+  meta::Dentry d;
+  std::vector<std::pair<std::string, meta::Dentry>> rows;
+  if (ns_.Resolve(path, &d) != meta::Status::kOk || !d.is_dir ||
+      ns_.Scan(d.ino, "", 0, &rows) != meta::Status::kOk) {
+    return out;
+  }
+  out.reserve(rows.size());
+  for (auto& row : rows) out.push_back(std::move(row.first));
   return out;
 }
 
 Status FileSystem::SetPolicy(const std::string& path,
                              const FilePolicy& policy) {
-  Resolved r = Resolve(path);
-  if (r.node == nullptr) return Status::kNotFound;
-  r.node->policy = policy;
+  Inode* node = Find(path);
+  if (node == nullptr) return Status::kNotFound;
+  node->policy = policy;
   return Status::kOk;
 }
 
@@ -205,16 +166,16 @@ Status FileSystem::EnsureChunks(Inode& inode, std::uint64_t end_offset) {
 }
 
 void FileSystem::Write(const std::string& path, std::uint64_t offset,
-                       std::span<const std::uint8_t> data, WriteCallback cb,
+                       util::Payload data, WriteCallback cb,
                        obs::TraceContext ctx) {
-  Resolved r = Resolve(path);
-  if (r.node == nullptr) {
+  Inode* node = Find(path);
+  if (node == nullptr) {
     system_.engine().Schedule(0, [cb = std::move(cb)] {
       cb(Status::kNotFound);
     });
     return;
   }
-  if (r.node->type != FileType::kFile) {
+  if (node->type != FileType::kFile) {
     system_.engine().Schedule(0, [cb = std::move(cb)] {
       cb(Status::kIsDirectory);
     });
@@ -224,7 +185,7 @@ void FileSystem::Write(const std::string& path, std::uint64_t offset,
     system_.engine().Schedule(0, [cb = std::move(cb)] { cb(Status::kOk); });
     return;
   }
-  Inode& inode = *r.node;
+  Inode& inode = *node;
   const Status st = EnsureChunks(inode, offset + data.size());
   if (st != Status::kOk) {
     system_.engine().Schedule(0, [cb = std::move(cb), st] { cb(st); });
@@ -263,48 +224,37 @@ void FileSystem::Write(const std::string& path, std::uint64_t offset,
       [cb = std::move(cb)](bool ok) {
         cb(ok ? Status::kOk : Status::kIoError);
       });
-  const util::Payload payload = util::Payload::Copy(data);
   for (const Piece& p : pieces) {
     const cache::ControllerId via = system_.PickController(volume_);
-    const cache::WriteId wid = NextWriteId();
+    const cache::WriteId wid = writes_.Next();
     system_.BladeWrite(
-        via, volume_, p.vol_offset, payload.Slice(p.src, p.len), replication,
+        via, volume_, p.vol_offset, data.Slice(p.src, p.len), replication,
         priority, tenant, wid,
-        [this, join, wid](bool ok) {
-          unsettled_writes_.erase(wid.seq);
+        [this, join, seq = wid.seq](bool ok) {
+          writes_.Settle(seq);
           join->Arrive(ok);
         },
         ctx);
   }
 }
 
-cache::WriteId FileSystem::NextWriteId() {
-  const std::uint64_t settled = unsettled_writes_.empty()
-                                    ? next_write_seq_
-                                    : *unsettled_writes_.begin();
-  const cache::WriteId wid{writer_id_, next_write_seq_, settled};
-  unsettled_writes_.insert(next_write_seq_);
-  ++next_write_seq_;
-  return wid;
-}
-
 void FileSystem::Read(const std::string& path, std::uint64_t offset,
                       std::uint64_t length, ReadCallback cb,
                       obs::TraceContext ctx) {
-  Resolved r = Resolve(path);
-  if (r.node == nullptr) {
+  const Inode* node = Find(path);
+  if (node == nullptr) {
     system_.engine().Schedule(0, [cb = std::move(cb)] {
       cb(Status::kNotFound, {});
     });
     return;
   }
-  if (r.node->type != FileType::kFile) {
+  if (node->type != FileType::kFile) {
     system_.engine().Schedule(0, [cb = std::move(cb)] {
       cb(Status::kIsDirectory, {});
     });
     return;
   }
-  Inode& inode = *r.node;
+  const Inode& inode = *node;
   if (offset >= inode.size || length == 0) {
     system_.engine().Schedule(0, [cb = std::move(cb)] {
       cb(Status::kOk, {});
@@ -335,7 +285,7 @@ void FileSystem::Read(const std::string& path, std::uint64_t offset,
       static_cast<int>(pieces.size()),
       [parts, cb = std::move(cb)](bool ok) {
         cb(ok ? Status::kOk : Status::kIoError,
-           ok ? util::Payload::Concat(*parts).ToBytes() : util::Bytes{});
+           ok ? util::Payload::Concat(*parts) : util::Payload{});
       });
   for (std::size_t i = 0; i < pieces.size(); ++i) {
     const Piece& p = pieces[i];
@@ -353,14 +303,14 @@ void FileSystem::Read(const std::string& path, std::uint64_t offset,
 
 void FileSystem::Truncate(const std::string& path, std::uint64_t new_size,
                           WriteCallback cb) {
-  Resolved r = Resolve(path);
-  if (r.node == nullptr || r.node->type != FileType::kFile) {
+  Inode* node = Find(path);
+  if (node == nullptr || node->type != FileType::kFile) {
     system_.engine().Schedule(0, [cb = std::move(cb)] {
       cb(Status::kNotFound);
     });
     return;
   }
-  Inode& inode = *r.node;
+  Inode& inode = *node;
   if (new_size >= inode.size) {
     // Extension: chunks are allocated lazily on the next write.
     inode.size = new_size;
@@ -382,7 +332,7 @@ void FileSystem::Truncate(const std::string& path, std::uint64_t new_size,
 util::Bytes FileSystem::SerializeMetadata() const {
   util::ByteWriter w;
   w.U32(0x4E4C4653);  // "NLFS"
-  w.U64(next_ino_);
+  w.U64(ns_.next_ino());
   w.U64(next_chunk_);
   w.U64(inodes_.size());
   for (const auto& [ino, node] : inodes_) {
@@ -401,14 +351,16 @@ util::Bytes FileSystem::SerializeMetadata() const {
     w.U32(node.policy.qos_tenant);
     w.U64(node.chunks.size());
     for (const auto c : node.chunks) w.U64(c);
-    w.U64(node.entries.size());
+    const meta::Directory* dir =
+        node.type == FileType::kDirectory ? ns_.Find(ino) : nullptr;
+    w.U64(dir == nullptr ? 0 : dir->entries.size());
+    if (dir == nullptr) continue;
     // ForEach visits lexicographically — byte-identical to the old
     // std::map iteration, so existing checkpoints stay compatible.
-    node.entries.ForEach(
-        [&w](const std::string& name, const meta::Dentry& d) {
-          w.Str(name);
-          w.U64(d.ino);
-        });
+    dir->entries.ForEach([&w](const std::string& name, const meta::Dentry& d) {
+      w.Str(name);
+      w.U64(d.ino);
+    });
   }
   w.U64(free_chunks_.size());
   for (const auto c : free_chunks_) w.U64(c);
@@ -419,10 +371,11 @@ Status FileSystem::LoadMetadata(std::span<const std::uint8_t> blob) {
   try {
     util::ByteReader r(blob);
     if (r.U32() != 0x4E4C4653) return Status::kInvalidArgument;
-    next_ino_ = r.U64();
-    next_chunk_ = r.U64();
+    const InodeNum next_ino = r.U64();
+    const std::uint64_t next_chunk = r.U64();
     const std::uint64_t count = r.U64();
     std::map<InodeNum, Inode> inodes;
+    std::vector<std::tuple<InodeNum, std::string, InodeNum>> links;
     for (std::uint64_t i = 0; i < count; ++i) {
       Inode node;
       node.ino = r.U64();
@@ -444,11 +397,8 @@ Status FileSystem::LoadMetadata(std::span<const std::uint8_t> blob) {
       for (std::uint64_t c = 0; c < nchunks; ++c) node.chunks.push_back(r.U64());
       const std::uint64_t nentries = r.U64();
       for (std::uint64_t e = 0; e < nentries; ++e) {
-        const std::string name = r.Str();
-        const InodeNum child = r.U64();
-        // Child types are unknown until every inode is loaded; is_dir is
-        // fixed up below.
-        node.entries.Insert(name, meta::Dentry{child, false});
+        std::string name = r.Str();
+        links.emplace_back(node.ino, std::move(name), r.U64());
       }
       inodes[node.ino] = std::move(node);
     }
@@ -456,22 +406,18 @@ Status FileSystem::LoadMetadata(std::span<const std::uint8_t> blob) {
     const std::uint64_t nfree = r.U64();
     for (std::uint64_t i = 0; i < nfree; ++i) free_chunks.push_back(r.U64());
     if (inodes.find(kRootIno) == inodes.end()) return Status::kInvalidArgument;
-    for (auto& [ino, node] : inodes) {
-      if (node.type != FileType::kDirectory) continue;
-      std::vector<std::pair<std::string, InodeNum>> kids;
-      node.entries.ForEach(
-          [&kids](const std::string& name, const meta::Dentry& d) {
-            kids.emplace_back(name, d.ino);
-          });
-      for (const auto& [name, child] : kids) {
-        const auto cit = inodes.find(child);
-        if (cit != inodes.end() &&
-            cit->second.type == FileType::kDirectory) {
-          node.entries.FindMutable(name)->is_dir = true;
-        }
-      }
+    // Child types come from the inode table, now that all of it is loaded.
+    meta::Namespace ns;
+    ns.set_next_ino(next_ino);
+    for (const auto& [dir, name, child] : links) {
+      const auto cit = inodes.find(child);
+      const bool is_dir =
+          cit != inodes.end() && cit->second.type == FileType::kDirectory;
+      ns.Restore(dir, name, meta::Dentry{child, is_dir});
     }
+    ns_ = std::move(ns);
     inodes_ = std::move(inodes);
+    next_chunk_ = next_chunk;
     free_chunks_ = std::move(free_chunks);
     return Status::kOk;
   } catch (const std::out_of_range&) {
@@ -496,22 +442,22 @@ std::uint64_t FileSystem::AllocatedChunks() const {
 }
 
 void FileSystem::WalkFiles(
-    const Inode& dir, const std::string& prefix,
+    meta::DirId dir, const std::string& prefix,
     util::FunctionRef<void(const std::string&, const Inode&)> fn) const {
-  dir.entries.ForEach([&](const std::string& name, const meta::Dentry& d) {
-    const Inode& node = inodes_.at(d.ino);
-    const std::string path = prefix + "/" + name;
-    if (node.type == FileType::kFile) {
-      fn(path, node);
-    } else {
-      WalkFiles(node, path, fn);
-    }
-  });
+  ns_.Find(dir)->entries.ForEach(
+      [&](const std::string& name, const meta::Dentry& d) {
+        const std::string path = prefix + "/" + name;
+        if (d.is_dir) {
+          WalkFiles(d.ino, path, fn);
+        } else {
+          fn(path, inodes_.at(d.ino));
+        }
+      });
 }
 
 void FileSystem::ForEachFile(
     util::FunctionRef<void(const std::string&, const Inode&)> fn) const {
-  WalkFiles(inodes_.at(kRootIno), "", fn);
+  WalkFiles(meta::kRootDir, "", fn);
 }
 
 }  // namespace nlss::fs

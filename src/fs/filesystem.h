@@ -1,6 +1,9 @@
 // Parallel file system integrated on the controller blades (paper §4).
 //
-// The namespace and inode table are controller-resident metadata; file data
+// The namespace is a meta::Namespace — the same directory table and rules
+// the sharded MetaService applies — held here as controller-resident
+// metadata and applied synchronously.  On top of it the file system keeps
+// one attribute record per inode (type, size, policy, chunks).  File data
 // lives in chunks allocated from a demand-mapped volume and is accessed
 // through the coherent cache cluster, so any blade can serve any file.
 //
@@ -14,22 +17,24 @@
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
+#include "cache/dedup.h"
 #include "controller/system.h"
-#include "meta/btree.h"
+#include "meta/namespace.h"
 #include "qos/tenant.h"
 #include "raid/layout.h"
 #include "util/bytes.h"
 #include "util/function.h"
+#include "util/payload.h"
 
 namespace nlss::fs {
 
-using InodeNum = std::uint64_t;
-inline constexpr InodeNum kRootIno = 1;
+using InodeNum = meta::Ino;
+inline constexpr InodeNum kRootIno = meta::kRootDir;
 
+/// Starts with meta::Status's values, in its order.
 enum class Status {
   kOk,
   kNotFound,
@@ -67,10 +72,6 @@ struct Inode {
   std::uint64_t size = 0;
   FilePolicy policy;
   std::vector<std::uint64_t> chunks;  // volume chunk indices
-  /// Directories only: ordered B-tree dentry index (lexicographic listing,
-  /// range scans).  The is_dir flag in each dentry is advisory here — the
-  /// inode table stays authoritative for types.
-  meta::DentryIndex entries;
 };
 
 class FileSystem {
@@ -101,13 +102,13 @@ class FileSystem {
   Status SetPolicy(const std::string& path, const FilePolicy& policy);
 
   // --- Data ------------------------------------------------------------------
-  using ReadCallback = util::Function<void(Status, util::Bytes)>;
+  using ReadCallback = util::Function<void(Status, util::Payload)>;
   using WriteCallback = util::Function<void(Status)>;
 
   /// Write (extending the file as needed).  Replication factor comes from
-  /// the file's policy.
+  /// the file's policy.  The chunk writes share `data`'s bytes.
   void Write(const std::string& path, std::uint64_t offset,
-             std::span<const std::uint8_t> data, WriteCallback cb,
+             util::Payload data, WriteCallback cb,
              obs::TraceContext ctx = {});
   void Read(const std::string& path, std::uint64_t offset,
             std::uint64_t length, ReadCallback cb,
@@ -116,8 +117,8 @@ class FileSystem {
                 WriteCallback cb);
 
   // --- Persistence --------------------------------------------------------------
-  /// Serialize the namespace + inode table (for metadata checkpoints and
-  /// the geo layer's catch-up shipping).
+  /// Serialize the namespace + inode table (a metadata checkpoint that
+  /// LoadMetadata restores).
   util::Bytes SerializeMetadata() const;
   Status LoadMetadata(std::span<const std::uint8_t> blob);
 
@@ -137,20 +138,14 @@ class FileSystem {
   const Config& config() const { return config_; }
   controller::StorageSystem& system() { return system_; }
 
-  /// Iterate over all files (path, inode); used by the geo replicator.
+  /// Iterate over all files (path, inode), depth first in name order.
   void ForEachFile(
       util::FunctionRef<void(const std::string&, const Inode&)> fn) const;
 
  private:
-  struct Resolved {
-    Inode* parent = nullptr;
-    Inode* node = nullptr;   // nullptr if the leaf does not exist
-    std::string leaf;
-  };
-
-  static std::vector<std::string> SplitPath(const std::string& path);
-  Resolved Resolve(const std::string& path);
-  const Inode* ResolveConst(const std::string& path) const;
+  /// The inode `path` names, or null.
+  Inode* Find(const std::string& path);
+  const Inode* Find(const std::string& path) const;
 
   std::uint64_t AllocateChunk();
   void FreeChunk(std::uint64_t chunk);
@@ -160,26 +155,21 @@ class FileSystem {
     return chunk * config_.chunk_bytes;
   }
 
-  void WalkFiles(const Inode& dir, const std::string& prefix,
+  void WalkFiles(meta::DirId dir, const std::string& prefix,
                  util::FunctionRef<void(const std::string&, const Inode&)> fn)
       const;
-
-  /// Stamp the next write id (blade-side dedup token) with the current
-  /// settled cursor; the seq joins the unsettled set until its BladeWrite
-  /// completes (single attempt, so completion == fully resolved).
-  cache::WriteId NextWriteId();
 
   controller::StorageSystem& system_;
   Config config_;
   controller::VolumeId volume_;
-  std::map<InodeNum, Inode> inodes_;
-  InodeNum next_ino_ = kRootIno + 1;
+  /// Blade-side dedup tokens.  Each chunk write is one attempt, so its seq
+  /// settles when its BladeWrite completes.
+  cache::WriteIdStamper writes_;
+  meta::Namespace ns_;
+  std::map<InodeNum, Inode> inodes_;  // every inode's attributes, dirs too
   std::uint64_t next_chunk_ = 0;
   std::vector<std::uint64_t> free_chunks_;
   std::uint64_t max_chunks_;
-  std::uint32_t writer_id_ = 0;
-  std::uint64_t next_write_seq_ = 1;
-  std::set<std::uint64_t> unsettled_writes_;
 };
 
 }  // namespace nlss::fs

@@ -226,26 +226,25 @@ void GeoCluster::HomeWriteAndReplicate(const std::string& path,
 }
 
 void GeoCluster::Write(SiteId via, const std::string& path,
-                       std::uint64_t offset,
-                       std::span<const std::uint8_t> data, WriteCallback cb) {
+                       std::uint64_t offset, util::Payload data,
+                       WriteCallback cb) {
   auto it = files_.find(path);
   if (it == files_.end() || !it->second.available) {
     engine_.Schedule(0, [cb = std::move(cb)] { cb(fs::Status::kNotFound); });
     return;
   }
   GeoFile& f = it->second;
-  util::Payload payload = util::Payload::Copy(data);
   if (via == f.home) {
-    HomeWriteAndReplicate(path, offset, payload, std::move(cb));
+    HomeWriteAndReplicate(path, offset, data, std::move(cb));
     return;
   }
   // Forward to the home site over the WAN; ack returns the same way.
   auto shared_cb = std::make_shared<WriteCallback>(std::move(cb));
   const SiteId home = f.home;
-  Ship(via, home, payload.size(),
-       [this, via, home, path, offset, payload, shared_cb] {
+  Ship(via, home, data.size(),
+       [this, via, home, path, offset, data, shared_cb] {
          HomeWriteAndReplicate(
-             path, offset, payload,
+             path, offset, data,
              [this, via, home, shared_cb](fs::Status st) {
                Ship(home, via, config_.ctrl_msg_bytes,
                     [shared_cb, st] { (*shared_cb)(st); },
@@ -379,7 +378,7 @@ void GeoCluster::FetchChunks(SiteId via, const std::string& path,
            sites_[home]->filesystem().Read(
                path, off, len,
                [this, via, home, path, off, c, join](fs::Status st,
-                                                     util::Bytes data) {
+                                                     util::Payload data) {
                  if (st != fs::Status::kOk) {
                    join->Arrive(false);
                    return;
@@ -476,18 +475,15 @@ void GeoCluster::Read(SiteId via, const std::string& path,
   for (std::uint64_t c = c0; c <= c1; ++c) {
     if (cached.count(c) == 0) missing.push_back(c);
   }
-  auto shared_cb = std::make_shared<ReadCallback>(std::move(cb));
   FetchChunks(via, path, std::move(missing),
-              [this, via, path, offset, length, shared_cb](bool ok) {
+              [this, via, path, offset, length,
+               cb = std::move(cb)](bool ok) mutable {
                 if (!ok) {
-                  (*shared_cb)(fs::Status::kIoError, {});
+                  cb(fs::Status::kIoError, {});
                   return;
                 }
-                sites_[via]->filesystem().Read(
-                    path, offset, length,
-                    [shared_cb](fs::Status st, util::Bytes data) {
-                      (*shared_cb)(st, std::move(data));
-                    });
+                sites_[via]->filesystem().Read(path, offset, length,
+                                               std::move(cb));
                 // Background: pull the rest of the file and consider
                 // promoting this site to a full replica.
                 MaybePrefetch(via, path);

@@ -112,8 +112,9 @@ class GeoCluster {
   using ReadCallback = fs::FileSystem::ReadCallback;
   using WriteCallback = fs::FileSystem::WriteCallback;
 
+  /// Every site the write reaches shares `data`'s bytes.
   void Write(SiteId via, const std::string& path, std::uint64_t offset,
-             std::span<const std::uint8_t> data, WriteCallback cb);
+             util::Payload data, WriteCallback cb);
   void Read(SiteId via, const std::string& path, std::uint64_t offset,
             std::uint64_t length, ReadCallback cb);
 

@@ -17,7 +17,7 @@ Initiator::Initiator(controller::StorageSystem& system, const std::string& name,
       config_(config),
       node_(system.AttachHost(name)),
       rng_(config.seed),
-      writer_id_(system.AllocWriterId()) {
+      writes_(system.AllocWriterId()) {
   const std::uint32_t blades = system_.controller_count();
   paths_.reserve(blades);
   for (std::uint32_t b = 0; b < blades; ++b) {
@@ -91,17 +91,10 @@ void Initiator::Write(controller::VolumeId vol, std::uint64_t offset,
   op->offset = offset;
   op->length = static_cast<std::uint32_t>(data.size());
   op->payload = util::Payload::Copy(data);  // host ingest: the one copy
-  op->wid = cache::WriteId{writer_id_, next_write_seq_, 0};
-  unsettled_writes_.insert(next_write_seq_);
-  ++next_write_seq_;
+  op->wid = writes_.Next();
   op->tenant = tenant;
   op->wcb = std::move(cb);
   Submit(std::move(op));
-}
-
-std::uint64_t Initiator::SettledUpTo() const {
-  return unsettled_writes_.empty() ? next_write_seq_
-                                   : *unsettled_writes_.begin();
 }
 
 void Initiator::MaybeSettleWrite(const OpPtr& op) {
@@ -114,7 +107,7 @@ void Initiator::MaybeSettleWrite(const OpPtr& op) {
   // Done and fully drained: no copy of this write remains in the fabric,
   // so the blades may forget it.  The next write's id carries the
   // advanced cursor to the index.
-  unsettled_writes_.erase(op->wid.seq);
+  writes_.Settle(op->wid.seq);
 }
 
 void Initiator::Submit(OpPtr op) {
@@ -207,7 +200,7 @@ void Initiator::IssueAttempt(const OpPtr& op, int path, bool is_hedge) {
     // Each attempt carries the write id plus the current settled cursor,
     // piggybacking dedup-index pruning on the data path.
     cache::WriteId wid = op->wid;
-    wid.settled = SettledUpTo();
+    wid.settled = writes_.settled();
     system_.WriteVia(
         node_, blade, op->vol, op->offset, op->payload, wid,
         [this, op, attempt, path, now, ctx, is_hedge](bool ok) {

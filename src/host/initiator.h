@@ -36,7 +36,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -224,9 +223,6 @@ class Initiator {
   void HandleFailure(const OpPtr& op, int failed_path);
   void FinishOp(const OpPtr& op, bool ok, const util::Payload& data);
   sim::Tick HedgeDelay(int path) const;
-  /// Settled cursor: every write seq below this is done with all of its
-  /// attempts resolved, so the blades may prune it from the dedup index.
-  std::uint64_t SettledUpTo() const;
   /// Retire op's seq from the unsettled set once it is done AND every
   /// issued attempt has resolved (no copy of it remains in the fabric).
   void MaybeSettleWrite(const OpPtr& op);
@@ -253,11 +249,9 @@ class Initiator {
   util::Rng rng_;
   InitiatorStats stats_;
   std::uint64_t next_op_ = 1;
-  // Write idempotency: per-host monotonic (writer_id_, seq) stamps, plus
-  // the unsettled set backing the piggybacked prune cursor.
-  std::uint32_t writer_id_ = 0;
-  std::uint64_t next_write_seq_ = 1;
-  std::set<std::uint64_t> unsettled_writes_;
+  // Write idempotency: a seq settles once its op is done and every attempt
+  // has resolved, so the blades may prune it from the dedup index.
+  cache::WriteIdStamper writes_;
   mutable std::uint32_t rr_next_ = 0;
   bool running_ = false;
   obs::Hub* hub_ = nullptr;

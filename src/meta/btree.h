@@ -48,8 +48,6 @@ class DentryIndex {
   /// Remove `name`; false when absent.
   bool Erase(const std::string& name);
   const Dentry* Find(const std::string& name) const;
-  /// Mutable lookup (fs uses it to fix up advisory is_dir after a load).
-  Dentry* FindMutable(const std::string& name);
 
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }

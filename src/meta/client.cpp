@@ -49,7 +49,7 @@ void Client::Resolve(const std::string& path, MetaService::ResolveCallback cb,
     }
   }
   auto walk = std::make_shared<WalkPath>();
-  walk->parts = MetaService::SplitPath(path);
+  walk->parts = SplitPath(path);
   if (walk->parts.empty()) {
     // The root needs no walk; serve it like a local hit.
     ++stats_.full_hits;

@@ -23,47 +23,18 @@ std::uint64_t Mix64(std::uint64_t x) {
 }
 }  // namespace
 
-const char* StatusName(Status s) {
-  switch (s) {
-    case Status::kOk: return "ok";
-    case Status::kNotFound: return "not_found";
-    case Status::kExists: return "exists";
-    case Status::kNotDirectory: return "not_directory";
-    case Status::kIsDirectory: return "is_directory";
-    case Status::kNotEmpty: return "not_empty";
-    case Status::kInvalidArgument: return "invalid_argument";
-  }
-  return "?";
-}
-
 MetaService::MetaService(sim::Engine& engine, ServiceConfig config)
     : engine_(engine), config_(config) {
   if (config_.shards == 0) config_.shards = 1;
   if (config_.blades == 0) config_.blades = 1;
   shards_.reserve(config_.shards);
   for (ShardId s = 0; s < config_.shards; ++s) {
-    shards_.push_back(std::make_unique<MetaShard>(engine_, s));
+    shards_.push_back(std::make_unique<MetaShard>(engine_));
   }
   blade_up_.assign(config_.blades, true);
-  shards_[ShardOf(kRootDir)]->Create(kRootDir, 0);
 }
 
 MetaService::~MetaService() = default;
-
-std::vector<std::string> MetaService::SplitPath(const std::string& path) {
-  std::vector<std::string> parts;
-  std::string cur;
-  for (const char c : path) {
-    if (c == '/') {
-      if (!cur.empty()) parts.push_back(cur);
-      cur.clear();
-    } else {
-      cur.push_back(c);
-    }
-  }
-  if (!cur.empty()) parts.push_back(cur);
-  return parts;
-}
 
 // --- Shard map ----------------------------------------------------------------
 
@@ -85,10 +56,8 @@ std::uint32_t MetaService::BladeOf(ShardId shard) const {
 
 Status MetaService::MoveDirectory(DirId dir, ShardId to) {
   if (to >= shards_.size()) return Status::kInvalidArgument;
-  const ShardId cur = ShardOf(dir);
-  if (shards_[cur]->Find(dir) == nullptr) return Status::kNotFound;
-  if (cur == to) return Status::kOk;
-  shards_[cur]->MoveOut(dir, *shards_[to]);
+  if (ns_.Find(dir) == nullptr) return Status::kNotFound;
+  if (ShardOf(dir) == to) return Status::kOk;
   shard_overrides_[dir] = to;
   ++map_epoch_;
   ++stats_.moved_dirs;
@@ -113,18 +82,12 @@ void MetaService::OnBladeUp(std::uint32_t blade) {
   }
 }
 
-// --- Directory table ----------------------------------------------------------
-
-Directory* MetaService::FindDir(DirId dir) {
-  return shards_[ShardOf(dir)]->Find(dir);
-}
-const Directory* MetaService::FindDir(DirId dir) const {
-  return shards_[ShardOf(dir)]->Find(dir);
-}
-
-std::uint64_t MetaService::DirVersion(DirId dir) const {
-  const Directory* d = FindDir(dir);
-  return d == nullptr ? 0 : d->version;
+std::size_t MetaService::ShardDirCount(ShardId shard) const {
+  std::size_t n = 0;
+  ns_.ForEachDir([&](DirId dir) {
+    if (ShardOf(dir) == shard) ++n;
+  });
+  return n;
 }
 
 // --- Coherence ----------------------------------------------------------------
@@ -138,18 +101,18 @@ void MetaService::UnregisterClient(Client* client) {
                  clients_.end());
 }
 
-void MetaService::TouchDirectory(Directory& dir) {
-  const std::uint64_t old = dir.version;
-  ++dir.version;
-  NLSS_INVARIANT(kMeta, dir.version > old,
-                 "directory %llu version wrapped",
-                 static_cast<unsigned long long>(dir.id));
-  for (Client* c : clients_) c->OnDirectoryInvalidate(dir.id, dir.version);
-  stats_.invalidations += clients_.size();
-}
-
-void MetaService::InvalidateGone(DirId dir) {
-  for (Client* c : clients_) c->OnDirectoryInvalidate(dir, 0);
+void MetaService::Publish(const Namespace::Result& r) {
+  if (r.changed[0] == 0) return;  // nothing changed
+  ++stats_.mutations;
+  for (const DirId dir : r.changed) {
+    if (dir == 0) continue;
+    const std::uint64_t version = ns_.Version(dir);
+    for (Client* c : clients_) c->OnDirectoryInvalidate(dir, version);
+    stats_.invalidations += clients_.size();
+  }
+  if (r.gone == 0) return;
+  shard_overrides_.erase(r.gone);
+  for (Client* c : clients_) c->OnDirectoryInvalidate(r.gone, 0);
   stats_.invalidations += clients_.size();
 }
 
@@ -228,7 +191,7 @@ void MetaService::LookupStep(DirId dir, const std::string& name,
   Visit(
       dir, MetaShard::OpClass::kLookup, config_.lookup_cost_ns,
       [this, dir, name, result]() {
-        Directory* d = FindDir(dir);
+        const Directory* d = ns_.Find(dir);
         if (d == nullptr) return;  // stays kNotFound, version 0
         const Dentry* e = d->entries.Find(name);
         std::get<2>(*result) = d->version;
@@ -248,7 +211,7 @@ void MetaService::DelegateDirectory(DirId dir, DelegateCallback cb,
   bool root = false;
   obs::TraceContext op = StartOp(ctx, "meta.delegate", &root);
   // Billed like a full listing: base scan cost plus every entry copied.
-  const Directory* d = FindDir(dir);
+  const Directory* d = ns_.Find(dir);
   const std::size_t approx = d == nullptr ? 0 : d->entries.size();
   auto result =
       std::make_shared<std::tuple<Status, std::map<std::string, Dentry>,
@@ -259,7 +222,7 @@ void MetaService::DelegateDirectory(DirId dir, DelegateCallback cb,
       config_.scan_cost_ns +
           config_.scan_entry_cost_ns * static_cast<sim::Tick>(approx),
       [this, dir, result]() {
-        Directory* d2 = FindDir(dir);
+        const Directory* d2 = ns_.Find(dir);
         if (d2 == nullptr) return;  // stays kNotFound
         std::get<0>(*result) = Status::kOk;
         d2->entries.ForEach([&](const std::string& name, const Dentry& de) {
@@ -273,30 +236,6 @@ void MetaService::DelegateDirectory(DirId dir, DelegateCallback cb,
            std::get<2>(*result));
       },
       op);
-}
-
-void MetaService::ResolveStep(std::shared_ptr<std::vector<std::string>> parts,
-                              std::size_t i, DirId dir, ResolveCallback done,
-                              obs::TraceContext ctx) {
-  LookupStep(
-      dir, (*parts)[i],
-      [this, parts, i, done = std::move(done), ctx](
-          Status st, Dentry d, std::uint64_t) mutable {
-        if (st != Status::kOk) {
-          done(st, {});
-          return;
-        }
-        if (i + 1 == parts->size()) {
-          done(Status::kOk, d);
-          return;
-        }
-        if (!d.is_dir) {
-          done(Status::kNotDirectory, {});
-          return;
-        }
-        ResolveStep(parts, i + 1, d.ino, std::move(done), ctx);
-      },
-      ctx);
 }
 
 void MetaService::Resolve(const std::string& path, ResolveCallback cb,
@@ -315,7 +254,25 @@ void MetaService::Resolve(const std::string& path, ResolveCallback cb,
     });
     return;
   }
-  ResolveStep(parts, 0, kRootDir, std::move(done), op);
+  ResolveParts(parts, std::move(done), op);
+}
+
+void MetaService::ResolveParts(std::shared_ptr<std::vector<std::string>> parts,
+                               ResolveCallback done, obs::TraceContext ctx) {
+  WalkToParent(
+      parts, 0, kRootDir,
+      [this, parts, done = std::move(done), ctx](Status st,
+                                                 DirId parent) mutable {
+        if (st != Status::kOk) {
+          done(st, {});
+          return;
+        }
+        LookupStep(parent, parts->back(),
+                   [done = std::move(done)](Status s, Dentry d,
+                                            std::uint64_t) { done(s, d); },
+                   ctx);
+      },
+      ctx);
 }
 
 void MetaService::WalkToParent(
@@ -344,55 +301,11 @@ void MetaService::WalkToParent(
 
 // --- Mutations ----------------------------------------------------------------
 
-void MetaService::Mkdir(const std::string& path, StatusCallback cb,
-                        obs::TraceContext ctx) {
+void MetaService::MutateLeaf(const char* name, const std::string& path,
+                             Namespace::LeafRule rule, CreateCallback cb,
+                             obs::TraceContext ctx) {
   bool root = false;
-  obs::TraceContext op = StartOp(ctx, "meta.mkdir", &root);
-  auto parts = std::make_shared<std::vector<std::string>>(SplitPath(path));
-  auto done = [this, cb = std::move(cb), op, root](Status st) {
-    FinishOp(op, root, st == Status::kOk);
-    cb(st);
-  };
-  if (parts->empty()) {
-    engine_.Schedule(
-        0, [done = std::move(done)]() { done(Status::kInvalidArgument); });
-    return;
-  }
-  WalkToParent(
-      parts, 0, kRootDir,
-      [this, parts, done = std::move(done), op](Status st,
-                                                DirId parent) mutable {
-        if (st != Status::kOk) {
-          done(st);
-          return;
-        }
-        auto result = std::make_shared<Status>(Status::kNotFound);
-        Visit(
-            parent, MetaShard::OpClass::kMutation,
-            config_.mutate_cost_ns,
-            [this, parent, leaf = parts->back(), result]() {
-              Directory* p = FindDir(parent);
-              if (p == nullptr) return;
-              if (p->entries.Find(leaf) != nullptr) {
-                *result = Status::kExists;
-                return;
-              }
-              const Ino ino = AllocIno();
-              p->entries.Insert(leaf, Dentry{ino, true});
-              shards_[ShardOf(ino)]->Create(ino, parent);
-              ++stats_.mutations;
-              TouchDirectory(*p);
-              *result = Status::kOk;
-            },
-            [done = std::move(done), result]() { done(*result); }, op);
-      },
-      op);
-}
-
-void MetaService::Create(const std::string& path, CreateCallback cb,
-                         obs::TraceContext ctx) {
-  bool root = false;
-  obs::TraceContext op = StartOp(ctx, "meta.create", &root);
+  obs::TraceContext op = StartOp(ctx, name, &root);
   auto parts = std::make_shared<std::vector<std::string>>(SplitPath(path));
   auto done = [this, cb = std::move(cb), op, root](Status st, Ino ino) {
     FinishOp(op, root, st == Status::kOk);
@@ -406,135 +319,48 @@ void MetaService::Create(const std::string& path, CreateCallback cb,
   }
   WalkToParent(
       parts, 0, kRootDir,
-      [this, parts, done = std::move(done), op](Status st,
-                                                DirId parent) mutable {
+      [this, parts, rule, done = std::move(done), op](Status st,
+                                                      DirId parent) mutable {
         if (st != Status::kOk) {
           done(st, 0);
           return;
         }
-        auto result = std::make_shared<std::pair<Status, Ino>>(
-            Status::kNotFound, 0);
+        auto result = std::make_shared<Namespace::Result>();
         Visit(
-            parent, MetaShard::OpClass::kMutation,
-            config_.mutate_cost_ns,
-            [this, parent, leaf = parts->back(), result]() {
-              Directory* p = FindDir(parent);
-              if (p == nullptr) return;
-              if (p->entries.Find(leaf) != nullptr) {
-                result->first = Status::kExists;
-                return;
-              }
-              const Ino ino = AllocIno();
-              p->entries.Insert(leaf, Dentry{ino, false});
-              ++stats_.mutations;
-              TouchDirectory(*p);
-              *result = {Status::kOk, ino};
+            parent, MetaShard::OpClass::kMutation, config_.mutate_cost_ns,
+            [this, parent, rule, leaf = parts->back(), result]() {
+              *result = (ns_.*rule)(parent, leaf);
+              Publish(*result);
             },
             [done = std::move(done), result]() {
-              done(result->first, result->second);
+              done(result->status, result->ino);
             },
             op);
       },
       op);
 }
 
+void MetaService::Mkdir(const std::string& path, StatusCallback cb,
+                        obs::TraceContext ctx) {
+  MutateLeaf("meta.mkdir", path, &Namespace::Mkdir,
+             [cb = std::move(cb)](Status st, Ino) { cb(st); }, ctx);
+}
+
+void MetaService::Create(const std::string& path, CreateCallback cb,
+                         obs::TraceContext ctx) {
+  MutateLeaf("meta.create", path, &Namespace::Create, std::move(cb), ctx);
+}
+
 void MetaService::Unlink(const std::string& path, StatusCallback cb,
                          obs::TraceContext ctx) {
-  bool root = false;
-  obs::TraceContext op = StartOp(ctx, "meta.unlink", &root);
-  auto parts = std::make_shared<std::vector<std::string>>(SplitPath(path));
-  auto done = [this, cb = std::move(cb), op, root](Status st) {
-    FinishOp(op, root, st == Status::kOk);
-    cb(st);
-  };
-  if (parts->empty()) {
-    engine_.Schedule(
-        0, [done = std::move(done)]() { done(Status::kInvalidArgument); });
-    return;
-  }
-  WalkToParent(
-      parts, 0, kRootDir,
-      [this, parts, done = std::move(done), op](Status st,
-                                                DirId parent) mutable {
-        if (st != Status::kOk) {
-          done(st);
-          return;
-        }
-        auto result = std::make_shared<Status>(Status::kNotFound);
-        Visit(
-            parent, MetaShard::OpClass::kMutation,
-            config_.mutate_cost_ns,
-            [this, parent, leaf = parts->back(), result]() {
-              Directory* p = FindDir(parent);
-              if (p == nullptr) return;
-              const Dentry* e = p->entries.Find(leaf);
-              if (e == nullptr) return;
-              if (e->is_dir) {
-                *result = Status::kIsDirectory;
-                return;
-              }
-              p->entries.Erase(leaf);
-              ++stats_.mutations;
-              TouchDirectory(*p);
-              *result = Status::kOk;
-            },
-            [done = std::move(done), result]() { done(*result); }, op);
-      },
-      op);
+  MutateLeaf("meta.unlink", path, &Namespace::Unlink,
+             [cb = std::move(cb)](Status st, Ino) { cb(st); }, ctx);
 }
 
 void MetaService::Rmdir(const std::string& path, StatusCallback cb,
                         obs::TraceContext ctx) {
-  bool root = false;
-  obs::TraceContext op = StartOp(ctx, "meta.rmdir", &root);
-  auto parts = std::make_shared<std::vector<std::string>>(SplitPath(path));
-  auto done = [this, cb = std::move(cb), op, root](Status st) {
-    FinishOp(op, root, st == Status::kOk);
-    cb(st);
-  };
-  if (parts->empty()) {
-    engine_.Schedule(
-        0, [done = std::move(done)]() { done(Status::kInvalidArgument); });
-    return;
-  }
-  WalkToParent(
-      parts, 0, kRootDir,
-      [this, parts, done = std::move(done), op](Status st,
-                                                DirId parent) mutable {
-        if (st != Status::kOk) {
-          done(st);
-          return;
-        }
-        auto result = std::make_shared<Status>(Status::kNotFound);
-        Visit(
-            parent, MetaShard::OpClass::kMutation,
-            config_.mutate_cost_ns,
-            [this, parent, leaf = parts->back(), result]() {
-              Directory* p = FindDir(parent);
-              if (p == nullptr) return;
-              const Dentry* e = p->entries.Find(leaf);
-              if (e == nullptr) return;
-              if (!e->is_dir) {
-                *result = Status::kNotDirectory;
-                return;
-              }
-              const DirId victim = e->ino;
-              Directory* v = FindDir(victim);
-              if (v != nullptr && !v->entries.empty()) {
-                *result = Status::kNotEmpty;
-                return;
-              }
-              p->entries.Erase(leaf);
-              shards_[ShardOf(victim)]->Erase(victim);
-              shard_overrides_.erase(victim);
-              ++stats_.mutations;
-              TouchDirectory(*p);
-              InvalidateGone(victim);
-              *result = Status::kOk;
-            },
-            [done = std::move(done), result]() { done(*result); }, op);
-      },
-      op);
+  MutateLeaf("meta.rmdir", path, &Namespace::Rmdir,
+             [cb = std::move(cb)](Status st, Ino) { cb(st); }, ctx);
 }
 
 void MetaService::Rename(const std::string& from, const std::string& to,
@@ -583,31 +409,10 @@ void MetaService::Rename(const std::string& from, const std::string& to,
                   [this, from_parent, to_parent,
                    from_leaf = from_parts->back(),
                    to_leaf = to_parts->back(), result]() {
-                    Directory* fp = FindDir(from_parent);
-                    Directory* tp = FindDir(to_parent);
-                    if (fp == nullptr || tp == nullptr) return;
-                    const Dentry* e = fp->entries.Find(from_leaf);
-                    if (e == nullptr) return;
-                    if (from_parent == to_parent && from_leaf == to_leaf) {
-                      *result = Status::kOk;  // no-op self rename
-                      return;
-                    }
-                    if (tp->entries.Find(to_leaf) != nullptr) {
-                      *result = Status::kExists;
-                      return;
-                    }
-                    const Dentry moved = *e;
-                    fp->entries.Erase(from_leaf);
-                    tp->entries.Insert(to_leaf, moved);
-                    if (moved.is_dir) {
-                      if (Directory* md = FindDir(moved.ino)) {
-                        md->parent = to_parent;
-                      }
-                    }
-                    ++stats_.mutations;
-                    TouchDirectory(*fp);
-                    if (tp != fp) TouchDirectory(*tp);
-                    *result = Status::kOk;
+                    const Namespace::Result r =
+                        ns_.Rename(from_parent, from_leaf, to_parent, to_leaf);
+                    Publish(r);
+                    *result = r.status;
                   },
                   [done = std::move(done), result]() { done(*result); }, op);
             },
@@ -644,7 +449,7 @@ void MetaService::RangeScan(const std::string& path, const std::string& from,
     cb(st, std::move(rows));
   };
   auto scan_dir = [this, from, limit, op](DirId dir, auto done) {
-    const Directory* d = FindDir(dir);
+    const Directory* d = ns_.Find(dir);
     const std::size_t approx = d == nullptr ? 0 : d->entries.size();
     const std::size_t billed =
         limit == 0 ? approx : std::min(limit, approx);
@@ -656,10 +461,7 @@ void MetaService::RangeScan(const std::string& path, const std::string& from,
         config_.scan_cost_ns +
             config_.scan_entry_cost_ns * static_cast<sim::Tick>(billed),
         [this, dir, from, limit, result]() {
-          Directory* d2 = FindDir(dir);
-          if (d2 == nullptr) return;
-          result->first = Status::kOk;
-          result->second = d2->entries.Scan(from, limit);
+          result->first = ns_.Scan(dir, from, limit, &result->second);
         },
         [done = std::move(done), result]() {
           done(result->first, std::move(result->second));
@@ -670,64 +472,32 @@ void MetaService::RangeScan(const std::string& path, const std::string& from,
     scan_dir(kRootDir, std::move(done));
     return;
   }
-  ResolveStep(parts, 0, kRootDir,
-              [scan_dir = std::move(scan_dir),
-               done = std::move(done)](Status st, Dentry d) mutable {
-                if (st != Status::kOk) {
-                  done(st, {});
-                  return;
-                }
-                if (!d.is_dir) {
-                  done(Status::kNotDirectory, {});
-                  return;
-                }
-                scan_dir(d.ino, std::move(done));
-              },
-              op);
+  ResolveParts(parts,
+               [scan_dir = std::move(scan_dir),
+                done = std::move(done)](Status st, Dentry d) mutable {
+                 if (st != Status::kOk) {
+                   done(st, {});
+                   return;
+                 }
+                 if (!d.is_dir) {
+                   done(Status::kNotDirectory, {});
+                   return;
+                 }
+                 scan_dir(d.ino, std::move(done));
+               },
+               op);
 }
 
 // --- Bootstrap ----------------------------------------------------------------
 
 Status MetaService::BootstrapMkdir(const std::string& path) {
-  const std::vector<std::string> parts = SplitPath(path);
-  if (parts.empty()) return Status::kInvalidArgument;
-  DirId dir = kRootDir;
-  for (std::size_t i = 0; i + 1 < parts.size(); ++i) {
-    const Directory* d = FindDir(dir);
-    if (d == nullptr) return Status::kNotFound;
-    const Dentry* e = d->entries.Find(parts[i]);
-    if (e == nullptr) return Status::kNotFound;
-    if (!e->is_dir) return Status::kNotDirectory;
-    dir = e->ino;
-  }
-  Directory* p = FindDir(dir);
-  if (p == nullptr) return Status::kNotFound;
-  if (p->entries.Find(parts.back()) != nullptr) return Status::kExists;
-  const Ino ino = AllocIno();
-  p->entries.Insert(parts.back(), Dentry{ino, true});
-  shards_[ShardOf(ino)]->Create(ino, dir);
-  return Status::kOk;
+  return ns_.AtPath(path, &Namespace::Mkdir).status;
 }
 
 Status MetaService::BootstrapCreate(const std::string& path, Ino* out_ino) {
-  const std::vector<std::string> parts = SplitPath(path);
-  if (parts.empty()) return Status::kInvalidArgument;
-  DirId dir = kRootDir;
-  for (std::size_t i = 0; i + 1 < parts.size(); ++i) {
-    const Directory* d = FindDir(dir);
-    if (d == nullptr) return Status::kNotFound;
-    const Dentry* e = d->entries.Find(parts[i]);
-    if (e == nullptr) return Status::kNotFound;
-    if (!e->is_dir) return Status::kNotDirectory;
-    dir = e->ino;
-  }
-  Directory* p = FindDir(dir);
-  if (p == nullptr) return Status::kNotFound;
-  if (p->entries.Find(parts.back()) != nullptr) return Status::kExists;
-  const Ino ino = AllocIno();
-  p->entries.Insert(parts.back(), Dentry{ino, false});
-  if (out_ino != nullptr) *out_ino = ino;
-  return Status::kOk;
+  const Namespace::Result r = ns_.AtPath(path, &Namespace::Create);
+  if (r.status == Status::kOk && out_ino != nullptr) *out_ino = r.ino;
+  return r.status;
 }
 
 // --- Wiring -------------------------------------------------------------------
@@ -780,7 +550,7 @@ void MetaService::AttachObs(obs::Hub* hub) {
         labels);
     m.AddCallback(
         "nlss_meta_shard_dirs", "Directories currently homed on this shard",
-        [this, s] { return static_cast<double>(shards_[s]->dir_count()); },
+        [this, s] { return static_cast<double>(ShardDirCount(s)); },
         labels);
   }
   m.AddCallback("nlss_meta_cache_resolves_total",

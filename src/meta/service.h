@@ -1,14 +1,15 @@
 // Sharded metadata service: the namespace as a scale-out service instead
 // of a single controller-resident table.
 //
-// Directories are partitioned across shards at directory granularity — a
-// directory's dentry index and version stamp live entirely on one shard,
-// chosen by a seeded hash of its DirId with an explicit override map on
-// top (the controller can rebalance by moving directories, and remaps
-// shards off failed blades).  Every metadata op is DES-timed: a hop to the
-// owning shard, FIFO service on that shard's queue, and a hop back, so
-// shard count is a real throughput axis (one shard == the single-service
-// baseline E18 compares against).
+// Directories are partitioned across shards at directory granularity — every
+// op on a directory's dentry index and version stamp is served by one
+// shard, chosen by a seeded hash of its DirId with an explicit override map
+// on top (the controller can rebalance by moving directories, and remaps
+// shards off failed blades).  The records live in one meta::Namespace,
+// whose rules each shard visit applies at service time.  Every metadata op
+// is DES-timed: a hop to the owning shard, FIFO service on that shard's
+// queue, and a hop back, so shard count is a real throughput axis (one
+// shard == the single-service baseline E18 compares against).
 //
 // Path resolution walks component by component, each step served by the
 // shard owning the parent directory.  Mutations (mkdir/create/unlink/
@@ -31,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "meta/namespace.h"
 #include "meta/shard.h"
 #include "obs/hub.h"
 #include "qos/scheduler.h"
@@ -40,17 +42,6 @@
 namespace nlss::meta {
 
 class Client;
-
-enum class Status : std::uint8_t {
-  kOk,
-  kNotFound,
-  kExists,
-  kNotDirectory,
-  kIsDirectory,
-  kNotEmpty,
-  kInvalidArgument,
-};
-const char* StatusName(Status s);
 
 struct ServiceConfig {
   std::uint32_t shards = 4;
@@ -148,8 +139,10 @@ class MetaService {
   ShardId ShardOf(DirId dir) const;
   /// Blade a shard is placed on (skips blades marked down).
   std::uint32_t BladeOf(ShardId shard) const;
-  /// Rebalance: move one directory's record + routing to another shard.
+  /// Rebalance: route one directory's ops to another shard.
   Status MoveDirectory(DirId dir, ShardId to);
+  /// Directories the shard map currently routes to `shard`.
+  std::size_t ShardDirCount(ShardId shard) const;
   /// Controller notifications: remap shards off a failed blade / rebalance
   /// back when it returns.  Bumps the map epoch.
   void OnBladeDown(std::uint32_t blade);
@@ -161,7 +154,7 @@ class MetaService {
   void UnregisterClient(Client* client);
   /// Authoritative version of a directory (0 when it no longer exists) —
   /// what the dentry-coherence invariant checks served entries against.
-  std::uint64_t DirVersion(DirId dir) const;
+  std::uint64_t DirVersion(DirId dir) const { return ns_.Version(dir); }
 
   // --- Wiring ----------------------------------------------------------------
   /// Class metadata ops like data ops: every shard visit is submitted to
@@ -184,15 +177,7 @@ class MetaService {
   std::uint64_t SumClientStat(
       util::FunctionRef<std::uint64_t(const Client&)> fn) const;
 
-  static std::vector<std::string> SplitPath(const std::string& path);
-
  private:
-  friend class Client;
-
-  /// Find the directory record wherever its shard map entry points.
-  Directory* FindDir(DirId dir);
-  const Directory* FindDir(DirId dir) const;
-
   /// Charge one shard visit against `dir`'s shard: hop out, queue +
   /// service on the shard (through QoS admission when attached), run
   /// `apply` at service time (shard state is only read/written here), hop
@@ -215,22 +200,26 @@ class MetaService {
                     util::Function<void(Status, DirId)> cb,
                     obs::TraceContext ctx);
 
-  /// Walk component `i` onward from `dir`, delivering the final dentry.
-  void ResolveStep(std::shared_ptr<std::vector<std::string>> parts,
-                   std::size_t i, DirId dir, ResolveCallback done,
-                   obs::TraceContext ctx);
+  /// Walk to the parent, then look up the last component.
+  void ResolveParts(std::shared_ptr<std::vector<std::string>> parts,
+                    ResolveCallback done, obs::TraceContext ctx);
 
-  /// Bump `dir`'s version and push the invalidation to every client.
-  void TouchDirectory(Directory& dir);
-  /// Push a "directory gone" invalidation (version 0) to every client.
-  void InvalidateGone(DirId dir);
+  /// Walk to `path`'s parent, then apply `rule` there in one mutation
+  /// visit to the parent's shard: the skeleton of the single-path
+  /// mutations.
+  void MutateLeaf(const char* name, const std::string& path,
+                  Namespace::LeafRule rule, CreateCallback cb,
+                  obs::TraceContext ctx);
+
+  /// Count an applied mutation and push its invalidations to every client:
+  /// each changed directory's new version, then version 0 for a removed
+  /// one.
+  void Publish(const Namespace::Result& r);
 
   /// Root-or-child span helper (inert ctx + attached hub => root trace).
   obs::TraceContext StartOp(obs::TraceContext ctx, const char* name,
                             bool* root);
   void FinishOp(obs::TraceContext op, bool root, bool ok);
-
-  Ino AllocIno() { return next_ino_++; }
 
   sim::Engine& engine_;
   ServiceConfig config_;
@@ -238,7 +227,7 @@ class MetaService {
   std::map<DirId, ShardId> shard_overrides_;  // rebalance moves
   std::vector<bool> blade_up_;
   std::uint64_t map_epoch_ = 1;
-  Ino next_ino_ = kRootDir + 1;
+  Namespace ns_;
   std::vector<Client*> clients_;  // registration order: deterministic
   ServiceStats stats_;
   qos::Scheduler* qos_ = nullptr;

@@ -1,34 +1,19 @@
-// One shard of the sharded namespace service: owns the directories the
-// shard map assigns to it and serializes their metadata operations through
-// a DES service queue (one op in service at a time, FIFO), which is what
-// makes shard count a real throughput axis — a single shard is the
-// single-metadata-server baseline, sixteen shards are sixteen independent
-// queues.
+// One shard of the sharded namespace service: a DES service queue (one op
+// in service at a time, FIFO) that serializes the metadata operations on
+// the directories the shard map routes to it, which is what makes shard
+// count a real throughput axis — a single shard is the single-metadata-
+// server baseline, sixteen shards are sixteen independent queues.  The
+// directory records themselves live in the service's one meta::Namespace.
 #pragma once
 
 #include <cstdint>
-#include <map>
 
-#include "meta/btree.h"
 #include "sim/engine.h"
 #include "util/function.h"
 
 namespace nlss::meta {
 
-using DirId = std::uint64_t;
 using ShardId = std::uint32_t;
-inline constexpr DirId kRootDir = 1;
-
-/// A directory: ordered dentry index + a version stamp bumped on every
-/// entry mutation.  The version is the coherence token host dentry caches
-/// validate against — a cached entry is valid iff its recorded parent
-/// version still matches.
-struct Directory {
-  DirId id = 0;
-  DirId parent = 0;
-  std::uint64_t version = 1;
-  DentryIndex entries;
-};
 
 class MetaShard {
  public:
@@ -40,37 +25,8 @@ class MetaShard {
     sim::Tick queue_ns = 0;       // total time ops waited for the shard
   };
 
-  MetaShard(sim::Engine& engine, ShardId id) : engine_(engine), id_(id) {}
+  explicit MetaShard(sim::Engine& engine) : engine_(engine) {}
 
-  // --- Directory table -------------------------------------------------------
-  Directory* Find(DirId id) {
-    const auto it = dirs_.find(id);
-    return it == dirs_.end() ? nullptr : &it->second;
-  }
-  const Directory* Find(DirId id) const {
-    const auto it = dirs_.find(id);
-    return it == dirs_.end() ? nullptr : &it->second;
-  }
-  Directory& Create(DirId id, DirId parent) {
-    Directory& d = dirs_[id];
-    d.id = id;
-    d.parent = parent;
-    return d;
-  }
-  void Erase(DirId id) { dirs_.erase(id); }
-  std::size_t dir_count() const { return dirs_.size(); }
-
-  /// Migrate a directory record out of this shard (controller-driven
-  /// rebalance); returns false when the shard does not own it.
-  bool MoveOut(DirId id, MetaShard& to) {
-    const auto it = dirs_.find(id);
-    if (it == dirs_.end()) return false;
-    to.dirs_[id] = std::move(it->second);
-    dirs_.erase(it);
-    return true;
-  }
-
-  // --- DES service queue -----------------------------------------------------
   enum class OpClass : std::uint8_t { kLookup, kMutation, kScan };
 
   /// Run `fn` after this shard has a free service slot plus `cost_ns` of
@@ -89,7 +45,6 @@ class MetaShard {
     engine_.ScheduleAt(busy_until_, std::move(fn));
   }
 
-  ShardId id() const { return id_; }
   const Stats& stats() const { return stats_; }
   std::uint64_t ops() const {
     return stats_.lookups + stats_.mutations + stats_.scans;
@@ -97,8 +52,6 @@ class MetaShard {
 
  private:
   sim::Engine& engine_;
-  ShardId id_;
-  std::map<DirId, Directory> dirs_;  // ordered: deterministic iteration
   sim::Tick busy_until_ = 0;
   Stats stats_;
 };

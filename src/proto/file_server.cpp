@@ -112,7 +112,7 @@ void FileServer::Read(MountId mount, const std::string& path,
     ctx = hub_->tracer().StartTrace(obs::Layer::kProto, "proto.file.read");
   }
   fs_.Read(Abs(*m, path), offset, length,
-           [ctx, cb = std::move(cb)](fs::Status st, util::Bytes data) {
+           [ctx, cb = std::move(cb)](fs::Status st, util::Payload data) {
              if (ctx.sampled()) {
                ctx.tracer->EndTrace(ctx, st == fs::Status::kOk);
              }
@@ -122,8 +122,7 @@ void FileServer::Read(MountId mount, const std::string& path,
 }
 
 void FileServer::Write(MountId mount, const std::string& path,
-                       std::uint64_t offset,
-                       std::span<const std::uint8_t> data,
+                       std::uint64_t offset, util::Payload data,
                        fs::FileSystem::WriteCallback cb) {
   const MountState* m = Validate(mount);
   if (m == nullptr || !CanWrite(*m)) {
@@ -137,7 +136,7 @@ void FileServer::Write(MountId mount, const std::string& path,
   if (hub_ != nullptr) {
     ctx = hub_->tracer().StartTrace(obs::Layer::kProto, "proto.file.write");
   }
-  fs_.Write(Abs(*m, path), offset, data,
+  fs_.Write(Abs(*m, path), offset, std::move(data),
             [ctx, cb = std::move(cb)](fs::Status st) {
               if (ctx.sampled()) {
                 ctx.tracer->EndTrace(ctx, st == fs::Status::kOk);

@@ -47,8 +47,7 @@ class FileServer {
   void Read(MountId mount, const std::string& path, std::uint64_t offset,
             std::uint64_t length, fs::FileSystem::ReadCallback cb);
   void Write(MountId mount, const std::string& path, std::uint64_t offset,
-             std::span<const std::uint8_t> data,
-             fs::FileSystem::WriteCallback cb);
+             util::Payload data, fs::FileSystem::WriteCallback cb);
 
  private:
   struct MountState {

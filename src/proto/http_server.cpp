@@ -134,7 +134,7 @@ void HttpServer::Handle(const HttpRequest& request, Callback cb) {
   fs_.Read(
       request.path, begin, length,
       [this, head = std::move(head), shared_cb, ctx](
-          fs::Status st, util::Bytes data) mutable {
+          fs::Status st, util::Payload data) mutable {
         if (st != fs::Status::kOk) {
           HttpResponse err;
           err.status = 500;
@@ -142,7 +142,7 @@ void HttpServer::Handle(const HttpRequest& request, Callback cb) {
           Respond(*shared_cb, std::move(err), ctx);
           return;
         }
-        head.body = std::move(data);
+        head.body = data.ToBytes();
         Respond(*shared_cb, std::move(head), ctx);
       },
       ctx);

@@ -275,7 +275,7 @@ TEST(CheckIntegration, GeoAsyncReplicationGetsRootTrace) {
   p.geo_sites = 2;
   ASSERT_EQ(cluster.Create("/log", west, p), fs::Status::kOk);
   bool wrote = false;
-  cluster.Write(west, "/log", 0, Pattern(128 * util::KiB, 5),
+  cluster.Write(west, "/log", 0, util::Payload::Copy(Pattern(128 * util::KiB, 5)),
                 [&](fs::Status st) { wrote = st == fs::Status::kOk; });
   engine.Run();
   ASSERT_TRUE(wrote);

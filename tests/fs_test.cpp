@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "fs/filesystem.h"
+#include "meta/service.h"
 #include "sim/engine.h"
 #include "util/bytes.h"
 #include "util/rng.h"
@@ -24,7 +26,7 @@ class FsTest : public ::testing::Test {
   Status Write(const std::string& path, std::uint64_t off,
                const util::Bytes& data) {
     Status st = Status::kIoError;
-    fs_->Write(path, off, data, [&](Status s) { st = s; });
+    fs_->Write(path, off, util::Payload::Copy(data), [&](Status s) { st = s; });
     engine_.Run();
     return st;
   }
@@ -33,9 +35,9 @@ class FsTest : public ::testing::Test {
                                       std::uint64_t off, std::uint64_t len) {
     Status st = Status::kIoError;
     util::Bytes out;
-    fs_->Read(path, off, len, [&](Status s, util::Bytes d) {
+    fs_->Read(path, off, len, [&](Status s, util::Payload d) {
       st = s;
-      out = std::move(d);
+      out = d.ToBytes();
     });
     engine_.Run();
     return {st, std::move(out)};
@@ -116,7 +118,7 @@ TEST_F(FsTest, ZeroByteWriteCompletesAndChangesNothing) {
   const auto chunks_before = fs_->AllocatedChunks();
   int calls = 0;
   Status st = Status::kIoError;
-  fs_->Write("/empty", 8 * util::MiB, util::Bytes{}, [&](Status s) {
+  fs_->Write("/empty", 8 * util::MiB, util::Payload{}, [&](Status s) {
     ++calls;
     st = s;
   });
@@ -241,28 +243,31 @@ TEST_F(FsTest, QuotaBlocksGrowthButAllowsReuse) {
   FileSystem fs(*system_, config);
   ASSERT_EQ(fs.Create("/a"), Status::kOk);
   Status st = Status::kIoError;
-  fs.Write("/a", 0, Pattern(3 * util::MiB, 1), [&](Status s) { st = s; });
+  fs.Write("/a", 0, util::Payload::Copy(Pattern(3 * util::MiB, 1)),
+           [&](Status s) { st = s; });
   engine_.Run();
   ASSERT_EQ(st, Status::kOk);
   EXPECT_EQ(fs.UsedBytes(), 3 * util::MiB);
   // A write that would exceed the quota fails cleanly.
-  fs.Write("/a", 3 * util::MiB, Pattern(2 * util::MiB, 2),
+  fs.Write("/a", 3 * util::MiB, util::Payload::Copy(Pattern(2 * util::MiB, 2)),
            [&](Status s) { st = s; });
   engine_.Run();
   EXPECT_EQ(st, Status::kNoSpace);
   // Overwrites within allocated space still work.
-  fs.Write("/a", 0, Pattern(util::MiB, 3), [&](Status s) { st = s; });
+  fs.Write("/a", 0, util::Payload::Copy(Pattern(util::MiB, 3)),
+           [&](Status s) { st = s; });
   engine_.Run();
   EXPECT_EQ(st, Status::kOk);
   // Deleting frees quota for others.
   ASSERT_EQ(fs.Unlink("/a"), Status::kOk);
   ASSERT_EQ(fs.Create("/b"), Status::kOk);
-  fs.Write("/b", 0, Pattern(4 * util::MiB, 4), [&](Status s) { st = s; });
+  fs.Write("/b", 0, util::Payload::Copy(Pattern(4 * util::MiB, 4)),
+           [&](Status s) { st = s; });
   engine_.Run();
   EXPECT_EQ(st, Status::kOk);
   // Quota can be raised online.
   fs.SetQuota(8 * util::MiB);
-  fs.Write("/b", 4 * util::MiB, Pattern(2 * util::MiB, 5),
+  fs.Write("/b", 4 * util::MiB, util::Payload::Copy(Pattern(2 * util::MiB, 5)),
            [&](Status s) { st = s; });
   engine_.Run();
   EXPECT_EQ(st, Status::kOk);
@@ -295,6 +300,111 @@ TEST_F(FsTest, RandomizedFileContentsMatchModel) {
                              model.begin() + static_cast<std::ptrdiff_t>(off)))
           << "op " << op;
     }
+  }
+}
+
+// --- One table of namespace rules ---------------------------------------------
+
+// fs::FileSystem and the sharded MetaService apply one meta::Namespace, so
+// every case answers the same status on both: fs synchronously, the service
+// through its timed shard visits.
+struct NsCase {
+  const char* name;
+  std::vector<const char*> dirs;   // made first, in order
+  std::vector<const char*> files;  // then created
+  enum class Op { kMkdir, kCreate, kUnlink, kRmdir, kRename } op;
+  const char* path;
+  const char* to;  // rename target
+  meta::Status want;
+  const char* still_there;  // must resolve afterwards, or null
+};
+
+const std::vector<NsCase>& NsCases() {
+  using Op = NsCase::Op;
+  using S = meta::Status;
+  static const std::vector<NsCase> cases = {
+      {"mkdir root", {}, {}, Op::kMkdir, "/", nullptr, S::kInvalidArgument,
+       nullptr},
+      {"create under a file", {}, {"/f"}, Op::kCreate, "/f/x", nullptr,
+       S::kNotDirectory, "/f"},
+      {"self rename", {}, {"/s"}, Op::kRename, "/s", "/s", S::kOk, "/s"},
+      {"rename into own subtree", {"/a"}, {"/a/x"}, Op::kRename, "/a", "/a/b",
+       S::kInvalidArgument, "/a/x"},
+      {"rename below own subtree", {"/a", "/a/b"}, {"/a/x"}, Op::kRename, "/a",
+       "/a/b/c", S::kInvalidArgument, "/a/x"},
+      {"rename onto the root", {}, {}, Op::kRename, "/missing/x", "/",
+       S::kInvalidArgument, nullptr},
+      {"unlink a directory", {"/d"}, {}, Op::kUnlink, "/d", nullptr,
+       S::kIsDirectory, "/d"},
+      {"rmdir a file", {}, {"/g"}, Op::kRmdir, "/g", nullptr, S::kNotDirectory,
+       "/g"},
+      {"rmdir non-empty", {"/n"}, {"/n/f"}, Op::kRmdir, "/n", nullptr,
+       S::kNotEmpty, "/n/f"},
+      {"second create", {}, {"/c"}, Op::kCreate, "/c", nullptr, S::kExists,
+       "/c"},
+  };
+  return cases;
+}
+
+meta::Status OnFs(FileSystem& fs, const NsCase& c) {
+  Status st = Status::kIoError;
+  switch (c.op) {
+    case NsCase::Op::kMkdir: st = fs.Mkdir(c.path); break;
+    case NsCase::Op::kCreate: st = fs.Create(c.path); break;
+    case NsCase::Op::kUnlink: st = fs.Unlink(c.path); break;
+    case NsCase::Op::kRmdir: st = fs.Rmdir(c.path); break;
+    case NsCase::Op::kRename: st = fs.Rename(c.path, c.to); break;
+  }
+  EXPECT_LE(static_cast<int>(st), static_cast<int>(Status::kInvalidArgument))
+      << StatusName(st);
+  return static_cast<meta::Status>(st);
+}
+
+meta::Status OnMeta(sim::Engine& engine, meta::MetaService& service,
+                    const NsCase& c) {
+  meta::Status st = meta::Status::kOk;
+  bool done = false;
+  auto cb = [&](meta::Status s) {
+    st = s;
+    done = true;
+  };
+  switch (c.op) {
+    case NsCase::Op::kMkdir: service.Mkdir(c.path, cb); break;
+    case NsCase::Op::kCreate:
+      service.Create(c.path, [&](meta::Status s, meta::Ino) { cb(s); });
+      break;
+    case NsCase::Op::kUnlink: service.Unlink(c.path, cb); break;
+    case NsCase::Op::kRmdir: service.Rmdir(c.path, cb); break;
+    case NsCase::Op::kRename: service.Rename(c.path, c.to, cb); break;
+  }
+  engine.Run();
+  EXPECT_TRUE(done);
+  return st;
+}
+
+TEST_F(FsTest, NamespaceRulesMatchTheMetaService) {
+  for (const NsCase& c : NsCases()) {
+    SCOPED_TRACE(c.name);
+    FileSystem fs(*system_);
+    sim::Engine meta_engine;
+    meta::MetaService service(meta_engine);
+    for (const char* d : c.dirs) {
+      ASSERT_EQ(fs.Mkdir(d), Status::kOk);
+      ASSERT_EQ(service.BootstrapMkdir(d), meta::Status::kOk);
+    }
+    for (const char* f : c.files) {
+      ASSERT_EQ(fs.Create(f), Status::kOk);
+      ASSERT_EQ(service.BootstrapCreate(f), meta::Status::kOk);
+    }
+    EXPECT_EQ(OnFs(fs, c), c.want) << "fs";
+    EXPECT_EQ(OnMeta(meta_engine, service, c), c.want) << "meta";
+    if (c.still_there == nullptr) continue;
+    EXPECT_TRUE(fs.Exists(c.still_there)) << "fs " << c.still_there;
+    meta::Status resolved = meta::Status::kNotFound;
+    service.Resolve(c.still_there,
+                    [&](meta::Status s, meta::Dentry) { resolved = s; });
+    meta_engine.Run();
+    EXPECT_EQ(resolved, meta::Status::kOk) << "meta " << c.still_there;
   }
 }
 

@@ -5,6 +5,7 @@
 #include "geo/geo.h"
 #include "sim/engine.h"
 #include "util/bytes.h"
+#include "util/payload.h"
 
 namespace nlss::geo {
 namespace {
@@ -34,7 +35,8 @@ class GeoTest : public ::testing::Test {
   fs::Status Write(SiteId via, const std::string& path, std::uint64_t off,
                    const util::Bytes& data) {
     fs::Status st = fs::Status::kIoError;
-    cluster_->Write(via, path, off, data, [&](fs::Status s) { st = s; });
+    cluster_->Write(via, path, off, util::Payload::Copy(data),
+                    [&](fs::Status s) { st = s; });
     engine_.Run();
     return st;
   }
@@ -44,9 +46,9 @@ class GeoTest : public ::testing::Test {
                                           std::uint64_t len) {
     fs::Status st = fs::Status::kIoError;
     util::Bytes out;
-    cluster_->Read(via, path, off, len, [&](fs::Status s, util::Bytes d) {
+    cluster_->Read(via, path, off, len, [&](fs::Status s, util::Payload d) {
       st = s;
-      out = std::move(d);
+      out = d.ToBytes();
     });
     engine_.Run();
     return {st, std::move(out)};
@@ -169,7 +171,8 @@ TEST_F(GeoTest, SyncWritePaysRttAsyncDoesNot) {
   auto timed_write = [&](const std::string& path) {
     const sim::Tick start = engine_.now();
     sim::Tick acked = 0;
-    cluster_->Write(west_, path, 0, data, [&](fs::Status st) {
+    cluster_->Write(west_, path, 0, util::Payload::Copy(data),
+                    [&](fs::Status st) {
       ASSERT_EQ(st, fs::Status::kOk);
       acked = engine_.now();
     });
@@ -254,7 +257,7 @@ TEST_F(GeoTest, SiteFailureBoundedLossForAsyncData) {
   // before the replication queue empties.
   const auto data = Pattern(4 * util::MiB, 11);
   bool acked = false;
-  cluster_->Write(west_, "/scratch", 0, data,
+  cluster_->Write(west_, "/scratch", 0, util::Payload::Copy(data),
                   [&](fs::Status st) { acked = st == fs::Status::kOk; });
   for (int i = 0; i < 100 && !acked; ++i) {
     engine_.RunFor(1 * util::kNsPerMs);
@@ -313,6 +316,57 @@ TEST_F(GeoTest, PrefetchPullsWholeFileAfterFirstTouch) {
   auto [st2, got2] = Read(east_, "/big", 0, data.size());
   ASSERT_EQ(st2, fs::Status::kOk);
   EXPECT_EQ(got2, data) << "prefetched copy must serve without the WAN";
+}
+
+// A payload crosses sites as is: a write materializes only the caller's own
+// ingest copy, at every site it reaches, and a read at a non-replica site
+// lands the home site's read at the reading site without gathering it.
+TEST(GeoPayload, SitesShareTheCallersBytes) {
+  sim::Engine engine;
+  net::Fabric fabric(engine);
+  GeoCluster grid(engine, fabric);
+  controller::SystemConfig sc;
+  sc.controllers = 2;
+  sc.raid_groups = 2;
+  sc.disk_profile.capacity_blocks = 16 * 1024;
+  const SiteId home = grid.AddSite("home", sc, Location{0, 0});
+  const SiteId away = grid.AddSite("away", sc, Location{1000, 0});
+  grid.ConnectSites(home, away, net::LinkProfile::Wan(5 * util::kNsPerMs, 1.0));
+  fs::FilePolicy sync;
+  sync.geo_replicate = true;
+  sync.geo_sync = true;
+  sync.geo_sites = 2;
+  ASSERT_EQ(grid.Create("/plain", home), fs::Status::kOk);
+  ASSERT_EQ(grid.Create("/sync", home, sync), fs::Status::kOk);
+
+  util::Bytes bytes(util::MiB);
+  util::FillPattern(bytes, 21);
+  const auto write = [&](const std::string& path) {
+    const std::uint64_t before = util::Payload::materialized_bytes();
+    fs::Status st = fs::Status::kIoError;
+    grid.Write(home, path, 0, util::Payload::Copy(bytes),
+               [&](fs::Status s) { st = s; });
+    engine.Run();
+    EXPECT_EQ(st, fs::Status::kOk) << path;
+    return util::Payload::materialized_bytes() - before;
+  };
+  EXPECT_EQ(write("/plain"), util::MiB);  // 3 MiB before payloads
+  EXPECT_EQ(write("/sync"), util::MiB);   // 4 MiB before payloads
+  ASSERT_EQ(grid.ReplicasOf("/sync").count(away), 1u);
+
+  ASSERT_EQ(grid.ReplicasOf("/plain").count(away), 0u);
+  const std::uint64_t before = util::Payload::materialized_bytes();
+  fs::Status st = fs::Status::kIoError;
+  util::Payload got;
+  grid.Read(away, "/plain", 0, util::MiB, [&](fs::Status s, util::Payload d) {
+    st = s;
+    got = std::move(d);
+  });
+  engine.Run();
+  ASSERT_EQ(st, fs::Status::kOk);
+  EXPECT_EQ(util::Payload::materialized_bytes() - before, 0u)
+      << "3 MiB before payloads";
+  EXPECT_EQ(got, bytes);
 }
 
 }  // namespace

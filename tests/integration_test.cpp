@@ -79,7 +79,7 @@ TEST(Integration, AuthenticatedBlockAndFilePathsShareOnePool) {
   ASSERT_EQ(nfs.Create(*mount, "/www/index.html"), fs::Status::kOk);
   const auto page = Pattern(300000, 2);
   fs::Status fst = fs::Status::kIoError;
-  nfs.Write(*mount, "/www/index.html", 0, page,
+  nfs.Write(*mount, "/www/index.html", 0, util::Payload::Copy(page),
             [&](fs::Status s) { fst = s; });
   engine.Run();
   ASSERT_EQ(fst, fs::Status::kOk);
@@ -186,7 +186,8 @@ TEST(Integration, GeoGridSurvivesDiskControllerAndSiteFailures) {
   ASSERT_EQ(grid.Create("/vital", west, everywhere), fs::Status::kOk);
   const auto data = Pattern(1 * util::MiB, 9);
   fs::Status st = fs::Status::kIoError;
-  grid.Write(west, "/vital", 0, data, [&](fs::Status s) { st = s; });
+  grid.Write(west, "/vital", 0, util::Payload::Copy(data),
+             [&](fs::Status s) { st = s; });
   engine.Run();
   ASSERT_EQ(st, fs::Status::kOk);
 
@@ -194,9 +195,9 @@ TEST(Integration, GeoGridSurvivesDiskControllerAndSiteFailures) {
   // whole site; each step keeps /vital readable somewhere.
   grid.site(west).system().group(0).disk(1).Fail();
   util::Bytes got;
-  grid.Read(west, "/vital", 0, data.size(), [&](fs::Status s, util::Bytes d) {
+  grid.Read(west, "/vital", 0, data.size(), [&](fs::Status s, util::Payload d) {
     st = s;
-    got = std::move(d);
+    got = d.ToBytes();
   });
   engine.Run();
   ASSERT_EQ(st, fs::Status::kOk);
@@ -204,18 +205,18 @@ TEST(Integration, GeoGridSurvivesDiskControllerAndSiteFailures) {
 
   grid.site(west).system().FailController(1);
   grid.site(west).system().RecoverCluster();
-  grid.Read(west, "/vital", 0, data.size(), [&](fs::Status s, util::Bytes d) {
+  grid.Read(west, "/vital", 0, data.size(), [&](fs::Status s, util::Payload d) {
     st = s;
-    got = std::move(d);
+    got = d.ToBytes();
   });
   engine.Run();
   ASSERT_EQ(st, fs::Status::kOk);
   EXPECT_EQ(got, data) << "cluster absorbs the controller failure";
 
   grid.FailSite(west);
-  grid.Read(east, "/vital", 0, data.size(), [&](fs::Status s, util::Bytes d) {
+  grid.Read(east, "/vital", 0, data.size(), [&](fs::Status s, util::Payload d) {
     st = s;
-    got = std::move(d);
+    got = d.ToBytes();
   });
   engine.Run();
   ASSERT_EQ(st, fs::Status::kOk);
@@ -224,7 +225,8 @@ TEST(Integration, GeoGridSurvivesDiskControllerAndSiteFailures) {
 
   // Writes continue at the new home and reach the third site.
   const auto update = Pattern(64 * util::KiB, 10);
-  grid.Write(east, "/vital", 0, update, [&](fs::Status s) { st = s; });
+  grid.Write(east, "/vital", 0, util::Payload::Copy(update),
+             [&](fs::Status s) { st = s; });
   engine.Run();
   ASSERT_EQ(st, fs::Status::kOk);
   bool drained = false;
@@ -232,9 +234,9 @@ TEST(Integration, GeoGridSurvivesDiskControllerAndSiteFailures) {
   engine.Run();
   ASSERT_TRUE(drained);
   grid.Read(central, "/vital", 0, update.size(),
-            [&](fs::Status s, util::Bytes d) {
+            [&](fs::Status s, util::Payload d) {
               st = s;
-              got = std::move(d);
+              got = d.ToBytes();
             });
   engine.Run();
   ASSERT_EQ(st, fs::Status::kOk);
@@ -274,7 +276,8 @@ TEST(Integration, MixedPolicyWorkloadRandomized) {
       util::Bytes data(len);
       util::FillPattern(data, rng.Next());
       fs::Status st = fs::Status::kIoError;
-      fs.Write(f.path, off, data, [&](fs::Status s) { st = s; });
+      fs.Write(f.path, off, util::Payload::Copy(data),
+               [&](fs::Status s) { st = s; });
       engine.Run();
       ASSERT_EQ(st, fs::Status::kOk) << f.path << " op " << op;
       if (off + len > f.content.size()) f.content.resize(off + len, 0);
@@ -286,9 +289,9 @@ TEST(Integration, MixedPolicyWorkloadRandomized) {
           rng.Range(1, f.content.size() - off);
       fs::Status st = fs::Status::kIoError;
       util::Bytes got;
-      fs.Read(f.path, off, len, [&](fs::Status s, util::Bytes d) {
+      fs.Read(f.path, off, len, [&](fs::Status s, util::Payload d) {
         st = s;
-        got = std::move(d);
+        got = d.ToBytes();
       });
       engine.Run();
       ASSERT_EQ(st, fs::Status::kOk);
@@ -307,9 +310,9 @@ TEST(Integration, MixedPolicyWorkloadRandomized) {
     if (f.content.empty()) continue;
     fs::Status st = fs::Status::kIoError;
     util::Bytes got;
-    fs.Read(f.path, 0, f.content.size(), [&](fs::Status s, util::Bytes d) {
+    fs.Read(f.path, 0, f.content.size(), [&](fs::Status s, util::Payload d) {
       st = s;
-      got = std::move(d);
+      got = d.ToBytes();
     });
     engine.Run();
     ASSERT_EQ(st, fs::Status::kOk);

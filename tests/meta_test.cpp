@@ -805,8 +805,8 @@ TEST(DentryCache, SeededSweepAnswersLikeAnUncachedClient) {
           service.Mkdir(path, done);
         } else {
           const std::vector<std::string> to = random_path();
-          // The service does not refuse a move into the source's own
-          // subtree, and a self-rename is a no-op: skip both.
+          // A move into the source's own subtree is refused and a
+          // self-rename is a no-op; neither changes the tree: skip both.
           if (to.size() >= parts.size() &&
               std::equal(parts.begin(), parts.end(), to.begin())) {
             continue;

@@ -185,7 +185,8 @@ TEST_F(ProtoTest, FileServerRolesEnforced) {
   ASSERT_EQ(server.Create(*rw, "/data/f"), fs::Status::kOk);
   const auto payload = Pattern(100000, 2);
   fs::Status wst = fs::Status::kIoError;
-  server.Write(*rw, "/data/f", 0, payload, [&](fs::Status s) { wst = s; });
+  server.Write(*rw, "/data/f", 0, util::Payload::Copy(payload),
+               [&](fs::Status s) { wst = s; });
   engine_.Run();
   ASSERT_EQ(wst, fs::Status::kOk);
 
@@ -193,15 +194,16 @@ TEST_F(ProtoTest, FileServerRolesEnforced) {
   fs::Status rst = fs::Status::kIoError;
   util::Bytes got;
   server.Read(*ro, "/data/f", 0, payload.size(),
-              [&](fs::Status s, util::Bytes d) {
+              [&](fs::Status s, util::Payload d) {
                 rst = s;
-                got = std::move(d);
+                got = d.ToBytes();
               });
   engine_.Run();
   ASSERT_EQ(rst, fs::Status::kOk);
   EXPECT_EQ(got, payload);
   fs::Status denied = fs::Status::kOk;
-  server.Write(*ro, "/data/f", 0, payload, [&](fs::Status s) { denied = s; });
+  server.Write(*ro, "/data/f", 0, util::Payload::Copy(payload),
+               [&](fs::Status s) { denied = s; });
   engine_.Run();
   EXPECT_NE(denied, fs::Status::kOk);
   EXPECT_EQ(server.Remove(*ro, "/data/f"), fs::Status::kInvalidArgument);
@@ -299,7 +301,8 @@ TEST_F(ProtoTest, HttpGetServesFileContent) {
   ASSERT_EQ(fs.Create("/movie.bin"), fs::Status::kOk);
   const auto data = Pattern(500000, 3);
   fs::Status wst = fs::Status::kIoError;
-  fs.Write("/movie.bin", 0, data, [&](fs::Status s) { wst = s; });
+  fs.Write("/movie.bin", 0, util::Payload::Copy(data),
+           [&](fs::Status s) { wst = s; });
   engine_.Run();
   ASSERT_EQ(wst, fs::Status::kOk);
 
@@ -319,7 +322,7 @@ TEST_F(ProtoTest, HttpRangeRequests) {
   HttpServer http(fs);
   ASSERT_EQ(fs.Create("/f"), fs::Status::kOk);
   const auto data = Pattern(10000, 4);
-  fs.Write("/f", 0, data, [](fs::Status) {});
+  fs.Write("/f", 0, util::Payload::Copy(data), [](fs::Status) {});
   engine_.Run();
 
   HttpResponse resp;
@@ -361,7 +364,7 @@ TEST_F(ProtoTest, HttpHeadOmitsBody) {
   fs::FileSystem fs(*system_);
   HttpServer http(fs);
   ASSERT_EQ(fs.Create("/f"), fs::Status::kOk);
-  fs.Write("/f", 0, Pattern(5000, 5), [](fs::Status) {});
+  fs.Write("/f", 0, util::Payload::Copy(Pattern(5000, 5)), [](fs::Status) {});
   engine_.Run();
   HttpResponse resp;
   http.HandleRaw("HEAD /f HTTP/1.0\r\n\r\n",
@@ -379,7 +382,8 @@ TEST_F(ProtoTest, HttpGetPropagatesTraceContext) {
   system_->AttachObs(&hub);
   http.AttachObs(&hub);
   ASSERT_EQ(fs.Create("/traced.bin"), fs::Status::kOk);
-  fs.Write("/traced.bin", 0, Pattern(200000, 9), [](fs::Status) {});
+  fs.Write("/traced.bin", 0, util::Payload::Copy(Pattern(200000, 9)),
+           [](fs::Status) {});
   engine_.Run();
 
   HttpResponse resp;

@@ -306,12 +306,13 @@ TEST_F(QosStackTest, FilePolicyRoutesFsIoToTenant) {
 
   util::Bytes data(64 * util::KiB, 0x5C);
   fs::Status ws = fs::Status::kIoError;
-  fsys.Write("/scan.dat", 0, data, [&](fs::Status s) { ws = s; });
+  fsys.Write("/scan.dat", 0, util::Payload::Copy(data),
+             [&](fs::Status s) { ws = s; });
   engine_.Run();
   EXPECT_EQ(ws, fs::Status::kOk);
 
   fs::Status rs = fs::Status::kIoError;
-  fsys.Read("/scan.dat", 0, data.size(), [&](fs::Status s, util::Bytes) {
+  fsys.Read("/scan.dat", 0, data.size(), [&](fs::Status s, util::Payload) {
     rs = s;
   });
   engine_.Run();

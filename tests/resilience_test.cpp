@@ -79,7 +79,8 @@ TEST(Resilience, AsyncReplicationSurvivesWanFlap) {
   fabric.SetLinkUp(grid.site(a).gateway(), grid.site(b).gateway(), false);
   const auto data = Pattern(256 * util::KiB, 2);
   fs::Status st = fs::Status::kIoError;
-  grid.Write(a, "/log", 0, data, [&](fs::Status s) { st = s; });
+  grid.Write(a, "/log", 0, util::Payload::Copy(data),
+             [&](fs::Status s) { st = s; });
   engine.RunFor(50 * util::kNsPerMs);
   ASSERT_EQ(st, fs::Status::kOk) << "async write acks locally despite WAN";
   EXPECT_GT(grid.PendingAsyncBytes(), 0u);
@@ -94,9 +95,9 @@ TEST(Resilience, AsyncReplicationSurvivesWanFlap) {
   // The replica is current: fail the home, read at the DR site.
   grid.FailSite(a);
   util::Bytes got;
-  grid.Read(b, "/log", 0, data.size(), [&](fs::Status s, util::Bytes d) {
+  grid.Read(b, "/log", 0, data.size(), [&](fs::Status s, util::Payload d) {
     st = s;
-    got = std::move(d);
+    got = d.ToBytes();
   });
   engine.Run();
   ASSERT_EQ(st, fs::Status::kOk);
