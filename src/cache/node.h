@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <list>
 #include <optional>
+#include <type_traits>
 #include <unordered_map>
 
 #include "cache/dedup.h"
@@ -60,16 +61,20 @@ class CacheNode {
   /// Drop every frame (controller failure).
   void Clear();
 
-  /// Iterate frames (directory rebuild, replica promotion).  Walks the LRU
-  /// list rather than the hash map so visit order is deterministic — the
-  /// callbacks feed directory state and therefore the digest.
+  /// Iterate frames (directory rebuild, replica promotion, tier scans).
+  /// Walks the LRU list rather than the hash map so visit order is
+  /// deterministic — the callbacks feed directory state and therefore the
+  /// digest.  A visitor that returns bool ends the walk by returning false.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
-    for (const PageKey& key : lru_) fn(key, frames_.find(key)->second.frame);
-  }
-  template <typename Fn>
-  void ForEachMutable(Fn&& fn) {
-    for (const PageKey& key : lru_) fn(key, frames_.find(key)->second.frame);
+    for (const PageKey& key : lru_) {
+      const Frame& f = frames_.find(key)->second.frame;
+      if constexpr (std::is_same_v<decltype(fn(key, f)), bool>) {
+        if (!fn(key, f)) return;
+      } else {
+        fn(key, f);
+      }
+    }
   }
 
  private:

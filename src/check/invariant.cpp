@@ -36,22 +36,6 @@ Registry& Registry::Instance() {
   return instance;
 }
 
-std::uint64_t Registry::TotalEvaluations() const {
-  std::uint64_t n = 0;
-  for (int i = 0; i < kSubsystemCount; ++i) {
-    n += evaluations_[i].load(std::memory_order_relaxed);
-  }
-  return n;
-}
-
-std::uint64_t Registry::TotalViolations() const {
-  std::uint64_t n = 0;
-  for (int i = 0; i < kSubsystemCount; ++i) {
-    n += violations_[i].load(std::memory_order_relaxed);
-  }
-  return n;
-}
-
 void Registry::Report(const Violation& v) {
   violations_[static_cast<int>(v.subsystem)].fetch_add(
       1, std::memory_order_relaxed);

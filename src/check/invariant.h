@@ -78,8 +78,6 @@ class Registry {
   std::uint64_t violations(Subsystem s) const {
     return violations_[static_cast<int>(s)].load(std::memory_order_relaxed);
   }
-  std::uint64_t TotalEvaluations() const;
-  std::uint64_t TotalViolations() const;
 
   /// Count + dispatch a violation to the handler (default: log to stderr
   /// and abort).  Called by the macro via detail::Fail.

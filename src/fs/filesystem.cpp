@@ -85,20 +85,21 @@ Status FileSystem::Rmdir(const std::string& path) {
 }
 
 Status FileSystem::Rename(const std::string& from, const std::string& to) {
+  const meta::Path from_path(from);
+  const meta::Path to_path(to);
   meta::DirId from_parent = 0;
   meta::DirId to_parent = 0;
-  std::string from_leaf;
-  std::string to_leaf;
   // As MetaService::Rename: the root on either side is refused before any
   // walk's failure counts, then the source walk's failure comes first.
-  const meta::Status from_st = ns_.ParentOf(from, &from_parent, &from_leaf);
-  const meta::Status to_st = ns_.ParentOf(to, &to_parent, &to_leaf);
+  const meta::Status from_st = ns_.ParentOf(from_path, &from_parent);
+  const meta::Status to_st = ns_.ParentOf(to_path, &to_parent);
   constexpr meta::Status kRoot = meta::Status::kInvalidArgument;
   meta::Status st = from_st == kRoot || to_st == kRoot ? kRoot
                     : from_st != meta::Status::kOk     ? from_st
                                                        : to_st;
   if (st == meta::Status::kOk) {
-    st = ns_.Rename(from_parent, from_leaf, to_parent, to_leaf).status;
+    st = ns_.Rename(from_parent, from_path.Leaf(), to_parent, to_path.Leaf())
+             .status;
   }
   return FromMeta(st);
 }
@@ -379,6 +380,9 @@ Status FileSystem::LoadMetadata(std::span<const std::uint8_t> blob) {
     for (std::uint64_t i = 0; i < count; ++i) {
       Inode node;
       node.ino = r.U64();
+      // Every id lies below next_ino, or a later create would be handed a
+      // live inode and overwrite its record.
+      if (node.ino >= next_ino) return Status::kInvalidArgument;
       node.type = static_cast<FileType>(r.U8());
       node.size = r.U64();
       node.policy.cache_priority = r.U8();
@@ -398,7 +402,9 @@ Status FileSystem::LoadMetadata(std::span<const std::uint8_t> blob) {
       const std::uint64_t nentries = r.U64();
       for (std::uint64_t e = 0; e < nentries; ++e) {
         std::string name = r.Str();
-        links.emplace_back(node.ino, std::move(name), r.U64());
+        const InodeNum child = r.U64();
+        if (child >= next_ino) return Status::kInvalidArgument;
+        links.emplace_back(node.ino, std::move(name), child);
       }
       inodes[node.ino] = std::move(node);
     }

@@ -21,7 +21,7 @@ struct DentryIndex::Node {
   std::vector<std::unique_ptr<Node>> kids;  // inner only
 
   /// Child index a key routes to: last i with keys[i] <= name, clamped to 0.
-  std::size_t RouteTo(const std::string& name) const {
+  std::size_t RouteTo(std::string_view name) const {
     const auto it = std::upper_bound(keys.begin(), keys.end(), name);
     if (it == keys.begin()) return 0;
     return static_cast<std::size_t>(it - keys.begin()) - 1;
@@ -33,7 +33,7 @@ DentryIndex::~DentryIndex() = default;
 DentryIndex::DentryIndex(DentryIndex&&) noexcept = default;
 DentryIndex& DentryIndex::operator=(DentryIndex&&) noexcept = default;
 
-const Dentry* DentryIndex::Find(const std::string& name) const {
+const Dentry* DentryIndex::Find(std::string_view name) const {
   const Node* node = root_.get();
   while (!node->leaf) node = node->kids[node->RouteTo(name)].get();
   const auto it = std::lower_bound(node->keys.begin(), node->keys.end(), name);
@@ -42,7 +42,7 @@ const Dentry* DentryIndex::Find(const std::string& name) const {
 }
 
 DentryIndex::SplitResult DentryIndex::InsertRec(Node* node,
-                                                const std::string& name,
+                                                std::string_view name,
                                                 const Dentry& dentry) {
   SplitResult out;
   if (node->leaf) {
@@ -50,7 +50,7 @@ DentryIndex::SplitResult DentryIndex::InsertRec(Node* node,
         std::lower_bound(node->keys.begin(), node->keys.end(), name);
     const std::size_t at = static_cast<std::size_t>(it - node->keys.begin());
     if (it != node->keys.end() && *it == name) return out;  // exists
-    node->keys.insert(it, name);
+    node->keys.insert(it, std::string(name));
     node->vals.insert(node->vals.begin() + static_cast<std::ptrdiff_t>(at),
                       dentry);
     out.inserted = true;
@@ -96,7 +96,7 @@ DentryIndex::SplitResult DentryIndex::InsertRec(Node* node,
   return out;
 }
 
-bool DentryIndex::Insert(const std::string& name, const Dentry& dentry) {
+bool DentryIndex::Insert(std::string_view name, const Dentry& dentry) {
   SplitResult r = InsertRec(root_.get(), name, dentry);
   if (r.right != nullptr) {
     auto new_root = std::make_unique<Node>();
@@ -112,7 +112,7 @@ bool DentryIndex::Insert(const std::string& name, const Dentry& dentry) {
   return r.inserted;
 }
 
-bool DentryIndex::EraseRec(Node* node, const std::string& name,
+bool DentryIndex::EraseRec(Node* node, std::string_view name,
                            bool* now_empty) {
   if (node->leaf) {
     const auto it =
@@ -138,7 +138,7 @@ bool DentryIndex::EraseRec(Node* node, const std::string& name,
   return erased;
 }
 
-bool DentryIndex::Erase(const std::string& name) {
+bool DentryIndex::Erase(std::string_view name) {
   bool root_empty = false;
   const bool erased = EraseRec(root_.get(), name, &root_empty);
   if (erased) --size_;

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/function.h"
@@ -44,10 +45,10 @@ class DentryIndex {
   DentryIndex& operator=(const DentryIndex&) = delete;
 
   /// Insert `name` -> `dentry`; false (and no change) when the name exists.
-  bool Insert(const std::string& name, const Dentry& dentry);
+  bool Insert(std::string_view name, const Dentry& dentry);
   /// Remove `name`; false when absent.
-  bool Erase(const std::string& name);
-  const Dentry* Find(const std::string& name) const;
+  bool Erase(std::string_view name);
+  const Dentry* Find(std::string_view name) const;
 
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
@@ -75,11 +76,11 @@ class DentryIndex {
     bool inserted = false;
   };
 
-  SplitResult InsertRec(Node* node, const std::string& name,
+  SplitResult InsertRec(Node* node, std::string_view name,
                         const Dentry& dentry);
   /// Returns true when the entry was erased; `*now_empty` reports whether
   /// `node` emptied out (caller unlinks it).
-  bool EraseRec(Node* node, const std::string& name, bool* now_empty);
+  bool EraseRec(Node* node, std::string_view name, bool* now_empty);
 
   std::unique_ptr<Node> root_;
   std::size_t size_ = 0;

@@ -1,20 +1,22 @@
 #include "meta/client.h"
 
+#include <bit>
+
 #include "check/invariant.h"
 #include "check/race.h"
 
 namespace nlss::meta {
 
-std::string_view Client::WalkPath::Prefix(std::size_t n) const {
-  std::size_t len = n;  // one '/' per component
-  for (std::size_t i = 0; i < n; ++i) len += parts[i].size();
-  return std::string_view(key).substr(0, len);
-}
-
 Client::Client(MetaService& service, std::string name, ClientConfig config)
     : service_(service), name_(std::move(name)), config_(config) {
-  // One spare slot: an insert lands before its eviction.
-  if (config_.capacity != 0) cache_.reserve(config_.capacity + 1);
+  if (config_.capacity != 0) {
+    // One spare entry: an insert lands before its eviction.
+    const std::size_t entries = config_.capacity + 1;
+    const std::size_t slots = std::bit_ceil(entries + entries / 2);
+    index_.resize(slots);
+    index_shift_ = 32 - static_cast<unsigned>(std::countr_zero(slots));
+    pool_.reserve(entries);
+  }
   service_.RegisterClient(this);
 }
 
@@ -31,171 +33,163 @@ std::uint64_t Client::RaceKey(DirId dir) const {
   return check::AccessKey(salt, dir);
 }
 
-void Client::Resolve(const std::string& path, MetaService::ResolveCallback cb,
+void Client::Resolve(std::string_view path, MetaService::ResolveCallback cb,
                      obs::TraceContext ctx) {
   ++stats_.resolves;
+  auto walk = std::make_unique<Walk>(path);
+  walk->cb = std::move(cb);
+  walk->ctx = ctx;
   // Workloads usually resolve through the cache with no trace of their
   // own; start a kMeta root here so cached hits and client-driven walks
   // both land in per-layer breakdowns.
   if (!ctx.sampled()) {
     if (obs::Hub* hub = service_.hub(); hub != nullptr) {
-      ctx = hub->tracer().StartTrace(obs::Layer::kMeta, "meta.client.resolve");
-      if (ctx.sampled()) {
-        cb = [cb = std::move(cb), ctx](Status st, Dentry d) {
-          ctx.tracer->EndTrace(ctx, st == Status::kOk);
-          cb(st, d);
-        };
-      }
+      walk->ctx = hub->tracer().StartTrace(obs::Layer::kMeta,
+                                           "meta.client.resolve");
+      walk->traced = walk->ctx.sampled();
     }
   }
-  auto walk = std::make_shared<WalkPath>();
-  walk->parts = SplitPath(path);
-  if (walk->parts.empty()) {
+  if (walk->path.depth() == 0) {
     // The root needs no walk; serve it like a local hit.
     ++stats_.full_hits;
-    service_.engine().Schedule(config_.local_hit_ns, [cb = std::move(cb)]() {
-      cb(Status::kOk, Dentry{kRootDir, true});
-    });
+    service_.engine().Schedule(
+        config_.local_hit_ns, [this, walk = std::move(walk)]() mutable {
+          Finish(std::move(walk), Status::kOk, Dentry{kRootDir, true});
+        });
     return;
   }
   if (config_.capacity == 0) {
     ++stats_.misses;
-    service_.Resolve(path, std::move(cb), ctx);
+    const obs::TraceContext span = walk->ctx;
+    service_.Resolve(
+        path,
+        [this, walk = std::move(walk)](Status st, Dentry d) mutable {
+          Finish(std::move(walk), st, d);
+        },
+        span);
     return;
   }
-  for (const std::string& part : walk->parts) {
-    walk->key += '/';
-    walk->key += part;
-  }
-  const auto it = cache_.find(walk->key);
-  if (it == cache_.end()) {
-    BeginWalk(std::move(walk), std::move(cb), ctx);
+  const std::size_t n = walk->path.depth();
+  Entry* entry = FindEntry(walk->path.Prefix(n), walk->path.PrefixHash(n));
+  if (entry == nullptr) {
+    BeginWalk(std::move(walk));
     return;
   }
   ++stats_.full_hits;
-  TouchLru(it->second);
+  TouchLru(*entry);
   // The hit is *served* local_hit_ns from now; a mutation can land in the
   // window, so re-validate at fire time and fall back to a walk if the
   // entry was invalidated under us — never serve the stale copy.
   service_.engine().Schedule(
-      config_.local_hit_ns,
-      [this, walk = std::move(walk), cb = std::move(cb), ctx]() mutable {
-        const auto it2 = cache_.find(walk->key);
-        if (it2 == cache_.end()) {
+      config_.local_hit_ns, [this, n, walk = std::move(walk)]() mutable {
+        const Entry* hit =
+            FindEntry(walk->path.Prefix(n), walk->path.PrefixHash(n));
+        if (hit == nullptr) {
           ++stats_.revalidation_fallbacks;
-          BeginWalk(std::move(walk), std::move(cb), ctx);
+          BeginWalk(std::move(walk));
           return;
         }
-        for (const Link& link : it2->second.chain) {
+        for (const Link& link : hit->chain) {
           NLSS_ACCESS(kMeta, RaceKey(link.dir), kRead);
           const std::uint64_t now_ver = service_.DirVersion(link.dir);
           NLSS_INVARIANT(kMeta, now_ver == link.version,
                          "stale dentry served for %s: dir %llu at v%llu, "
                          "cached v%llu",
-                         walk->key.c_str(),
+                         hit->key.c_str(),
                          static_cast<unsigned long long>(link.dir),
                          static_cast<unsigned long long>(now_ver),
                          static_cast<unsigned long long>(link.version));
           (void)now_ver;
         }
-        cb(Status::kOk, it2->second.dentry);
+        Finish(std::move(walk), Status::kOk, hit->dentry);
       });
 }
 
-void Client::BeginWalk(std::shared_ptr<const WalkPath> path,
-                       MetaService::ResolveCallback cb,
-                       obs::TraceContext ctx) {
-  std::size_t start = 0;
-  DirId dir = kRootDir;
-  auto chain = std::make_shared<Chain>();
-  chain->reserve(path->parts.size());  // one step per component
-  for (std::size_t n = path->parts.size() - 1; n >= 1; --n) {
-    const auto it = cache_.find(path->Prefix(n));
-    if (it != cache_.end() && it->second.dentry.is_dir) {
-      for (const Link& link : it->second.chain) {
+void Client::BeginWalk(WalkPtr walk) {
+  const Path& path = walk->path;
+  for (std::size_t n = path.depth() - 1; n >= 1; --n) {
+    Entry* entry = FindEntry(path.Prefix(n), path.PrefixHash(n));
+    if (entry != nullptr && entry->dentry.is_dir) {
+      // The ancestor's chain (one link per component) prefixes ours.
+      for (const Link& link : entry->chain) {
         NLSS_ACCESS(kMeta, RaceKey(link.dir), kRead);
-        // The ancestor's chain prefixes ours.
-        chain->emplace_back(link.dir, link.version);
+        walk->chain.push_back({link.dir, link.version});
       }
-      start = n;
-      dir = it->second.dentry.ino;
-      TouchLru(it->second);
+      walk->dir = entry->dentry.ino;
+      TouchLru(*entry);
       break;
     }
   }
-  if (start > 0) {
+  if (walk->chain.size() > 0) {
     ++stats_.partial_hits;
   } else {
     ++stats_.misses;
   }
-  WalkFrom(std::move(path), start, dir, std::move(chain), std::move(cb), ctx);
+  WalkFrom(std::move(walk));
 }
 
-void Client::WalkFrom(std::shared_ptr<const WalkPath> path, std::size_t next,
-                      DirId dir, std::shared_ptr<Chain> chain,
-                      MetaService::ResolveCallback cb, obs::TraceContext ctx) {
+void Client::WalkFrom(WalkPtr walk) {
   // E18a hot-root fix: a cold walk's first step always lands on the root
   // directory's shard, so 32 hosts missing on distinct "/dN" paths still
   // serialize there.  Serve that step from a version-stamped root copy
   // instead of a shard visit whenever the delegation grant is usable.
-  if (dir == kRootDir && config_.root_delegation && config_.capacity != 0 &&
-      !root_grant_broken_) {
-    RootDelegationStep(std::move(path), next, std::move(chain), std::move(cb),
-                       ctx);
+  if (walk->dir == kRootDir && config_.root_delegation &&
+      config_.capacity != 0 && !root_grant_broken_) {
+    RootDelegationStep(std::move(walk));
     return;
   }
   ++stats_.steps;
-  const std::string& name = path->parts[next];
+  const DirId dir = walk->dir;
+  const std::string_view name = walk->path.Component(walk->chain.size());
+  const obs::TraceContext ctx = walk->ctx;
   service_.LookupStep(
       dir, name,
-      [this, path = std::move(path), next, dir, chain = std::move(chain),
-       cb = std::move(cb), ctx](Status st, Dentry d,
-                                std::uint64_t ver) mutable {
+      [this, walk = std::move(walk)](Status st, Dentry d,
+                                     std::uint64_t ver) mutable {
         if (st != Status::kOk) {
-          cb(st, {});
+          Finish(std::move(walk), st, {});
           return;
         }
-        chain->emplace_back(dir, ver);
-        InsertEntry(path->Prefix(next + 1), d, *chain);
-        if (next + 1 == path->parts.size()) {
-          cb(Status::kOk, d);
-          return;
-        }
-        if (!d.is_dir) {
-          cb(Status::kNotDirectory, {});
-          return;
-        }
-        WalkFrom(std::move(path), next + 1, d.ino, std::move(chain),
-                 std::move(cb), ctx);
+        Advance(std::move(walk), d, ver);
       },
       ctx);
 }
 
-void Client::RootDelegationStep(std::shared_ptr<const WalkPath> path,
-                                std::size_t next, std::shared_ptr<Chain> chain,
-                                MetaService::ResolveCallback cb,
-                                obs::TraceContext ctx) {
-  if (root_grant_pending_) {
-    // A grant fetch is already in flight; join it instead of issuing a
-    // second shard visit, and re-enter the walk once the copy lands.
-    ++stats_.delegation_joins;
-    root_grant_waiters_.push_back(
-        [this, path, next, chain, cb = std::move(cb), ctx]() mutable {
-          WalkFrom(std::move(path), next, kRootDir, std::move(chain),
-                   std::move(cb), ctx);
-        });
+void Client::Advance(WalkPtr walk, Dentry d, std::uint64_t version) {
+  walk->chain.push_back({walk->dir, version});
+  InsertEntry(*walk, d);
+  if (walk->chain.size() == walk->path.depth()) {
+    Finish(std::move(walk), Status::kOk, d);
     return;
   }
-  if (!root_grant_valid_) {
-    // No usable copy: fetch one.  The requester becomes the first waiter
-    // so it pays exactly one delegation round-trip, same as a LookupStep.
+  if (!d.is_dir) {
+    Finish(std::move(walk), Status::kNotDirectory, {});
+    return;
+  }
+  walk->dir = d.ino;
+  WalkFrom(std::move(walk));
+}
+
+void Client::Finish(WalkPtr walk, Status st, Dentry d) {
+  if (walk->traced) walk->ctx.tracer->EndTrace(walk->ctx, st == Status::kOk);
+  walk->cb(st, d);
+}
+
+void Client::RootDelegationStep(WalkPtr walk) {
+  if (root_grant_pending_ || !root_grant_valid_) {
+    // Re-enter the walk once the copy lands: join a fetch in flight, or
+    // fetch one and, as its first waiter, pay exactly one delegation
+    // round-trip, same as a LookupStep.
+    const obs::TraceContext ctx = walk->ctx;
+    root_grant_waiters_.push_back([this, walk = std::move(walk)]() mutable {
+      WalkFrom(std::move(walk));
+    });
+    if (root_grant_pending_) {
+      ++stats_.delegation_joins;
+      return;
+    }
     ++stats_.delegation_grants;
     root_grant_pending_ = true;
-    root_grant_waiters_.push_back(
-        [this, path, next, chain, cb = std::move(cb), ctx]() mutable {
-          WalkFrom(std::move(path), next, kRootDir, std::move(chain),
-                   std::move(cb), ctx);
-        });
     service_.DelegateDirectory(
         kRootDir,
         [this](Status st, std::map<std::string, Dentry> copy,
@@ -222,36 +216,23 @@ void Client::RootDelegationStep(std::shared_ptr<const WalkPath> path,
   // authoritative root version at fire time, never serve a stale copy.
   ++stats_.delegation_hits;
   service_.engine().Schedule(
-      config_.local_hit_ns,
-      [this, path, next, chain, cb = std::move(cb), ctx]() mutable {
+      config_.local_hit_ns, [this, walk = std::move(walk)]() mutable {
         if (!root_grant_valid_ ||
             service_.DirVersion(kRootDir) != root_version_) {
           DropRootGrant();
           ++stats_.revalidation_fallbacks;
-          WalkFrom(std::move(path), next, kRootDir, std::move(chain),
-                   std::move(cb), ctx);
+          WalkFrom(std::move(walk));
           return;
         }
-        const auto it = root_copy_.find(path->parts[next]);
+        const std::string name(walk->path.Component(walk->chain.size()));
+        const auto it = root_copy_.find(name);
         if (it == root_copy_.end()) {
           // The copy is complete at root_version_, so a miss in it is an
           // authoritative negative — no shard visit to confirm.
-          cb(Status::kNotFound, {});
+          Finish(std::move(walk), Status::kNotFound, {});
           return;
         }
-        const Dentry d = it->second;
-        chain->emplace_back(kRootDir, root_version_);
-        InsertEntry(path->Prefix(next + 1), d, *chain);
-        if (next + 1 == path->parts.size()) {
-          cb(Status::kOk, d);
-          return;
-        }
-        if (!d.is_dir) {
-          cb(Status::kNotDirectory, {});
-          return;
-        }
-        WalkFrom(std::move(path), next + 1, d.ino, std::move(chain),
-                 std::move(cb), ctx);
+        Advance(std::move(walk), it->second, root_version_);
       });
 }
 
@@ -263,44 +244,69 @@ void Client::DropRootGrant() {
   ++stats_.delegation_drops;
 }
 
-void Client::InsertEntry(std::string_view path, Dentry dentry,
-                         const Chain& chain) {
+Client::Entry* Client::FindEntry(std::string_view key, std::uint64_t hash) {
+  const std::uint32_t tag = Tag(hash);
+  const std::size_t mask = index_.size() - 1;
+  for (std::size_t i = Home(tag);; i = (i + 1) & mask) {
+    const Slot slot = index_[i];
+    if (slot.entry == 0) return nullptr;
+    Entry& entry = pool_[slot.entry - 1];
+    if (slot.tag == tag && entry.key == key) return &entry;
+  }
+}
+
+void Client::InsertEntry(const Walk& walk, Dentry dentry) {
   if (config_.capacity == 0) return;
+  const std::size_t n = walk.chain.size();
   // A walk overlapping a mutation can deliver a result whose prefix went
   // stale before the reply landed; the result itself is a legal lookup
   // race, but caching it would be exactly the stale positive coherence
   // forbids.  Only cache chains that are still current.
-  for (const auto& [dir, ver] : chain) {
-    if (service_.DirVersion(dir) != ver) return;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (service_.DirVersion(walk.chain[i].first) != walk.chain[i].second) {
+      return;
+    }
   }
   // Validated insert commutes with same-tick peers (distinct paths, stable
   // LRU order) but not with an invalidation of any chain directory: that
   // pair settles to the same cache state either way, yet the drop counters
   // — and so the digest — depend on which ran first.
 #if NLSS_INVARIANTS_ENABLED
-  for (const auto& [dir, ver] : chain) {
-    NLSS_ACCESS(kMeta, RaceKey(dir), kCommute);
+  for (std::size_t i = 0; i < n; ++i) {
+    NLSS_ACCESS(kMeta, RaceKey(walk.chain[i].first), kCommute);
   }
 #endif
-  auto it = cache_.find(path);
-  if (it == cache_.end()) {
-    it = cache_.try_emplace(std::string(path)).first;
-    it->second.path = &it->first;
+  const std::uint32_t tag = Tag(walk.path.PrefixHash(n));
+  Entry* entry = FindEntry(walk.path.Prefix(n), walk.path.PrefixHash(n));
+  if (entry == nullptr) {
+    if (free_ != nullptr) {
+      entry = free_;
+      free_ = free_->next;
+    } else {
+      entry = &pool_.emplace_back();
+    }
+    entry->key = walk.path.Prefix(n);
+    entry->tag = tag;
+    const std::size_t mask = index_.size() - 1;
+    std::size_t i = Home(tag);
+    while (index_[i].entry != 0) i = (i + 1) & mask;
+    index_[i] = Slot{tag, static_cast<std::uint32_t>(entry - pool_.data() + 1)};
+    ++size_;
   } else {
     // Re-learned: the old chain and recency give way to the new ones.
-    lru_.Unlink(&it->second);
-    UnlinkChain(it->second);
+    lru_.Unlink(entry);
+    UnlinkChain(*entry);
   }
-  Entry& entry = it->second;
-  entry.dentry = dentry;
-  entry.chain.clear();
-  entry.chain.reserve(chain.size());
-  for (const auto& [dir, ver] : chain) {
-    entry.chain.push_back(Link{dir, ver, &entry});
+  entry->dentry = dentry;
+  entry->chain.clear();
+  entry->chain.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    entry->chain.push_back(
+        Link{walk.chain[i].first, walk.chain[i].second, entry});
   }
-  for (Link& link : entry.chain) by_dir_[link.dir].PushBack(&link);
-  lru_.PushBack(&entry);
-  while (cache_.size() > config_.capacity) {
+  for (Link& link : entry->chain) by_dir_[link.dir].PushBack(&link);
+  lru_.PushBack(entry);
+  while (size_ > config_.capacity) {
     RemoveEntry(*lru_.head, &stats_.evictions);
   }
 }
@@ -308,7 +314,24 @@ void Client::InsertEntry(std::string_view path, Dentry dentry,
 void Client::RemoveEntry(Entry& entry, std::uint64_t* counter) {
   lru_.Unlink(&entry);
   UnlinkChain(entry);
-  cache_.erase(cache_.find(*entry.path));
+  // Unindex it, closing the gap in its probe run.
+  const std::size_t mask = index_.size() - 1;
+  const auto slot = static_cast<std::uint32_t>(&entry - pool_.data() + 1);
+  std::size_t hole = Home(entry.tag);
+  while (index_[hole].entry != slot) hole = (hole + 1) & mask;
+  for (std::size_t j = (hole + 1) & mask; index_[j].entry != 0;
+       j = (j + 1) & mask) {
+    // Slot j may move back into the hole unless its home lies cyclically
+    // after the hole (within (hole, j]).
+    if (((j - Home(index_[j].tag)) & mask) >= ((j - hole) & mask)) {
+      index_[hole] = index_[j];
+      hole = j;
+    }
+  }
+  index_[hole] = Slot{};
+  entry.next = free_;
+  free_ = &entry;
+  --size_;
   if (counter != nullptr) ++(*counter);
 }
 

@@ -22,7 +22,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -33,6 +32,7 @@
 
 #include "meta/service.h"
 #include "util/function.h"
+#include "util/inline_vector.h"
 
 namespace nlss::meta {
 
@@ -78,7 +78,7 @@ class Client {
   Client& operator=(const Client&) = delete;
 
   /// Resolve `path` to its dentry, through the cache.
-  void Resolve(const std::string& path, MetaService::ResolveCallback cb,
+  void Resolve(std::string_view path, MetaService::ResolveCallback cb,
                obs::TraceContext ctx = {});
 
   /// Coherence push from the service: `dir`'s contents changed (its
@@ -89,7 +89,7 @@ class Client {
   const std::string& name() const { return name_; }
   const ClientStats& stats() const { return stats_; }
   const ClientConfig& config() const { return config_; }
-  std::size_t cached_entries() const { return cache_.size(); }
+  std::size_t cached_entries() const { return size_; }
   /// Directories at least one cached path resolved through (one
   /// membership list each; a list goes with its last path).
   std::size_t dir_lists() const { return by_dir_.size(); }
@@ -102,9 +102,6 @@ class Client {
   }
 
  private:
-  /// (directory, version) pairs a resolution read through, root-first.
-  using Chain = std::vector<std::pair<DirId, std::uint64_t>>;
-
   /// Doubly linked list threaded through its elements' own prev/next
   /// pointers: O(1) append and unlink, no allocation.
   template <typename T>
@@ -139,49 +136,60 @@ class Client {
     /// Root-first; chain.back().dir is the leaf's parent directory.  Never
     /// resized while linked: the directory lists point into it.
     std::vector<Link> chain;
-    const std::string* path = nullptr;  // this entry's key in cache_
-    Entry* prev = nullptr;              // LRU neighbours (lru_)
-    Entry* next = nullptr;
+    std::string key;         // normalized path
+    std::uint32_t tag = 0;   // Tag(Path::PrefixHash of key)
+    Entry* prev = nullptr;   // LRU neighbours (lru_); a free entry's next
+    Entry* next = nullptr;   // links the free list
+  };
+  /// A path-index slot: a key's hash tag and 1 + its entry's pool index.
+  struct Slot {
+    std::uint32_t tag = 0;
+    std::uint32_t entry = 0;
   };
 
-  /// One resolve's path, split once: its components and its normalized
-  /// key "/a/b/c", whose prefixes are the keys of its ancestors.
-  struct WalkPath {
-    std::vector<std::string> parts;
-    std::string key;
-    /// Key of the first `n` components.
-    std::string_view Prefix(std::size_t n) const;
+  /// One resolve in flight, allocated once.  Every closure a resolve hands
+  /// to the engine or the service captures the client and this record, so
+  /// none outgrows util::Function's inline buffer.
+  struct Walk {
+    explicit Walk(std::string_view p) : path(p) {}
+    Path path;
+    /// (directory, version) per component read, root first: its size is
+    /// the index of the next component.
+    util::InlineVector<std::pair<DirId, std::uint64_t>, 8> chain;
+    DirId dir = kRootDir;  // where the next component is looked up
+    MetaService::ResolveCallback cb;
+    obs::TraceContext ctx;
+    bool traced = false;  // ctx is a trace this resolve started
   };
-
-  /// Transparent hash: cache_ is probed with string_view prefixes of a
-  /// WalkPath key, without building a string per probe.
-  struct PathHash {
-    using is_transparent = void;
-    std::size_t operator()(std::string_view s) const {
-      return std::hash<std::string_view>{}(s);
-    }
-  };
+  using WalkPtr = std::unique_ptr<Walk>;
 
   /// Start a service walk: from the deepest cached ancestor when one
   /// exists, from the root otherwise.
-  void BeginWalk(std::shared_ptr<const WalkPath> path,
-                 MetaService::ResolveCallback cb, obs::TraceContext ctx);
-  /// Walk components [next, end) from `dir`, prefix = cached chain so far.
-  void WalkFrom(std::shared_ptr<const WalkPath> path, std::size_t next,
-                DirId dir, std::shared_ptr<Chain> chain,
-                MetaService::ResolveCallback cb, obs::TraceContext ctx);
+  void BeginWalk(WalkPtr walk);
+  /// Look up the next component in walk->dir.
+  void WalkFrom(WalkPtr walk);
+  /// The next component resolved to `d` at directory version `version`:
+  /// cache it, then finish or walk on.
+  void Advance(WalkPtr walk, Dentry d, std::uint64_t version);
   /// Serve a root-directory step from the delegation copy (fetching or
   /// joining a grant first when needed).
-  void RootDelegationStep(std::shared_ptr<const WalkPath> path,
-                          std::size_t next, std::shared_ptr<Chain> chain,
-                          MetaService::ResolveCallback cb,
-                          obs::TraceContext ctx);
+  void RootDelegationStep(WalkPtr walk);
+  void Finish(WalkPtr walk, Status st, Dentry d);
   void DropRootGrant();
-  void InsertEntry(std::string_view path, Dentry dentry, const Chain& chain);
+  Entry* FindEntry(std::string_view key, std::uint64_t hash);
+  /// Cache the walk's prefix of chain.size() components as `dentry`.
+  void InsertEntry(const Walk& walk, Dentry dentry);
   void RemoveEntry(Entry& entry, std::uint64_t* counter);
   /// Take `entry`'s chain out of every directory list it sits in.
   void UnlinkChain(Entry& entry);
   void TouchLru(Entry& entry);
+  /// The upper half of a Path hash: the index stores and probes it.
+  static std::uint32_t Tag(std::uint64_t hash) {
+    return static_cast<std::uint32_t>(hash >> 32);
+  }
+  std::size_t Home(std::uint32_t tag) const {
+    return (tag * 0x9e3779b1u) >> index_shift_;
+  }
   /// Race-detector key for this client's cached state about `dir`: each
   /// host cache is independent state, so the key is salted per client
   /// (deterministically, from the client's name).
@@ -190,11 +198,16 @@ class Client {
   MetaService& service_;
   std::string name_;
   ClientConfig config_;
-  // Hashed containers here are looked up, never iterated: every walk over
+  // The path index is open-addressed (linear probing, backward-shift
+  // erase), sized once for capacity + 1 entries; pool_ never reallocates.
+  // The index and by_dir_ are looked up, never iterated: every walk over
   // cached paths follows lru_ or a directory list, so no hash order can
   // reach the simulation.
-  std::unordered_map<std::string, Entry, PathHash, std::equal_to<>>
-      cache_;                                    // normalized path -> entry
+  std::vector<Slot> index_;
+  unsigned index_shift_ = 31;
+  std::vector<Entry> pool_;
+  Entry* free_ = nullptr;
+  std::size_t size_ = 0;                          // cached entries
   std::unordered_map<DirId, List<Link>> by_dir_;  // chain dir -> its links
   List<Entry> lru_;  // least recently touched first: head is the victim
   // Root delegation state: a full, version-stamped copy of "/".

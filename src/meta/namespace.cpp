@@ -1,5 +1,7 @@
 #include "meta/namespace.h"
 
+#include <algorithm>
+
 #include "check/invariant.h"
 
 namespace nlss::meta {
@@ -17,26 +19,26 @@ const char* StatusName(Status s) {
   return "?";
 }
 
-std::vector<std::string> SplitPath(const std::string& path) {
-  std::vector<std::string> parts;
-  std::string cur;
-  for (const char c : path) {
-    if (c == '/') {
-      if (!cur.empty()) parts.push_back(std::move(cur));
-      cur.clear();
-    } else {
-      cur.push_back(c);
+Path::Path(std::string_view path) {
+  std::uint64_t hash = 0xcbf29ce484222325ull;  // FNV-1a over the key
+  for (std::size_t i = 0; i < path.size(); ++i) {
+    if (path[i] == '/') continue;
+    const std::string_view part = path.substr(i, path.find('/', i) - i);
+    key_ += '/';
+    key_ += part;
+    for (std::size_t k = key_.size() - part.size() - 1; k < key_.size(); ++k) {
+      hash = (hash ^ static_cast<unsigned char>(key_[k])) * 0x100000001b3ull;
     }
+    parts_.push_back(Part{key_.size(), hash});
+    i += part.size();
   }
-  if (!cur.empty()) parts.push_back(std::move(cur));
-  return parts;
 }
 
 Namespace::Namespace() { Record(kRootDir); }
 
 const Directory* Namespace::Find(DirId dir) const {
-  const auto it = dirs_.find(dir);
-  return it == dirs_.end() ? nullptr : &it->second;
+  const auto it = std::ranges::lower_bound(dirs_, dir, {}, &Directory::id);
+  return it == dirs_.end() || it->id != dir ? nullptr : &*it;
 }
 
 Directory* Namespace::FindMutable(DirId dir) {
@@ -44,9 +46,9 @@ Directory* Namespace::FindMutable(DirId dir) {
 }
 
 Directory& Namespace::Record(DirId dir) {
-  Directory& d = dirs_[dir];
-  d.id = dir;
-  return d;
+  auto it = std::ranges::lower_bound(dirs_, dir, {}, &Directory::id);
+  if (it == dirs_.end() || it->id != dir) (it = dirs_.emplace(it))->id = dir;
+  return *it;
 }
 
 void Namespace::Bump(Directory& d, Result& r, std::size_t slot) {
@@ -58,35 +60,32 @@ void Namespace::Bump(Directory& d, Result& r, std::size_t slot) {
 
 // --- Path walk ----------------------------------------------------------------
 
-Status Namespace::ParentOf(const std::string& path, DirId* parent,
-                           std::string* leaf) const {
-  std::vector<std::string> parts = SplitPath(path);
-  if (parts.empty()) return Status::kInvalidArgument;
+Status Namespace::ParentOf(const Path& path, DirId* parent) const {
+  if (path.depth() == 0) return Status::kInvalidArgument;
   DirId dir = kRootDir;
-  for (std::size_t i = 0; i + 1 < parts.size(); ++i) {
+  for (std::size_t i = 0; i + 1 < path.depth(); ++i) {
     const Directory* d = Find(dir);
     if (d == nullptr) return Status::kNotFound;
-    const Dentry* e = d->entries.Find(parts[i]);
+    const Dentry* e = d->entries.Find(path.Component(i));
     if (e == nullptr) return Status::kNotFound;
     if (!e->is_dir) return Status::kNotDirectory;
     dir = e->ino;
   }
   *parent = dir;
-  *leaf = std::move(parts.back());
   return Status::kOk;
 }
 
-Status Namespace::Resolve(const std::string& path, Dentry* out) const {
+Status Namespace::Resolve(std::string_view path, Dentry* out) const {
+  const Path parsed(path);
   DirId parent = 0;
-  std::string leaf;
-  const Status st = ParentOf(path, &parent, &leaf);
+  const Status st = ParentOf(parsed, &parent);
   if (st == Status::kInvalidArgument) {
     *out = Dentry{kRootDir, true};
     return Status::kOk;
   }
   if (st != Status::kOk) return st;
   const Directory* d = Find(parent);
-  const Dentry* e = d == nullptr ? nullptr : d->entries.Find(leaf);
+  const Dentry* e = d == nullptr ? nullptr : d->entries.Find(parsed.Leaf());
   if (e == nullptr) return Status::kNotFound;
   *out = *e;
   return Status::kOk;
@@ -94,16 +93,16 @@ Status Namespace::Resolve(const std::string& path, Dentry* out) const {
 
 // --- Leaf rules -----------------------------------------------------------------
 
-Namespace::Result Namespace::AtPath(const std::string& path, LeafRule rule) {
+Namespace::Result Namespace::AtPath(std::string_view path, LeafRule rule) {
+  const Path parsed(path);
   DirId parent = 0;
-  std::string leaf;
   Result r;
-  r.status = ParentOf(path, &parent, &leaf);
-  if (r.status == Status::kOk) r = (this->*rule)(parent, leaf);
+  r.status = ParentOf(parsed, &parent);
+  if (r.status == Status::kOk) r = (this->*rule)(parent, parsed.Leaf());
   return r;
 }
 
-Namespace::Result Namespace::Link(DirId parent, const std::string& leaf,
+Namespace::Result Namespace::Link(DirId parent, std::string_view leaf,
                                   bool is_dir) {
   Result r;
   Directory* p = FindMutable(parent);
@@ -114,22 +113,22 @@ Namespace::Result Namespace::Link(DirId parent, const std::string& leaf,
   }
   const Ino ino = next_ino_++;
   p->entries.Insert(leaf, Dentry{ino, is_dir});
-  if (is_dir) Record(ino).parent = parent;
   Bump(*p, r, 0);
+  if (is_dir) Record(ino).parent = parent;  // may move *p
   r.status = Status::kOk;
   r.ino = ino;
   return r;
 }
 
-Namespace::Result Namespace::Mkdir(DirId parent, const std::string& leaf) {
+Namespace::Result Namespace::Mkdir(DirId parent, std::string_view leaf) {
   return Link(parent, leaf, true);
 }
 
-Namespace::Result Namespace::Create(DirId parent, const std::string& leaf) {
+Namespace::Result Namespace::Create(DirId parent, std::string_view leaf) {
   return Link(parent, leaf, false);
 }
 
-Namespace::Result Namespace::Unlink(DirId parent, const std::string& leaf) {
+Namespace::Result Namespace::Unlink(DirId parent, std::string_view leaf) {
   Result r;
   Directory* p = FindMutable(parent);
   const Dentry* e = p == nullptr ? nullptr : p->entries.Find(leaf);
@@ -145,7 +144,7 @@ Namespace::Result Namespace::Unlink(DirId parent, const std::string& leaf) {
   return r;
 }
 
-Namespace::Result Namespace::Rmdir(DirId parent, const std::string& leaf) {
+Namespace::Result Namespace::Rmdir(DirId parent, std::string_view leaf) {
   Result r;
   Directory* p = FindMutable(parent);
   const Dentry* e = p == nullptr ? nullptr : p->entries.Find(leaf);
@@ -161,8 +160,8 @@ Namespace::Result Namespace::Rmdir(DirId parent, const std::string& leaf) {
     return r;
   }
   p->entries.Erase(leaf);
-  dirs_.erase(victim);
   Bump(*p, r, 0);
+  if (v != nullptr) dirs_.erase(dirs_.begin() + (v - dirs_.data()));
   r.status = Status::kOk;
   r.ino = victim;
   r.gone = victim;
@@ -177,9 +176,9 @@ bool Namespace::Within(DirId dir, DirId ancestor) const {
 }
 
 Namespace::Result Namespace::Rename(DirId from_parent,
-                                    const std::string& from_leaf,
+                                    std::string_view from_leaf,
                                     DirId to_parent,
-                                    const std::string& to_leaf) {
+                                    std::string_view to_leaf) {
   Result r;
   Directory* fp = FindMutable(from_parent);
   Directory* tp = FindMutable(to_parent);

@@ -12,12 +12,13 @@
 
 #include <array>
 #include <cstdint>
-#include <map>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "meta/btree.h"
+#include "util/inline_vector.h"
 
 namespace nlss::meta {
 
@@ -46,8 +47,32 @@ struct Directory {
   DentryIndex entries;
 };
 
-/// The non-empty components of `path`: "/a//b/" is {"a", "b"}, "/" is {}.
-std::vector<std::string> SplitPath(const std::string& path);
+/// A path parsed in one pass: its normalized key ("/a/b" for "a//b/"), the
+/// end of each component in it and the hash of each prefix, so a walk that
+/// probes every ancestor hashes no key twice.  Eight components fit inline.
+class Path {
+ public:
+  explicit Path(std::string_view path);
+  std::size_t depth() const { return parts_.size(); }
+  /// Key of the first `n` >= 1 components, and its 64-bit FNV-1a hash.
+  std::string_view Prefix(std::size_t n) const {
+    return std::string_view(key_).substr(0, parts_[n - 1].end);
+  }
+  std::uint64_t PrefixHash(std::size_t n) const { return parts_[n - 1].hash; }
+  std::string_view Component(std::size_t i) const {
+    const std::size_t begin = i == 0 ? 1 : parts_[i - 1].end + 1;
+    return std::string_view(key_).substr(begin, parts_[i].end - begin);
+  }
+  std::string_view Leaf() const { return Component(depth() - 1); }
+
+ private:
+  struct Part {
+    std::size_t end;     // one past the component's last byte in key_
+    std::uint64_t hash;  // of key_[0, end)
+  };
+  std::string key_;
+  util::InlineVector<Part, 8> parts_;
+};
 
 class Namespace {
  public:
@@ -73,27 +98,26 @@ class Namespace {
     return d == nullptr ? 0 : d->version;
   }
 
-  /// `path` split into its parent directory and leaf name, walking every
-  /// component but the last: kNotFound for a missing component,
-  /// kNotDirectory for a file on the way, kInvalidArgument for the root.
-  Status ParentOf(const std::string& path, DirId* parent,
-                  std::string* leaf) const;
+  /// The directory holding `path`'s leaf, walking every component but the
+  /// last: kNotFound for a missing component, kNotDirectory for a file on
+  /// the way, kInvalidArgument for the root.
+  Status ParentOf(const Path& path, DirId* parent) const;
   /// The dentry `path` names; the root is {kRootDir, true}.
-  Status Resolve(const std::string& path, Dentry* out) const;
+  Status Resolve(std::string_view path, Dentry* out) const;
 
   // --- Leaf rules at a known parent (kNotFound when `parent` is gone) -------
-  using LeafRule = Result (Namespace::*)(DirId, const std::string&);
+  using LeafRule = Result (Namespace::*)(DirId, std::string_view);
   /// Walk to `path`'s parent (ParentOf), then apply `rule` there.
-  Result AtPath(const std::string& path, LeafRule rule);
+  Result AtPath(std::string_view path, LeafRule rule);
 
-  Result Mkdir(DirId parent, const std::string& leaf);
-  Result Create(DirId parent, const std::string& leaf);
-  Result Unlink(DirId parent, const std::string& leaf);
-  Result Rmdir(DirId parent, const std::string& leaf);
+  Result Mkdir(DirId parent, std::string_view leaf);
+  Result Create(DirId parent, std::string_view leaf);
+  Result Unlink(DirId parent, std::string_view leaf);
+  Result Rmdir(DirId parent, std::string_view leaf);
   /// Moves the entry; a self-rename is a no-op, and a directory moved into
   /// itself or below itself is kInvalidArgument.
-  Result Rename(DirId from_parent, const std::string& from_leaf,
-                DirId to_parent, const std::string& to_leaf);
+  Result Rename(DirId from_parent, std::string_view from_leaf,
+                DirId to_parent, std::string_view to_leaf);
   /// Up to `limit` of `dir`'s entries with name >= `from`, in name order
   /// (limit == 0: all of them).
   Status Scan(DirId dir, const std::string& from, std::size_t limit,
@@ -102,7 +126,7 @@ class Namespace {
   /// Every directory id, ascending.
   template <typename Fn>
   void ForEachDir(Fn&& fn) const {
-    for (const auto& entry : dirs_) fn(entry.first);
+    for (const Directory& d : dirs_) fn(d.id);
   }
 
   // --- Checkpoint restore ----------------------------------------------------
@@ -115,14 +139,17 @@ class Namespace {
 
  private:
   Directory* FindMutable(DirId dir);
+  /// `dir`'s record, created in place when missing.  Creating one may move
+  /// every record: no Directory pointer survives the call.
   Directory& Record(DirId dir);
   void Bump(Directory& d, Result& r, std::size_t slot);
   /// Add `leaf` -> a fresh inode under `parent`.
-  Result Link(DirId parent, const std::string& leaf, bool is_dir);
+  Result Link(DirId parent, std::string_view leaf, bool is_dir);
   /// True when `dir` is `ancestor` or lies below it.
   bool Within(DirId dir, DirId ancestor) const;
 
-  std::map<DirId, Directory> dirs_;  // ordered: deterministic iteration
+  /// Sorted by id.  Ids only grow, so a mkdir appends.
+  std::vector<Directory> dirs_;
   Ino next_ino_ = kRootDir + 1;
 };
 

@@ -118,9 +118,22 @@ void MetaService::Publish(const Namespace::Result& r) {
 
 // --- Shard visits -------------------------------------------------------------
 
+template <typename Result, typename ApplyFn, typename ReplyFn>
+struct MetaService::VisitRecord {
+  DirId dir;
+  ShardId shard;
+  MetaShard::OpClass klass;
+  sim::Tick cost_ns;
+  obs::TraceContext span;
+  qos::Scheduler::Done done;
+  ApplyFn apply;
+  ReplyFn reply;
+  Result result{};
+};
+
+template <typename Result, typename ApplyFn, typename ReplyFn>
 void MetaService::Visit(DirId dir, MetaShard::OpClass klass, sim::Tick cost_ns,
-                        util::Function<void()> apply,
-                        util::Function<void()> reply,
+                        ApplyFn apply, ReplyFn reply,
                         obs::TraceContext parent) {
   const ShardId shard = ShardOf(dir);
   obs::TraceContext span =
@@ -128,39 +141,39 @@ void MetaService::Visit(DirId dir, MetaShard::OpClass klass, sim::Tick cost_ns,
   if (span.sampled()) {
     span.tracer->Annotate(span, "shard=" + std::to_string(shard));
   }
-  auto serve = [this, shard, klass, cost_ns, apply = std::move(apply),
-                reply = std::move(reply),
-                span](qos::Scheduler::Done done) mutable {
-    shards_[shard]->Execute(
-        klass, cost_ns,
-        [this, apply = std::move(apply), reply = std::move(reply), span,
-         done = std::move(done)]() mutable {
-          apply();
-          if (done) done(true);  // blade work finished; reply hop is network
-          engine_.Schedule(config_.hop_ns, [reply = std::move(reply), span]() {
-            obs::EndSpan(span);
-            reply();
-          });
-        });
-  };
+  using Record = VisitRecord<Result, ApplyFn, ReplyFn>;
+  std::unique_ptr<Record> visit(new Record{dir, shard, klass, cost_ns, span,
+                                           nullptr, std::move(apply),
+                                           std::move(reply)});
   // One fabric hop to reach the shard's blade, then admission.  Arrival
   // order here is what the shard's strict FIFO service preserves, so this
   // event carries the access tag: a same-tick unrelated mutation and
   // lookup of one directory would resolve before- or after-image by queue
   // order alone.
-  const bool mutation = klass == MetaShard::OpClass::kMutation;
-  engine_.Schedule(config_.hop_ns,
-                   [this, shard, dir, mutation, serve = std::move(serve),
-                    span]() mutable {
-                     if (mutation) {
-                       NLSS_ACCESS(kMeta, check::AccessKey(0xD1Eull, dir),
-                                   kWrite);
-                     } else {
-                       NLSS_ACCESS(kMeta, check::AccessKey(0xD1Eull, dir),
-                                   kRead);
-                     }
-                     SubmitToBlade(shard, std::move(serve), span);
-                   });
+  engine_.Schedule(config_.hop_ns, [this, visit = std::move(visit)]() mutable {
+    if (visit->klass == MetaShard::OpClass::kMutation) {
+      NLSS_ACCESS(kMeta, check::AccessKey(0xD1Eull, visit->dir), kWrite);
+    } else {
+      NLSS_ACCESS(kMeta, check::AccessKey(0xD1Eull, visit->dir), kRead);
+    }
+    const ShardId to = visit->shard;
+    const obs::TraceContext at = visit->span;
+    auto serve = [this, visit = std::move(visit)](
+                     qos::Scheduler::Done done) mutable {
+      Record& v = *visit;
+      v.done = std::move(done);
+      auto run = [this, visit = std::move(visit)]() mutable {
+        visit->apply(visit->result);
+        if (visit->done) visit->done(true);  // blade work done; reply is net
+        engine_.Schedule(config_.hop_ns, [visit = std::move(visit)]() {
+          obs::EndSpan(visit->span);
+          visit->reply(visit->result);
+        });
+      };
+      shards_[v.shard]->Execute(v.klass, v.cost_ns, std::move(run));
+    };
+    SubmitToBlade(to, std::move(serve), at);
+  });
 }
 
 void MetaService::SubmitToBlade(ShardId shard, qos::Scheduler::Launch serve,
@@ -183,24 +196,23 @@ void MetaService::SubmitToBlade(ShardId shard, qos::Scheduler::Launch serve,
 
 // --- Lookup / resolve ---------------------------------------------------------
 
-void MetaService::LookupStep(DirId dir, const std::string& name,
+void MetaService::LookupStep(DirId dir, std::string_view name,
                              LookupCallback cb, obs::TraceContext ctx) {
   ++stats_.lookup_steps;
-  auto result = std::make_shared<std::tuple<Status, Dentry, std::uint64_t>>(
-      Status::kNotFound, Dentry{}, 0);
-  Visit(
+  using Found = std::tuple<Status, Dentry, std::uint64_t>;
+  Visit<Found>(
       dir, MetaShard::OpClass::kLookup, config_.lookup_cost_ns,
-      [this, dir, name, result]() {
+      [this, dir, name = std::string(name)](Found& r) {
+        std::get<0>(r) = Status::kNotFound;
         const Directory* d = ns_.Find(dir);
         if (d == nullptr) return;  // stays kNotFound, version 0
         const Dentry* e = d->entries.Find(name);
-        std::get<2>(*result) = d->version;
+        std::get<2>(r) = d->version;
         if (e == nullptr) return;
-        std::get<0>(*result) = Status::kOk;
-        std::get<1>(*result) = *e;
+        r = {Status::kOk, *e, d->version};
       },
-      [cb = std::move(cb), result]() {
-        cb(std::get<0>(*result), std::get<1>(*result), std::get<2>(*result));
+      [cb = std::move(cb)](Found& r) {
+        cb(std::get<0>(r), std::get<1>(r), std::get<2>(r));
       },
       ctx);
 }
@@ -213,42 +225,40 @@ void MetaService::DelegateDirectory(DirId dir, DelegateCallback cb,
   // Billed like a full listing: base scan cost plus every entry copied.
   const Directory* d = ns_.Find(dir);
   const std::size_t approx = d == nullptr ? 0 : d->entries.size();
-  auto result =
-      std::make_shared<std::tuple<Status, std::map<std::string, Dentry>,
-                                  std::uint64_t>>(
-          Status::kNotFound, std::map<std::string, Dentry>{}, 0);
-  Visit(
+  using Copy =
+      std::tuple<Status, std::map<std::string, Dentry>, std::uint64_t>;
+  Visit<Copy>(
       dir, MetaShard::OpClass::kScan,
       config_.scan_cost_ns +
           config_.scan_entry_cost_ns * static_cast<sim::Tick>(approx),
-      [this, dir, result]() {
+      [this, dir](Copy& r) {
+        std::get<0>(r) = Status::kNotFound;
         const Directory* d2 = ns_.Find(dir);
         if (d2 == nullptr) return;  // stays kNotFound
-        std::get<0>(*result) = Status::kOk;
+        std::get<0>(r) = Status::kOk;
         d2->entries.ForEach([&](const std::string& name, const Dentry& de) {
-          std::get<1>(*result).emplace(name, de);
+          std::get<1>(r).emplace(name, de);
         });
-        std::get<2>(*result) = d2->version;
+        std::get<2>(r) = d2->version;
       },
-      [this, cb = std::move(cb), result, op, root]() {
-        FinishOp(op, root, std::get<0>(*result) == Status::kOk);
-        cb(std::get<0>(*result), std::move(std::get<1>(*result)),
-           std::get<2>(*result));
+      [this, cb = std::move(cb), op, root](Copy& r) {
+        FinishOp(op, root, std::get<0>(r) == Status::kOk);
+        cb(std::get<0>(r), std::move(std::get<1>(r)), std::get<2>(r));
       },
       op);
 }
 
-void MetaService::Resolve(const std::string& path, ResolveCallback cb,
+void MetaService::Resolve(std::string_view path, ResolveCallback cb,
                           obs::TraceContext ctx) {
   bool root = false;
   obs::TraceContext op = StartOp(ctx, "meta.resolve", &root);
   ++stats_.resolves;
-  auto parts = std::make_shared<std::vector<std::string>>(SplitPath(path));
+  auto parts = std::make_shared<const Path>(path);
   auto done = [this, cb = std::move(cb), op, root](Status st, Dentry d) {
     FinishOp(op, root, st == Status::kOk);
     cb(st, d);
   };
-  if (parts->empty()) {
+  if (parts->depth() == 0) {
     engine_.Schedule(0, [done = std::move(done)]() {
       done(Status::kOk, Dentry{kRootDir, true});
     });
@@ -257,7 +267,7 @@ void MetaService::Resolve(const std::string& path, ResolveCallback cb,
   ResolveParts(parts, std::move(done), op);
 }
 
-void MetaService::ResolveParts(std::shared_ptr<std::vector<std::string>> parts,
+void MetaService::ResolveParts(std::shared_ptr<const Path> parts,
                                ResolveCallback done, obs::TraceContext ctx) {
   WalkToParent(
       parts, 0, kRootDir,
@@ -267,7 +277,7 @@ void MetaService::ResolveParts(std::shared_ptr<std::vector<std::string>> parts,
           done(st, {});
           return;
         }
-        LookupStep(parent, parts->back(),
+        LookupStep(parent, parts->Leaf(),
                    [done = std::move(done)](Status s, Dentry d,
                                             std::uint64_t) { done(s, d); },
                    ctx);
@@ -275,15 +285,16 @@ void MetaService::ResolveParts(std::shared_ptr<std::vector<std::string>> parts,
       ctx);
 }
 
-void MetaService::WalkToParent(
-    std::shared_ptr<std::vector<std::string>> parts, std::size_t next,
-    DirId dir, util::Function<void(Status, DirId)> cb, obs::TraceContext ctx) {
-  if (next + 1 >= parts->size()) {
+void MetaService::WalkToParent(std::shared_ptr<const Path> parts,
+                               std::size_t next, DirId dir,
+                               util::Function<void(Status, DirId)> cb,
+                               obs::TraceContext ctx) {
+  if (next + 1 >= parts->depth()) {
     cb(Status::kOk, dir);
     return;
   }
   LookupStep(
-      dir, (*parts)[next],
+      dir, parts->Component(next),
       [this, parts, next, cb = std::move(cb), ctx](
           Status st, Dentry d, std::uint64_t) mutable {
         if (st != Status::kOk) {
@@ -306,12 +317,12 @@ void MetaService::MutateLeaf(const char* name, const std::string& path,
                              obs::TraceContext ctx) {
   bool root = false;
   obs::TraceContext op = StartOp(ctx, name, &root);
-  auto parts = std::make_shared<std::vector<std::string>>(SplitPath(path));
+  auto parts = std::make_shared<const Path>(path);
   auto done = [this, cb = std::move(cb), op, root](Status st, Ino ino) {
     FinishOp(op, root, st == Status::kOk);
     cb(st, ino);
   };
-  if (parts->empty()) {
+  if (parts->depth() == 0) {
     engine_.Schedule(0, [done = std::move(done)]() {
       done(Status::kInvalidArgument, 0);
     });
@@ -325,15 +336,14 @@ void MetaService::MutateLeaf(const char* name, const std::string& path,
           done(st, 0);
           return;
         }
-        auto result = std::make_shared<Namespace::Result>();
-        Visit(
+        Visit<Namespace::Result>(
             parent, MetaShard::OpClass::kMutation, config_.mutate_cost_ns,
-            [this, parent, rule, leaf = parts->back(), result]() {
-              *result = (ns_.*rule)(parent, leaf);
-              Publish(*result);
+            [this, parent, rule, parts](Namespace::Result& r) {
+              r = (ns_.*rule)(parent, parts->Leaf());
+              Publish(r);
             },
-            [done = std::move(done), result]() {
-              done(result->status, result->ino);
+            [done = std::move(done)](Namespace::Result& r) {
+              done(r.status, r.ino);
             },
             op);
       },
@@ -367,13 +377,13 @@ void MetaService::Rename(const std::string& from, const std::string& to,
                          StatusCallback cb, obs::TraceContext ctx) {
   bool root = false;
   obs::TraceContext op = StartOp(ctx, "meta.rename", &root);
-  auto from_parts = std::make_shared<std::vector<std::string>>(SplitPath(from));
-  auto to_parts = std::make_shared<std::vector<std::string>>(SplitPath(to));
+  auto from_parts = std::make_shared<const Path>(from);
+  auto to_parts = std::make_shared<const Path>(to);
   auto done = [this, cb = std::move(cb), op, root](Status st) {
     FinishOp(op, root, st == Status::kOk);
     cb(st);
   };
-  if (from_parts->empty() || to_parts->empty()) {
+  if (from_parts->depth() == 0 || to_parts->depth() == 0) {
     engine_.Schedule(
         0, [done = std::move(done)]() { done(Status::kInvalidArgument); });
     return;
@@ -402,19 +412,19 @@ void MetaService::Rename(const std::string& from, const std::string& to,
                     MetaShard::OpClass::kMutation, config_.mutate_cost_ns,
                     []() {});
               }
-              auto result = std::make_shared<Status>(Status::kNotFound);
-              Visit(
+              Visit<Namespace::Result>(
                   from_parent, MetaShard::OpClass::kMutation,
                   config_.mutate_cost_ns,
-                  [this, from_parent, to_parent,
-                   from_leaf = from_parts->back(),
-                   to_leaf = to_parts->back(), result]() {
-                    const Namespace::Result r =
-                        ns_.Rename(from_parent, from_leaf, to_parent, to_leaf);
+                  [this, from_parent, to_parent, from_parts,
+                   to_parts](Namespace::Result& r) {
+                    r = ns_.Rename(from_parent, from_parts->Leaf(), to_parent,
+                                   to_parts->Leaf());
                     Publish(r);
-                    *result = r.status;
                   },
-                  [done = std::move(done), result]() { done(*result); }, op);
+                  [done = std::move(done)](Namespace::Result& r) {
+                    done(r.status);
+                  },
+                  op);
             },
             op);
       },
@@ -442,7 +452,7 @@ void MetaService::RangeScan(const std::string& path, const std::string& from,
   bool root = false;
   obs::TraceContext op = StartOp(ctx, "meta.scan", &root);
   ++stats_.scans;
-  auto parts = std::make_shared<std::vector<std::string>>(SplitPath(path));
+  auto parts = std::make_shared<const Path>(path);
   auto done = [this, cb = std::move(cb), op, root](
                   Status st, std::vector<std::pair<std::string, Dentry>> rows) {
     FinishOp(op, root, st == Status::kOk);
@@ -453,22 +463,20 @@ void MetaService::RangeScan(const std::string& path, const std::string& from,
     const std::size_t approx = d == nullptr ? 0 : d->entries.size();
     const std::size_t billed =
         limit == 0 ? approx : std::min(limit, approx);
-    auto result = std::make_shared<
-        std::pair<Status, std::vector<std::pair<std::string, Dentry>>>>();
-    result->first = Status::kNotFound;
-    Visit(
+    using Rows = std::pair<Status, std::vector<std::pair<std::string, Dentry>>>;
+    Visit<Rows>(
         dir, MetaShard::OpClass::kScan,
         config_.scan_cost_ns +
             config_.scan_entry_cost_ns * static_cast<sim::Tick>(billed),
-        [this, dir, from, limit, result]() {
-          result->first = ns_.Scan(dir, from, limit, &result->second);
+        [this, dir, from, limit](Rows& r) {
+          r.first = ns_.Scan(dir, from, limit, &r.second);
         },
-        [done = std::move(done), result]() {
-          done(result->first, std::move(result->second));
+        [done = std::move(done)](Rows& r) {
+          done(r.first, std::move(r.second));
         },
         op);
   };
-  if (parts->empty()) {
+  if (parts->depth() == 0) {
     scan_dir(kRootDir, std::move(done));
     return;
   }

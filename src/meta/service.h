@@ -30,6 +30,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "meta/namespace.h"
@@ -93,7 +94,7 @@ class MetaService {
   MetaService& operator=(const MetaService&) = delete;
 
   // --- Namespace ops (DES-timed, shard-queued) ------------------------------
-  void Resolve(const std::string& path, ResolveCallback cb,
+  void Resolve(std::string_view path, ResolveCallback cb,
                obs::TraceContext ctx = {});
   void Mkdir(const std::string& path, StatusCallback cb,
              obs::TraceContext ctx = {});
@@ -117,7 +118,7 @@ class MetaService {
   /// One lookup of `name` in `dir`, served by the owning shard — the
   /// primitive host dentry caches walk with when they hold a cached
   /// ancestor and only need the tail of the path.
-  void LookupStep(DirId dir, const std::string& name, LookupCallback cb,
+  void LookupStep(DirId dir, std::string_view name, LookupCallback cb,
                   obs::TraceContext ctx = {});
 
   /// Directory delegation (E18a hot-root fix): one scan-class visit to
@@ -180,13 +181,16 @@ class MetaService {
  private:
   /// Charge one shard visit against `dir`'s shard: hop out, queue +
   /// service on the shard (through QoS admission when attached), run
-  /// `apply` at service time (shard state is only read/written here), hop
-  /// back, then `reply`.  The hop-arrival event is the contention point —
-  /// the shard executes ops strictly in arrival order — so it carries the
-  /// race-detector access tag, keyed by directory.
+  /// `apply(result)` at service time (shard state is only read/written
+  /// here), hop back, then `reply(result)`.  The hop-arrival event is the
+  /// contention point — the shard executes ops strictly in arrival order —
+  /// so it carries the race-detector access tag, keyed by directory.  Every
+  /// closure a visit hands on captures the service and its one VisitRecord.
+  template <typename Result, typename ApplyFn, typename ReplyFn>
+  struct VisitRecord;
+  template <typename Result, typename ApplyFn, typename ReplyFn>
   void Visit(DirId dir, MetaShard::OpClass klass, sim::Tick cost_ns,
-             util::Function<void()> apply, util::Function<void()> reply,
-             obs::TraceContext span);
+             ApplyFn apply, ReplyFn reply, obs::TraceContext parent);
 
   /// Pass one shard visit through QoS admission when a scheduler is
   /// attached (deterministic backoff retry on reject); direct dispatch
@@ -195,14 +199,13 @@ class MetaService {
                      obs::TraceContext span);
 
   /// Walk all but the last component; cb(status, parent_dir).
-  void WalkToParent(std::shared_ptr<std::vector<std::string>> parts,
-                    std::size_t next, DirId dir,
-                    util::Function<void(Status, DirId)> cb,
+  void WalkToParent(std::shared_ptr<const Path> path, std::size_t next,
+                    DirId dir, util::Function<void(Status, DirId)> cb,
                     obs::TraceContext ctx);
 
   /// Walk to the parent, then look up the last component.
-  void ResolveParts(std::shared_ptr<std::vector<std::string>> parts,
-                    ResolveCallback done, obs::TraceContext ctx);
+  void ResolveParts(std::shared_ptr<const Path> path, ResolveCallback done,
+                    obs::TraceContext ctx);
 
   /// Walk to `path`'s parent, then apply `rule` there in one mutation
   /// visit to the parent's shard: the skeleton of the single-path

@@ -84,9 +84,6 @@ class Scheduler {
   std::size_t QueueDepth(std::uint32_t blade) const {
     return blades_[blade].queue.size();
   }
-  std::uint32_t InService(std::uint32_t blade) const {
-    return blades_[blade].in_service;
-  }
 
  private:
   struct Blade {

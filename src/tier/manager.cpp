@@ -410,14 +410,15 @@ void TierManager::MaybeCool(cache::ControllerId ctrl,
   node.ForEach([&](const cache::PageKey& key, const cache::CacheNode::Frame& f) {
     if (seen >= config_.victim_scan_frames ||
         victims.size() >= config_.cool_batch_pages) {
-      return;
+      return false;
     }
     ++seen;
-    if (f.dirty || f.busy || f.is_replica || key == skip) return;
+    if (f.dirty || f.busy || f.is_replica || key == skip) return true;
     // Cooling reads DRAM frame flags — cache-domain state, keyed like the
     // cluster's own tags so a same-tick frame mutation conflicts here.
     NLSS_ACCESS(kCache, cache::PageKeyHash{}(key), kRead);
     victims.push_back(key);
+    return true;
   });
   for (const cache::PageKey& key : victims) {
     util::Payload data;
@@ -441,15 +442,16 @@ std::optional<cache::PageKey> TierManager::PickVictim(
   std::uint32_t best_heat = 0;
   std::uint32_t seen = 0;
   node.ForEach([&](const cache::PageKey& key, const cache::CacheNode::Frame& f) {
-    if (seen >= config_.victim_scan_frames) return;
+    if (seen >= config_.victim_scan_frames) return false;
     ++seen;
-    if (f.dirty || f.busy || f.is_replica) return;
+    if (f.dirty || f.busy || f.is_replica) return true;
     NLSS_ACCESS(kTier, RaceKey(key), kRead);
     const std::uint32_t h = heat_.HeatOf(key);
     if (!best || h < best_heat) {
       best = key;
       best_heat = h;
     }
+    return true;
   });
   return best;
 }

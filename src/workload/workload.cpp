@@ -1,6 +1,7 @@
 #include "workload/workload.h"
 
 #include <algorithm>
+#include <charconv>
 #include <utility>
 
 #include "check/invariant.h"
@@ -155,8 +156,10 @@ Trace CheckpointBurst(const BurstSpec& spec, std::uint64_t seed) {
 
 std::string MetaPathOf(std::uint32_t file, std::uint32_t files_per_dir) {
   if (files_per_dir == 0) files_per_dir = 1;
-  return "/d" + std::to_string(file / files_per_dir) + "/f" +
-         std::to_string(file);
+  char buf[24] = "/d";  // each 32-bit number takes at most 10 digits
+  char* end = std::to_chars(buf + 2, buf + 12, file / files_per_dir).ptr;
+  end = std::copy_n("/f", 2, end);
+  return std::string(buf, std::to_chars(end, end + 10, file).ptr);
 }
 
 void PopulateMetaNamespace(meta::MetaService& service, const FileSet& files,

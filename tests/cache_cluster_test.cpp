@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <vector>
 
 #include "cache/backing.h"
 #include "cache/cluster.h"
@@ -255,6 +257,34 @@ TEST_F(ClusterTest, NWayReplicationPinsCopies) {
     });
   }
   EXPECT_EQ(replicas, 0u) << "replicas must be unpinned after the flush";
+}
+
+// A visitor that returns false ends CacheNode::ForEach, so the tier's victim
+// scans stop at their cut-off: it sees exactly the first N frames, in LRU
+// order.
+TEST(CacheNode, StoppingVisitorSeesTheFirstFramesInLruOrder) {
+  CacheNode node(16);
+  for (std::uint64_t p = 0; p < 8; ++p) node.Emplace(PageKey{kVol, p});
+  node.Touch(PageKey{kVol, 0});
+  node.Touch(PageKey{kVol, 3});
+  const std::vector<std::uint64_t> lru = {1, 2, 4, 5, 6, 7, 0, 3};
+  std::vector<std::uint64_t> all;
+  node.ForEach([&](const PageKey& key, const CacheNode::Frame&) {
+    all.push_back(key.page);
+  });
+  ASSERT_EQ(all, lru);
+  for (std::size_t n = 0; n <= lru.size(); ++n) {
+    std::vector<std::uint64_t> seen;
+    std::size_t calls = 0;
+    node.ForEach([&](const PageKey& key, const CacheNode::Frame&) {
+      ++calls;
+      if (seen.size() == n) return false;
+      seen.push_back(key.page);
+      return true;
+    });
+    EXPECT_EQ(seen, std::vector<std::uint64_t>(lru.begin(), lru.begin() + n));
+    EXPECT_EQ(calls, std::min(n + 1, lru.size())) << "walk past the stop";
+  }
 }
 
 TEST_F(ClusterTest, DirtyDataSurvivesOwnerFailure) {

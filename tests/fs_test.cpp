@@ -223,6 +223,34 @@ TEST_F(FsTest, LoadRejectsGarbage) {
   EXPECT_EQ(fs_->Create("/ok"), Status::kOk);
 }
 
+// A blob whose next_ino does not lie above every inode it holds would hand
+// a later create a live inode number and overwrite that inode's record.
+TEST_F(FsTest, LoadRefusesInodeNumbersAtOrAboveNextIno) {
+  ASSERT_EQ(fs_->Mkdir("/d"), Status::kOk);
+  ASSERT_EQ(fs_->Create("/d/a"), Status::kOk);
+  const auto data = Pattern(5000, 3);
+  ASSERT_EQ(Write("/d/a", 0, data), Status::kOk);
+  const InodeNum a = fs_->Stat("/d/a")->ino;
+  util::Bytes blob = fs_->SerializeMetadata();
+  const auto set_next_ino = [&blob](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {  // bytes 4..11, little-endian
+      blob[4 + i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+  };
+  for (const InodeNum bad : {a, a - 1}) {
+    set_next_ino(bad);
+    EXPECT_EQ(fs_->LoadMetadata(blob), Status::kInvalidArgument) << bad;
+  }
+  set_next_ino(a + 1);
+  ASSERT_EQ(fs_->LoadMetadata(blob), Status::kOk);
+  ASSERT_EQ(fs_->Create("/d/c"), Status::kOk);
+  EXPECT_NE(fs_->Stat("/d/c")->ino, a);
+  EXPECT_EQ(fs_->Stat("/d/a")->size, data.size());
+  auto [st, got] = Read("/d/a", 0, data.size());
+  ASSERT_EQ(st, Status::kOk);
+  EXPECT_EQ(got, data);
+}
+
 TEST_F(FsTest, ForEachFileWalksTree) {
   ASSERT_EQ(fs_->Mkdir("/x"), Status::kOk);
   ASSERT_EQ(fs_->Mkdir("/x/y"), Status::kOk);

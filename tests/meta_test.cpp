@@ -6,9 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdlib>
 #include <functional>
 #include <map>
 #include <memory>
+#include <new>
 #include <string>
 #include <utility>
 #include <vector>
@@ -27,6 +30,24 @@
 #include "sim/engine.h"
 #include "util/bytes.h"
 #include "workload/workload.h"
+
+// Every heap allocation in this binary goes through here, so a test can
+// count the ones a code path makes.
+namespace {
+std::atomic<std::uint64_t> g_heap_allocations{0};
+}  // namespace
+
+// Out of line, so the compiler does not pair an inlined free() with a new
+// expression.
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace nlss::meta {
 namespace {
@@ -251,6 +272,30 @@ TEST(MetaService, ListAndRangeScanMatchSortedReference) {
     want.push_back(*it);
   }
   EXPECT_EQ(page, want);
+}
+
+// The flat directory table stays sorted by DirId: ForEachDir ascends across
+// the hole an rmdir leaves and across records a restore inserts out of
+// order, and every record stays reachable.
+TEST(Namespace, ForEachDirStaysAscendingAcrossRmdirAndRestore) {
+  Namespace ns;
+  for (const char* d : {"/a", "/b", "/c"}) {  // DirIds 2, 3, 4
+    ASSERT_EQ(ns.AtPath(d, &Namespace::Mkdir).status, Status::kOk);
+  }
+  ASSERT_EQ(ns.AtPath("/b", &Namespace::Rmdir).status, Status::kOk);
+  ns.Restore(kRootDir, "z", Dentry{9, true});
+  ns.Restore(9, "y", Dentry{7, true});
+  ns.Restore(kRootDir, "w", Dentry{3, true});
+  ns.set_next_ino(10);
+  ASSERT_EQ(ns.AtPath("/z/y/n", &Namespace::Mkdir).status, Status::kOk);
+  std::vector<DirId> dirs;
+  ns.ForEachDir([&dirs](DirId d) { dirs.push_back(d); });
+  EXPECT_EQ(dirs, (std::vector<DirId>{1, 2, 3, 4, 7, 9, 10}));
+  for (const DirId d : dirs) EXPECT_NE(ns.Find(d), nullptr) << d;
+  Dentry got;
+  ASSERT_EQ(ns.Resolve("/z/y/n", &got), Status::kOk);
+  EXPECT_EQ(got.ino, 10u);
+  EXPECT_EQ(ns.Find(10)->parent, 7u);
 }
 
 // --- Host dentry cache coherence ---------------------------------------------
@@ -847,6 +892,49 @@ TEST(DentryCache, SeededSweepAnswersLikeAnUncachedClient) {
     EXPECT_GT(clients[0]->stats().evictions, 0u);
     EXPECT_GT(clients[1]->stats().evictions, 0u);
   }
+}
+
+// Heap allocations of one resolve in the meta_storm shape (8 shards on 4
+// blades behind a gold QoS tenant): a walk from a cached parent allocates
+// its walk record, one shard-visit record and the new entry's chain; a
+// full hit only its walk record.  Every closure on the way captures the
+// client or service plus one record and stays in util::Function's buffer.
+TEST(DentryCache, ResolveAllocatesOnlyItsRecords) {
+  sim::Engine engine;
+  if (engine.race_detector() != nullptr) {
+    GTEST_SKIP() << "the race detector allocates per recorded access";
+  }
+  ServiceConfig cfg;
+  cfg.shards = 8;
+  cfg.blades = 4;
+  MetaService service(engine, cfg);
+  qos::TenantRegistry registry;
+  const auto tenant = registry.Register("bench", qos::ServiceClass::kGold);
+  qos::Scheduler qos(engine, registry, cfg.blades);
+  service.AttachQos(&qos, tenant);
+  Client client(service, "c0");
+  const workload::FileSet files{0, 64, 4 * util::KiB};
+  workload::PopulateMetaNamespace(service, files, /*files_per_dir=*/16);
+
+  std::uint64_t ok = 0;
+  const auto allocations = [&](const std::string& path) {
+    const std::uint64_t before = g_heap_allocations.load();
+    client.Resolve(path, [&ok](Status s, Dentry) { ok += s == Status::kOk; });
+    engine.Run();
+    return g_heap_allocations.load() - before;
+  };
+  // Warm the engine's event pool, the QoS queues, the root grant and /d1
+  // with a file under it.
+  for (std::uint32_t f = 0; f < 20; ++f) {
+    allocations(workload::MetaPathOf(f, 16));
+  }
+  const std::string path = workload::MetaPathOf(21, 16);  // "/d1/f21"
+  const std::uint64_t walk = allocations(path);
+  const std::uint64_t hit = allocations(path);
+  EXPECT_EQ(ok, 22u);
+  EXPECT_EQ(client.stats().partial_hits, 19u);
+  EXPECT_LE(walk, 3u) << "a resolve whose parent is cached";
+  EXPECT_LE(hit, 1u) << "a full hit";
 }
 
 // --- Metadata under QoS admission --------------------------------------------
