@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <set>
 #include <tuple>
 
 #include "util/bytes.h"
@@ -377,11 +378,13 @@ Status FileSystem::LoadMetadata(std::span<const std::uint8_t> blob) {
     const std::uint64_t count = r.U64();
     std::map<InodeNum, Inode> inodes;
     std::vector<std::tuple<InodeNum, std::string, InodeNum>> links;
+    // Every id lies below next_ino, or a later create would reuse a live
+    // inode; every inode has one link and the root none, or a directory
+    // with two parents would send a rename's ancestry walk round a cycle.
+    std::set<InodeNum> linked;
     for (std::uint64_t i = 0; i < count; ++i) {
       Inode node;
       node.ino = r.U64();
-      // Every id lies below next_ino, or a later create would be handed a
-      // live inode and overwrite its record.
       if (node.ino >= next_ino) return Status::kInvalidArgument;
       node.type = static_cast<FileType>(r.U8());
       node.size = r.U64();
@@ -403,7 +406,10 @@ Status FileSystem::LoadMetadata(std::span<const std::uint8_t> blob) {
       for (std::uint64_t e = 0; e < nentries; ++e) {
         std::string name = r.Str();
         const InodeNum child = r.U64();
-        if (child >= next_ino) return Status::kInvalidArgument;
+        if (child >= next_ino || child == kRootIno ||
+            !linked.insert(child).second) {
+          return Status::kInvalidArgument;
+        }
         links.emplace_back(node.ino, std::move(name), child);
       }
       inodes[node.ino] = std::move(node);

@@ -70,7 +70,7 @@ void Client::Resolve(std::string_view path, MetaService::ResolveCallback cb,
     return;
   }
   const std::size_t n = walk->path.depth();
-  Entry* entry = FindEntry(walk->path.Prefix(n), walk->path.PrefixHash(n));
+  Entry* entry = FindEntry(walk->path, n);
   if (entry == nullptr) {
     BeginWalk(std::move(walk));
     return;
@@ -82,8 +82,7 @@ void Client::Resolve(std::string_view path, MetaService::ResolveCallback cb,
   // entry was invalidated under us — never serve the stale copy.
   service_.engine().Schedule(
       config_.local_hit_ns, [this, n, walk = std::move(walk)]() mutable {
-        const Entry* hit =
-            FindEntry(walk->path.Prefix(n), walk->path.PrefixHash(n));
+        const Entry* hit = FindEntry(walk->path, n);
         if (hit == nullptr) {
           ++stats_.revalidation_fallbacks;
           BeginWalk(std::move(walk));
@@ -108,7 +107,7 @@ void Client::Resolve(std::string_view path, MetaService::ResolveCallback cb,
 void Client::BeginWalk(WalkPtr walk) {
   const Path& path = walk->path;
   for (std::size_t n = path.depth() - 1; n >= 1; --n) {
-    Entry* entry = FindEntry(path.Prefix(n), path.PrefixHash(n));
+    Entry* entry = FindEntry(path, n);
     if (entry != nullptr && entry->dentry.is_dir) {
       // The ancestor's chain (one link per component) prefixes ours.
       for (const Link& link : entry->chain) {
@@ -244,8 +243,9 @@ void Client::DropRootGrant() {
   ++stats_.delegation_drops;
 }
 
-Client::Entry* Client::FindEntry(std::string_view key, std::uint64_t hash) {
-  const std::uint32_t tag = Tag(hash);
+Client::Entry* Client::FindEntry(const Path& path, std::size_t n) {
+  const std::uint32_t tag = Tag(path.PrefixHash(n));
+  const std::string_view key = path.Prefix(n);
   const std::size_t mask = index_.size() - 1;
   for (std::size_t i = Home(tag);; i = (i + 1) & mask) {
     const Slot slot = index_[i];
@@ -277,14 +277,10 @@ void Client::InsertEntry(const Walk& walk, Dentry dentry) {
   }
 #endif
   const std::uint32_t tag = Tag(walk.path.PrefixHash(n));
-  Entry* entry = FindEntry(walk.path.Prefix(n), walk.path.PrefixHash(n));
+  Entry* entry = FindEntry(walk.path, n);
   if (entry == nullptr) {
-    if (free_ != nullptr) {
-      entry = free_;
-      free_ = free_->next;
-    } else {
-      entry = &pool_.emplace_back();
-    }
+    entry = free_ != nullptr ? std::exchange(free_, free_->next)
+                             : &pool_.emplace_back();
     entry->key = walk.path.Prefix(n);
     entry->tag = tag;
     const std::size_t mask = index_.size() - 1;

@@ -176,7 +176,8 @@ class Client {
   void RootDelegationStep(WalkPtr walk);
   void Finish(WalkPtr walk, Status st, Dentry d);
   void DropRootGrant();
-  Entry* FindEntry(std::string_view key, std::uint64_t hash);
+  /// The entry keyed by `path`'s prefix of `n` components, if cached.
+  Entry* FindEntry(const Path& path, std::size_t n);
   /// Cache the walk's prefix of chain.size() components as `dentry`.
   void InsertEntry(const Walk& walk, Dentry dentry);
   void RemoveEntry(Entry& entry, std::uint64_t* counter);

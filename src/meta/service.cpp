@@ -203,13 +203,10 @@ void MetaService::LookupStep(DirId dir, std::string_view name,
   Visit<Found>(
       dir, MetaShard::OpClass::kLookup, config_.lookup_cost_ns,
       [this, dir, name = std::string(name)](Found& r) {
-        std::get<0>(r) = Status::kNotFound;
-        const Directory* d = ns_.Find(dir);
-        if (d == nullptr) return;  // stays kNotFound, version 0
-        const Dentry* e = d->entries.Find(name);
-        std::get<2>(r) = d->version;
-        if (e == nullptr) return;
-        r = {Status::kOk, *e, d->version};
+        const Directory* d = ns_.Find(dir);  // gone: kNotFound, version 0
+        const Dentry* e = d == nullptr ? nullptr : d->entries.Find(name);
+        r = {e == nullptr ? Status::kNotFound : Status::kOk,
+             e == nullptr ? Dentry{} : *e, d == nullptr ? 0 : d->version};
       },
       [cb = std::move(cb)](Found& r) {
         cb(std::get<0>(r), std::get<1>(r), std::get<2>(r));
@@ -232,10 +229,9 @@ void MetaService::DelegateDirectory(DirId dir, DelegateCallback cb,
       config_.scan_cost_ns +
           config_.scan_entry_cost_ns * static_cast<sim::Tick>(approx),
       [this, dir](Copy& r) {
-        std::get<0>(r) = Status::kNotFound;
         const Directory* d2 = ns_.Find(dir);
-        if (d2 == nullptr) return;  // stays kNotFound
-        std::get<0>(r) = Status::kOk;
+        std::get<0>(r) = d2 == nullptr ? Status::kNotFound : Status::kOk;
+        if (d2 == nullptr) return;
         d2->entries.ForEach([&](const std::string& name, const Dentry& de) {
           std::get<1>(r).emplace(name, de);
         });

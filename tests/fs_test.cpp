@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -249,6 +250,30 @@ TEST_F(FsTest, LoadRefusesInodeNumbersAtOrAboveNextIno) {
   auto [st, got] = Read("/d/a", 0, data.size());
   ASSERT_EQ(st, Status::kOk);
   EXPECT_EQ(got, data);
+
+  // Relinking /d/e/g to /d or to the root gives a directory two parents;
+  // loaded, the rename below would walk that cycle forever.
+  ASSERT_EQ(fs_->Mkdir("/d/e"), Status::kOk);
+  ASSERT_EQ(fs_->Mkdir("/d/e/g"), Status::kOk);
+  const InodeNum g = fs_->Stat("/d/e/g")->ino;
+  util::ByteWriter link;
+  link.Str("g");
+  link.U64(g);
+  const util::Bytes good = fs_->SerializeMetadata();
+  const auto at = std::search(good.begin(), good.end(), link.data().begin(),
+                              link.data().end());
+  ASSERT_NE(at, good.end());
+  for (const InodeNum target : {fs_->Stat("/d")->ino, kRootIno}) {
+    util::Bytes bad = good;
+    const auto child = bad.begin() + (at - good.begin()) + 5;  // after "g"
+    for (int i = 0; i < 8; ++i) {
+      child[i] = static_cast<std::uint8_t>(target >> (8 * i));
+    }
+    EXPECT_EQ(fs_->LoadMetadata(bad), Status::kInvalidArgument) << target;
+  }
+  ASSERT_EQ(fs_->Mkdir("/z"), Status::kOk);
+  EXPECT_EQ(fs_->Rename("/z", "/d/z"), Status::kOk);
+  EXPECT_EQ(fs_->Stat("/d/e/g")->type, FileType::kDirectory);
 }
 
 TEST_F(FsTest, ForEachFileWalksTree) {

@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
 """Charge the samples of tools/sampler.cpp to simulator modules.
 
-    python3 tools/sampler_report.py run.samples [--phase perfbench::Play]
-        [--functions N] [--json out.json]
+    python3 tools/sampler_report.py run.samples [--functions N]
+        [--json out.json] [--root TREE]
 
-Only samples with a frame in the phase function (default perfbench::Play,
-perfbench's measured phase) count.  Each is charged to the src/<module>/
-directory of its innermost simulator frame, taking the innermost inlined
-frame that addr2line -i gives (standard-library code inlined into a
-simulator function counts for that function).  A leaf outside the main
+Only samples with a frame in perfbench::Play, perfbench's measured phase,
+count.  Each is charged to the src/<module>/ directory of its innermost
+simulator frame, taking the innermost inlined frame that addr2line -i
+gives (standard-library code inlined into a simulator function counts for
+that function).  A leaf outside the main
 executable, such as memcpy or malloc, is charged to the caller the sampler
 found for it.  A sample whose innermost repository frame lies in
 perfbench/ is charged to "benchmark"; one with no repository frame to
@@ -26,6 +26,7 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PHASE = "perfbench::Play"
 
 
 def load(path):
@@ -122,7 +123,6 @@ def short_name(function):
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("samples")
-    parser.add_argument("--phase", default="perfbench::Play")
     parser.add_argument("--functions", type=int, default=0)
     parser.add_argument("--json")
     parser.add_argument("--root", default=ROOT,
@@ -152,7 +152,7 @@ def main():
     in_phase = 0
     for frames in located:
         expanded = [f for key in frames for f in symbols.get(key, [])]
-        if not any(fn.startswith(args.phase + "(") for fn, _ in expanded):
+        if not any(fn.startswith(PHASE + "(") for fn, _ in expanded):
             continue
         in_phase += 1
         row, where = "other", None
@@ -167,7 +167,7 @@ def main():
             functions[short_name(where)] += 1
 
     total = len(stacks)
-    print("samples %d, in %s %d" % (total, args.phase, in_phase))
+    print("samples %d, in %s %d" % (total, PHASE, in_phase))
     print("| row | samples | % of phase |\n|---|---|---|")
     for row, n in rows.most_common():
         print("| %s | %d | %.1f |" % (row, n, 100.0 * n / max(in_phase, 1)))
@@ -178,7 +178,7 @@ def main():
             print("| `%s` | %d | %.1f |" % (fn, n, 100.0 * n / max(in_phase, 1)))
     if args.json:
         with open(args.json, "w") as f:
-            json.dump({"samples": total, "phase": args.phase,
+            json.dump({"samples": total, "phase": PHASE,
                        "phase_samples": in_phase, "rows": dict(rows),
                        "functions": dict(functions.most_common(50))},
                       f, indent=1, sort_keys=True)
