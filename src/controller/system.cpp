@@ -63,7 +63,6 @@ StorageSystem::StorageSystem(sim::Engine& engine, net::Fabric& fabric,
     rebuild_->AddWorker(&cache_->compute(i));
   }
   chargeback_ = std::make_unique<virt::ChargeBack>(engine_);
-  outstanding_.assign(config_.controllers, 0);
 }
 
 StorageSystem::~StorageSystem() = default;
@@ -104,18 +103,6 @@ cache::ControllerId StorageSystem::PickController(VolumeId vol) {
         if (cache_->IsAlive(c)) return c;
       }
       return 0;
-    }
-    case Balancing::kLeastBusy: {
-      cache::ControllerId best = 0;
-      std::uint32_t best_load = ~0u;
-      for (std::uint32_t c = 0; c < config_.controllers; ++c) {
-        if (!cache_->IsAlive(c)) continue;
-        if (outstanding_[c] < best_load) {
-          best_load = outstanding_[c];
-          best = c;
-        }
-      }
-      return best;
     }
     case Balancing::kRoundRobin:
     default: {
@@ -426,7 +413,6 @@ void StorageSystem::ReadOnce(net::NodeId host, cache::ControllerId ctrl,
         cb(ok, std::move(data));
       };
     }
-    ++outstanding_[ctrl];
     // Request command to the blade (small), response data to the host.
     fabric_.Send(
         host, controller_nodes_[ctrl], config_.cache.ctrl_msg_bytes,
@@ -435,7 +421,6 @@ void StorageSystem::ReadOnce(net::NodeId host, cache::ControllerId ctrl,
               ctrl, vol, offset, length,
               [this, host, ctrl, shared_cb, ctx](bool ok,
                                                  util::Payload data) {
-                --outstanding_[ctrl];
                 if (!ok) {
                   (*shared_cb)(false, {});
                   return;
@@ -450,10 +435,7 @@ void StorageSystem::ReadOnce(net::NodeId host, cache::ControllerId ctrl,
               },
               priority, ctx);
         },
-        [this, ctrl, shared_cb] {
-          --outstanding_[ctrl];
-          (*shared_cb)(false, {});
-        },
+        [shared_cb] { (*shared_cb)(false, {}); },
         ctx);
   };
   if (qos_ == nullptr) {
@@ -546,7 +528,6 @@ void StorageSystem::WriteOnce(net::NodeId host, cache::ControllerId ctrl,
         cb(ok);
       };
     }
-    ++outstanding_[ctrl];
     // Data travels host -> blade, then the ack returns blade -> host.
     fabric_.Send(
         host, controller_nodes_[ctrl], payload.size(),
@@ -558,7 +539,6 @@ void StorageSystem::WriteOnce(net::NodeId host, cache::ControllerId ctrl,
           // arrival acks (and releases its QoS slot) exactly once.
           cache::WriteDedupIndex::Waiter outcome = dedup_.Begin(
               wid, [this, host, ctrl, shared_cb, ctx](bool ok) {
-                --outstanding_[ctrl];
                 if (!ok) {
                   (*shared_cb)(false);
                   return;
@@ -578,10 +558,7 @@ void StorageSystem::WriteOnce(net::NodeId host, cache::ControllerId ctrl,
               },
               priority, ctx, wid);
         },
-        [this, ctrl, shared_cb] {
-          --outstanding_[ctrl];
-          (*shared_cb)(false);
-        },
+        [shared_cb] { (*shared_cb)(false); },
         ctx);
   };
   if (qos_ == nullptr) {

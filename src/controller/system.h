@@ -43,7 +43,6 @@ using VolumeId = std::uint32_t;
 
 enum class Balancing {
   kRoundRobin,     // spread requests over all live blades (the paper's mode)
-  kLeastBusy,      // pick the blade with the lowest outstanding-op count
   kStaticByVolume  // traditional LUN ownership: volume -> fixed blade
 };
 
@@ -227,9 +226,6 @@ class StorageSystem {
   const SystemConfig& config() const { return config_; }
   std::uint32_t controller_count() const { return config_.controllers; }
 
-  /// Outstanding host ops per controller (for kLeastBusy and diagnostics).
-  const std::vector<std::uint32_t>& outstanding() const { return outstanding_; }
-
  private:
   /// Single attempts against an explicit blade (no retry); the public
   /// entry points wrap these with the host-driver multipath retry loop or
@@ -280,7 +276,6 @@ class StorageSystem {
   std::unique_ptr<virt::ChargeBack> chargeback_;
   std::vector<std::unique_ptr<virt::DemandMappedVolume>> volumes_;
   std::uint32_t rr_next_ = 0;
-  std::vector<std::uint32_t> outstanding_;
   // One cluster-wide dedup index: the coherent backplane that lets any
   // blade serve any page also lets any blade see any in-flight write, so
   // a re-drive landing on a different blade still deduplicates.

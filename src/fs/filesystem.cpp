@@ -357,12 +357,10 @@ util::Bytes FileSystem::SerializeMetadata() const {
         node.type == FileType::kDirectory ? ns_.Find(ino) : nullptr;
     w.U64(dir == nullptr ? 0 : dir->entries.size());
     if (dir == nullptr) continue;
-    // ForEach visits lexicographically — byte-identical to the old
-    // std::map iteration, so existing checkpoints stay compatible.
-    dir->entries.ForEach([&w](const std::string& name, const meta::Dentry& d) {
+    for (const auto& [name, d] : dir->entries) {
       w.Str(name);
       w.U64(d.ino);
-    });
+    }
   }
   w.U64(free_chunks_.size());
   for (const auto c : free_chunks_) w.U64(c);
@@ -379,14 +377,19 @@ Status FileSystem::LoadMetadata(std::span<const std::uint8_t> blob) {
     std::map<InodeNum, Inode> inodes;
     std::vector<std::tuple<InodeNum, std::string, InodeNum>> links;
     // Every id lies below next_ino, or a later create would reuse a live
-    // inode; every inode has one link and the root none, or a directory
-    // with two parents would send a rename's ancestry walk round a cycle.
+    // inode; every inode has one record and one link and the root none, or
+    // a directory with two parents would send a rename's ancestry walk
+    // round a cycle; an inode is a file or a directory, and only
+    // directories hold entries.
     std::set<InodeNum> linked;
     for (std::uint64_t i = 0; i < count; ++i) {
       Inode node;
       node.ino = r.U64();
       if (node.ino >= next_ino) return Status::kInvalidArgument;
       node.type = static_cast<FileType>(r.U8());
+      if (node.type != FileType::kFile && node.type != FileType::kDirectory) {
+        return Status::kInvalidArgument;
+      }
       node.size = r.U64();
       node.policy.cache_priority = r.U8();
       node.policy.cache_replication = r.U32();
@@ -403,6 +406,9 @@ Status FileSystem::LoadMetadata(std::span<const std::uint8_t> blob) {
       node.chunks.reserve(nchunks);
       for (std::uint64_t c = 0; c < nchunks; ++c) node.chunks.push_back(r.U64());
       const std::uint64_t nentries = r.U64();
+      if (nentries != 0 && node.type != FileType::kDirectory) {
+        return Status::kInvalidArgument;
+      }
       for (std::uint64_t e = 0; e < nentries; ++e) {
         std::string name = r.Str();
         const InodeNum child = r.U64();
@@ -412,21 +418,41 @@ Status FileSystem::LoadMetadata(std::span<const std::uint8_t> blob) {
         }
         links.emplace_back(node.ino, std::move(name), child);
       }
-      inodes[node.ino] = std::move(node);
+      const InodeNum ino = node.ino;
+      if (!inodes.emplace(ino, std::move(node)).second) {
+        return Status::kInvalidArgument;
+      }
     }
     std::vector<std::uint64_t> free_chunks;
     const std::uint64_t nfree = r.U64();
     for (std::uint64_t i = 0; i < nfree; ++i) free_chunks.push_back(r.U64());
-    if (inodes.find(kRootIno) == inodes.end()) return Status::kInvalidArgument;
+    const auto root = inodes.find(kRootIno);
+    if (root == inodes.end() || root->second.type != FileType::kDirectory) {
+      return Status::kInvalidArgument;
+    }
     // Child types come from the inode table, now that all of it is loaded.
+    // Every child is in it and no directory holds a name twice; then the
+    // links form one tree when a walk from the root reaches every inode.
     meta::Namespace ns;
     ns.set_next_ino(next_ino);
     for (const auto& [dir, name, child] : links) {
       const auto cit = inodes.find(child);
-      const bool is_dir =
-          cit != inodes.end() && cit->second.type == FileType::kDirectory;
-      ns.Restore(dir, name, meta::Dentry{child, is_dir});
+      if (cit == inodes.end()) return Status::kInvalidArgument;
+      const bool is_dir = cit->second.type == FileType::kDirectory;
+      if (!ns.Restore(dir, name, meta::Dentry{child, is_dir})) {
+        return Status::kInvalidArgument;
+      }
     }
+    std::size_t reached = 1;  // the root
+    for (std::vector<meta::DirId> todo{kRootIno}; !todo.empty();) {
+      const meta::Directory* d = ns.Find(todo.back());
+      todo.pop_back();
+      for (const auto& [name, e] : d->entries) {
+        ++reached;
+        if (e.is_dir) todo.push_back(e.ino);
+      }
+    }
+    if (reached != inodes.size()) return Status::kInvalidArgument;
     ns_ = std::move(ns);
     inodes_ = std::move(inodes);
     next_chunk_ = next_chunk;
@@ -456,15 +482,14 @@ std::uint64_t FileSystem::AllocatedChunks() const {
 void FileSystem::WalkFiles(
     meta::DirId dir, const std::string& prefix,
     util::FunctionRef<void(const std::string&, const Inode&)> fn) const {
-  ns_.Find(dir)->entries.ForEach(
-      [&](const std::string& name, const meta::Dentry& d) {
-        const std::string path = prefix + "/" + name;
-        if (d.is_dir) {
-          WalkFiles(d.ino, path, fn);
-        } else {
-          fn(path, inodes_.at(d.ino));
-        }
-      });
+  for (const auto& [name, d] : ns_.Find(dir)->entries) {
+    const std::string path = prefix + "/" + name;
+    if (d.is_dir) {
+      WalkFiles(d.ino, path, fn);
+    } else {
+      fn(path, inodes_.at(d.ino));
+    }
+  }
 }
 
 void FileSystem::ForEachFile(

@@ -53,7 +53,7 @@ void Client::Resolve(std::string_view path, MetaService::ResolveCallback cb,
     // The root needs no walk; serve it like a local hit.
     ++stats_.full_hits;
     service_.engine().Schedule(
-        config_.local_hit_ns, [this, walk = std::move(walk)]() mutable {
+        kLocalHitNs, [this, walk = std::move(walk)]() mutable {
           Finish(std::move(walk), Status::kOk, Dentry{kRootDir, true});
         });
     return;
@@ -77,11 +77,11 @@ void Client::Resolve(std::string_view path, MetaService::ResolveCallback cb,
   }
   ++stats_.full_hits;
   TouchLru(*entry);
-  // The hit is *served* local_hit_ns from now; a mutation can land in the
+  // The hit is *served* kLocalHitNs from now; a mutation can land in the
   // window, so re-validate at fire time and fall back to a walk if the
   // entry was invalidated under us — never serve the stale copy.
   service_.engine().Schedule(
-      config_.local_hit_ns, [this, n, walk = std::move(walk)]() mutable {
+      kLocalHitNs, [this, n, walk = std::move(walk)]() mutable {
         const Entry* hit = FindEntry(walk->path, n);
         if (hit == nullptr) {
           ++stats_.revalidation_fallbacks;
@@ -191,8 +191,7 @@ void Client::RootDelegationStep(WalkPtr walk) {
     root_grant_pending_ = true;
     service_.DelegateDirectory(
         kRootDir,
-        [this](Status st, std::map<std::string, Dentry> copy,
-               std::uint64_t version) {
+        [this](Status st, DentryIndex copy, std::uint64_t version) {
           root_grant_pending_ = false;
           if (st == Status::kOk) {
             root_copy_ = std::move(copy);
@@ -210,12 +209,12 @@ void Client::RootDelegationStep(WalkPtr walk) {
         ctx);
     return;
   }
-  // Usable copy: serve the root step locally after local_hit_ns.  Same
+  // Usable copy: serve the root step locally after kLocalHitNs.  Same
   // hit-to-serve race as a full-path hit: re-validate against the
   // authoritative root version at fire time, never serve a stale copy.
   ++stats_.delegation_hits;
   service_.engine().Schedule(
-      config_.local_hit_ns, [this, walk = std::move(walk)]() mutable {
+      kLocalHitNs, [this, walk = std::move(walk)]() mutable {
         if (!root_grant_valid_ ||
             service_.DirVersion(kRootDir) != root_version_) {
           DropRootGrant();
@@ -223,8 +222,8 @@ void Client::RootDelegationStep(WalkPtr walk) {
           WalkFrom(std::move(walk));
           return;
         }
-        const std::string name(walk->path.Component(walk->chain.size()));
-        const auto it = root_copy_.find(name);
+        const auto it =
+            root_copy_.find(walk->path.Component(walk->chain.size()));
         if (it == root_copy_.end()) {
           // The copy is complete at root_version_, so a miss in it is an
           // authoritative negative — no shard visit to confirm.

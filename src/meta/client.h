@@ -1,7 +1,7 @@
 // Host-side dentry / path-resolution cache with version-stamped coherence.
 //
 // Each host::Initiator owns one Client.  A resolve first consults the
-// local cache: a full-path hit is served after `local_hit_ns` (no shard
+// local cache: a full-path hit is served after `kLocalHitNs` (no shard
 // visit at all — this is what lets a 32-host storm keep hammering "/dN"
 // components without serializing on the root directory's shard); a miss
 // walks from the deepest cached ancestor, one MetaService::LookupStep per
@@ -13,7 +13,7 @@
 // paths never touched the renamed entry's own parent twice.  Mutations
 // push OnDirectoryInvalidate(dir, version) synchronously at apply time,
 // dropping every cached path whose chain includes `dir`.  Because a cache
-// hit is *scheduled* (served local_hit_ns later), a mutation can land
+// hit is *scheduled* (served kLocalHitNs later), a mutation can land
 // between hit and serve — so the entry is re-validated when the hit timer
 // fires and falls back to a fresh walk if it was dropped in the window.
 // Net effect: no stale positive entry is ever served, cross-checked by an
@@ -22,7 +22,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -40,8 +39,6 @@ struct ClientConfig {
   /// Max cached entries (deterministic LRU eviction).  0 disables the
   /// cache entirely: every resolve walks the service from the root.
   std::size_t capacity = 4096;
-  /// Service time of a full-path cache hit (host-local lookup).
-  sim::Tick local_hit_ns = 400;
   /// Root delegation (E18a): hold a version-stamped full copy of "/" and
   /// serve cold walks' first component locally instead of serializing
   /// every walk on the root directory's shard.  The copy is re-validated
@@ -71,6 +68,9 @@ struct ClientStats {
 
 class Client {
  public:
+  /// Service time of a full-path cache hit (host-local lookup).
+  static constexpr sim::Tick kLocalHitNs = 400;
+
   Client(MetaService& service, std::string name, ClientConfig config = {});
   ~Client();
 
@@ -215,7 +215,7 @@ class Client {
   bool root_grant_valid_ = false;
   bool root_grant_pending_ = false;
   bool root_grant_broken_ = false;  // fetch failed: stop re-trying forever
-  std::map<std::string, Dentry> root_copy_;
+  DentryIndex root_copy_;
   std::uint64_t root_version_ = 0;
   std::vector<util::Function<void()>> root_grant_waiters_;
   ClientStats stats_;

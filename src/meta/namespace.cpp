@@ -1,10 +1,14 @@
 #include "meta/namespace.h"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "check/invariant.h"
 
 namespace nlss::meta {
+
+// dirs_ grows by moving its records, never by copying their entries.
+static_assert(std::is_nothrow_move_constructible_v<Directory>);
 
 const char* StatusName(Status s) {
   switch (s) {
@@ -66,10 +70,10 @@ Status Namespace::ParentOf(const Path& path, DirId* parent) const {
   for (std::size_t i = 0; i + 1 < path.depth(); ++i) {
     const Directory* d = Find(dir);
     if (d == nullptr) return Status::kNotFound;
-    const Dentry* e = d->entries.Find(path.Component(i));
-    if (e == nullptr) return Status::kNotFound;
-    if (!e->is_dir) return Status::kNotDirectory;
-    dir = e->ino;
+    const auto e = d->entries.find(path.Component(i));
+    if (e == d->entries.end()) return Status::kNotFound;
+    if (!e->second.is_dir) return Status::kNotDirectory;
+    dir = e->second.ino;
   }
   *parent = dir;
   return Status::kOk;
@@ -85,9 +89,10 @@ Status Namespace::Resolve(std::string_view path, Dentry* out) const {
   }
   if (st != Status::kOk) return st;
   const Directory* d = Find(parent);
-  const Dentry* e = d == nullptr ? nullptr : d->entries.Find(parsed.Leaf());
-  if (e == nullptr) return Status::kNotFound;
-  *out = *e;
+  if (d == nullptr) return Status::kNotFound;
+  const auto e = d->entries.find(parsed.Leaf());
+  if (e == d->entries.end()) return Status::kNotFound;
+  *out = e->second;
   return Status::kOk;
 }
 
@@ -107,12 +112,11 @@ Namespace::Result Namespace::Link(DirId parent, std::string_view leaf,
   Result r;
   Directory* p = FindMutable(parent);
   if (p == nullptr) return r;
-  if (p->entries.Find(leaf) != nullptr) {
+  if (!p->entries.emplace(leaf, Dentry{next_ino_, is_dir}).second) {
     r.status = Status::kExists;
     return r;
   }
   const Ino ino = next_ino_++;
-  p->entries.Insert(leaf, Dentry{ino, is_dir});
   Bump(*p, r, 0);
   if (is_dir) Record(ino).parent = parent;  // may move *p
   r.status = Status::kOk;
@@ -131,14 +135,15 @@ Namespace::Result Namespace::Create(DirId parent, std::string_view leaf) {
 Namespace::Result Namespace::Unlink(DirId parent, std::string_view leaf) {
   Result r;
   Directory* p = FindMutable(parent);
-  const Dentry* e = p == nullptr ? nullptr : p->entries.Find(leaf);
-  if (e == nullptr) return r;
-  if (e->is_dir) {
+  if (p == nullptr) return r;
+  const auto e = p->entries.find(leaf);
+  if (e == p->entries.end()) return r;
+  if (e->second.is_dir) {
     r.status = Status::kIsDirectory;
     return r;
   }
-  r.ino = e->ino;
-  p->entries.Erase(leaf);
+  r.ino = e->second.ino;
+  p->entries.erase(e);
   Bump(*p, r, 0);
   r.status = Status::kOk;
   return r;
@@ -147,19 +152,20 @@ Namespace::Result Namespace::Unlink(DirId parent, std::string_view leaf) {
 Namespace::Result Namespace::Rmdir(DirId parent, std::string_view leaf) {
   Result r;
   Directory* p = FindMutable(parent);
-  const Dentry* e = p == nullptr ? nullptr : p->entries.Find(leaf);
-  if (e == nullptr) return r;
-  if (!e->is_dir) {
+  if (p == nullptr) return r;
+  const auto e = p->entries.find(leaf);
+  if (e == p->entries.end()) return r;
+  if (!e->second.is_dir) {
     r.status = Status::kNotDirectory;
     return r;
   }
-  const DirId victim = e->ino;
+  const DirId victim = e->second.ino;
   const Directory* v = Find(victim);
   if (v != nullptr && !v->entries.empty()) {
     r.status = Status::kNotEmpty;
     return r;
   }
-  p->entries.Erase(leaf);
+  p->entries.erase(e);
   Bump(*p, r, 0);
   if (v != nullptr) dirs_.erase(dirs_.begin() + (v - dirs_.data()));
   r.status = Status::kOk;
@@ -183,9 +189,9 @@ Namespace::Result Namespace::Rename(DirId from_parent,
   Directory* fp = FindMutable(from_parent);
   Directory* tp = FindMutable(to_parent);
   if (fp == nullptr || tp == nullptr) return r;
-  const Dentry* e = fp->entries.Find(from_leaf);
-  if (e == nullptr) return r;
-  const Dentry moved = *e;
+  const auto e = fp->entries.find(from_leaf);
+  if (e == fp->entries.end()) return r;
+  const Dentry moved = e->second;
   if (from_parent == to_parent && from_leaf == to_leaf) {
     r.status = Status::kOk;  // self-rename: changes nothing
     r.ino = moved.ino;
@@ -195,12 +201,12 @@ Namespace::Result Namespace::Rename(DirId from_parent,
     r.status = Status::kInvalidArgument;  // would cut the subtree loose
     return r;
   }
-  if (tp->entries.Find(to_leaf) != nullptr) {
+  if (tp->entries.contains(to_leaf)) {
     r.status = Status::kExists;
     return r;
   }
-  fp->entries.Erase(from_leaf);
-  tp->entries.Insert(to_leaf, moved);
+  fp->entries.erase(e);
+  tp->entries.emplace(to_leaf, moved);
   if (moved.is_dir) {
     if (Directory* md = FindMutable(moved.ino)) md->parent = to_parent;
   }
@@ -216,15 +222,20 @@ Status Namespace::Scan(DirId dir, const std::string& from, std::size_t limit,
     const {
   const Directory* d = Find(dir);
   if (d == nullptr) return Status::kNotFound;
-  *rows = d->entries.Scan(from, limit);
+  rows->clear();
+  for (auto it = d->entries.lower_bound(from);
+       it != d->entries.end() && (limit == 0 || rows->size() < limit); ++it) {
+    rows->emplace_back(*it);
+  }
   return Status::kOk;
 }
 
 // --- Checkpoint restore ---------------------------------------------------------
 
-void Namespace::Restore(DirId dir, const std::string& name, Dentry child) {
-  Record(dir).entries.Insert(name, child);
+bool Namespace::Restore(DirId dir, const std::string& name, Dentry child) {
+  if (!Record(dir).entries.emplace(name, child).second) return false;
   if (child.is_dir) Record(child.ino).parent = dir;
+  return true;
 }
 
 }  // namespace nlss::meta

@@ -12,18 +12,29 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
-#include "meta/btree.h"
 #include "util/inline_vector.h"
 
 namespace nlss::meta {
 
+/// Inode number in the namespace (directories' ino is their DirId).
+using Ino = std::uint64_t;
 using DirId = std::uint64_t;
 inline constexpr DirId kRootDir = 1;
+
+struct Dentry {
+  Ino ino = 0;
+  bool is_dir = false;
+};
+
+/// One directory's entries in name (byte) order, looked up by string_view.
+using DentryIndex = std::map<std::string, Dentry, std::less<>>;
 
 enum class Status : std::uint8_t {
   kOk,
@@ -133,8 +144,9 @@ class Namespace {
   /// The next inode number a mutation hands out.
   Ino next_ino() const { return next_ino_; }
   /// Link `child` under `dir` as is — no rule check, no version bump —
-  /// creating the directory records the link needs.
-  void Restore(DirId dir, const std::string& name, Dentry child);
+  /// creating the directory records the link needs.  False, and no change,
+  /// when `dir` already holds `name`.
+  bool Restore(DirId dir, const std::string& name, Dentry child);
   void set_next_ino(Ino next) { next_ino_ = next; }
 
  private:

@@ -15,6 +15,13 @@ namespace {
 /// queue-depth budget like any other traffic.
 constexpr std::uint64_t kMetaOpCostBytes = 4096;
 
+constexpr sim::Tick kLookupCostNs = 1500;   // one dentry lookup on a shard
+constexpr sim::Tick kScanCostNs = 2500;     // ordered listing / scan base
+constexpr sim::Tick kScanEntryCostNs = 50;  // per returned entry
+/// Deterministic backoff before re-submitting a QoS-rejected op.
+constexpr sim::Tick kQosRetryDelayNs = 500 * 1000;
+constexpr std::uint64_t kMapSeed = 0x6d657461;  // shard-map hash seed ("meta")
+
 std::uint64_t Mix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -41,7 +48,7 @@ MetaService::~MetaService() = default;
 ShardId MetaService::ShardOf(DirId dir) const {
   const auto it = shard_overrides_.find(dir);
   if (it != shard_overrides_.end()) return it->second;
-  return static_cast<ShardId>(Mix64(dir ^ config_.map_seed) % shards_.size());
+  return static_cast<ShardId>(Mix64(dir ^ kMapSeed) % shards_.size());
 }
 
 std::uint32_t MetaService::BladeOf(ShardId shard) const {
@@ -150,7 +157,7 @@ void MetaService::Visit(DirId dir, MetaShard::OpClass klass, sim::Tick cost_ns,
   // event carries the access tag: a same-tick unrelated mutation and
   // lookup of one directory would resolve before- or after-image by queue
   // order alone.
-  engine_.Schedule(config_.hop_ns, [this, visit = std::move(visit)]() mutable {
+  engine_.Schedule(kHopNs, [this, visit = std::move(visit)]() mutable {
     if (visit->klass == MetaShard::OpClass::kMutation) {
       NLSS_ACCESS(kMeta, check::AccessKey(0xD1Eull, visit->dir), kWrite);
     } else {
@@ -165,7 +172,7 @@ void MetaService::Visit(DirId dir, MetaShard::OpClass klass, sim::Tick cost_ns,
       auto run = [this, visit = std::move(visit)]() mutable {
         visit->apply(visit->result);
         if (visit->done) visit->done(true);  // blade work done; reply is net
-        engine_.Schedule(config_.hop_ns, [visit = std::move(visit)]() {
+        engine_.Schedule(kHopNs, [visit = std::move(visit)]() {
           obs::EndSpan(visit->span);
           visit->reply(visit->result);
         });
@@ -187,7 +194,7 @@ void MetaService::SubmitToBlade(ShardId shard, qos::Scheduler::Launch serve,
                        span);
   if (serve) {  // rejected: handed back for a deterministic retry
     ++stats_.qos_rejects;
-    engine_.Schedule(config_.qos_retry_delay_ns,
+    engine_.Schedule(kQosRetryDelayNs,
                      [this, shard, serve = std::move(serve), span]() mutable {
                        SubmitToBlade(shard, std::move(serve), span);
                      });
@@ -201,12 +208,16 @@ void MetaService::LookupStep(DirId dir, std::string_view name,
   ++stats_.lookup_steps;
   using Found = std::tuple<Status, Dentry, std::uint64_t>;
   Visit<Found>(
-      dir, MetaShard::OpClass::kLookup, config_.lookup_cost_ns,
+      dir, MetaShard::OpClass::kLookup, kLookupCostNs,
       [this, dir, name = std::string(name)](Found& r) {
-        const Directory* d = ns_.Find(dir);  // gone: kNotFound, version 0
-        const Dentry* e = d == nullptr ? nullptr : d->entries.Find(name);
-        r = {e == nullptr ? Status::kNotFound : Status::kOk,
-             e == nullptr ? Dentry{} : *e, d == nullptr ? 0 : d->version};
+        std::get<0>(r) = Status::kNotFound;
+        const Directory* d = ns_.Find(dir);
+        if (d == nullptr) return;  // gone: version 0
+        std::get<2>(r) = d->version;
+        const auto e = d->entries.find(name);
+        if (e == d->entries.end()) return;
+        std::get<0>(r) = Status::kOk;
+        std::get<1>(r) = e->second;
       },
       [cb = std::move(cb)](Found& r) {
         cb(std::get<0>(r), std::get<1>(r), std::get<2>(r));
@@ -222,19 +233,15 @@ void MetaService::DelegateDirectory(DirId dir, DelegateCallback cb,
   // Billed like a full listing: base scan cost plus every entry copied.
   const Directory* d = ns_.Find(dir);
   const std::size_t approx = d == nullptr ? 0 : d->entries.size();
-  using Copy =
-      std::tuple<Status, std::map<std::string, Dentry>, std::uint64_t>;
+  using Copy = std::tuple<Status, DentryIndex, std::uint64_t>;
   Visit<Copy>(
       dir, MetaShard::OpClass::kScan,
-      config_.scan_cost_ns +
-          config_.scan_entry_cost_ns * static_cast<sim::Tick>(approx),
+      kScanCostNs + kScanEntryCostNs * static_cast<sim::Tick>(approx),
       [this, dir](Copy& r) {
         const Directory* d2 = ns_.Find(dir);
         std::get<0>(r) = d2 == nullptr ? Status::kNotFound : Status::kOk;
         if (d2 == nullptr) return;
-        d2->entries.ForEach([&](const std::string& name, const Dentry& de) {
-          std::get<1>(r).emplace(name, de);
-        });
+        std::get<1>(r) = d2->entries;
         std::get<2>(r) = d2->version;
       },
       [this, cb = std::move(cb), op, root](Copy& r) {
@@ -333,7 +340,7 @@ void MetaService::MutateLeaf(const char* name, const std::string& path,
           return;
         }
         Visit<Namespace::Result>(
-            parent, MetaShard::OpClass::kMutation, config_.mutate_cost_ns,
+            parent, MetaShard::OpClass::kMutation, kMutateCostNs,
             [this, parent, rule, parts](Namespace::Result& r) {
               r = (ns_.*rule)(parent, parts->Leaf());
               Publish(r);
@@ -405,12 +412,10 @@ void MetaService::Rename(const std::string& from, const std::string& to,
               // mutation service time to keep both queues honest.
               if (ShardOf(to_parent) != ShardOf(from_parent)) {
                 shards_[ShardOf(to_parent)]->Execute(
-                    MetaShard::OpClass::kMutation, config_.mutate_cost_ns,
-                    []() {});
+                    MetaShard::OpClass::kMutation, kMutateCostNs, []() {});
               }
               Visit<Namespace::Result>(
-                  from_parent, MetaShard::OpClass::kMutation,
-                  config_.mutate_cost_ns,
+                  from_parent, MetaShard::OpClass::kMutation, kMutateCostNs,
                   [this, from_parent, to_parent, from_parts,
                    to_parts](Namespace::Result& r) {
                     r = ns_.Rename(from_parent, from_parts->Leaf(), to_parent,
@@ -462,8 +467,7 @@ void MetaService::RangeScan(const std::string& path, const std::string& from,
     using Rows = std::pair<Status, std::vector<std::pair<std::string, Dentry>>>;
     Visit<Rows>(
         dir, MetaShard::OpClass::kScan,
-        config_.scan_cost_ns +
-            config_.scan_entry_cost_ns * static_cast<sim::Tick>(billed),
+        kScanCostNs + kScanEntryCostNs * static_cast<sim::Tick>(billed),
         [this, dir, from, limit](Rows& r) {
           r.first = ns_.Scan(dir, from, limit, &r.second);
         },

@@ -49,14 +49,6 @@ struct ServiceConfig {
   /// Blade domain for shard placement + QoS classing (shard s lives on
   /// blade s % blades, skipping blades marked down).
   std::uint32_t blades = 4;
-  sim::Tick lookup_cost_ns = 1500;  // one dentry lookup on a shard
-  sim::Tick mutate_cost_ns = 4000;  // one entry mutation on a shard
-  sim::Tick scan_cost_ns = 2500;    // ordered listing / range scan base
-  sim::Tick scan_entry_cost_ns = 50;  // per returned entry
-  sim::Tick hop_ns = 3000;            // one-way host<->shard fabric hop
-  /// Deterministic backoff before re-submitting a QoS-rejected op.
-  sim::Tick qos_retry_delay_ns = 500 * 1000;
-  std::uint64_t map_seed = 0x6d657461;  // shard-map hash seed ("meta")
 };
 
 struct ServiceStats {
@@ -87,6 +79,9 @@ class MetaService {
   using ScanCallback = util::Function<void(
       Status, std::vector<std::pair<std::string, Dentry>>)>;
 
+  static constexpr sim::Tick kHopNs = 3000;  // one-way host<->shard hop
+  static constexpr sim::Tick kMutateCostNs = 4000;  // one entry mutation
+
   MetaService(sim::Engine& engine, ServiceConfig config = {});
   ~MetaService();
 
@@ -106,7 +101,7 @@ class MetaService {
              obs::TraceContext ctx = {});
   void Rename(const std::string& from, const std::string& to,
               StatusCallback cb, obs::TraceContext ctx = {});
-  /// Ordered listing of every entry name (B-tree order).
+  /// Ordered listing of every entry name (byte order).
   void List(const std::string& path, ListCallback cb,
             obs::TraceContext ctx = {});
   /// Ordered range scan: up to `limit` entries with name >= `from`
@@ -127,8 +122,8 @@ class MetaService {
   /// `dir` locally — including authoritative negatives — until the
   /// version moves, instead of serializing every cold walk's first step
   /// on the root directory's shard.
-  using DelegateCallback = util::Function<void(
-      Status, std::map<std::string, Dentry>, std::uint64_t version)>;
+  using DelegateCallback =
+      util::Function<void(Status, DentryIndex, std::uint64_t version)>;
   void DelegateDirectory(DirId dir, DelegateCallback cb,
                          obs::TraceContext ctx = {});
 

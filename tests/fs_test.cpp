@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "fs/filesystem.h"
@@ -276,6 +278,122 @@ TEST_F(FsTest, LoadRefusesInodeNumbersAtOrAboveNextIno) {
   EXPECT_EQ(fs_->Stat("/d/e/g")->type, FileType::kDirectory);
 }
 
+// A checkpoint written record by record: default policies, no chunks.
+struct Record {
+  InodeNum ino;
+  FileType type;
+  std::vector<std::pair<std::string, InodeNum>> links;
+};
+
+util::Bytes Checkpoint(InodeNum next_ino, const std::vector<Record>& records) {
+  util::ByteWriter w;
+  w.U32(0x4E4C4653);  // "NLFS"
+  w.U64(next_ino);
+  w.U64(0);  // next chunk
+  w.U64(records.size());
+  for (const Record& rec : records) {
+    w.U64(rec.ino);
+    w.U8(static_cast<std::uint8_t>(rec.type));
+    w.U64(0);  // size
+    const FilePolicy p;
+    w.U8(p.cache_priority);
+    w.U32(p.cache_replication);
+    w.U8(p.geo_replicate ? 1 : 0);
+    w.U8(p.geo_sync ? 1 : 0);
+    w.U32(p.geo_sites);
+    w.U64(p.geo_min_distance_km);
+    w.U8(0);  // no RAID override
+    w.U32(p.qos_tenant);
+    w.U64(0);  // chunks
+    w.U64(rec.links.size());
+    for (const auto& [name, child] : rec.links) {
+      w.Str(name);
+      w.U64(child);
+    }
+  }
+  w.U64(0);  // free chunks
+  return w.Take();
+}
+
+TEST_F(FsTest, LoadRefusesLinksThatDoNotFormOneTree) {
+  constexpr FileType kDir = FileType::kDirectory;
+  constexpr FileType kFile = FileType::kFile;
+  ASSERT_EQ(fs_->Mkdir("/d"), Status::kOk);
+  ASSERT_EQ(fs_->Create("/d/f"), Status::kOk);
+  const util::Bytes good =
+      Checkpoint(4, {{kRootIno, kDir, {{"d", 2}}}, {2, kDir, {{"f", 3}}},
+                     {3, kFile, {}}});
+  ASSERT_EQ(fs_->SerializeMetadata(), good) << "the writer above is stale";
+
+  const struct {
+    const char* name;
+    util::Bytes blob;
+  } cases[] = {
+      {"a link to an inode missing from the table",
+       Checkpoint(4, {{kRootIno, kDir, {{"d", 2}}}, {2, kDir, {{"f", 3}}}})},
+      {"one name linked twice in one directory",
+       Checkpoint(4, {{kRootIno, kDir, {{"f", 2}, {"f", 3}}},
+                      {2, kFile, {}},
+                      {3, kFile, {}}})},
+      {"entries under a file",
+       Checkpoint(4, {{kRootIno, kDir, {{"f", 2}}},
+                      {2, kFile, {{"g", 3}}},
+                      {3, kFile, {}}})},
+      {"two directories that only link each other",
+       Checkpoint(4, {{kRootIno, kDir, {}},
+                      {2, kDir, {{"b", 3}}},
+                      {3, kDir, {{"a", 2}}}})},
+      {"one inode recorded twice",
+       Checkpoint(3, {{kRootIno, kDir, {{"f", 2}}},
+                      {2, kFile, {}},
+                      {2, kFile, {}}})},
+      {"a root that is a file", Checkpoint(2, {{kRootIno, kFile, {}}})},
+      {"an inode of no known type",
+       Checkpoint(3, {{kRootIno, kDir, {{"f", 2}}},
+                      {2, static_cast<FileType>(2), {}}})},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(fs_->LoadMetadata(c.blob), Status::kInvalidArgument) << c.name;
+  }
+  EXPECT_EQ(fs_->SerializeMetadata(), good) << "a refused load changed nothing";
+  EXPECT_EQ(fs_->TotalFiles(), 1u);
+}
+
+// The checkpoint lists each directory's names in byte order, and loading
+// one and writing it again gives back the same bytes.
+TEST_F(FsTest, CheckpointRoundTripsByteForByte) {
+  ASSERT_EQ(fs_->Mkdir("/d"), Status::kOk);
+  std::vector<std::string> names = {"Zeta", "_x", "a-b", "a.b", "a0"};
+  for (int i = 0; i < 40; ++i) {
+    names.push_back("f" + std::to_string((i * 17) % 40));  // "f10" < "f2"
+  }
+  for (const std::string& n : names) {
+    ASSERT_EQ(fs_->Create("/d/" + n), Status::kOk) << n;
+  }
+  ASSERT_EQ(Write("/d/f3", 0, Pattern(3 * util::MiB, 5)), Status::kOk);
+  ASSERT_EQ(Write("/d/a0", 0, Pattern(util::MiB, 6)), Status::kOk);
+  ASSERT_EQ(fs_->Unlink("/d/f3"), Status::kOk);
+  ASSERT_EQ(Write("/d/f7", 100, Pattern(5000, 7)), Status::kOk);
+  names.erase(std::find(names.begin(), names.end(), "f3"));
+  std::sort(names.begin(), names.end());
+
+  const util::Bytes blob = fs_->SerializeMetadata();
+  ASSERT_EQ(fs_->LoadMetadata(blob), Status::kOk);
+  EXPECT_EQ(fs_->SerializeMetadata(), blob);
+  EXPECT_EQ(fs_->List("/d"), names);
+  std::ptrdiff_t last = -1;
+  for (const std::string& n : names) {
+    util::ByteWriter link;
+    link.Str(n);
+    link.U64(fs_->Stat("/d/" + n)->ino);
+    const auto at = std::search(blob.begin(), blob.end(), link.data().begin(),
+                                link.data().end());
+    ASSERT_NE(at, blob.end()) << n;
+    EXPECT_GT(at - blob.begin(), last) << n << " is out of byte order";
+    last = at - blob.begin();
+  }
+}
+
 TEST_F(FsTest, ForEachFileWalksTree) {
   ASSERT_EQ(fs_->Mkdir("/x"), Status::kOk);
   ASSERT_EQ(fs_->Mkdir("/x/y"), Status::kOk);
@@ -395,6 +513,8 @@ const std::vector<NsCase>& NsCases() {
        S::kNotEmpty, "/n/f"},
       {"second create", {}, {"/c"}, Op::kCreate, "/c", nullptr, S::kExists,
        "/c"},
+      {"unlink a missing name", {"/d"}, {}, Op::kUnlink, "/d/x", nullptr,
+       S::kNotFound, "/d"},
   };
   return cases;
 }

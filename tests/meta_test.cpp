@@ -1,15 +1,14 @@
-// Sharded metadata service (E18): ordered dentry index vs a reference
-// model, shard-map routing determinism + rebalance, ordered listing /
-// range scans, the host dentry cache's coherence under rename/unlink
-// racing a cached resolve, metadata ops under QoS admission, the mgmt
-// /meta report, and crash-mid-storm two-run digest determinism.
+// Sharded metadata service (E18): shard-map routing determinism +
+// rebalance, ordered listing / range scans, the host dentry cache's
+// coherence under rename/unlink racing a cached resolve, metadata ops
+// under QoS admission, the mgmt /meta report, and crash-mid-storm two-run
+// digest determinism.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <functional>
-#include <map>
 #include <memory>
 #include <new>
 #include <string>
@@ -19,7 +18,6 @@
 #include "check/invariant.h"
 #include "controller/system.h"
 #include "host/initiator.h"
-#include "meta/btree.h"
 #include "meta/client.h"
 #include "meta/service.h"
 #include "mgmt/admin_http.h"
@@ -52,84 +50,14 @@ std::atomic<std::uint64_t> g_heap_allocations{0};
 namespace nlss::meta {
 namespace {
 
-/// Deterministic splitmix64 step — seeded key streams for the index model
-/// test without touching any global RNG.
+/// Deterministic splitmix64 step — seeded key streams for the tests below
+/// without touching any global RNG.
 std::uint64_t Mix(std::uint64_t& state) {
   state += 0x9e3779b97f4a7c15ull;
   std::uint64_t z = state;
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
   return z ^ (z >> 31);
-}
-
-// --- Ordered dentry index vs std::map reference model ------------------------
-
-TEST(DentryIndex, MatchesMapReferenceModel) {
-  DentryIndex index;
-  std::map<std::string, Dentry> model;
-  std::uint64_t rng = 0xE18;
-
-  for (int round = 0; round < 4000; ++round) {
-    const std::uint64_t r = Mix(rng);
-    const std::string name = "f" + std::to_string(r % 500);
-    if ((r >> 32) % 3 == 0) {
-      // Erase: both sides must agree on presence.
-      EXPECT_EQ(index.Erase(name), model.erase(name) > 0) << name;
-    } else {
-      Dentry d{/*ino=*/r | 1, /*is_dir=*/(r & 2) != 0};
-      const bool inserted = model.emplace(name, d).second;
-      EXPECT_EQ(index.Insert(name, d), inserted) << name;
-    }
-    if (round % 512 == 0) {
-      ASSERT_TRUE(index.Validate());
-    }
-  }
-
-  ASSERT_TRUE(index.Validate());
-  ASSERT_EQ(index.size(), model.size());
-
-  // Point lookups agree, including misses.
-  for (int i = 0; i < 500; ++i) {
-    const std::string name = "f" + std::to_string(i);
-    const Dentry* got = index.Find(name);
-    const auto it = model.find(name);
-    ASSERT_EQ(got != nullptr, it != model.end()) << name;
-    if (got != nullptr) {
-      EXPECT_EQ(got->ino, it->second.ino);
-      EXPECT_EQ(got->is_dir, it->second.is_dir);
-    }
-  }
-
-  // ForEach visits exactly the model's entries in lexicographic order.
-  std::vector<std::string> walked;
-  index.ForEach([&](const std::string& n, const Dentry& d) {
-    walked.push_back(n);
-    EXPECT_EQ(d.ino, model.at(n).ino);
-  });
-  std::vector<std::string> expect;
-  for (const auto& [n, d] : model) expect.push_back(n);
-  EXPECT_EQ(walked, expect);
-
-  // Range scans equal the sorted reference slice, at several cursors.
-  for (const char* from : {"", "f0", "f25", "f333", "f499", "zzz"}) {
-    const auto got = index.Scan(from, 7);
-    std::vector<std::string> want;
-    for (auto it = model.lower_bound(from);
-         it != model.end() && want.size() < 7; ++it) {
-      want.push_back(it->first);
-    }
-    ASSERT_EQ(got.size(), want.size()) << "from=" << from;
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      EXPECT_EQ(got[i].first, want[i]) << "from=" << from;
-    }
-  }
-  // limit == 0: the whole tail.
-  EXPECT_EQ(index.Scan("", 0).size(), model.size());
-
-  // Drain completely; the empty tree must still validate.
-  for (const auto& [n, d] : model) EXPECT_TRUE(index.Erase(n));
-  EXPECT_TRUE(index.empty());
-  EXPECT_TRUE(index.Validate());
 }
 
 // --- Shard-map routing -------------------------------------------------------
@@ -255,23 +183,27 @@ TEST(MetaService, ListAndRangeScanMatchSortedReference) {
     listed = std::move(got);
   });
   engine.Run();
-  EXPECT_EQ(listed, names) << "List must return B-tree (lexicographic) order";
+  EXPECT_EQ(listed, names) << "List must return byte (lexicographic) order";
 
-  const std::string cursor = names[names.size() / 2];
-  std::vector<std::string> page;
-  service.RangeScan("/dir", cursor, 10,
-                    [&](Status st, std::vector<std::pair<std::string, Dentry>>
-                            got) {
-                      ASSERT_EQ(st, Status::kOk);
-                      for (auto& [n, d] : got) page.push_back(n);
-                    });
-  engine.Run();
-  std::vector<std::string> want;
-  for (auto it = std::lower_bound(names.begin(), names.end(), cursor);
-       it != names.end() && want.size() < 10; ++it) {
-    want.push_back(*it);
+  // Before every name, mid-directory, at the last name and past it.
+  for (const std::string& cursor :
+       {std::string(), names[names.size() / 2], names.back(),
+        std::string("zzz")}) {
+    std::vector<std::string> page;
+    service.RangeScan(
+        "/dir", cursor, 10,
+        [&](Status st, std::vector<std::pair<std::string, Dentry>> got) {
+          ASSERT_EQ(st, Status::kOk);
+          for (auto& [n, d] : got) page.push_back(n);
+        });
+    engine.Run();
+    std::vector<std::string> want;
+    for (auto it = std::lower_bound(names.begin(), names.end(), cursor);
+         it != names.end() && want.size() < 10; ++it) {
+      want.push_back(*it);
+    }
+    EXPECT_EQ(page, want) << "cursor " << cursor;
   }
-  EXPECT_EQ(page, want);
 }
 
 // The flat directory table stays sorted by DirId: ForEachDir ascends across
@@ -319,7 +251,7 @@ TEST(DentryCache, WarmResolveIsAFullHitServedLocally) {
   engine.Run();
   EXPECT_EQ(st, Status::kOk);
   EXPECT_EQ(client.stats().full_hits, 1u);
-  EXPECT_EQ(engine.now() - cold_end, client.config().local_hit_ns)
+  EXPECT_EQ(engine.now() - cold_end, Client::kLocalHitNs)
       << "a warm hit must not visit any shard";
   EXPECT_DOUBLE_EQ(client.HitRate(), 0.5);
 }
@@ -350,8 +282,8 @@ TEST(DentryCache, RenameRacingCachedResolveNeverServesStale) {
   // mutation applies exactly hop + mutate after issue.
   const sim::Tick t0 = engine.now() + 1000;
   const sim::Tick apply =
-      service.config().hop_ns + service.config().mutate_cost_ns;
-  ASSERT_GT(apply, client.config().local_hit_ns)
+      MetaService::kHopNs + MetaService::kMutateCostNs;
+  ASSERT_GT(apply, Client::kLocalHitNs)
       << "recipe needs the hit-serve window to fit before the apply";
 
   bool renamed = false;
@@ -364,7 +296,7 @@ TEST(DentryCache, RenameRacingCachedResolveNeverServesStale) {
   // rename applies: hit taken at t0+apply-200, served at t0+apply+200.
   Status raced{};
   bool raced_done = false;
-  engine.ScheduleAt(t0 + apply - client.config().local_hit_ns / 2, [&] {
+  engine.ScheduleAt(t0 + apply - Client::kLocalHitNs / 2, [&] {
     client.Resolve("/d0/f", [&](Status s, Dentry) {
       raced = s;
       raced_done = true;
@@ -501,7 +433,7 @@ TEST(DentryCache, RootDelegationServesRootStepsLocally) {
   EXPECT_EQ(missing, Status::kNotFound);
   EXPECT_EQ(client.stats().steps, steps0)
       << "a delegated negative must not visit any shard";
-  EXPECT_EQ(engine.now() - t0, client.config().local_hit_ns);
+  EXPECT_EQ(engine.now() - t0, Client::kLocalHitNs);
 
   // Renaming a root entry bumps "/"'s version: the grant drops and the
   // next walk re-fetches a copy that holds the new truth.
