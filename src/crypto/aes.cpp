@@ -12,16 +12,6 @@ constexpr std::uint8_t XTime(std::uint8_t x) {
   return static_cast<std::uint8_t>((x << 1) ^ ((x & 0x80) ? 0x1B : 0x00));
 }
 
-constexpr std::uint8_t GMul(std::uint8_t a, std::uint8_t b) {
-  std::uint8_t p = 0;
-  for (int i = 0; i < 8; ++i) {
-    if (b & 1) p ^= a;
-    a = XTime(a);
-    b >>= 1;
-  }
-  return p;
-}
-
 struct SboxTables {
   std::array<std::uint8_t, 256> sbox{};
   std::array<std::uint8_t, 256> inv_sbox{};
@@ -81,35 +71,53 @@ struct TeTables {
 
 constexpr TeTables kTe{};
 
-// State layout: state[r + 4*c], matching FIPS-197 (bytes fill columns).
+// Inverse T-tables for decryption: Td0[x] packs one column of
+// InvSubBytes+InvMixColumns (x14, x9, x13, x11 of InvSbox(x)); Td1..Td3 are
+// its byte rotations.
+struct TdTables {
+  std::array<std::uint32_t, 256> t0{}, t1{}, t2{}, t3{};
 
-void AddRoundKey(std::uint8_t s[16], const std::uint8_t rk[16]) {
-  for (int i = 0; i < 16; ++i) s[i] ^= rk[i];
-}
-
-void InvSubBytes(std::uint8_t s[16]) {
-  for (int i = 0; i < 16; ++i) s[i] = InvSbox(s[i]);
-}
-
-void InvShiftRows(std::uint8_t s[16]) {
-  std::uint8_t t[16];
-  for (int r = 0; r < 4; ++r) {
-    for (int c = 0; c < 4; ++c) {
-      t[r + 4 * ((c + r) % 4)] = s[r + 4 * c];
+  constexpr TdTables() {
+    for (int i = 0; i < 256; ++i) {
+      const std::uint8_t s = kTables.inv_sbox[i];
+      const std::uint8_t s2 = XTime(s);
+      const std::uint8_t s4 = XTime(s2);
+      const std::uint8_t s8 = XTime(s4);
+      const std::uint32_t w =
+          (static_cast<std::uint32_t>(s8 ^ s4 ^ s2) << 24) |  // x14
+          (static_cast<std::uint32_t>(s8 ^ s) << 16) |        // x9
+          (static_cast<std::uint32_t>(s8 ^ s4 ^ s) << 8) |    // x13
+          static_cast<std::uint32_t>(s8 ^ s2 ^ s);            // x11
+      t0[i] = w;
+      t1[i] = (w >> 8) | (w << 24);
+      t2[i] = (w >> 16) | (w << 16);
+      t3[i] = (w >> 24) | (w << 8);
     }
   }
-  std::memcpy(s, t, 16);
+};
+
+constexpr TdTables kTd{};
+
+std::uint32_t LoadBe(const std::uint8_t* p) {
+  return (static_cast<std::uint32_t>(p[0]) << 24) |
+         (static_cast<std::uint32_t>(p[1]) << 16) |
+         (static_cast<std::uint32_t>(p[2]) << 8) | p[3];
 }
 
-void InvMixColumns(std::uint8_t s[16]) {
-  for (int c = 0; c < 4; ++c) {
-    std::uint8_t* col = s + 4 * c;
-    const std::uint8_t a0 = col[0], a1 = col[1], a2 = col[2], a3 = col[3];
-    col[0] = GMul(a0, 0x0E) ^ GMul(a1, 0x0B) ^ GMul(a2, 0x0D) ^ GMul(a3, 0x09);
-    col[1] = GMul(a0, 0x09) ^ GMul(a1, 0x0E) ^ GMul(a2, 0x0B) ^ GMul(a3, 0x0D);
-    col[2] = GMul(a0, 0x0D) ^ GMul(a1, 0x09) ^ GMul(a2, 0x0E) ^ GMul(a3, 0x0B);
-    col[3] = GMul(a0, 0x0B) ^ GMul(a1, 0x0D) ^ GMul(a2, 0x09) ^ GMul(a3, 0x0E);
-  }
+void StoreBe(std::uint8_t* p, std::uint32_t v) {
+  p[0] = static_cast<std::uint8_t>(v >> 24);
+  p[1] = static_cast<std::uint8_t>(v >> 16);
+  p[2] = static_cast<std::uint8_t>(v >> 8);
+  p[3] = static_cast<std::uint8_t>(v);
+}
+
+/// InvMixColumns of one column word: Td of Sbox undoes the table's
+/// InvSubBytes.
+std::uint32_t InvMixColumn(std::uint32_t w) {
+  return kTd.t0[Sbox(static_cast<std::uint8_t>(w >> 24))] ^
+         kTd.t1[Sbox(static_cast<std::uint8_t>(w >> 16))] ^
+         kTd.t2[Sbox(static_cast<std::uint8_t>(w >> 8))] ^
+         kTd.t3[Sbox(static_cast<std::uint8_t>(w))];
 }
 
 }  // namespace
@@ -142,25 +150,20 @@ Aes::Aes(std::span<const std::uint8_t> key) {
       word(i)[j] = static_cast<std::uint8_t>(word(i - nk)[j] ^ temp[j]);
     }
   }
+  for (int i = 0; i < total_words; ++i) {
+    const std::uint32_t w = LoadBe(word(i));
+    const bool middle = i >= 4 && i < 4 * rounds_;
+    dec_keys_[i] = middle ? InvMixColumn(w) : w;
+  }
 }
 
 void Aes::EncryptBlock(const std::uint8_t in[16], std::uint8_t out[16]) const {
   // T-table fast path: four table lookups per column per round.
-  auto load_be = [](const std::uint8_t* p) -> std::uint32_t {
-    return (static_cast<std::uint32_t>(p[0]) << 24) |
-           (static_cast<std::uint32_t>(p[1]) << 16) |
-           (static_cast<std::uint32_t>(p[2]) << 8) | p[3];
-  };
-  auto rk = [this](int word) -> std::uint32_t {
-    const std::uint8_t* p = round_keys_.data() + 4 * word;
-    return (static_cast<std::uint32_t>(p[0]) << 24) |
-           (static_cast<std::uint32_t>(p[1]) << 16) |
-           (static_cast<std::uint32_t>(p[2]) << 8) | p[3];
-  };
-  std::uint32_t w0 = load_be(in) ^ rk(0);
-  std::uint32_t w1 = load_be(in + 4) ^ rk(1);
-  std::uint32_t w2 = load_be(in + 8) ^ rk(2);
-  std::uint32_t w3 = load_be(in + 12) ^ rk(3);
+  auto rk = [this](int word) { return LoadBe(round_keys_.data() + 4 * word); };
+  std::uint32_t w0 = LoadBe(in) ^ rk(0);
+  std::uint32_t w1 = LoadBe(in + 4) ^ rk(1);
+  std::uint32_t w2 = LoadBe(in + 8) ^ rk(2);
+  std::uint32_t w3 = LoadBe(in + 12) ^ rk(3);
   for (int round = 1; round < rounds_; ++round) {
     const std::uint32_t t0 = kTe.t0[w0 >> 24] ^ kTe.t1[(w1 >> 16) & 0xFF] ^
                              kTe.t2[(w2 >> 8) & 0xFF] ^ kTe.t3[w3 & 0xFF] ^
@@ -192,32 +195,51 @@ void Aes::EncryptBlock(const std::uint8_t in[16], std::uint8_t out[16]) const {
   const std::uint32_t o1 = final_word(w1, w2, w3, w0, 4 * rounds_ + 1);
   const std::uint32_t o2 = final_word(w2, w3, w0, w1, 4 * rounds_ + 2);
   const std::uint32_t o3 = final_word(w3, w0, w1, w2, 4 * rounds_ + 3);
-  auto store_be = [](std::uint8_t* p, std::uint32_t v) {
-    p[0] = static_cast<std::uint8_t>(v >> 24);
-    p[1] = static_cast<std::uint8_t>(v >> 16);
-    p[2] = static_cast<std::uint8_t>(v >> 8);
-    p[3] = static_cast<std::uint8_t>(v);
-  };
-  store_be(out, o0);
-  store_be(out + 4, o1);
-  store_be(out + 8, o2);
-  store_be(out + 12, o3);
+  StoreBe(out, o0);
+  StoreBe(out + 4, o1);
+  StoreBe(out + 8, o2);
+  StoreBe(out + 12, o3);
 }
 
 void Aes::DecryptBlock(const std::uint8_t in[16], std::uint8_t out[16]) const {
-  std::uint8_t s[16];
-  std::memcpy(s, in, 16);
-  AddRoundKey(s, round_keys_.data() + 16 * rounds_);
+  // The equivalent inverse cipher (FIPS-197 5.3.5): inverse T-tables, with
+  // the middle rounds' keys passed through InvMixColumns once, at setup.
+  const std::uint32_t* dk = dec_keys_.data();
+  std::uint32_t w0 = LoadBe(in) ^ dk[4 * rounds_];
+  std::uint32_t w1 = LoadBe(in + 4) ^ dk[4 * rounds_ + 1];
+  std::uint32_t w2 = LoadBe(in + 8) ^ dk[4 * rounds_ + 2];
+  std::uint32_t w3 = LoadBe(in + 12) ^ dk[4 * rounds_ + 3];
   for (int round = rounds_ - 1; round >= 1; --round) {
-    InvShiftRows(s);
-    InvSubBytes(s);
-    AddRoundKey(s, round_keys_.data() + 16 * round);
-    InvMixColumns(s);
+    const std::uint32_t t0 = kTd.t0[w0 >> 24] ^ kTd.t1[(w3 >> 16) & 0xFF] ^
+                             kTd.t2[(w2 >> 8) & 0xFF] ^ kTd.t3[w1 & 0xFF] ^
+                             dk[4 * round];
+    const std::uint32_t t1 = kTd.t0[w1 >> 24] ^ kTd.t1[(w0 >> 16) & 0xFF] ^
+                             kTd.t2[(w3 >> 8) & 0xFF] ^ kTd.t3[w2 & 0xFF] ^
+                             dk[4 * round + 1];
+    const std::uint32_t t2 = kTd.t0[w2 >> 24] ^ kTd.t1[(w1 >> 16) & 0xFF] ^
+                             kTd.t2[(w0 >> 8) & 0xFF] ^ kTd.t3[w3 & 0xFF] ^
+                             dk[4 * round + 2];
+    const std::uint32_t t3 = kTd.t0[w3 >> 24] ^ kTd.t1[(w2 >> 16) & 0xFF] ^
+                             kTd.t2[(w1 >> 8) & 0xFF] ^ kTd.t3[w0 & 0xFF] ^
+                             dk[4 * round + 3];
+    w0 = t0;
+    w1 = t1;
+    w2 = t2;
+    w3 = t3;
   }
-  InvShiftRows(s);
-  InvSubBytes(s);
-  AddRoundKey(s, round_keys_.data());
-  std::memcpy(out, s, 16);
+  // Final round: InvShiftRows + InvSubBytes only.
+  auto final_word = [&](std::uint32_t a, std::uint32_t b, std::uint32_t c,
+                        std::uint32_t d, int word) -> std::uint32_t {
+    return ((static_cast<std::uint32_t>(InvSbox(a >> 24)) << 24) |
+            (static_cast<std::uint32_t>(InvSbox((b >> 16) & 0xFF)) << 16) |
+            (static_cast<std::uint32_t>(InvSbox((c >> 8) & 0xFF)) << 8) |
+            InvSbox(d & 0xFF)) ^
+           dk[word];
+  };
+  StoreBe(out, final_word(w0, w3, w2, w1, 0));
+  StoreBe(out + 4, final_word(w1, w0, w3, w2, 1));
+  StoreBe(out + 8, final_word(w2, w1, w0, w3, 2));
+  StoreBe(out + 12, final_word(w3, w2, w1, w0, 3));
 }
 
 void CtrCrypt(const Aes& aes, const std::uint8_t iv[16],

@@ -3,7 +3,7 @@
 //   * XTS  — at-rest encryption of disk blocks, tweaked by block address so
 //            identical plaintext blocks encrypt differently per location.
 //
-// Software implementation (byte-oriented, constexpr-generated tables).
+// Software implementation (T-tables both ways, generated constexpr).
 // Correctness is pinned to FIPS-197 / NIST test vectors in the test suite.
 #pragma once
 
@@ -26,6 +26,9 @@ class Aes {
  private:
   int rounds_;                                  // 10 or 14
   std::array<std::uint8_t, 16 * 15> round_keys_{};  // up to 14+1 round keys
+  /// The round keys as big-endian words, those of rounds 1..rounds_-1 passed
+  /// through InvMixColumns, for the equivalent inverse cipher.
+  std::array<std::uint32_t, 4 * 15> dec_keys_{};
 };
 
 /// AES-CTR: encrypt/decrypt `data` in place (CTR is an involution).

@@ -16,28 +16,47 @@ std::uint64_t Mix(std::uint64_t x) {
   return x;
 }
 
+// Word k of a pattern, counting from 1, is Mix(base + k): no word waits on
+// the one before it, so the hashes of neighbouring words overlap.
+std::uint64_t PatternBase(std::uint64_t seed) {
+  return Mix(seed ^ 0xA5A5A5A5A5A5A5A5ULL);
+}
+
 }  // namespace
 
+// Words are stored low byte first; on a little-endian host that is one
+// 8-byte store or load.  A tail shorter than a word takes the low bytes of
+// the next word.
+static_assert(std::endian::native == std::endian::little);
+
 void FillPattern(std::span<std::uint8_t> out, std::uint64_t seed) {
-  // Each step's word is stored low byte first; on a little-endian host
-  // that is one 8-byte store.
-  static_assert(std::endian::native == std::endian::little);
-  std::uint64_t state = Mix(seed ^ 0xA5A5A5A5A5A5A5A5ULL);
+  const std::uint64_t base = PatternBase(seed);
+  std::uint64_t k = 1;
   std::size_t i = 0;
-  for (; i + 8 <= out.size(); i += 8) {
-    state = Mix(state + 1);
-    std::memcpy(out.data() + i, &state, 8);
+  for (; i + 8 <= out.size(); i += 8, ++k) {
+    const std::uint64_t word = Mix(base + k);
+    std::memcpy(out.data() + i, &word, 8);
   }
-  state = Mix(state + 1);
+  const std::uint64_t tail = Mix(base + k);
   for (int b = 0; i < out.size(); ++b) {
-    out[i++] = static_cast<std::uint8_t>(state >> (b * 8));
+    out[i++] = static_cast<std::uint8_t>(tail >> (b * 8));
   }
 }
 
 bool CheckPattern(std::span<const std::uint8_t> data, std::uint64_t seed) {
-  Bytes expected(data.size());
-  FillPattern(expected, seed);
-  return std::equal(data.begin(), data.end(), expected.begin());
+  const std::uint64_t base = PatternBase(seed);
+  std::uint64_t k = 1;
+  std::size_t i = 0;
+  for (; i + 8 <= data.size(); i += 8, ++k) {
+    std::uint64_t word;
+    std::memcpy(&word, data.data() + i, 8);
+    if (word != Mix(base + k)) return false;
+  }
+  const std::uint64_t tail = Mix(base + k);
+  for (int b = 0; i < data.size(); ++b) {
+    if (data[i++] != static_cast<std::uint8_t>(tail >> (b * 8))) return false;
+  }
+  return true;
 }
 
 void XorInto(std::span<std::uint8_t> dst, std::span<const std::uint8_t> src) {

@@ -14,10 +14,15 @@ namespace nlss::util {
 using Bytes = std::vector<std::uint8_t>;
 
 /// Fill `out` with a deterministic pattern derived from `seed`; used by tests
-/// and workload generators to produce verifiable payloads.
+/// and workload generators to produce verifiable payloads.  Word k (k >= 1)
+/// of the pattern is Mix(Mix(seed ^ 0xA5A5A5A5A5A5A5A5) + k), where Mix is
+/// MurmurHash3's 64-bit finalizer, stored low byte first; a short tail is the
+/// low bytes of the next word.  So a fill of n bytes is the first n bytes of
+/// every longer fill with the same seed.
 void FillPattern(std::span<std::uint8_t> out, std::uint64_t seed);
 
-/// Check that `data` matches the pattern produced by FillPattern(seed).
+/// Check that `data` matches the pattern produced by FillPattern(seed),
+/// word by word as the pattern is generated.
 bool CheckPattern(std::span<const std::uint8_t> data, std::uint64_t seed);
 
 /// dst ^= src, element-wise.  Sizes must match.

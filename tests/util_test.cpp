@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <numeric>
@@ -277,6 +278,76 @@ TEST(Pattern, UnalignedLength) {
   Bytes buf(13);
   FillPattern(buf, 5);
   EXPECT_TRUE(CheckPattern(buf, 5));
+}
+
+std::uint64_t WordAt(const Bytes& buf, std::size_t k) {
+  std::uint64_t w = 0;
+  for (int b = 7; b >= 0; --b) w = (w << 8) | buf[8 * k + b];  // low byte first
+  return w;
+}
+
+// Pinned so that any change to the pattern is deliberate: word k (from 1) is
+// Mix(Mix(seed ^ 0xA5A5A5A5A5A5A5A5) + k).
+TEST(Pattern, FirstWordsArePinned) {
+  const std::uint64_t want[2][4] = {
+      {0x19639D12F6F9E632ULL, 0x1AE5D404B8C0337AULL, 0x8C4C0474CF25C8EEULL,
+       0xD2C68E65E12C4D7DULL},
+      {0xA3F89EA50365A2A2ULL, 0xA1D029CC85C5EE65ULL, 0x0D44E491D383CE3EULL,
+       0x91CBE45489846BC3ULL},
+  };
+  for (std::uint64_t seed : {0, 1}) {
+    Bytes buf(32);
+    FillPattern(buf, seed);
+    for (std::size_t k = 0; k < 4; ++k) {
+      EXPECT_EQ(WordAt(buf, k), want[seed][k]) << "seed " << seed << " word " << k;
+    }
+  }
+}
+
+TEST(Pattern, ShortFillIsAPrefixOfALongOne) {
+  Bytes full(4096);
+  FillPattern(full, 31);
+  for (std::size_t n : {0, 1, 7, 8, 13, 4095}) {
+    Bytes part(n);
+    FillPattern(part, 31);
+    EXPECT_TRUE(std::equal(part.begin(), part.end(), full.begin())) << n;
+    EXPECT_TRUE(CheckPattern(part, 31)) << n;
+  }
+}
+
+TEST(Pattern, CheckRejectsOneFlippedBit) {
+  Bytes buf(4096 + 5);  // 512 full words and a 5-byte tail
+  FillPattern(buf, 99);
+  ASSERT_TRUE(CheckPattern(buf, 99));
+  // First word, a middle word, the last full word, the tail.
+  for (std::size_t at : {std::size_t{0}, std::size_t{2051}, std::size_t{4095},
+                         buf.size() - 1}) {
+    for (int bit : {0, 7}) {
+      Bytes bad = buf;
+      bad[at] ^= static_cast<std::uint8_t>(1u << bit);
+      EXPECT_FALSE(CheckPattern(bad, 99)) << "byte " << at << " bit " << bit;
+    }
+  }
+}
+
+TEST(Pattern, NeighbouringSeedsShareNoWord) {
+  constexpr std::size_t kWords = 64 * 1024 / 8;
+  Bytes a(64 * 1024), b(64 * 1024);
+  for (std::uint64_t s : {0ULL, 7ULL, 1ULL << 40}) {
+    FillPattern(a, s);
+    FillPattern(b, s + 1);
+    std::vector<std::uint64_t> wa(kWords), wb(kWords);
+    for (std::size_t k = 0; k < kWords; ++k) {
+      wa[k] = WordAt(a, k);
+      wb[k] = WordAt(b, k);
+    }
+    std::sort(wa.begin(), wa.end());
+    std::sort(wb.begin(), wb.end());
+    std::vector<std::uint64_t> common;
+    std::set_intersection(wa.begin(), wa.end(), wb.begin(), wb.end(),
+                          std::back_inserter(common));
+    EXPECT_TRUE(common.empty()) << "seeds " << s << " and " << s + 1;
+  }
 }
 
 TEST(ByteRw, Roundtrip) {

@@ -2,17 +2,19 @@
 """Charge the samples of tools/sampler.cpp to simulator modules.
 
     python3 tools/sampler_report.py run.samples [--functions N]
-        [--json out.json] [--root TREE]
+        [--json out.json] [--root TREE] [--setup]
 
 Only samples with a frame in perfbench::Play, perfbench's measured phase,
-count.  Each is charged to the src/<module>/ directory of its innermost
-simulator frame, taking the innermost inlined frame that addr2line -i
-gives (standard-library code inlined into a simulator function counts for
-that function).  A leaf outside the main
-executable, such as memcpy or malloc, is charged to the caller the sampler
-found for it.  A sample whose innermost repository frame lies in
-perfbench/ is charged to "benchmark"; one with no repository frame to
-"other".  The table gives each row's samples and its share of the phase.
+count; with --setup only the others do (each repetition's setup and the
+checks after its phase, and start-up).  Each is charged to the
+src/<module>/ directory of its innermost simulator frame, taking the
+innermost inlined frame that addr2line -i gives (standard-library code
+inlined into a simulator function counts for that function).  A leaf
+outside the main executable, such as memcpy or malloc, is charged to the
+caller the sampler found for it.  A sample whose innermost repository
+frame lies in perfbench/ is charged to "benchmark"; one with no repository
+frame to "other".  The table gives each row's samples and its share of
+those counted.
 --functions N also lists the N innermost simulator functions with the most
 samples.
 """
@@ -127,6 +129,8 @@ def main():
     parser.add_argument("--json")
     parser.add_argument("--root", default=ROOT,
                         help="source tree the binary was built from")
+    parser.add_argument("--setup", action="store_true",
+                        help="count the samples outside " + PHASE)
     args = parser.parse_args()
     root = os.path.abspath(args.root)
 
@@ -149,12 +153,14 @@ def main():
 
     rows = collections.Counter()
     functions = collections.Counter()
-    in_phase = 0
+    in_phase = counted = 0
     for frames in located:
         expanded = [f for key in frames for f in symbols.get(key, [])]
-        if not any(fn.startswith(PHASE + "(") for fn, _ in expanded):
+        phase = any(fn.startswith(PHASE + "(") for fn, _ in expanded)
+        in_phase += phase
+        if phase == args.setup:
             continue
-        in_phase += 1
+        counted += 1
         row, where = "other", None
         for fn, source in expanded:
             area = repo_area(source, root)
@@ -167,22 +173,26 @@ def main():
             functions[short_name(where)] += 1
 
     total = len(stacks)
+    scope = "setup" if args.setup else "phase"
     print("samples %d, in %s %d" % (total, PHASE, in_phase))
-    print("| row | samples | % of phase |\n|---|---|---|")
+    print("| row | samples | %% of %s |\n|---|---|---|" % scope)
     for row, n in rows.most_common():
-        print("| %s | %d | %.1f |" % (row, n, 100.0 * n / max(in_phase, 1)))
+        print("| %s | %d | %.1f |" % (row, n, 100.0 * n / max(counted, 1)))
     if args.functions:
-        print("\n| innermost simulator function | samples | % of phase |")
+        print("\n| innermost simulator function | samples | %% of %s |"
+              % scope)
         print("|---|---|---|")
         for fn, n in functions.most_common(args.functions):
-            print("| `%s` | %d | %.1f |" % (fn, n, 100.0 * n / max(in_phase, 1)))
+            print("| `%s` | %d | %.1f |"
+                  % (fn, n, 100.0 * n / max(counted, 1)))
     if args.json:
         with open(args.json, "w") as f:
             json.dump({"samples": total, "phase": PHASE,
-                       "phase_samples": in_phase, "rows": dict(rows),
+                       "phase_samples": in_phase, "scope": scope,
+                       "rows": dict(rows),
                        "functions": dict(functions.most_common(50))},
                       f, indent=1, sort_keys=True)
-    return 0 if in_phase > 0 else 1
+    return 0 if counted > 0 else 1
 
 
 if __name__ == "__main__":
